@@ -46,7 +46,14 @@ from .solver import (
     step,
     weak_strong_experiment,
 )
-from .spectral import FrequencyLattice, ModeDecomposition, decompose, evolve_group, frequency_spectrum
+from .spectral import (
+    FrequencyLattice,
+    ModeDecomposition,
+    Spectrum,
+    decompose,
+    evolve_group,
+    frequency_spectrum,
+)
 from .state import (
     SpectralState,
     energy_norm,

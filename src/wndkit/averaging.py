@@ -32,12 +32,12 @@ code with the spectral formulas they check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.linalg
 
-from .spectral import FrequencyLattice, Mode, ModeDecomposition
+from .spectral import FrequencyLattice, Mode, Spectrum
 from .state import SpectralState, energy_norm, inner_product, is_reality_symmetric
 from .system import SystemSpec, advection_symbol, diffusion_symbol
 
@@ -70,22 +70,17 @@ class AveragedDiffusion:
         return self.blocks[self.lattice.index(mode)]
 
 
-def averaged_diffusion(
-    spec: SystemSpec,
-    spectrum: Mapping[Mode, ModeDecomposition],
-    lattice: FrequencyLattice,
-) -> AveragedDiffusion:
+def averaged_diffusion(spec: SystemSpec, spectrum: Spectrum, lattice: FrequencyLattice) -> AveragedDiffusion:
     """dbar(xi) = - sum_j p_j(xi) b(xi) p_j(xi) for every lattice mode."""
-    n = spec.ncomp
-    blocks = np.zeros((len(lattice), n, n), dtype=complex)
-    for i, mode in enumerate(lattice):
-        dec = spectrum.get(mode)
-        if dec is None:
-            raise KeyError(f"spectrum is missing mode {mode}")
-        if not any(mode):
-            continue  # diffusion symbol vanishes at the zero mode
-        bsym = diffusion_symbol(spec, np.asarray(mode, dtype=float))
-        blocks[i] = -np.einsum("jpq,qr,jrs->ps", dec.projectors, bsym, dec.projectors)
+    spectrum.require_lattice(lattice)
+    xi = lattice.array.astype(float)
+    bsym = np.einsum("ma,mb,abqr->mqr", xi, xi, spec.diffusion)
+    proj = spectrum.projectors
+    blocks = np.zeros((len(lattice), spec.ncomp, spec.ncomp), dtype=complex)
+    blocks.real = -np.einsum("mjpq,mqr,mjrs->mps", proj, bsym, proj)
+    # the symbol vanishes at the zero mode; keep its block at +0.0 (the
+    # negation above would print as -0 in the CSV export)
+    blocks[lattice.zero_index()] = 0.0
     # the identity dbar(-xi) = conj(dbar(xi)) holds exactly for real symbols;
     # enforcing it removes independent-eigensolve roundoff so that stepping
     # preserves the reality symmetry of states bit for bit
@@ -99,26 +94,6 @@ def apply_averaged_diffusion(avg: AveragedDiffusion, state: SpectralState) -> Sp
     out = state.copy()
     out.coeffs = np.einsum("mpq,mq->mp", avg.blocks, state.coeffs)
     return out
-
-
-def _propagator_powers(step: np.ndarray, count: int, chunk: int) -> Iterator[np.ndarray]:
-    """Yield blocks [step^j for j in j0..j0+len) by repeated batched doubling."""
-    n = step.shape[0]
-    block = np.empty((min(chunk, count), n, n), dtype=complex)
-    block[0] = np.eye(n)
-    size = 1
-    while size < block.shape[0]:
-        take = min(size, block.shape[0] - size)
-        block[size : size + take] = block[size - 1] @ step @ block[:take]
-        size += take
-    carry = np.eye(n, dtype=complex)
-    stride = block[-1] @ step
-    done = 0
-    while done < count:
-        take = min(block.shape[0], count - done)
-        yield carry @ block[:take]
-        carry = carry @ stride
-        done += take
 
 
 def averaged_diffusion_oracle(
@@ -148,7 +123,8 @@ def averaged_diffusion_oracle(
     for sign in (1.0, -1.0):
         step = scipy.linalg.expm(sign * 1j * dt * a)
         offset = 0
-        for fwd in _propagator_powers(step, n_steps + 1, chunk):
+        for powers in _propagator_powers_stack(step[None], n_steps + 1, chunk):
+            fwd = powers[:, 0]
             weights = np.full(fwd.shape[0], dt)
             if offset == 0:
                 weights[0] = 0.5 * dt
@@ -184,7 +160,7 @@ class ResonanceTable:
 
 
 def build_resonance_table(
-    spectrum: Mapping[Mode, ModeDecomposition],
+    spectrum: Spectrum,
     lattice: FrequencyLattice,
     tol: float = 1e-9,
     exact_rule: ExactRule | None = None,
@@ -196,11 +172,10 @@ def build_resonance_table(
     near-resonances are the dominant hazard, so callers should pass an
     exact_rule whenever the spectrum has arithmetic structure.
     """
-    modes = list(lattice)
-    decs = [spectrum[m] for m in modes]
-    freqs = [d.frequencies for d in decs]
-    scale = max((float(np.abs(f).max()) for f in freqs), default=1.0)
-    scale = max(scale, 1.0)
+    spectrum.require_lattice(lattice)
+    modes = lattice.modes
+    freqs = [row[:k] for row, k in zip(spectrum.frequencies, spectrum.nfreq)]
+    scale = max(float(np.abs(spectrum.frequencies).max()), 1.0)
     arr = lattice.array
     rows: list[tuple[int, int, int, int, int, int]] = []
     defects: list[float] = []
@@ -242,13 +217,9 @@ class _CompiledQuadratic:
     argument into two reality-symmetric parts (the operator is bilinear).
     """
 
-    def __init__(
-        self,
-        spec: SystemSpec,
-        spectrum: Mapping[Mode, ModeDecomposition],
-        table: ResonanceTable,
-    ) -> None:
+    def __init__(self, spec: SystemSpec, spectrum: Spectrum, table: ResonanceTable) -> None:
         lattice = table.lattice
+        spectrum.require_lattice(lattice)
         n = spec.ncomp
         self.lattice = lattice
         self.ncomp = n
@@ -265,11 +236,7 @@ class _CompiledQuadratic:
         self.seg_modes = idx_m[self.seg_starts] if len(entries) else np.zeros(0, np.int64)
 
         modes_arr = lattice.array.astype(float)
-        max_branches = max(spectrum[mode].nfreq for mode in lattice)
-        pstack = np.zeros((len(lattice), max_branches, n, n))
-        for i, mode in enumerate(lattice):
-            dec = spectrum[mode]
-            pstack[i, : dec.nfreq] = dec.projectors
+        pstack = spectrum.projectors
         p_out = pstack[entries[:, 4], entries[:, 5]]
         p_in1 = pstack[entries[:, 0], entries[:, 1]]
         p_in2 = pstack[entries[:, 2], entries[:, 3]]
@@ -334,7 +301,7 @@ def _compiled(spec: SystemSpec, spectrum, table: ResonanceTable) -> _CompiledQua
 
 def apply_averaged_quadratic(
     spec: SystemSpec,
-    spectrum: Mapping[Mode, ModeDecomposition],
+    spectrum: Spectrum,
     table: ResonanceTable,
     w1: SpectralState,
     w2: SpectralState,
@@ -360,21 +327,12 @@ def apply_quadratic(spec: SystemSpec, w1: SpectralState, w2: SpectralState) -> S
     lattice = w1.lattice
     if w2.lattice.modes != lattice.modes:
         raise ValueError("states live on different lattices")
-    arr = lattice.array
-    m = len(lattice)
+    pk, pl, pm, seg_starts, seg_modes = lattice.convolution_pairs()
+    quad = np.einsum("aijk,tj,tk->tai", spec.quadratic, w1.coeffs[pk], w2.coeffs[pl])
+    div = 1j * np.einsum("ta,tai->ti", lattice.array[pm].astype(float), quad)
     out = w1.copy()
     out.coeffs = np.zeros_like(w1.coeffs)
-    sym_q = spec.quadratic
-    for ki in range(m):
-        ksum = arr + arr[ki]
-        inside = np.abs(ksum).max(axis=1) <= lattice.radius
-        li = np.flatnonzero(inside)
-        if li.size == 0:
-            continue
-        mi = lattice.index_array(ksum[li])
-        quad = np.einsum("aijk,j,tk->tai", sym_q, w1.coeffs[ki], w2.coeffs[li])
-        div = 1j * np.einsum("ta,tai->ti", arr[mi].astype(float), quad)
-        np.add.at(out.coeffs, mi, div)
+    out.coeffs[seg_modes] = np.add.reduceat(div, seg_starts, axis=0)
     return out
 
 
@@ -402,25 +360,8 @@ def quadratic_time_average_oracle(
     for i in range(nmodes):
         steps[i] = scipy.linalg.expm(-1j * dt * advection_symbol(spec, arr[i]))
 
-    pairs_k: list[np.ndarray] = []
-    pairs_l: list[np.ndarray] = []
-    pairs_m: list[np.ndarray] = []
-    for ki in range(nmodes):
-        ksum = lattice.array + lattice.array[ki]
-        inside = np.abs(ksum).max(axis=1) <= lattice.radius
-        li = np.flatnonzero(inside)
-        pairs_k.append(np.full(li.size, ki, dtype=np.int64))
-        pairs_l.append(li.astype(np.int64))
-        pairs_m.append(lattice.index_array(ksum[li]))
-    pk = np.concatenate(pairs_k)
-    pl = np.concatenate(pairs_l)
-    pm = np.concatenate(pairs_m)
+    pk, pl, pm, seg_starts, seg_modes = lattice.convolution_pairs()
     mvec = arr[pm]
-
-    order = np.argsort(pm, kind="stable")
-    pk, pl, pm, mvec = pk[order], pl[order], pm[order], mvec[order]
-    seg_starts = np.flatnonzero(np.r_[True, np.diff(pm) > 0])
-    seg_modes = pm[seg_starts]
 
     acc = np.zeros((nmodes, n), dtype=complex)
     # one power stream per half-axis; e^{+t A} at a mode is the elementwise
@@ -470,7 +411,7 @@ def _propagator_powers_stack(steps: np.ndarray, count: int, chunk: int) -> Itera
 
 def cyclic_residual(
     spec: SystemSpec,
-    spectrum: Mapping[Mode, ModeDecomposition],
+    spectrum: Spectrum,
     table: ResonanceTable,
     w1: SpectralState,
     w2: SpectralState,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -82,9 +81,8 @@ def load_config(path: str) -> dict:
 class Run:
     """Resolved configuration: spec (plus gas model when preset-based) and knobs."""
 
-    def __init__(self, config: dict, seed_override: int | None = None, threads: int = 1):
+    def __init__(self, config: dict, seed_override: int | None = None):
         self.config = config
-        self.threads = threads
         system = config.get("system")
         self.model: ns.CnsModel | None = None
         if isinstance(system, str):
@@ -303,20 +301,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (default: config outputs.directory)")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (reductions stay ordered)")
     parser.add_argument("--seed", type=int, default=None, help="override the random initial-data seed")
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("WNDKIT_THREADS", "1"))
-    if threads < 1:
-        print("thread count must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
-
     try:
         config = load_config(args.config)
-        run = Run(config, seed_override=args.seed, threads=threads)
+        run = Run(config, seed_override=args.seed)
     except (ConfigError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

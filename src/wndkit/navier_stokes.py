@@ -41,14 +41,15 @@ squared mode norms, decided without floating point.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from .averaging import apply_averaged_quadratic
-from .spectral import FrequencyLattice, Mode, ModeDecomposition
+from .spectral import FrequencyLattice, Mode, Spectrum
 from .state import SpectralState, inner_product, zero_state
 from .system import SystemSpec, change_of_variables
 
@@ -356,20 +357,7 @@ def build_cns_spec(
     u0 = np.zeros(model.ncomp)
     u0[0] = rho
     u0[-1] = rho * eos.energy(rho, theta)
-    return replace_state(spec, u0)
-
-
-def replace_state(spec: SystemSpec, new_state: np.ndarray) -> SystemSpec:
-    return SystemSpec(
-        dim=spec.dim,
-        ncomp=spec.ncomp,
-        state=new_state,
-        advection=spec.advection,
-        diffusion=spec.diffusion,
-        quadratic=spec.quadratic,
-        entropy_hessian=spec.entropy_hessian,
-        labels=spec.labels,
-    )
+    return dataclasses.replace(spec, state=u0)
 
 
 def acoustic_basis(model: CnsModel, k) -> tuple[np.ndarray, np.ndarray]:
@@ -387,29 +375,21 @@ def acoustic_basis(model: CnsModel, k) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-def wcns_split(
-    model: CnsModel,
-    spectrum: Mapping[Mode, ModeDecomposition],
-    state: SpectralState,
-) -> tuple[SpectralState, SpectralState]:
+def wcns_split(model: CnsModel, spectrum: Spectrum, state: SpectralState) -> tuple[SpectralState, SpectralState]:
     """Split into the advection null component and the acoustic component.
 
     Null-branch projection per mode gives the incompressible part
     (divergence-free velocity, pressure-neutral thermodynamics); the rest
     lives on the +-c0|k| eigenspaces.  The zero mode is incompressible.
     """
+    spectrum.require_lattice(state.lattice)
+    # padded branches have a zero projector, so counting them as null is harmless
+    null = np.abs(spectrum.frequencies) < 0.5 * model.sound
+    p_null = (spectrum.projectors * null[:, :, None, None]).sum(axis=1)
     w_in = state.copy()
+    w_in.coeffs = np.matmul(p_null, state.coeffs[:, :, None])[:, :, 0]
     w_ac = state.copy()
-    thr = 0.5 * model.sound
-    for mode, dec in spectrum.items():
-        idx = state.lattice.index(mode)
-        null_mask = np.abs(dec.frequencies) < thr
-        if null_mask.any():
-            p_null = np.einsum("jpq->pq", dec.projectors[null_mask])
-            w_in.coeffs[idx] = p_null @ state.coeffs[idx]
-        else:
-            w_in.coeffs[idx] = 0.0
-        w_ac.coeffs[idx] = state.coeffs[idx] - w_in.coeffs[idx]
+    w_ac.coeffs = state.coeffs - w_in.coeffs
     return w_in, w_ac
 
 
@@ -482,25 +462,6 @@ def conserved_flux(eos: EquationOfState, u_vec: np.ndarray, dim: int) -> np.ndar
     return flux
 
 
-def _pair_arrays(lattice: FrequencyLattice):
-    arr = lattice.array
-    pk, pl, pm = [], [], []
-    for ki in range(len(lattice)):
-        ksum = arr + arr[ki]
-        inside = np.abs(ksum).max(axis=1) <= lattice.radius
-        li = np.flatnonzero(inside)
-        pk.append(np.full(li.size, ki, dtype=np.int64))
-        pl.append(li.astype(np.int64))
-        pm.append(lattice.index_array(ksum[li]))
-    pk = np.concatenate(pk)
-    pl = np.concatenate(pl)
-    pm = np.concatenate(pm)
-    order = np.argsort(pm, kind="stable")
-    pk, pl, pm = pk[order], pl[order], pm[order]
-    seg = np.flatnonzero(np.r_[True, np.diff(pm) > 0])
-    return pk, pl, pm, seg, pm[seg]
-
-
 def simulate_incompressible_reference(
     model: CnsModel,
     lattice: FrequencyLattice,
@@ -517,13 +478,20 @@ def simulate_incompressible_reference(
     truncated to the same lattice (convolution modes outside it dropped),
     advanced by integrating-factor RK4 with scalar decay factors.  Entirely
     independent of the generic averaged machinery; used as its oracle.
+    t_end must be a whole number of steps, so that the reference stops at
+    the time `simulate` reaches rather than one step short of it.
     """
+    if t_end <= 0.0 or dt <= 0.0:
+        raise ValueError("need t_end > 0 and dt > 0")
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValueError(f"t_end = {t_end:g} is not a whole number of steps of dt = {dt:g}")
     dim = model.dim
     arr = lattice.array.astype(float)
     sq = (arr**2).sum(axis=1)
     nu_u = model.transport.shear / model.rho
     nu_t = model.transport.thermal / (model.rho * model.c_p)
-    pk, pl, pm, seg, seg_modes = _pair_arrays(lattice)
+    pk, pl, _, seg, seg_modes = lattice.convolution_pairs()
     lvec = arr[pl]
 
     nonzero = sq > 0
@@ -546,7 +514,6 @@ def simulate_incompressible_reference(
         dth[zero] = 0.0
         return du, dth
 
-    n_steps = int(round(t_end / dt))
     u = u_hat.astype(complex).copy()
     th = theta_hat.astype(complex).copy()
     e_u = np.exp(-nu_u * sq * dt)[:, None]
@@ -594,7 +561,7 @@ def _thermo_unit(model: CnsModel) -> np.ndarray:
 
 def wcns_coupling_report(
     model: CnsModel,
-    spectrum: Mapping[Mode, ModeDecomposition],
+    spectrum: Spectrum,
     table,
 ) -> dict:
     """Empirical interaction amplitudes of the averaged quadratic operator.
@@ -683,12 +650,12 @@ def wcns_coupling_report(
         }
 
     counts: dict[str, int] = {}
-    freqs = {i: spectrum[mode].frequencies for i, mode in enumerate(lattice)}
+    freqs = spectrum.frequencies
     thr = 0.5 * model.sound
     for row in table.entries:
         ki, j1, li, j2, mi, j3 = (int(x) for x in row)
         key = "".join(
-            "0" if abs(freqs[idx][j]) < thr else ("+" if freqs[idx][j] > 0 else "-")
+            "0" if abs(freqs[idx, j]) < thr else ("+" if freqs[idx, j] > 0 else "-")
             for idx, j in ((ki, j1), (li, j2), (mi, j3))
         )
         counts[key] = counts.get(key, 0) + 1

@@ -41,7 +41,7 @@ from .averaging import (
     averaged_diffusion,
     build_resonance_table,
 )
-from .spectral import FrequencyLattice, Mode, ModeDecomposition, frequency_spectrum
+from .spectral import FrequencyLattice, Mode, Spectrum, frequency_spectrum
 from .state import SpectralState, energy_norm, evolve_state, sobolev_norm
 from .system import SystemSpec
 
@@ -75,16 +75,13 @@ class WndOperators:
 
     spec: SystemSpec
     lattice: FrequencyLattice
-    spectrum: dict[Mode, ModeDecomposition]
+    spectrum: Spectrum
     avg: AveragedDiffusion
     table: ResonanceTable | None
 
     def __post_init__(self) -> None:
-        n = self.spec.ncomp
-        asum = np.zeros((len(self.lattice), n, n))
-        for i, mode in enumerate(self.lattice):
-            dec = self.spectrum[mode]
-            asum[i] = np.einsum("j,jpq->pq", dec.frequencies, dec.projectors)
+        self.spectrum.require_lattice(self.lattice)
+        asum = np.einsum("mj,mjpq->mpq", self.spectrum.frequencies, self.spectrum.projectors)
         # enforce the exact mirror identity a(-xi) = -a(xi); together with the
         # mirrored diffusion blocks this makes the per-mode generator satisfy
         # gen(-xi) = conj(gen(xi)) bitwise, so stepping preserves reality
@@ -93,9 +90,7 @@ class WndOperators:
         asum[neg[upper]] = -asum[upper]
         self._advection = asum
         self._generator = -1j * asum + self.avg.blocks
-        self._omega_max = max(
-            (float(np.abs(d.frequencies).max()) for d in self.spectrum.values()), default=0.0
-        )
+        self._omega_max = float(np.abs(self.spectrum.frequencies).max())
         self._propagators: dict[tuple[float, bool], np.ndarray] = {}
 
     @property
@@ -119,11 +114,10 @@ class WndOperators:
         if props is None:
             gen = self.avg.blocks if filtered else self._generator
             props = np.empty_like(gen)
-            neg = self.lattice.negation
-            zero = self.lattice.zero_index()
-            for i in range(zero, gen.shape[0]):
-                props[i] = scipy.linalg.expm(dt * gen[i])
-                props[neg[i]] = props[i].conj()
+            half = np.arange(self.lattice.zero_index(), gen.shape[0])
+            props[half] = scipy.linalg.expm(dt * gen[half])
+            # the zero mode is its own mirror and takes the conjugate too
+            props[self.lattice.negation[half]] = props[half].conj()
             self._propagators[key] = props
         return props
 

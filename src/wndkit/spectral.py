@@ -12,8 +12,9 @@ built on top.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .system import SystemSpec, advection_symbol
 __all__ = [
     "FrequencyLattice",
     "ModeDecomposition",
+    "Spectrum",
     "decompose",
     "evolve_group",
     "frequency_spectrum",
@@ -64,7 +66,7 @@ class FrequencyLattice:
         return iter(self.modes)
 
     def contains(self, mode: Sequence[int]) -> bool:
-        return all(abs(int(c)) <= self.radius for c in mode)
+        return len(mode) == self.dim and all(abs(int(c)) <= self.radius for c in mode)
 
     def index(self, mode: Sequence[int]) -> int:
         if not self.contains(mode):
@@ -78,6 +80,25 @@ class FrequencyLattice:
 
     def zero_index(self) -> int:
         return self.index((0,) * self.dim)
+
+    def convolution_pairs(self) -> tuple[np.ndarray, ...]:
+        """Every (k, l) with k + l = m inside the lattice, grouped by m.
+
+        Returns index arrays (k, l, m) sorted stably by m, the start of each
+        m-segment and the m of each segment, ready for np.add.reduceat.
+        """
+        arr = self.array
+        pk, pl, pm = [], [], []
+        for ki in range(len(self)):
+            ksum = arr + arr[ki]
+            li = np.flatnonzero(np.abs(ksum).max(axis=1) <= self.radius)
+            pk.append(np.full(li.size, ki, dtype=np.int64))
+            pl.append(li.astype(np.int64))
+            pm.append(self.index_array(ksum[li]))
+        order = np.argsort(np.concatenate(pm), kind="stable")
+        pk, pl, pm = (np.concatenate(p)[order] for p in (pk, pl, pm))
+        seg = np.flatnonzero(np.r_[True, np.diff(pm) > 0])
+        return pk, pl, pm, seg, pm[seg]
 
 
 @dataclass(eq=False)
@@ -97,6 +118,44 @@ class ModeDecomposition:
     @property
     def nfreq(self) -> int:
         return len(self.frequencies)
+
+
+@dataclass(eq=False)
+class Spectrum(Mapping):
+    """Decompositions at every lattice mode, stacked in lattice order.
+
+    Row i of `frequencies` (M, B) and `projectors` (M, B, N, N) holds the
+    nfreq[i] branches of lattice mode i, zero-padded to the widest mode:
+    a padded branch has frequency 0 and a zero projector, so any sum over
+    all B branches equals the sum over the real ones.  As a read-only
+    mapping from mode to ModeDecomposition it serves views of those rows.
+    """
+
+    lattice: FrequencyLattice
+    frequencies: np.ndarray  # (M, B) float
+    projectors: np.ndarray  # (M, B, N, N) float
+    nfreq: np.ndarray  # (M,) int
+    cluster_tol: float
+
+    def __getitem__(self, mode: Sequence[int]) -> ModeDecomposition:
+        i = self.lattice.index(mode)
+        k = int(self.nfreq[i])
+        return ModeDecomposition(
+            mode=self.lattice.modes[i],
+            frequencies=self.frequencies[i, :k],
+            projectors=self.projectors[i, :k],
+            cluster_tol=self.cluster_tol,
+        )
+
+    def __iter__(self) -> Iterator[Mode]:
+        return iter(self.lattice)
+
+    def __len__(self) -> int:
+        return len(self.lattice)
+
+    def require_lattice(self, lattice: FrequencyLattice) -> None:
+        if lattice is not self.lattice and lattice.modes != self.lattice.modes:
+            raise ValueError("spectrum and lattice have different modes")
 
 
 def _cluster(eigenvalues: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -145,16 +204,22 @@ def evolve_group(dec: ModeDecomposition, t: float, vec: np.ndarray) -> np.ndarra
     return np.einsum("j,jpq,q->p", phases, dec.projectors, np.asarray(vec, dtype=complex))
 
 
-def frequency_spectrum(
-    spec: SystemSpec, lattice: FrequencyLattice, cluster_tol: float = 1e-9
-) -> dict[Mode, ModeDecomposition]:
-    """Decomposition at every lattice mode, emitted in lattice order."""
-    if len(lattice) == 0:
-        raise ValueError("lattice is empty")
-    return {mode: decompose(spec, mode, cluster_tol) for mode in lattice}
+def frequency_spectrum(spec: SystemSpec, lattice: FrequencyLattice, cluster_tol: float = 1e-9) -> Spectrum:
+    """Decomposition at every lattice mode, stacked in lattice order."""
+    decs = [decompose(spec, mode, cluster_tol) for mode in lattice]
+    nfreq = np.array([dec.nfreq for dec in decs])
+    width = int(nfreq.max())
+    frequencies = np.zeros((len(decs), width))
+    projectors = np.zeros((len(decs), width, spec.ncomp, spec.ncomp))
+    for i, dec in enumerate(decs):
+        frequencies[i, : dec.nfreq] = dec.frequencies
+        projectors[i, : dec.nfreq] = dec.projectors
+    for arr in (frequencies, projectors, nfreq):
+        arr.setflags(write=False)
+    return Spectrum(lattice, frequencies, projectors, nfreq, cluster_tol)
 
 
-def spectrum_csv_rows(spectrum: Mapping[Mode, ModeDecomposition]) -> Iterator[list]:
+def spectrum_csv_rows(spectrum: Spectrum) -> Iterator[list]:
     """Diagnostic rows (mode components..., frequency index, omega, projector rank)."""
     for mode, dec in spectrum.items():
         for j, omega in enumerate(dec.frequencies):

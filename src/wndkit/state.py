@@ -16,11 +16,11 @@ the squared coefficient magnitude, so s = 0 recovers the plain norm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
-from .spectral import FrequencyLattice, Mode, ModeDecomposition
+from .spectral import FrequencyLattice, Spectrum
 from .system import SystemSpec
 
 __all__ = [
@@ -161,13 +161,10 @@ def sobolev_norm(spec: SystemSpec, state: SpectralState, s: float) -> float:
     return float(np.sqrt(max(((1.0 + sq) ** s * _weighted_sq(spec, state)).sum(), 0.0)))
 
 
-def evolve_state(
-    spectrum: Mapping[Mode, ModeDecomposition], t: float, state: SpectralState
-) -> SpectralState:
+def evolve_state(spectrum: Spectrum, t: float, state: SpectralState) -> SpectralState:
     """Apply the unitary group mode-wise: w(xi) <- sum_j e^{-i omega_j t} p_j w(xi)."""
+    spectrum.require_lattice(state.lattice)
+    phases = np.exp(-1j * spectrum.frequencies * t)
     out = state.copy()
-    for mode, dec in spectrum.items():
-        idx = state.lattice.index(mode)
-        phases = np.exp(-1j * dec.frequencies * t)
-        out.coeffs[idx] = np.einsum("j,jpq,q->p", phases, dec.projectors, state.coeffs[idx])
+    out.coeffs = np.einsum("mj,mjpq,mq->mp", phases, spectrum.projectors, state.coeffs)
     return out

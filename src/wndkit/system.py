@@ -56,8 +56,8 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class SystemSpec:
     """Immutable symbol data of one system at one constant state.
 
-    Instances are safe to share across threads; all operations on them are
-    pure functions.  Arrays are copied and frozen at construction.
+    Instances are safe to share; all operations on them are pure
+    functions.  Arrays are copied and frozen at construction.
     """
 
     dim: int

@@ -184,9 +184,3 @@ def test_simulation_level_seed_alias(tmp_path):
     cfg.write_text(json.dumps(data))
     main(["simulate", "--config", str(cfg)])
     assert (tmp_path / "out" / "diagnostics.csv").read_bytes() == aliased
-
-
-def test_threads_flag_accepted(tmp_path):
-    cfg = write_config(tmp_path / "run.json")
-    assert main(["validate", "--config", str(cfg), "--threads", "4"]) == 0
-    assert main(["validate", "--config", str(cfg), "--threads", "0"]) == 2

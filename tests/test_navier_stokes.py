@@ -231,6 +231,15 @@ def test_incompressible_reference_match_small(cns_model, cns_ops4):
     assert rel <= 1e-8
 
 
+@pytest.mark.parametrize("t_end, dt", [(0.0225, 1e-3), (0.0, 1e-3), (0.02, 0.0), (0.02, -1e-3)])
+def test_incompressible_reference_rejects_partial_steps(cns_model, t_end, dt):
+    # simulate would take ceil(t_end / dt) steps here, the reference round()
+    lat = wk.FrequencyLattice(2, 2)
+    zeros = np.zeros(len(lat), dtype=complex)
+    with pytest.raises(ValueError):
+        simulate_incompressible_reference(cns_model, lat, np.zeros((len(lat), 2)), zeros, t_end, dt)
+
+
 def test_linear_acoustic_decay(cns_model):
     lat = wk.FrequencyLattice(2, 3)
     ops = wk.build_operators(cns_model.spec, lat, with_quadratic=False)

@@ -110,10 +110,28 @@ def test_frequency_spectrum_scalar_advection():
     assert np.allclose(freqs, [-2, -1, 0, 1, 2])
 
 
-def test_frequency_spectrum_cns_branch_count(cns_ops4):
-    for mode, dec in cns_ops4.spectrum.items():
+def test_frequency_spectrum_cns_branch_count(cns_model, cns_ops4):
+    spectrum = cns_ops4.spectrum
+    assert spectrum.frequencies.shape == (len(cns_ops4.lattice), 3)
+    assert spectrum.projectors.shape == (len(cns_ops4.lattice), 3, 4, 4)
+    for i, (mode, dec) in enumerate(spectrum.items()):
         expected = 1 if mode == (0, 0) else 3
         assert dec.nfreq == expected
+        assert spectrum.nfreq[i] == expected
+        # stacked rows are the per-mode decomposition, bit for bit
+        ref = decompose(cns_model.spec, mode)
+        assert spectrum.frequencies[i, :expected].tobytes() == ref.frequencies.tobytes()
+        assert spectrum.projectors[i, :expected].tobytes() == ref.projectors.tobytes()
+        # padded branches are exactly zero
+        assert not spectrum.frequencies[i, expected:].any()
+        assert not spectrum.projectors[i, expected:].any()
+        # the mapping view serves the same arrays
+        assert dec.mode == mode
+        assert np.shares_memory(dec.frequencies, spectrum.frequencies)
+        assert np.array_equal(dec.frequencies, spectrum.frequencies[i, :expected])
+        assert np.array_equal(dec.projectors, spectrum.projectors[i, :expected])
+    assert list(spectrum) == list(cns_ops4.lattice)
+    assert (9, 0) not in spectrum and (0,) not in spectrum
 
 
 def test_reality_pairing(cns_model):
