@@ -5,9 +5,13 @@ The averaged diffusion block is computed two ways: the spectral-projector
 sum and brute-force trapezoidal time averaging of the conjugated symbol.
 The quasi-periodic integrand makes the average converge like 1/T; the sweep
 prints the measured errors and fitted rate for the partially dissipative
-wave pair and a handful of gas-dynamics modes.
+wave pair and a handful of gas-dynamics modes.  The averaging spans are
+three decades ending at --max-span (default 1e4).
+
+    python scripts/oracle_convergence.py [--max-span 1e4]
 """
 
+import argparse
 import math
 
 import numpy as np
@@ -16,7 +20,7 @@ import wndkit as wk
 from wndkit.averaging import averaged_diffusion_oracle
 
 
-def sweep(spec, mode, target, spans=(1e2, 1e3, 1e4), dt=0.01) -> None:
+def sweep(spec, mode, target, spans, dt=0.01) -> None:
     errs = []
     for span in spans:
         oracle = averaged_diffusion_oracle(spec, np.asarray(mode, float), span, max(100, int(span / dt)))
@@ -27,19 +31,26 @@ def sweep(spec, mode, target, spans=(1e2, 1e3, 1e4), dt=0.01) -> None:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--max-span", type=float, default=1e4, help="longest averaging span T (default 1e4)")
+    args = parser.parse_args()
+    if args.max_span <= 0.0:
+        parser.error("--max-span must be positive")
+    spans = (args.max_span / 100.0, args.max_span / 10.0, args.max_span)
+
     adv = np.array([[[0.0, 1.0], [1.0, 0.0]]])
     dif = np.zeros((1, 1, 2, 2))
     dif[0, 0] = np.diag([1.0, 0.0])
     wave = wk.SystemSpec(1, 2, [0.0, 0.0], adv, dif, np.zeros((1, 2, 2, 2)), np.eye(2))
     print("partially dissipative wave pair (exact block -xi^2/2 I):")
-    sweep(wave, (1,), -0.5 * np.eye(2))
+    sweep(wave, (1,), -0.5 * np.eye(2), spans)
 
     model = wk.build_preset("ideal-gas-2d")
     lattice = wk.FrequencyLattice(2, 3)
     ops = wk.build_operators(model.spec, lattice, with_quadratic=False)
     print("ideal-gas system (projector blocks as reference):")
     for mode in [(1, 0), (1, 1), (2, -1)]:
-        sweep(model.spec, mode, ops.avg.block(mode))
+        sweep(model.spec, mode, ops.avg.block(mode), spans)
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .spectral import FrequencyLattice, Mode, Spectrum
@@ -207,14 +208,23 @@ def build_resonance_table(
 
 
 class _CompiledQuadratic:
-    """Half-table kernels for fast application of the averaged quadratic form.
+    """The averaged quadratic form of one (spec, table), compiled once.
 
-    Entries whose output mode m is the zero mode contribute nothing (the
-    divergence factor i*m vanishes) and are dropped.  Of the remainder only
-    triples with m in the lexicographically positive half are compiled; for
-    reality-symmetric inputs the negative-half output is the mirrored
-    conjugate, and general complex inputs are handled by splitting each
-    argument into two reality-symmetric parts (the operator is bilinear).
+    Null triples, whose three branches all have zero frequency, are resonant
+    for every pair of modes, so together they are the truncated convolution
+    P0 Q(P0 w1, P0 w2), with P0(xi) the sum of the null projectors at xi
+    (the whole identity at the zero mode).  That part is computed
+    pseudo-spectrally on a zero-padded grid of at least 3R+1 points per
+    axis, on which no product of two retained modes aliases onto a retained
+    mode.
+
+    The other table entries are applied as dense kernels.  Entries whose
+    output mode m is the zero mode contribute nothing (the divergence factor
+    i*m vanishes) and are dropped.  Of the remainder only triples with m in
+    the lexicographically positive half are compiled; for reality-symmetric
+    inputs the negative-half output is the mirrored conjugate, and general
+    complex inputs are handled by splitting each argument into two
+    reality-symmetric parts (the operator is bilinear).
     """
 
     def __init__(self, spec: SystemSpec, spectrum: Spectrum, table: ResonanceTable) -> None:
@@ -224,9 +234,42 @@ class _CompiledQuadratic:
         self.lattice = lattice
         self.ncomp = n
         zero_idx = lattice.zero_index()
+        index = np.arange(len(lattice))
+        self.upper = np.flatnonzero(index > zero_idx)  # positive half in lex order
+        self.nonzero = np.flatnonzero(index != zero_idx)
+
+        # null branches: frequency zero within the clustering tolerance that
+        # decided the branches (padded branches are not branches)
+        freqs = spectrum.frequencies
+        scale = np.maximum(np.abs(freqs).max(axis=1, keepdims=True), 1.0)
+        is_branch = np.arange(freqs.shape[1]) < spectrum.nfreq[:, None]
+        null = is_branch & (np.abs(freqs) <= spectrum.cluster_tol * scale)
+        has_null = null.any(axis=1)
         entries = table.entries
-        keep = entries[:, 4] > zero_idx  # positive half in lex order: index above the zero mode
-        entries = entries[keep]
+        null_triple = (
+            null[entries[:, 0], entries[:, 1]] & null[entries[:, 2], entries[:, 3]] & null[entries[:, 4], entries[:, 5]]
+        )
+        # the convolution adds every null triple on the lattice; a table that
+        # excludes one must not silently gain it
+        pk, pl, pm, _, _ = lattice.convolution_pairs()
+        expected = int((has_null[pk] & has_null[pl] & has_null[pm]).sum())
+        found = int(null_triple.sum())
+        if found != expected:
+            raise ValueError(
+                f"resonance table holds {found} null triples, "
+                f"but the lattice has {expected} pairs of modes with null branches at k, l and k + l"
+            )
+        # without a null branch off the zero mode every null triple has m = 0
+        self.null_active = bool(has_null[self.nonzero].any())
+        self.p0 = np.einsum("mj,mjpq->mpq", null, spectrum.projectors)
+        size = scipy.fft.next_fast_len(3 * lattice.radius + 1)
+        self.grid_shape = (size,) * lattice.dim
+        self.grid_index = tuple((lattice.array % size).T)
+        self.axes = tuple(range(-lattice.dim, 0))
+        self.flux_matrix = spec.quadratic.reshape(lattice.dim * n, n * n)
+        self.i_modes = 1j * lattice.array.astype(float)
+
+        entries = entries[~null_triple & (entries[:, 4] > zero_idx)]
         order = np.argsort(entries[:, 4], kind="stable")
         entries = entries[order]
         self.idx_k = entries[:, 0].copy()
@@ -244,8 +287,34 @@ class _CompiledQuadratic:
         kernels = np.einsum("tpi,tijk,tjb,tkc->tpbc", p_out, div, p_in1, p_in2, optimize=True)
         self.kernels = np.ascontiguousarray(kernels.reshape(len(entries), n, n * n))
 
+    def _null_apply(self, c1: np.ndarray, c2: np.ndarray, real: bool) -> np.ndarray:
+        """P0 (i m . q)(P0 c1, P0 c2) summed over k + l = m, by padded FFT.
+
+        For reality-symmetric inputs only the positive half is gathered and
+        its conjugate mirrored, so the output is reality-symmetric bit for bit.
+        """
+        m, n = c1.shape
+        out = np.zeros((m, n), dtype=complex)
+        if not self.null_active:
+            return out
+        both = np.matmul(self.p0, np.stack([c1, c2])[..., None])[..., 0]
+        grid = np.zeros((2, n, *self.grid_shape), dtype=complex)
+        grid[(slice(None), slice(None), *self.grid_index)] = both.transpose(0, 2, 1)
+        fields = scipy.fft.ifftn(grid, axes=self.axes, norm="forward", overwrite_x=True).reshape(2, n, -1)
+        pair = (fields[0][:, None] * fields[1][None, :]).reshape(n * n, -1)
+        flux = (self.flux_matrix @ pair).reshape(-1, *self.grid_shape)
+        flux = scipy.fft.fftn(flux, axes=self.axes, norm="forward", overwrite_x=True)
+        modes = self.upper if real else self.nonzero
+        gathered = flux[(slice(None), *(ix[modes] for ix in self.grid_index))].reshape(-1, n, len(modes))
+        part = np.einsum("ta,ait->ti", self.i_modes[modes], gathered)
+        part = np.matmul(self.p0[modes], part[:, :, None])[:, :, 0]
+        out[modes] = part
+        if real:
+            out[self.lattice.negation[modes]] = part.conj()
+        return out
+
     def _half_apply(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        """Accumulate positive-half outputs for reality-symmetric coefficient arrays."""
+        """Table kernels' outputs for reality-symmetric coefficient arrays."""
         m = len(self.lattice)
         out = np.zeros((m, self.ncomp), dtype=complex)
         if len(self.idx_k) == 0:
@@ -266,7 +335,8 @@ class _CompiledQuadratic:
         real1 = is_reality_symmetric(w1)
         real2 = is_reality_symmetric(w2)
         if real1 and real2:
-            out.coeffs = self._half_apply(w1.coeffs, w2.coeffs)
+            c1, c2 = w1.coeffs, w2.coeffs
+            out.coeffs = self._null_apply(c1, c2, real=True) + self._half_apply(c1, c2)
             return out
         neg = self.lattice.negation
         parts = []
@@ -278,7 +348,7 @@ class _CompiledQuadratic:
                 anti = (state.coeffs - state.coeffs[neg].conj()) / 2j
                 parts.append((sym, anti))
         (a_sym, a_anti), (b_sym, b_anti) = parts
-        acc = self._half_apply(a_sym, b_sym)
+        acc = self._null_apply(w1.coeffs, w2.coeffs, real=False) + self._half_apply(a_sym, b_sym)
         if b_anti is not None:
             acc = acc + 1j * self._half_apply(a_sym, b_anti)
         if a_anti is not None:
@@ -309,7 +379,10 @@ def apply_averaged_quadratic(
     """qbar(w1, w2): resonant projected interactions accumulated at m = k + l.
 
     Symmetric in its arguments (the kernel is symmetric and the table stores
-    both orderings of every pair); preserves reality symmetry.
+    both orderings of every pair); preserves reality symmetry.  The null
+    triples are summed as one padded-FFT convolution of the null components
+    and the other table entries through compiled kernels; raises ValueError
+    if the table lacks a null triple of the lattice.
     """
     if w1.lattice.modes != table.lattice.modes or w2.lattice.modes != table.lattice.modes:
         raise ValueError("states and resonance table live on different lattices")

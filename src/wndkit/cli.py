@@ -275,6 +275,9 @@ def cmd_wcns_report(run: Run, outdir: Path) -> int:
     if run.model is None:
         print("wcns-report requires a gas-dynamics preset system", file=sys.stderr)
         return EXIT_INPUT
+    if run.model.dim != 2:
+        print(f"wcns-report needs a 2-D gas-dynamics preset, got d = {run.model.dim}", file=sys.stderr)
+        return EXIT_INPUT
     lattice = run.lattice()
     if lattice.radius < 5:
         lattice = FrequencyLattice(run.spec.dim, 5)

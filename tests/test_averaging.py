@@ -10,6 +10,7 @@ from wndkit.averaging import (
     cyclic_residual,
     quadratic_time_average_oracle,
 )
+from wndkit.navier_stokes import wcns_split
 from wndkit.state import is_reality_symmetric
 
 from conftest import state_diff_norm
@@ -152,6 +153,74 @@ def test_apply_averaged_quadratic_bilinear(cns_ops4, cns_model):
         spec, cns_ops4.spectrum, cns_ops4.table, w2, w2
     ).coeffs
     assert np.abs(lhs.coeffs - rhs.coeffs).max() <= 1e-12 * max(1.0, np.abs(rhs.coeffs).max())
+
+
+def _table_reference(spec, spectrum, table, w1, w2):
+    """qbar by direct summation over every table row: no FFT, no compiled kernels."""
+    arr = table.lattice.array.astype(float)
+    proj = spectrum.projectors
+    out = np.zeros((len(table.lattice), spec.ncomp), dtype=complex)
+    for ki, j1, li, j2, mi, j3 in table.entries.tolist():
+        flux = np.einsum("aijk,j,k->ai", spec.quadratic, proj[ki, j1] @ w1.coeffs[ki], proj[li, j2] @ w2.coeffs[li])
+        out[mi] += proj[mi, j3] @ (1j * arr[mi] @ flux)
+    return out
+
+
+def _qbar_vs_reference(ops, spec, w1, w2):
+    got = apply_averaged_quadratic(spec, ops.spectrum, ops.table, w1, w2)
+    ref = _table_reference(spec, ops.spectrum, ops.table, w1, w2)
+    return got, float(np.abs(got.coeffs - ref).max()), float(np.abs(ref).max())
+
+
+def test_qbar_matches_table_reference(cns_ops4, cns_model):
+    spec = cns_model.spec
+    lat = cns_ops4.lattice
+    w1 = wk.random_real_state(lat, 4, seed=81, decay=2.0)
+    w2 = wk.random_real_state(lat, 4, seed=82, decay=2.0)
+    split, _ = wcns_split(cns_model, cns_ops4.spectrum, w1)
+    mixed = w1.copy()
+    mixed.coeffs = w1.coeffs + 1j * w2.coeffs
+    for name, (a, b) in {"real": (w1, w2), "split": (split, split), "mixed": (mixed, w2)}.items():
+        got, err, scale = _qbar_vs_reference(cns_ops4, spec, a, b)
+        assert err <= 1e-13 * scale, name
+        if name == "real":
+            assert is_reality_symmetric(got)
+
+
+def test_qbar_alias_free_on_corner_modes(cns_ops4, cns_model):
+    """Products of the corner modes (+-R, +-R) land at +-2R, outside the
+    lattice; on a grid with fewer than 3R+1 points they would wrap onto
+    retained modes."""
+    spec = cns_model.spec
+    lat = cns_ops4.lattice
+    r = lat.radius
+    rng = np.random.Generator(np.random.Philox(key=83))
+    corners = wk.state_from_modes(
+        lat, 4, [(mode, rng.standard_normal(4) + 1j * rng.standard_normal(4)) for mode in ((r, r), (r, -r))]
+    )
+    out = apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, corners, corners)
+    assert np.abs(out.coeffs).max() <= 1e-14 * np.abs(corners.coeffs).max() ** 2
+    full = wk.random_real_state(lat, 4, seed=84, decay=1.0)
+    for a, b in ((corners, full), (full, corners)):
+        got, err, scale = _qbar_vs_reference(cns_ops4, spec, a, b)
+        assert err <= 1e-13 * scale
+        assert is_reality_symmetric(got)
+
+
+def test_qbar_rejects_table_missing_a_null_triple(cns_model):
+    rule = wk.make_exact_resonance_rule(cns_model)
+    null = 0.5 * cns_model.sound
+
+    def leaky(kmode, w1, lmode, w2, mmode, w3):
+        if (kmode, lmode) == ((1, 0), (0, 1)) and max(abs(w1), abs(w2), abs(w3)) < null:
+            return False
+        return rule(kmode, w1, lmode, w2, mmode, w3)
+
+    lat = wk.FrequencyLattice(2, 2)
+    ops = wk.build_operators(cns_model.spec, lat, exact_rule=leaky)
+    w = wk.random_real_state(lat, 4, seed=85)
+    with pytest.raises(ValueError, match=r"holds \d+ null triples, but the lattice has \d+"):
+        apply_averaged_quadratic(cns_model.spec, ops.spectrum, ops.table, w, w)
 
 
 def test_apply_quadratic_constant_killed(scalar_spec):

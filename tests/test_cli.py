@@ -162,6 +162,17 @@ def test_wcns_report_requires_preset(tmp_path):
     assert main(["wcns-report", "--config", str(cfg)]) == 2
 
 
+def test_wcns_report_requires_two_dimensions(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("operators built for a 1-D wcns-report")
+
+    monkeypatch.setattr("wndkit.cli.build_operators", fail)
+    cfg = write_config(tmp_path / "run.json", system="ideal-gas-1d")
+    assert main(["wcns-report", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "d = 1" in err
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = write_config(tmp_path / "run.json")
     main(["simulate", "--config", str(cfg), "--seed", "1"])

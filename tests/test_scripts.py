@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ("wcns_pipeline.py", ["--radius", "5", "--t-end", "0.02", "--dt", "1e-3"]),
         ("weak_strong_demo.py", ["--radius", "2", "--t-end", "0.05"]),
+        ("oracle_convergence.py", ["--max-span", "1e2"]),
     ],
 )
 def test_script_runs(script, args):
