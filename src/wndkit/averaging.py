@@ -39,7 +39,7 @@ import scipy.fft
 import scipy.linalg
 
 from .spectral import FrequencyLattice, Mode, Spectrum
-from .state import SpectralState, energy_norm, inner_product, is_reality_symmetric
+from .state import SpectralState, energy_norm, inner_product
 from .system import SystemSpec, advection_symbol, diffusion_symbol
 
 __all__ = [
@@ -144,13 +144,17 @@ class ResonanceTable:
     `entries` columns: k index, j1, l index, j2, m index, j3.  `defects`
     stores the measured frequency mismatch omega1 + omega2 - omega3 (pure
     eigensolve noise for entries admitted by an exact rule).  Symmetric: the
-    (l, k) mirror of every entry is present.
+    (l, k) mirror of every entry is present.  The float rule accepts
+    |defect| <= tolerance * scale; `closest_rejected` is the smallest
+    |defect| it rejected (inf if none, nan under an exact rule).
     """
 
     lattice: FrequencyLattice
     entries: np.ndarray  # (T, 6) int64
     defects: np.ndarray  # (T,) float
     tolerance: float
+    scale: float
+    closest_rejected: float
     exact: bool
 
     def __len__(self) -> int:
@@ -180,6 +184,7 @@ def build_resonance_table(
     arr = lattice.array
     rows: list[tuple[int, int, int, int, int, int]] = []
     defects: list[float] = []
+    closest = np.inf
     for ki, kmode in enumerate(modes):
         ksum = arr + arr[ki]  # candidate m = k + l for every l
         inside = np.abs(ksum).max(axis=1) <= lattice.radius
@@ -193,7 +198,10 @@ def build_resonance_table(
                         if exact_rule is not None:
                             hit = exact_rule(modes[ki], w1, modes[li], w2, modes[mi], w3)
                         else:
-                            hit = abs(target - w3) <= tol * scale
+                            miss = abs(target - w3)
+                            hit = miss <= tol * scale
+                            if not hit:
+                                closest = min(closest, miss)
                         if hit:
                             rows.append((ki, j1, li, j2, mi, j3))
                             defects.append(target - w3)
@@ -203,6 +211,8 @@ def build_resonance_table(
         entries=entries,
         defects=np.asarray(defects, dtype=float),
         tolerance=tol,
+        scale=scale,
+        closest_rejected=np.nan if exact_rule is not None else float(closest),
         exact=exact_rule is not None,
     )
 
@@ -220,11 +230,12 @@ class _CompiledQuadratic:
 
     The other table entries are applied as dense kernels.  Entries whose
     output mode m is the zero mode contribute nothing (the divergence factor
-    i*m vanishes) and are dropped.  Of the remainder only triples with m in
-    the lexicographically positive half are compiled; for reality-symmetric
-    inputs the negative-half output is the mirrored conjugate, and general
-    complex inputs are handled by splitting each argument into two
-    reality-symmetric parts (the operator is bilinear).
+    i*m vanishes) and are dropped.  Both parts are evaluated on the positive
+    half of the modes only: the symbols are real, so for any complex inputs
+    qbar(w1, w2)(-m) = conj(qbar(~w1, ~w2)(m)) with ~w(k) = conj(w(-k)), and
+    the negative half is a second pass on the mirrored inputs.  Reality-
+    symmetric inputs are their own mirrors and take one pass.  The identity
+    needs a table closed under negation, which the compile checks.
     """
 
     def __init__(self, spec: SystemSpec, spectrum: Spectrum, table: ResonanceTable) -> None:
@@ -234,9 +245,7 @@ class _CompiledQuadratic:
         self.lattice = lattice
         self.ncomp = n
         zero_idx = lattice.zero_index()
-        index = np.arange(len(lattice))
-        self.upper = np.flatnonzero(index > zero_idx)  # positive half in lex order
-        self.nonzero = np.flatnonzero(index != zero_idx)
+        self.upper = np.arange(zero_idx + 1, len(lattice))  # positive half in lex order
 
         # null branches: frequency zero within the clustering tolerance that
         # decided the branches (padded branches are not branches)
@@ -260,14 +269,15 @@ class _CompiledQuadratic:
                 f"but the lattice has {expected} pairs of modes with null branches at k, l and k + l"
             )
         # without a null branch off the zero mode every null triple has m = 0
-        self.null_active = bool(has_null[self.nonzero].any())
+        self.null_active = bool(has_null[self.upper].any())
         self.p0 = np.einsum("mj,mjpq->mpq", null, spectrum.projectors)
         size = scipy.fft.next_fast_len(3 * lattice.radius + 1)
         self.grid_shape = (size,) * lattice.dim
         self.grid_index = tuple((lattice.array % size).T)
+        self.upper_grid_index = tuple(ix[self.upper] for ix in self.grid_index)
         self.axes = tuple(range(-lattice.dim, 0))
         self.flux_matrix = spec.quadratic.reshape(lattice.dim * n, n * n)
-        self.i_modes = 1j * lattice.array.astype(float)
+        self.i_modes = 1j * lattice.array[self.upper].astype(float)
 
         entries = entries[~null_triple & (entries[:, 4] > zero_idx)]
         order = np.argsort(entries[:, 4], kind="stable")
@@ -276,7 +286,7 @@ class _CompiledQuadratic:
         self.idx_l = entries[:, 2].copy()
         idx_m = entries[:, 4]
         self.seg_starts = np.flatnonzero(np.r_[True, np.diff(idx_m) > 0]) if len(entries) else np.zeros(0, np.int64)
-        self.seg_modes = idx_m[self.seg_starts] if len(entries) else np.zeros(0, np.int64)
+        self.seg_pos = idx_m[self.seg_starts] - (zero_idx + 1) if len(entries) else np.zeros(0, np.int64)
 
         modes_arr = lattice.array.astype(float)
         pstack = spectrum.projectors
@@ -286,17 +296,36 @@ class _CompiledQuadratic:
         div = 1j * np.einsum("ta,aijk->tijk", modes_arr[entries[:, 4]], spec.quadratic)
         kernels = np.einsum("tpi,tijk,tjb,tkc->tpbc", p_out, div, p_in1, p_in2, optimize=True)
         self.kernels = np.ascontiguousarray(kernels.reshape(len(entries), n, n * n))
+        # the negative half of the output comes from the mirror identity, so
+        # every row needs its mirror (-k, j1'; -l, j2'; -m, j3'), with j' =
+        # nfreq - 1 - j the branch of frequency -omega_j (branches ascend);
+        # m = k + l, so (k, j1, l, j2, j3) names a row
+        k, j1, l, j2, m, j3 = table.entries.T
+        neg, nfreq, width = lattice.negation, spectrum.nfreq, freqs.shape[1]
+        shape = (len(lattice), width, len(lattice), width, width)
+        rows = np.sort(np.ravel_multi_index((k, j1, l, j2, j3), shape))
+        mirrors = np.ravel_multi_index((neg[k], nfreq[k] - 1 - j1, neg[l], nfreq[l] - 1 - j2, nfreq[m] - 1 - j3), shape)
+        unmatched = int(np.count_nonzero(rows.take(np.searchsorted(rows, mirrors), mode="clip") != mirrors))
+        if unmatched:
+            raise ValueError(f"resonance table is not closed under negation: {unmatched} rows lack their mirror")
 
-    def _null_apply(self, c1: np.ndarray, c2: np.ndarray, real: bool) -> np.ndarray:
-        """P0 (i m . q)(P0 c1, P0 c2) summed over k + l = m, by padded FFT.
+    def _upper(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        """qbar(c1, c2) on the positive half, in the order of self.upper.
 
-        For reality-symmetric inputs only the positive half is gathered and
-        its conjugate mirrored, so the output is reality-symmetric bit for bit.
+        The null part is P0 (i m . q)(P0 c1, P0 c2) summed over k + l = m by
+        padded FFT; the table part sums the compiled kernels.
         """
-        m, n = c1.shape
-        out = np.zeros((m, n), dtype=complex)
+        n = self.ncomp
+        upper = self.upper
+        table_part = np.zeros((len(upper), n), dtype=complex)
+        if len(self.idx_k):
+            v1 = c1[self.idx_k]
+            v2 = c2[self.idx_l]
+            pair = (v1[:, :, None] * v2[:, None, :]).reshape(len(v1), -1)
+            contrib = np.matmul(self.kernels, pair[:, :, None])[:, :, 0]
+            table_part[self.seg_pos] = np.add.reduceat(contrib, self.seg_starts, axis=0)
         if not self.null_active:
-            return out
+            return table_part
         both = np.matmul(self.p0, np.stack([c1, c2])[..., None])[..., 0]
         grid = np.zeros((2, n, *self.grid_shape), dtype=complex)
         grid[(slice(None), slice(None), *self.grid_index)] = both.transpose(0, 2, 1)
@@ -304,59 +333,22 @@ class _CompiledQuadratic:
         pair = (fields[0][:, None] * fields[1][None, :]).reshape(n * n, -1)
         flux = (self.flux_matrix @ pair).reshape(-1, *self.grid_shape)
         flux = scipy.fft.fftn(flux, axes=self.axes, norm="forward", overwrite_x=True)
-        modes = self.upper if real else self.nonzero
-        gathered = flux[(slice(None), *(ix[modes] for ix in self.grid_index))].reshape(-1, n, len(modes))
-        part = np.einsum("ta,ait->ti", self.i_modes[modes], gathered)
-        part = np.matmul(self.p0[modes], part[:, :, None])[:, :, 0]
-        out[modes] = part
-        if real:
-            out[self.lattice.negation[modes]] = part.conj()
-        return out
-
-    def _half_apply(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        """Table kernels' outputs for reality-symmetric coefficient arrays."""
-        m = len(self.lattice)
-        out = np.zeros((m, self.ncomp), dtype=complex)
-        if len(self.idx_k) == 0:
-            return out
-        v1 = c1[self.idx_k]
-        v2 = c2[self.idx_l]
-        pair = (v1[:, :, None] * v2[:, None, :]).reshape(len(v1), -1)
-        contrib = np.matmul(self.kernels, pair[:, :, None])[:, :, 0]
-        sums = np.add.reduceat(contrib, self.seg_starts, axis=0)
-        out[self.seg_modes] = sums
-        neg = self.lattice.negation
-        out[neg[self.seg_modes]] = sums.conj()
-        return out
+        gathered = flux[(slice(None), *self.upper_grid_index)].reshape(-1, n, len(upper))
+        part = np.einsum("ta,ait->ti", self.i_modes, gathered)
+        return np.matmul(self.p0[upper], part[:, :, None])[:, :, 0] + table_part
 
     def apply(self, w1: SpectralState, w2: SpectralState) -> SpectralState:
-        out = w1.copy()
-        out.time = w1.time
-        real1 = is_reality_symmetric(w1)
-        real2 = is_reality_symmetric(w2)
-        if real1 and real2:
-            c1, c2 = w1.coeffs, w2.coeffs
-            out.coeffs = self._null_apply(c1, c2, real=True) + self._half_apply(c1, c2)
-            return out
         neg = self.lattice.negation
-        parts = []
-        for state, already_real in ((w1, real1), (w2, real2)):
-            if already_real:
-                parts.append((state.coeffs, None))
-            else:
-                sym = 0.5 * (state.coeffs + state.coeffs[neg].conj())
-                anti = (state.coeffs - state.coeffs[neg].conj()) / 2j
-                parts.append((sym, anti))
-        (a_sym, a_anti), (b_sym, b_anti) = parts
-        acc = self._null_apply(w1.coeffs, w2.coeffs, real=False) + self._half_apply(a_sym, b_sym)
-        if b_anti is not None:
-            acc = acc + 1j * self._half_apply(a_sym, b_anti)
-        if a_anti is not None:
-            acc = acc + 1j * self._half_apply(a_anti, b_sym)
-            if b_anti is not None:
-                acc = acc - self._half_apply(a_anti, b_anti)
-        out.coeffs = acc
-        return out
+        c1, c2 = w1.coeffs, w2.coeffs
+        m1, m2 = c1[neg].conj(), c2[neg].conj()
+        out = np.zeros_like(c1)
+        half = self._upper(c1, c2)
+        out[self.upper] = half
+        # reality-symmetric inputs are their own mirrors: one pass serves both halves
+        if not (np.array_equal(m1, c1) and np.array_equal(m2, c2)):
+            half = self._upper(m1, m2)
+        out[neg[self.upper]] = half.conj()
+        return SpectralState(w1.lattice, out, w1.time)
 
 
 def _compiled(spec: SystemSpec, spectrum, table: ResonanceTable) -> _CompiledQuadratic:
@@ -379,10 +371,11 @@ def apply_averaged_quadratic(
     """qbar(w1, w2): resonant projected interactions accumulated at m = k + l.
 
     Symmetric in its arguments (the kernel is symmetric and the table stores
-    both orderings of every pair); preserves reality symmetry.  The null
-    triples are summed as one padded-FFT convolution of the null components
-    and the other table entries through compiled kernels; raises ValueError
-    if the table lacks a null triple of the lattice.
+    both orderings of every pair); preserves reality symmetry bit for bit.
+    The positive half is computed (null triples by padded FFT, the rest by
+    compiled kernels) and mirrored: one pass for reality-symmetric inputs,
+    two otherwise.  Raises ValueError if the table lacks a null triple of
+    the lattice or is not closed under negation.
     """
     if w1.lattice.modes != table.lattice.modes or w2.lattice.modes != table.lattice.modes:
         raise ValueError("states and resonance table live on different lattices")

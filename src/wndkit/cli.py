@@ -201,6 +201,10 @@ def cmd_operators(run: Run, outdir: Path) -> int:
         write_csv(outdir / "cyclic_residuals.csv", [["trial", "residual"]] + residuals)
         print(f"resonance triples: {len(ops.table)}; "
               f"max cyclic residual {max(r[1] for r in residuals):.3e}")
+        if not ops.table.exact:
+            t = ops.table
+            print(f"float resonance rule: worst accepted |defect| {np.abs(t.defects).max(initial=0.0):.3e}, "
+                  f"tolerance {t.tolerance * t.scale:.3e}, closest rejected {t.closest_rejected:.3e}")
     else:
         print("quadratic kernel is zero; no resonance table")
     return EXIT_OK

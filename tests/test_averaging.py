@@ -3,6 +3,7 @@ import pytest
 
 import wndkit as wk
 from wndkit.averaging import (
+    _CompiledQuadratic,
     apply_averaged_quadratic,
     apply_quadratic,
     averaged_diffusion_oracle,
@@ -104,8 +105,12 @@ def test_resonance_table_scalar_all_pairs(scalar_ops):
 def test_resonance_table_symmetry_and_containment(cns_ops4):
     table = cns_ops4.table
     entries = {tuple(int(v) for v in row) for row in table.entries}
+    neg, nfreq = table.lattice.negation, cns_ops4.spectrum.nfreq
     for ki, j1, li, j2, mi, j3 in entries:
         assert (li, j2, ki, j1, mi, j3) in entries
+        # closed under negation: -omega_j is branch nfreq - 1 - j at -k
+        mirror = (neg[ki], nfreq[ki] - 1 - j1, neg[li], nfreq[li] - 1 - j2, neg[mi], nfreq[mi] - 1 - j3)
+        assert tuple(int(v) for v in mirror) in entries
     # exact-rule entries are true resonances; the recorded mismatch is eigensolve noise
     assert np.abs(table.defects).max(initial=0.0) <= 1e-12
 
@@ -143,16 +148,16 @@ def test_apply_averaged_quadratic_bilinear(cns_ops4, cns_model):
     ba = apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, w2, w1)
     assert np.abs(ab.coeffs - ba.coeffs).max() <= 1e-13 * max(1.0, np.abs(ab.coeffs).max())
     assert is_reality_symmetric(ab)
-    # bilinearity in the first argument
-    lam = 0.7
-    combo = w1.copy()
-    combo.coeffs = w1.coeffs + lam * w2.coeffs
-    lhs = apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, combo, w2)
-    rhs = apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, w1, w2)
-    rhs.coeffs = rhs.coeffs + lam * apply_averaged_quadratic(
-        spec, cns_ops4.spectrum, cns_ops4.table, w2, w2
-    ).coeffs
-    assert np.abs(lhs.coeffs - rhs.coeffs).max() <= 1e-12 * max(1.0, np.abs(rhs.coeffs).max())
+    # bilinearity in the first argument, over the complex field
+    for lam in (0.7, 0.4 - 1.3j):
+        combo = w1.copy()
+        combo.coeffs = w1.coeffs + lam * w2.coeffs
+        lhs = apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, combo, w2)
+        rhs = apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, w1, w2)
+        rhs.coeffs = rhs.coeffs + lam * apply_averaged_quadratic(
+            spec, cns_ops4.spectrum, cns_ops4.table, w2, w2
+        ).coeffs
+        assert np.abs(lhs.coeffs - rhs.coeffs).max() <= 1e-12 * max(1.0, np.abs(rhs.coeffs).max()), lam
 
 
 def _table_reference(spec, spectrum, table, w1, w2):
@@ -180,7 +185,12 @@ def test_qbar_matches_table_reference(cns_ops4, cns_model):
     split, _ = wcns_split(cns_model, cns_ops4.spectrum, w1)
     mixed = w1.copy()
     mixed.coeffs = w1.coeffs + 1j * w2.coeffs
-    for name, (a, b) in {"real": (w1, w2), "split": (split, split), "mixed": (mixed, w2)}.items():
+    # both inputs complex, one with a non-real zero-mode coefficient
+    offset = wk.random_real_state(lat, 4, seed=86, decay=2.0, zero_mean=False)
+    offset.coeffs = offset.coeffs + 1j * w1.coeffs
+    offset.coeffs[lat.zero_index()] += 0.3j
+    cases = {"real": (w1, w2), "split": (split, split), "mixed": (mixed, w2), "complex": (offset, mixed)}
+    for name, (a, b) in cases.items():
         got, err, scale = _qbar_vs_reference(cns_ops4, spec, a, b)
         assert err <= 1e-13 * scale, name
         if name == "real":
@@ -221,6 +231,58 @@ def test_qbar_rejects_table_missing_a_null_triple(cns_model):
     w = wk.random_real_state(lat, 4, seed=85)
     with pytest.raises(ValueError, match=r"holds \d+ null triples, but the lattice has \d+"):
         apply_averaged_quadratic(cns_model.spec, ops.spectrum, ops.table, w, w)
+
+
+def test_qbar_rejects_table_not_closed_under_negation(cns_model):
+    rule = wk.make_exact_resonance_rule(cns_model)
+    null = 0.5 * cns_model.sound
+
+    def lopsided(kmode, w1, lmode, w2, mmode, w3):
+        # drops the (+, + -> +) acoustic triple of (1, 0) + (1, 0) but keeps its mirror
+        if (kmode, lmode) == ((1, 0), (1, 0)) and min(w1, w2, w3) > null:
+            return False
+        return rule(kmode, w1, lmode, w2, mmode, w3)
+
+    lat = wk.FrequencyLattice(2, 2)
+    ops = wk.build_operators(cns_model.spec, lat, exact_rule=lopsided)
+    w = wk.random_real_state(lat, 4, seed=87)
+    with pytest.raises(ValueError, match=r"not closed under negation: 1 rows lack their mirror"):
+        apply_averaged_quadratic(cns_model.spec, ops.spectrum, ops.table, w, w)
+
+
+def test_qbar_pass_count(cns_ops4, cns_model, monkeypatch):
+    """Reality-symmetric pairs take one positive-half pass, any other pair two."""
+    spec = cns_model.spec
+    lat = cns_ops4.lattice
+    real = wk.random_real_state(lat, 4, seed=88, decay=2.0)
+    split, _ = wcns_split(cns_model, cns_ops4.spectrum, real)
+    other = real.copy()
+    other.coeffs = real.coeffs * (1.0 + 0.5j)
+    passes = []
+    upper = _CompiledQuadratic._upper
+
+    def counted(self, c1, c2):
+        passes.append(1)
+        return upper(self, c1, c2)
+
+    monkeypatch.setattr(_CompiledQuadratic, "_upper", counted)
+    expected = {"real": ((real, real), 1), "split": ((split, split), 2), "one complex": ((real, other), 2)}
+    for name, ((a, b), count) in expected.items():
+        passes.clear()
+        apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, a, b)
+        assert len(passes) == count, name
+
+
+def test_float_rule_resonance_margin(cns_model):
+    lat = wk.FrequencyLattice(2, 4)
+    spectrum = wk.frequency_spectrum(cns_model.spec, lat)
+    table = build_resonance_table(spectrum, lat)
+    scale = max(float(np.abs(spectrum.frequencies).max()), 1.0)
+    assert table.scale == scale and not table.exact
+    assert np.abs(table.defects).max() <= 1e-12 * scale
+    assert table.closest_rejected >= 1e-3 * scale
+    exact = build_resonance_table(spectrum, lat, exact_rule=wk.make_exact_resonance_rule(cns_model))
+    assert np.isnan(exact.closest_rejected)
 
 
 def test_apply_quadratic_constant_killed(scalar_spec):

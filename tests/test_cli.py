@@ -70,9 +70,10 @@ def test_unknown_preset_exits_two(tmp_path):
     assert main(["validate", "--config", str(cfg)]) == 2
 
 
-def test_operators_outputs(tmp_path):
+def test_operators_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.json")
     assert main(["operators", "--config", str(cfg)]) == 0
+    assert "float resonance rule" not in capsys.readouterr().out  # exact rule: no margin line
     out = tmp_path / "out"
     table = (out / "resonance_table.csv").read_text().strip().splitlines()
     assert len(table) > 0
@@ -80,13 +81,15 @@ def test_operators_outputs(tmp_path):
     assert all(float(line.split(",")[1]) <= 1e-10 for line in residuals)
 
 
-def test_operators_scalar_advection_diffusion(tmp_path):
+def test_operators_scalar_advection_diffusion(tmp_path, capsys):
     scalar = wk.SystemSpec(1, 1, [0.0], [[[1.0]]], [[[[0.25]]]], [[[[0.5]]]], [[1.0]])
     cfg = write_config(tmp_path / "run.json", system=wk.spec_to_dict(scalar), lattice_k=8)
     data = json.loads(cfg.read_text())
     data["resonance"] = {"exact_rule": False}
     cfg.write_text(json.dumps(data))
     assert main(["operators", "--config", str(cfg)]) == 0
+    # every scalar pair is resonant, so the float rule (scale 8) rejects nothing
+    assert "tolerance 8.000e-09, closest rejected inf" in capsys.readouterr().out
     out = tmp_path / "out"
     spectrum = (out / "spectrum.csv").read_text().strip().splitlines()
     assert len(spectrum) == 17  # one frequency per mode on the radius-8 line
