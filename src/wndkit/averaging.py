@@ -38,7 +38,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from .spectral import FrequencyLattice, Mode, Spectrum
+from .spectral import FrequencyLattice, Spectrum
 from .state import SpectralState, energy_norm, inner_product
 from .system import SystemSpec, advection_symbol, diffusion_symbol
 
@@ -57,7 +57,8 @@ __all__ = [
     "diffusion_csv_rows",
 ]
 
-ExactRule = Callable[[Mode, float, Mode, float, Mode, float], bool]
+# (k, omega1, l, omega2, m, omega3) on T candidates: (T, d) int modes, (T,) frequencies -> (T,) bools
+ExactRule = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(eq=False)
@@ -172,44 +173,45 @@ def build_resonance_table(
 ) -> ResonanceTable:
     """Enumerate all resonant triples with k, l and k+l inside the lattice.
 
-    Generic detection accepts |omega1 + omega2 - omega3| <= tol * scale with
-    scale the largest frequency magnitude on the lattice; floating-point
-    near-resonances are the dominant hazard, so callers should pass an
-    exact_rule whenever the spectrum has arithmetic structure.
+    Built one k-block at a time: the candidates (l, j1, j2, j3) of one k, in
+    table order (l ascending, then the branches lexicographically), are
+    decided in one array call.  Generic detection accepts |omega1 + omega2 -
+    omega3| <= tol * scale with scale the largest frequency magnitude on the
+    lattice; floating-point near-resonances are the dominant hazard, so
+    callers should pass an exact_rule (an array predicate, see ExactRule;
+    ValueError unless it returns one boolean per candidate) whenever the
+    spectrum has arithmetic structure.
     """
     spectrum.require_lattice(lattice)
-    modes = lattice.modes
-    freqs = [row[:k] for row, k in zip(spectrum.frequencies, spectrum.nfreq)]
-    scale = max(float(np.abs(spectrum.frequencies).max()), 1.0)
+    freqs, nfreq = spectrum.frequencies, spectrum.nfreq
+    scale = max(float(np.abs(freqs).max()), 1.0)
     arr = lattice.array
-    rows: list[tuple[int, int, int, int, int, int]] = []
-    defects: list[float] = []
-    closest = np.inf
-    for ki, kmode in enumerate(modes):
+    # branch triples (j1, j2, j3) in lexicographic order
+    j1, j2, j3 = (j.ravel() for j in np.indices((freqs.shape[1],) * 3))
+    rows, defects, closest = [], [], np.inf
+    for ki in range(len(lattice)):
         ksum = arr + arr[ki]  # candidate m = k + l for every l
-        inside = np.abs(ksum).max(axis=1) <= lattice.radius
-        for li in np.flatnonzero(inside):
-            mi = int(lattice.index_array(ksum[li]))
-            f1, f2, f3 = freqs[ki], freqs[li], freqs[mi]
-            for j1, w1 in enumerate(f1):
-                for j2, w2 in enumerate(f2):
-                    target = w1 + w2
-                    for j3, w3 in enumerate(f3):
-                        if exact_rule is not None:
-                            hit = exact_rule(modes[ki], w1, modes[li], w2, modes[mi], w3)
-                        else:
-                            miss = abs(target - w3)
-                            hit = miss <= tol * scale
-                            if not hit:
-                                closest = min(closest, miss)
-                        if hit:
-                            rows.append((ki, j1, li, j2, mi, j3))
-                            defects.append(target - w3)
-    entries = np.asarray(rows, dtype=np.int64).reshape(-1, 6)
+        lis = np.flatnonzero(np.abs(ksum).max(axis=1) <= lattice.radius)
+        mis = lattice.index_array(ksum[lis])
+        # padded branches (j >= nfreq) are not candidates
+        branch = (j1 < nfreq[ki]) & (j2 < nfreq[lis, None]) & (j3 < nfreq[mis, None])
+        lpos, jpos = np.nonzero(branch)
+        cand = np.stack([np.full(len(lpos), ki), j1[jpos], lis[lpos], j2[jpos], mis[lpos], j3[jpos]], axis=1)
+        w1, w2, w3 = freqs[cand[:, 0], cand[:, 1]], freqs[cand[:, 2], cand[:, 3]], freqs[cand[:, 4], cand[:, 5]]
+        defect = (w1 + w2) - w3
+        if exact_rule is None:
+            hit = np.abs(defect) <= tol * scale
+            closest = min(closest, np.abs(defect[~hit]).min(initial=np.inf))
+        else:
+            hit = np.asarray(exact_rule(arr[cand[:, 0]], w1, arr[cand[:, 2]], w2, arr[cand[:, 4]], w3))
+            if hit.dtype != bool or hit.shape != defect.shape:
+                raise ValueError(f"exact_rule returned {hit.dtype} {hit.shape}, expected {len(defect)} booleans")
+        rows.append(cand[hit])
+        defects.append(defect[hit])
     return ResonanceTable(
         lattice=lattice,
-        entries=entries,
-        defects=np.asarray(defects, dtype=float),
+        entries=np.concatenate(rows),
+        defects=np.concatenate(defects),
         tolerance=tol,
         scale=scale,
         closest_rejected=np.nan if exact_rule is not None else float(closest),

@@ -27,7 +27,7 @@ from .averaging import (
     resonance_csv_rows,
 )
 from .dissipativity import analyze_dissipativity, report_directions
-from .solver import BlowUpError, build_operators, simulate
+from .solver import INTEGRATORS, BlowUpError, build_operators, simulate
 from .spectral import FrequencyLattice, spectrum_csv_rows
 from .state import SpectralState, random_real_state, state_from_modes
 from .system import (
@@ -114,8 +114,14 @@ class Run:
             if self.dt <= 0.0:
                 raise ConfigError("dt must be positive")
         self.t_end = float(sim.get("t_end", 1.0))
+        if self.t_end <= 0.0:
+            raise ConfigError("t_end must be positive")
         self.integrator = str(sim.get("integrator", "if_rk4"))
+        if self.integrator not in INTEGRATORS:
+            raise ConfigError(f"unknown integrator {self.integrator!r}; expected one of {INTEGRATORS}")
         self.diagnostics_every = int(sim.get("diagnostics_every", 10))
+        if self.diagnostics_every < 1:
+            raise ConfigError("diagnostics_every must be >= 1")
         self.sobolev_orders = [float(s) for s in sim.get("sobolev_orders", [1.0])]
         self.initial_cfg = dict(
             sim.get("initial", {"type": "random", "seed": 0, "decay": 3.0, "amplitude": 0.1})
@@ -128,6 +134,8 @@ class Run:
         diss = config.get("dissipativity", {})
         self.alpha_grid = diss.get("alpha_grid", 32)
         self.direction_count = int(diss.get("direction_count", 200))
+        if self.direction_count < 1:
+            raise ConfigError("direction_count must be >= 1")
 
     def lattice(self) -> FrequencyLattice:
         return FrequencyLattice(self.spec.dim, self.lattice_k)
@@ -314,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         run = Run(config, seed_override=args.seed)
-    except (ConfigError, TypeError) as exc:
+    except (TypeError, ValueError) as exc:  # ConfigError, or a value int()/float() cannot read
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .averaging import apply_averaged_quadratic
-from .spectral import FrequencyLattice, Mode, Spectrum
+from .spectral import FrequencyLattice, Spectrum
 from .state import SpectralState, inner_product, zero_state
 from .system import SystemSpec, change_of_variables
 
@@ -384,7 +384,7 @@ def wcns_split(model: CnsModel, spectrum: Spectrum, state: SpectralState) -> tup
     """
     spectrum.require_lattice(state.lattice)
     # padded branches have a zero projector, so counting them as null is harmless
-    null = np.abs(spectrum.frequencies) < 0.5 * model.sound
+    null = _branch_sign(model, spectrum.frequencies) == 0
     p_null = (spectrum.projectors * null[:, :, None, None]).sum(axis=1)
     w_in = state.copy()
     w_in.coeffs = np.matmul(p_null, state.coeffs[:, :, None])[:, :, 0]
@@ -393,50 +393,40 @@ def wcns_split(model: CnsModel, spectrum: Spectrum, state: SpectralState) -> tup
     return w_in, w_ac
 
 
-def acoustic_sum_resonant(a: int, b: int, c: int, s1: int, s2: int, s3: int) -> bool:
+def _branch_sign(model: CnsModel, omega) -> np.ndarray:
+    """Branch label of gas frequencies: 0 where |omega| < c0/2, sign(omega) elsewhere."""
+    return np.where(np.abs(omega) < 0.5 * model.sound, 0, np.sign(omega)).astype(np.int64)
+
+
+def acoustic_sum_resonant(a, b, c, s1, s2, s3):
     """Decide s1 sqrt(a) + s2 sqrt(b) = s3 sqrt(c) exactly over the integers.
 
     a, b, c are squared mode norms; s in {-1, 0, +1} labels the frequency
-    branch.  No floating point: after dropping vanishing terms the one- and
-    two-term cases are sign/value comparisons and the three-term case is the
-    integer identity (c - a - b)^2 = 4ab with a sign constraint.
+    branch.  Plain ints give a bool, integer arrays an elementwise boolean
+    array.  With A = s1^2 a, B = s2^2 b, C = s3^2 c and gap = C - A - B,
+    squaring twice shows the triple is resonant iff gap^2 = 4AB,
+    s1 s2 gap >= 0 and sign(s1 A + s2 B) = sign(s3 C); the last holds
+    because s1 sqrt(A) + s2 sqrt(B) has the sign of s1 A + s2 B.  No
+    floating point and no case split.
     """
-    terms = [(s, n) for s, n in ((s1, a), (s2, b), (-s3, c)) if s != 0 and n > 0]
-    if not terms:
-        return True
-    if len(terms) == 1:
-        return False
-    if len(terms) == 2:
-        (sa, na), (sb, nb) = terms
-        return sa * sb < 0 and na == nb
-    signs = [s for s, _ in terms]
-    total = sum(signs)
-    if total == 3 or total == -3:
-        return False
-    if total == 1:  # flip so exactly one sign is positive -> that term is the sum
-        terms = [(-s, n) for s, n in terms]
-    plus = [n for s, n in terms if s > 0]
-    minus = [n for s, n in terms if s < 0]
-    nc = plus[0]
-    na, nb = minus
-    gap = nc - na - nb
-    return gap >= 0 and gap * gap == 4 * na * nb
+    A, B, C = s1 * s1 * a, s2 * s2 * b, s3 * s3 * c
+    gap = C - A - B
+    lhs, rhs = s1 * A + s2 * B, s3 * C
+    same_sign = ((lhs > 0) == (rhs > 0)) & ((lhs < 0) == (rhs < 0))
+    return (gap * gap == 4 * A * B) & (s1 * s2 * gap >= 0) & same_sign
 
 
 def make_exact_resonance_rule(model: CnsModel):
-    """Adapter from (mode, frequency) triples to the integer acoustic rule."""
-    thr = 0.5 * model.sound
+    """Array rule for `build_resonance_table`: the integer acoustic identity.
 
-    def classify(omega: float) -> int:
-        if abs(omega) < thr:
-            return 0
-        return 1 if omega > 0 else -1
+    Takes a block of T candidates, (T, d) integer modes k, l, m and (T,)
+    frequencies, labels each frequency with its branch sign and returns the
+    (T,) booleans of `acoustic_sum_resonant` on the squared mode norms.
+    """
 
-    def rule(kmode: Mode, w1: float, lmode: Mode, w2: float, mmode: Mode, w3: float) -> bool:
-        a = sum(int(c) * int(c) for c in kmode)
-        b = sum(int(c) * int(c) for c in lmode)
-        c = sum(int(c) * int(c) for c in mmode)
-        return acoustic_sum_resonant(a, b, c, classify(w1), classify(w2), classify(w3))
+    def rule(k, w1, l, w2, m, w3) -> np.ndarray:
+        a, b, c = ((x * x).sum(axis=1) for x in (k, l, m))
+        return acoustic_sum_resonant(a, b, c, *(_branch_sign(model, w) for w in (w1, w2, w3)))
 
     return rule
 
@@ -649,17 +639,13 @@ def wcns_coupling_report(
             "normalized": (amp / (1j * norm_m)).real,
         }
 
-    counts: dict[str, int] = {}
-    freqs = spectrum.frequencies
-    thr = 0.5 * model.sound
-    for row in table.entries:
-        ki, j1, li, j2, mi, j3 = (int(x) for x in row)
-        key = "".join(
-            "0" if abs(freqs[idx, j]) < thr else ("+" if freqs[idx, j] > 0 else "-")
-            for idx, j in ((ki, j1), (li, j2), (mi, j3))
-        )
-        counts[key] = counts.get(key, 0) + 1
-    report["resonance_counts"] = dict(sorted(counts.items()))
+    entries = table.entries
+    labels = _branch_sign(model, spectrum.frequencies[entries[:, 0::2], entries[:, 1::2]])  # (T, 3): k, l, m
+    patterns, counts = np.unique(labels, axis=0, return_counts=True)
+    symbol = {-1: "-", 0: "0", 1: "+"}
+    report["resonance_counts"] = dict(
+        sorted(("".join(symbol[s] for s in row), int(n)) for row, n in zip(patterns.tolist(), counts))
+    )
     report["n_triples"] = int(len(table.entries))
     return report
 

@@ -11,7 +11,7 @@ from wndkit.averaging import (
     cyclic_residual,
     quadratic_time_average_oracle,
 )
-from wndkit.navier_stokes import wcns_split
+from wndkit.navier_stokes import acoustic_sum_resonant, wcns_split
 from wndkit.state import is_reality_symmetric
 
 from conftest import state_diff_norm
@@ -221,10 +221,10 @@ def test_qbar_rejects_table_missing_a_null_triple(cns_model):
     rule = wk.make_exact_resonance_rule(cns_model)
     null = 0.5 * cns_model.sound
 
-    def leaky(kmode, w1, lmode, w2, mmode, w3):
-        if (kmode, lmode) == ((1, 0), (0, 1)) and max(abs(w1), abs(w2), abs(w3)) < null:
-            return False
-        return rule(kmode, w1, lmode, w2, mmode, w3)
+    def leaky(k, w1, l, w2, m, w3):
+        pair = (k == (1, 0)).all(axis=1) & (l == (0, 1)).all(axis=1)
+        all_null = np.maximum(np.maximum(np.abs(w1), np.abs(w2)), np.abs(w3)) < null
+        return rule(k, w1, l, w2, m, w3) & ~(pair & all_null)
 
     lat = wk.FrequencyLattice(2, 2)
     ops = wk.build_operators(cns_model.spec, lat, exact_rule=leaky)
@@ -237,11 +237,11 @@ def test_qbar_rejects_table_not_closed_under_negation(cns_model):
     rule = wk.make_exact_resonance_rule(cns_model)
     null = 0.5 * cns_model.sound
 
-    def lopsided(kmode, w1, lmode, w2, mmode, w3):
+    def lopsided(k, w1, l, w2, m, w3):
         # drops the (+, + -> +) acoustic triple of (1, 0) + (1, 0) but keeps its mirror
-        if (kmode, lmode) == ((1, 0), (1, 0)) and min(w1, w2, w3) > null:
-            return False
-        return rule(kmode, w1, lmode, w2, mmode, w3)
+        pair = (k == (1, 0)).all(axis=1) & (l == (1, 0)).all(axis=1)
+        all_plus = np.minimum(np.minimum(w1, w2), w3) > null
+        return rule(k, w1, l, w2, m, w3) & ~(pair & all_plus)
 
     lat = wk.FrequencyLattice(2, 2)
     ops = wk.build_operators(cns_model.spec, lat, exact_rule=lopsided)
@@ -271,6 +271,79 @@ def test_qbar_pass_count(cns_ops4, cns_model, monkeypatch):
         passes.clear()
         apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, a, b)
         assert len(passes) == count, name
+
+
+def _reference_table(spectrum, lattice, decide):
+    """The per-triple loop the table build replaced: decide(k, w1, l, w2, m, w3) -> bool."""
+    modes = lattice.modes
+    freqs = [row[:n] for row, n in zip(spectrum.frequencies, spectrum.nfreq)]
+    rows, defects, rejected = [], [], [np.inf]
+    for ki, kmode in enumerate(modes):
+        for li, lmode in enumerate(modes):
+            mmode = tuple(a + b for a, b in zip(kmode, lmode))
+            if not lattice.contains(mmode):
+                continue
+            mi = lattice.index(mmode)
+            for j1, w1 in enumerate(freqs[ki]):
+                for j2, w2 in enumerate(freqs[li]):
+                    for j3, w3 in enumerate(freqs[mi]):
+                        if decide(kmode, w1, lmode, w2, mmode, w3):
+                            rows.append((ki, j1, li, j2, mi, j3))
+                            defects.append((w1 + w2) - w3)
+                        else:
+                            rejected.append(abs((w1 + w2) - w3))
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 6), np.asarray(defects), min(rejected)
+
+
+@pytest.mark.parametrize(
+    "system, radius, exact",
+    [
+        ("ideal-gas-2d", 3, True),
+        ("ideal-gas-2d", 3, False),
+        ("ideal-gas-1d", 5, True),
+        ("ideal-gas-1d", 5, False),
+        ("scalar", 6, False),
+    ],
+)
+def test_resonance_table_matches_per_triple_reference(system, radius, exact, scalar_spec):
+    """Entries in the same order, defects bit for bit, closest_rejected exactly."""
+    model = None if system == "scalar" else wk.build_preset(system)
+    spec = scalar_spec if model is None else model.spec
+    lat = wk.FrequencyLattice(spec.dim, radius)
+    spectrum = wk.frequency_spectrum(spec, lat)
+    scale = max(float(np.abs(spectrum.frequencies).max()), 1.0)
+    if exact:
+        c0 = model.sound
+
+        def sign(w):
+            return 0 if abs(w) < 0.5 * c0 else (1 if w > 0 else -1)
+
+        def decide(k, w1, l, w2, m, w3):
+            norms = [sum(c * c for c in mode) for mode in (k, l, m)]
+            return acoustic_sum_resonant(*norms, sign(w1), sign(w2), sign(w3))
+
+        table = build_resonance_table(spectrum, lat, exact_rule=wk.make_exact_resonance_rule(model))
+    else:
+
+        def decide(k, w1, l, w2, m, w3):
+            return abs((w1 + w2) - w3) <= 1e-9 * scale
+
+        table = build_resonance_table(spectrum, lat)
+    entries, defects, closest = _reference_table(spectrum, lat, decide)
+    assert len(entries) > 0
+    assert np.array_equal(table.entries, entries)
+    assert table.defects.tobytes() == defects.tobytes()
+    if exact:
+        assert np.isnan(table.closest_rejected)
+    else:
+        assert table.closest_rejected == closest
+
+
+def test_resonance_table_rejects_a_scalar_rule(cns_model):
+    lat = wk.FrequencyLattice(2, 1)
+    spectrum = wk.frequency_spectrum(cns_model.spec, lat)
+    with pytest.raises(ValueError, match="expected \\d+ booleans"):
+        build_resonance_table(spectrum, lat, exact_rule=lambda k, w1, l, w2, m, w3: True)
 
 
 def test_float_rule_resonance_margin(cns_model):

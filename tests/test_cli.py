@@ -65,6 +65,28 @@ def test_malformed_config_exits_two(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("validate", None, "lattice_k", "abc"),
+        ("validate", "resonance", "tolerance", "x"),
+        ("simulate", "simulation", "integrator", "rk3"),
+        ("simulate", "simulation", "diagnostics_every", 0),
+        ("simulate", "simulation", "t_end", -1),
+        ("dissipativity", "dissipativity", "direction_count", 0),
+    ],
+)
+def test_bad_config_values_exit_two(tmp_path, capsys, command, section, key, value):
+    cfg = write_config(tmp_path / "run.json")
+    data = json.loads(cfg.read_text())
+    (data if section is None else data.setdefault(section, {}))[key] = value
+    cfg.write_text(json.dumps(data))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ")
+    assert "Traceback" not in err
+
+
 def test_unknown_preset_exits_two(tmp_path):
     cfg = write_config(tmp_path / "run.json", system="no-such-system")
     assert main(["validate", "--config", str(cfg)]) == 2

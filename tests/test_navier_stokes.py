@@ -169,13 +169,22 @@ def test_wcns_split_pure_components(cns_model, cns_ops4):
 
 
 def test_exact_rule_examples():
-    assert acoustic_sum_resonant(9, 16, 49, 1, 1, 1)  # (3,0) + (4,0) collinear
-    assert not acoustic_sum_resonant(1, 1, 2, 1, 1, 1)  # sqrt 2 mismatch
-    assert acoustic_sum_resonant(4, 9, 25, 0, 0, 0)  # vorticity triple
-    assert acoustic_sum_resonant(9, 9, 4, 1, -1, 0)  # equal magnitudes cancel
-    assert not acoustic_sum_resonant(9, 4, 4, 1, -1, 0)
-    assert acoustic_sum_resonant(25, 0, 25, 1, 0, 1)  # zero-norm partner drops out
-    assert not acoustic_sum_resonant(25, 16, 9, 1, 1, 1)
+    examples = [
+        ((9, 16, 49, 1, 1, 1), True),  # (3,0) + (4,0) collinear
+        ((1, 1, 2, 1, 1, 1), False),  # sqrt 2 mismatch
+        ((4, 9, 25, 0, 0, 0), True),  # vorticity triple
+        ((9, 9, 4, 1, -1, 0), True),  # equal magnitudes cancel
+        ((9, 4, 4, 1, -1, 0), False),
+        ((25, 0, 25, 1, 0, 1), True),  # zero-norm partner drops out
+        ((25, 16, 9, 1, 1, 1), False),
+    ]
+    for args, expected in examples:
+        assert acoustic_sum_resonant(*args) is expected
+    # the same identity on integer arrays, one element per example
+    columns = np.array([args for args, _ in examples], dtype=np.int64).T
+    got = acoustic_sum_resonant(*columns)
+    assert got.dtype == bool
+    assert got.tolist() == [expected for _, expected in examples]
 
 
 @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6),
@@ -292,6 +301,18 @@ def test_wcns_coupling_report(cns_model):
         assert np.isfinite(entry["normalized"])
     assert report["n_triples"] == len(ops.table)
     assert "000" in report["resonance_counts"]
+    counts = report["resonance_counts"]
+    assert sum(counts.values()) == report["n_triples"]
+    thr = 0.5 * cns_model.sound
+    freqs = ops.spectrum.frequencies
+    per_row: dict[str, int] = {}
+    for ki, j1, li, j2, mi, j3 in ops.table.entries.tolist():
+        key = "".join(
+            "0" if abs(w) < thr else ("+" if w > 0 else "-") for w in (freqs[ki, j1], freqs[li, j2], freqs[mi, j3])
+        )
+        per_row[key] = per_row.get(key, 0) + 1
+    assert counts == dict(sorted(per_row.items()))
+    assert list(counts) == sorted(counts)
 
 
 def test_heat_capacity_pressure_ideal():
