@@ -60,6 +60,10 @@ __all__ = [
 # (k, omega1, l, omega2, m, omega3) on T candidates: (T, d) int modes, (T,) frequencies -> (T,) bools
 ExactRule = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
+# propagator powers per block in the time-average oracles (bounds their memory)
+DIFFUSION_ORACLE_CHUNK = 32768
+QUADRATIC_ORACLE_CHUNK = 2048
+
 
 @dataclass(eq=False)
 class AveragedDiffusion:
@@ -103,7 +107,6 @@ def averaged_diffusion_oracle(
     xi,
     t_span: float,
     n_steps: int,
-    chunk: int = 32768,
 ) -> np.ndarray:
     """Trapezoidal time average of e^{i t a(xi)} (-b(xi)) e^{-i t a(xi)} on [-T, T].
 
@@ -125,7 +128,7 @@ def averaged_diffusion_oracle(
     for sign in (1.0, -1.0):
         step = scipy.linalg.expm(sign * 1j * dt * a)
         offset = 0
-        for powers in _propagator_powers_stack(step[None], n_steps + 1, chunk):
+        for powers in _propagator_powers_stack(step[None], n_steps + 1, DIFFUSION_ORACLE_CHUNK):
             fwd = powers[:, 0]
             weights = np.full(fwd.shape[0], dt)
             if offset == 0:
@@ -249,12 +252,7 @@ class _CompiledQuadratic:
         zero_idx = lattice.zero_index()
         self.upper = np.arange(zero_idx + 1, len(lattice))  # positive half in lex order
 
-        # null branches: frequency zero within the clustering tolerance that
-        # decided the branches (padded branches are not branches)
-        freqs = spectrum.frequencies
-        scale = np.maximum(np.abs(freqs).max(axis=1, keepdims=True), 1.0)
-        is_branch = np.arange(freqs.shape[1]) < spectrum.nfreq[:, None]
-        null = is_branch & (np.abs(freqs) <= spectrum.cluster_tol * scale)
+        null = spectrum.null
         has_null = null.any(axis=1)
         entries = table.entries
         null_triple = (
@@ -303,7 +301,7 @@ class _CompiledQuadratic:
         # nfreq - 1 - j the branch of frequency -omega_j (branches ascend);
         # m = k + l, so (k, j1, l, j2, j3) names a row
         k, j1, l, j2, m, j3 = table.entries.T
-        neg, nfreq, width = lattice.negation, spectrum.nfreq, freqs.shape[1]
+        neg, nfreq, width = lattice.negation, spectrum.nfreq, spectrum.frequencies.shape[1]
         shape = (len(lattice), width, len(lattice), width, width)
         rows = np.sort(np.ravel_multi_index((k, j1, l, j2, j3), shape))
         mirrors = np.ravel_multi_index((neg[k], nfreq[k] - 1 - j1, neg[l], nfreq[l] - 1 - j2, nfreq[m] - 1 - j3), shape)
@@ -409,7 +407,6 @@ def quadratic_time_average_oracle(
     state: SpectralState,
     t_span: float,
     n_steps: int,
-    chunk: int = 2048,
 ) -> SpectralState:
     """Trapezoidal average of e^{t A} Q(e^{-t A} w, e^{-t A} w) over [-T, T].
 
@@ -437,7 +434,7 @@ def quadratic_time_average_oracle(
     # gets its full trapezoid weight from the two endpoint halves.
     for side_steps in (steps, steps.conj()):
         offset = 0
-        for back in _propagator_powers_stack(side_steps, n_steps + 1, chunk):
+        for back in _propagator_powers_stack(side_steps, n_steps + 1, QUADRATIC_ORACLE_CHUNK):
             nb = back.shape[0]
             weights = np.full(nb, dt)
             if offset == 0:

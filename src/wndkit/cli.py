@@ -21,18 +21,16 @@ import numpy as np
 
 from . import navier_stokes as ns
 from .averaging import (
-    build_resonance_table,
     cyclic_residual,
     diffusion_csv_rows,
     resonance_csv_rows,
 )
-from .dissipativity import analyze_dissipativity, report_directions
+from .dissipativity import analyze_dissipativity, default_alpha_grid
 from .solver import INTEGRATORS, BlowUpError, build_operators, simulate
 from .spectral import FrequencyLattice, spectrum_csv_rows
 from .state import SpectralState, random_real_state, state_from_modes
 from .system import (
     SpecShapeError,
-    SystemSpec,
     spec_from_dict,
     spec_to_dict,
     validate_entropy_structure,
@@ -82,6 +80,11 @@ class Run:
     """Resolved configuration: spec (plus gas model when preset-based) and knobs."""
 
     def __init__(self, config: dict, seed_override: int | None = None):
+        if not isinstance(config, dict):
+            raise ConfigError("config must be a JSON object")
+        for name in ("resonance", "simulation", "dissipativity", "outputs"):
+            if not isinstance(config.get(name, {}), dict):
+                raise ConfigError(f"'{name}' must be a JSON object")
         self.config = config
         system = config.get("system")
         self.model: ns.CnsModel | None = None
@@ -132,7 +135,11 @@ class Run:
             if seed_override is not None:
                 self.initial_cfg["seed"] = int(seed_override)
         diss = config.get("dissipativity", {})
-        self.alpha_grid = diss.get("alpha_grid", 32)
+        # a count of log-spaced alphas in [1e-2, 1e2], or the alphas themselves
+        grid = diss.get("alpha_grid", 32)
+        self.alphas = default_alpha_grid(grid) if type(grid) is int else np.asarray(grid, dtype=float)
+        if self.alphas.ndim != 1 or not self.alphas.size or not (np.isfinite(self.alphas) & (self.alphas > 0)).all():
+            raise ConfigError("alpha_grid must be a count >= 1 or a nonempty list of positive alphas")
         self.direction_count = int(diss.get("direction_count", 200))
         if self.direction_count < 1:
             raise ConfigError("direction_count must be >= 1")
@@ -144,11 +151,6 @@ class Run:
         if self.use_exact_rule and self.model is not None:
             return ns.make_exact_resonance_rule(self.model)
         return None
-
-    def alphas(self) -> np.ndarray:
-        if isinstance(self.alpha_grid, int):
-            return np.logspace(-2, 2, self.alpha_grid)
-        return np.asarray([float(a) for a in self.alpha_grid])
 
     def initial_state(self, lattice: FrequencyLattice) -> SpectralState:
         cfg = self.initial_cfg
@@ -162,13 +164,23 @@ class Run:
                 amplitude=float(cfg.get("amplitude", 0.1)),
             )
         if kind == "modes":
+            n = self.spec.ncomp
             entries = []
             for item in cfg.get("entries", []):
-                coeff = np.asarray(item["coeff_re"], dtype=float) + 1j * np.asarray(
-                    item.get("coeff_im", np.zeros(self.spec.ncomp)), dtype=float
-                )
-                entries.append((tuple(int(c) for c in item["mode"]), coeff))
-            return state_from_modes(lattice, self.spec.ncomp, entries)
+                try:
+                    mode = tuple(int(c) for c in item["mode"])
+                    re = np.asarray(item["coeff_re"], dtype=float)
+                    im = np.asarray(item.get("coeff_im", np.zeros(n)), dtype=float)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ConfigError(f"bad modes entry {item!r}: needs 'mode' and 'coeff_re' ({exc!r})") from exc
+                if not lattice.contains(mode):
+                    raise ConfigError(
+                        f"mode {list(mode)} is outside the {lattice.dim}-D lattice of radius {lattice.radius}"
+                    )
+                if re.shape != (n,) or im.shape != (n,):
+                    raise ConfigError(f"mode {list(mode)}: coeff_re and coeff_im need {n} components each")
+                entries.append((mode, re + 1j * im))
+            return state_from_modes(lattice, n, entries)
         if kind == "zero":
             return state_from_modes(lattice, self.spec.ncomp, [])
         raise ConfigError(f"unknown initial condition type {kind!r}")
@@ -222,7 +234,7 @@ def cmd_dissipativity(run: Run, outdir: Path) -> int:
     lattice = run.lattice()
     ops = build_operators(run.spec, lattice, with_quadratic=False)
     report = analyze_dissipativity(
-        run.spec, lattice, ops.avg, alphas=run.alphas(), extra_directions=run.direction_count
+        run.spec, lattice, ops.avg, alphas=run.alphas, extra_directions=run.direction_count
     )
     write_keyvalue(outdir / "dissipativity_report.txt", report.as_dict())
     if report.beta_by_alpha:

@@ -25,7 +25,7 @@ remains a true lower bound on the lattice where it is verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -51,6 +51,8 @@ __all__ = [
     "report_directions",
 ]
 
+KAWASHIMA_NULL_TOL = 1e-10  # relative |b(xi) v| at or below which an advection eigenvector v is undamped
+
 
 @dataclass(frozen=True)
 class KawashimaWitness:
@@ -62,12 +64,11 @@ class KawashimaWitness:
 def kawashima_check(
     spec: SystemSpec,
     directions: np.ndarray,
-    tol_null: float = 1e-10,
 ) -> tuple[bool, list[KawashimaWitness]]:
     """Test whether any advection eigenvector is annihilated by the diffusion symbol.
 
     For each sampled direction, every eigenvector v of a(xi) is checked
-    against |b(xi) v| <= tol_null * |b(xi)| |v|; matches are returned as
+    against |b(xi) v| <= KAWASHIMA_NULL_TOL * |b(xi)| |v|; matches are returned as
     witnesses (they correspond to nonconstant undamped waves).
     """
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -83,7 +84,7 @@ def kawashima_check(
         for omega, col in zip(evals, vecs.T):
             vec = inv_root @ col
             vec = vec / np.linalg.norm(vec)
-            if np.linalg.norm(bsym @ vec) <= tol_null * bnorm:
+            if np.linalg.norm(bsym @ vec) <= KAWASHIMA_NULL_TOL * bnorm:
                 witnesses.append(KawashimaWitness(np.array(xi), float(omega), vec))
     return (len(witnesses) == 0), witnesses
 
@@ -153,6 +154,7 @@ class CriterionSearch:
     epsilon: float
     delta: float
     beta_by_alpha: tuple[tuple[float, float], ...] = ()
+    beta_per_direction: tuple[float, ...] = ()  # at the chosen alpha, in direction order
 
 
 def strict_criterion_search(
@@ -178,16 +180,17 @@ def strict_criterion_search(
     best: CriterionSearch | None = None
     pairs = []
     for alpha in alphas:
-        beta = criterion_beta(spec, float(alpha), directions)
-        pairs.append((float(alpha), float(beta)))
+        values = beta_by_direction(spec, float(alpha), directions)
+        beta = float(values.min())
+        pairs.append((float(alpha), beta))
         if beta <= 0.0:
             continue
         epsilon, delta = constructive_delta(float(alpha), beta, c_adv, c_diff)
         if best is None or delta > best.delta:
-            best = CriterionSearch(True, float(alpha), beta, c_adv, c_diff, epsilon, delta, ())
+            best = CriterionSearch(True, float(alpha), beta, c_adv, c_diff, epsilon, delta, (), tuple(values.tolist()))
     if best is None:
         return CriterionSearch(False, float("nan"), 0.0, c_adv, c_diff, 0.0, 0.0, tuple(pairs))
-    return CriterionSearch(True, best.alpha, best.beta, c_adv, c_diff, best.epsilon, best.delta, tuple(pairs))
+    return replace(best, beta_by_alpha=tuple(pairs))
 
 
 def verify_delta(spec: SystemSpec, avg: AveragedDiffusion) -> float:
@@ -242,37 +245,30 @@ class DissipativityReport:
         }
 
 
-def report_directions(spec: SystemSpec, lattice: FrequencyLattice | None, extra: int = 200) -> np.ndarray:
+def report_directions(spec: SystemSpec, lattice: FrequencyLattice, extra: int) -> np.ndarray:
     """Direction sample: every lattice direction plus a deterministic sphere set."""
     dirs = [unit_directions(spec.dim, extra)]
-    if lattice is not None:
-        lat = lattice_directions(lattice.array)
-        if lat.size:
-            dirs.append(lat)
+    lat = lattice_directions(lattice.array)
+    if lat.size:
+        dirs.append(lat)
     return np.concatenate(dirs, axis=0)
 
 
 def analyze_dissipativity(
     spec: SystemSpec,
-    lattice: FrequencyLattice | None = None,
-    avg: AveragedDiffusion | None = None,
+    lattice: FrequencyLattice,
+    avg: AveragedDiffusion,
     alphas: np.ndarray | None = None,
     extra_directions: int = 200,
-    tol_null: float = 1e-10,
 ) -> DissipativityReport:
     """Full certificate pipeline: Kawashima, criterion search, empirical rate."""
     dirs = report_directions(spec, lattice, extra_directions)
-    kawashima_ok, witnesses = kawashima_check(spec, dirs, tol_null)
+    kawashima_ok, witnesses = kawashima_check(spec, dirs)
     search = strict_criterion_search(spec, dirs, alphas)
-    delta_emp = float("nan")
-    if avg is not None:
-        delta_emp = verify_delta(spec, avg)
-    per_direction = ()
-    if search.ok:
-        values = beta_by_direction(spec, search.alpha, dirs)
-        per_direction = tuple(
-            (tuple(float(c) for c in xi), float(v)) for xi, v in zip(dirs, values)
-        )
+    # empty unless the criterion holds
+    per_direction = tuple(
+        (tuple(float(c) for c in xi), v) for xi, v in zip(dirs, search.beta_per_direction)
+    )
     return DissipativityReport(
         kawashima_ok=kawashima_ok,
         witnesses=tuple(witnesses),
@@ -282,7 +278,7 @@ def analyze_dissipativity(
         c_diff=search.c_diff,
         epsilon=search.epsilon,
         delta=search.delta if search.ok else 0.0,
-        delta_empirical=delta_emp,
+        delta_empirical=verify_delta(spec, avg),
         n_directions=len(dirs),
         criterion_ok=search.ok,
         beta_by_alpha=search.beta_by_alpha,

@@ -50,7 +50,7 @@ import numpy as np
 
 from .averaging import apply_averaged_quadratic
 from .spectral import FrequencyLattice, Spectrum
-from .state import SpectralState, inner_product, zero_state
+from .state import SpectralState, zero_state
 from .system import SystemSpec, change_of_variables
 
 __all__ = [
@@ -203,24 +203,17 @@ class CnsModel:
         return self.dim + 2
 
 
-def _second_derivatives(eos: EquationOfState, rho: float, theta: float) -> tuple[float, float, float, float]:
-    p_rr = eos.pressure_rho_rho(rho, theta) if eos.pressure_rho_rho else _fd(eos.pressure_rho, rho, theta, "rho")
-    p_rt = (
-        eos.pressure_rho_theta(rho, theta)
-        if eos.pressure_rho_theta
-        else _fd(eos.pressure_rho, rho, theta, "theta")
+def _second_derivatives(eos: EquationOfState, rho: float, theta: float) -> tuple[float, ...]:
+    """(p_rr, p_rt, p_tt, dc_v/dtheta): each as given, else differenced from a first partial."""
+    partials = (
+        (eos.pressure_rho_rho, eos.pressure_rho, "rho"),
+        (eos.pressure_rho_theta, eos.pressure_rho, "theta"),
+        (eos.pressure_theta_theta, eos.pressure_theta, "theta"),
+        (eos.heat_capacity_theta, eos.heat_capacity, "theta"),
     )
-    p_tt = (
-        eos.pressure_theta_theta(rho, theta)
-        if eos.pressure_theta_theta
-        else _fd(eos.pressure_theta, rho, theta, "theta")
+    return tuple(
+        given(rho, theta) if given else _fd(first, rho, theta, wrt) for given, first, wrt in partials
     )
-    cv_t = (
-        eos.heat_capacity_theta(rho, theta)
-        if eos.heat_capacity_theta
-        else _fd(eos.heat_capacity, rho, theta, "theta")
-    )
-    return p_rr, p_rt, p_tt, cv_t
 
 
 def build_cns_model(
@@ -527,16 +520,11 @@ def _single_mode_state(lattice: FrequencyLattice, ncomp: int, mode, coeff: np.nd
     return out
 
 
-def _transverse_unit(model: CnsModel, lmode) -> np.ndarray | None:
+def _transverse_unit(model: CnsModel, lmode) -> np.ndarray:
     lvec = np.asarray(lmode, dtype=float)
-    if model.dim != 2:
-        raise ValueError("coupling probes are defined for d = 2")
     t = np.array([-lvec[1], lvec[0]])
-    norm = np.linalg.norm(t)
-    if norm == 0.0:
-        return None
     vec = np.zeros(model.ncomp)
-    vec[1:3] = t / norm
+    vec[1:3] = t / np.linalg.norm(t)
     g = model.spec.entropy_hessian
     return vec / math.sqrt(float(vec @ g @ vec))
 
@@ -567,74 +555,38 @@ def wcns_coupling_report(
     lattice = table.lattice
     spec = model.spec
     g = spec.entropy_hessian
-
-    def amplitude(probe1: SpectralState, probe2: SpectralState, mmode, out_vec: np.ndarray) -> complex:
-        out = apply_averaged_quadratic(spec, spectrum, table, probe1, probe2)
-        coeff = out.coeffs[lattice.index(mmode)]
-        return complex(out_vec @ g @ coeff)
-
     report: dict = {
         "sound_speed": model.sound,
         "acoustic_diffusivity": model.diffusivity,
         "couplings": {},
     }
-
-    # collinear acoustic-acoustic self interaction (+,+ -> +)
-    k, l = (1, 0), (2, 0)
-    m = (3, 0)
-    h_k, _ = acoustic_basis(model, k)
-    h_l, _ = acoustic_basis(model, l)
-    h_m, _ = acoustic_basis(model, m)
-    amp = amplitude(
-        _single_mode_state(lattice, model.ncomp, k, h_k.astype(complex)),
-        _single_mode_state(lattice, model.ncomp, l, h_l.astype(complex)),
-        m,
-        h_m,
-    )
-    norm_m = math.sqrt(sum(c * c for c in m))
-    report["couplings"]["acoustic_acoustic"] = {
-        "k": list(k), "l": list(l), "branches": "+,+ -> +",
-        "raw": [amp.real, amp.imag],
-        "normalized": (amp / (1j * norm_m)).real,
-    }
-
-    # incompressible velocity driving an acoustic branch: |k| = |m| geometry
-    k, l, m = (3, 4), (-3, 1), (0, 5)
-    if lattice.contains(k) and lattice.contains(l) and lattice.contains(m):
-        h_k, _ = acoustic_basis(model, k)
-        h_m, _ = acoustic_basis(model, m)
-        t_unit = _transverse_unit(model, l)
-        amp = amplitude(
-            _single_mode_state(lattice, model.ncomp, k, h_k.astype(complex)),
-            _single_mode_state(lattice, model.ncomp, l, t_unit.astype(complex)),
-            m,
-            h_m,
-        )
-        report["couplings"]["acoustic_velocity"] = {
-            "k": list(k), "l": list(l), "branches": "+,0 -> +",
-            "raw": [amp.real, amp.imag],
-            "normalized": (amp / (1j * 5.0)).real,
-        }
-
-    # incompressible temperature driving an acoustic branch, two geometries
+    # (name, k, l, m, vector at l, branches), with the + acoustic eigenvector
+    # at k and m: the collinear acoustic-acoustic self interaction, then
+    # incompressible velocity (|k| = |m|) and temperature (two geometries)
+    # driving an acoustic branch
     thermo = _thermo_unit(model)
-    for name, (k, l, m) in {
-        "acoustic_thermal_a": ((3, 4), (-3, 1), (0, 5)),
-        "acoustic_thermal_b": ((0, 5), (3, -1), (3, 4)),
-    }.items():
+    probes = (
+        ("acoustic_acoustic", (1, 0), (2, 0), (3, 0), acoustic_basis(model, (2, 0))[0], "+,+ -> +"),
+        ("acoustic_velocity", (3, 4), (-3, 1), (0, 5), _transverse_unit(model, (-3, 1)), "+,0 -> +"),
+        ("acoustic_thermal_a", (3, 4), (-3, 1), (0, 5), thermo, "+,0 -> +"),
+        ("acoustic_thermal_b", (0, 5), (3, -1), (3, 4), thermo, "+,0 -> +"),
+    )
+    for name, k, l, m, vec_l, branches in probes:
         if not (lattice.contains(k) and lattice.contains(l) and lattice.contains(m)):
             continue
         h_k, _ = acoustic_basis(model, k)
         h_m, _ = acoustic_basis(model, m)
-        amp = amplitude(
+        out = apply_averaged_quadratic(
+            spec,
+            spectrum,
+            table,
             _single_mode_state(lattice, model.ncomp, k, h_k.astype(complex)),
-            _single_mode_state(lattice, model.ncomp, l, thermo.astype(complex)),
-            m,
-            h_m,
+            _single_mode_state(lattice, model.ncomp, l, vec_l.astype(complex)),
         )
+        amp = complex(h_m @ g @ out.coeffs[lattice.index(m)])
         norm_m = math.sqrt(sum(c * c for c in m))
         report["couplings"][name] = {
-            "k": list(k), "l": list(l), "branches": "+,0 -> +",
+            "k": list(k), "l": list(l), "branches": branches,
             "raw": [amp.real, amp.imag],
             "normalized": (amp / (1j * norm_m)).real,
         }

@@ -60,6 +60,8 @@ __all__ = [
 
 INTEGRATORS = ("if_rk2", "if_rk4")
 
+BLOWUP_THRESHOLD = 1e12  # simulate raises BlowUpError once a coefficient magnitude exceeds this
+
 
 class BlowUpError(RuntimeError):
     """A coefficient exceeded the blow-up threshold during integration."""
@@ -125,12 +127,11 @@ class WndOperators:
 def build_operators(
     spec: SystemSpec,
     lattice: FrequencyLattice,
-    cluster_tol: float = 1e-9,
     resonance_tol: float = 1e-9,
     exact_rule=None,
     with_quadratic: bool = True,
 ) -> WndOperators:
-    spectrum = frequency_spectrum(spec, lattice, cluster_tol)
+    spectrum = frequency_spectrum(spec, lattice)
     avg = averaged_diffusion(spec, spectrum, lattice)
     table = None
     if with_quadratic and np.abs(spec.quadratic).max() > 0.0:
@@ -191,11 +192,11 @@ def step(
     return out
 
 
-def _check_finite(ops: WndOperators, coeffs: np.ndarray, time: float, threshold: float) -> None:
+def _check_finite(ops: WndOperators, coeffs: np.ndarray, time: float) -> None:
     mags = np.abs(coeffs)
     worst = int(np.argmax(mags))
     peak = float(mags.flat[worst])
-    if not np.isfinite(peak) or peak > threshold:
+    if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
         mode_idx, comp = divmod(worst, coeffs.shape[1])
         raise BlowUpError(ops.lattice.modes[mode_idx], time, peak)
 
@@ -229,7 +230,6 @@ def simulate(
     method: str = "if_rk4",
     diagnostics_every: int = 10,
     sobolev_orders: Sequence[float] = (1.0,),
-    blowup_threshold: float = 1e12,
     filtered: bool = False,
     snapshot_hook: Callable[[SpectralState], None] | None = None,
 ) -> tuple[list[SpectralState], DiagnosticsSeries]:
@@ -277,7 +277,7 @@ def simulate(
 
     for i in range(1, n_steps + 1):
         state = step(ops, state, dt, method, filtered=filtered)
-        _check_finite(ops, state.coeffs, state.time, blowup_threshold)
+        _check_finite(ops, state.coeffs, state.time)
         record(i, state)
         if i % diagnostics_every == 0 or i == n_steps:
             snap_indices.append(i)
@@ -353,7 +353,7 @@ def weak_strong_experiment(
     perturbed_initial: SpectralState,
     t_end: float,
     dt: float,
-    s: float | None = None,
+    s: float,
     method: str = "if_rk4",
     diagnostics_every: int = 10,
 ) -> WeakStrongReport:
@@ -366,8 +366,6 @@ def weak_strong_experiment(
     envelope is checked at every snapshot.  The smooth trajectory's energy
     identity defect is reported alongside.
     """
-    if s is None:
-        s = max(ops.spec.dim / 2.0, 1.0) + 1.0
     if s <= max(ops.spec.dim / 2.0, 1.0):
         raise ValueError("need s > max(d/2, 1)")
     snaps1, series1 = simulate(ops, smooth_initial, t_end, dt, method, diagnostics_every)

@@ -32,6 +32,8 @@ __all__ = [
 
 Mode = tuple[int, ...]
 
+CLUSTER_TOL = 1e-9  # eigenvalues closer than CLUSTER_TOL * max(max|omega|, 1) at a mode merge
+
 
 @dataclass(eq=False)
 class FrequencyLattice:
@@ -113,7 +115,6 @@ class ModeDecomposition:
     mode: Mode
     frequencies: np.ndarray
     projectors: np.ndarray
-    cluster_tol: float
 
     @property
     def nfreq(self) -> int:
@@ -127,15 +128,17 @@ class Spectrum(Mapping):
     Row i of `frequencies` (M, B) and `projectors` (M, B, N, N) holds the
     nfreq[i] branches of lattice mode i, zero-padded to the widest mode:
     a padded branch has frequency 0 and a zero projector, so any sum over
-    all B branches equals the sum over the real ones.  As a read-only
-    mapping from mode to ModeDecomposition it serves views of those rows.
+    all B branches equals the sum over the real ones.  `null` marks the
+    branches whose frequency is zero within the clustering tolerance
+    (padded branches are not branches).  As a read-only mapping from mode
+    to ModeDecomposition it serves views of those rows.
     """
 
     lattice: FrequencyLattice
     frequencies: np.ndarray  # (M, B) float
     projectors: np.ndarray  # (M, B, N, N) float
     nfreq: np.ndarray  # (M,) int
-    cluster_tol: float
+    null: np.ndarray  # (M, B) bool
 
     def __getitem__(self, mode: Sequence[int]) -> ModeDecomposition:
         i = self.lattice.index(mode)
@@ -144,7 +147,6 @@ class Spectrum(Mapping):
             mode=self.lattice.modes[i],
             frequencies=self.frequencies[i, :k],
             projectors=self.projectors[i, :k],
-            cluster_tol=self.cluster_tol,
         )
 
     def __iter__(self) -> Iterator[Mode]:
@@ -158,23 +160,23 @@ class Spectrum(Mapping):
             raise ValueError("spectrum and lattice have different modes")
 
 
-def _cluster(eigenvalues: np.ndarray, tol: float) -> list[np.ndarray]:
+def _cluster(eigenvalues: np.ndarray) -> list[np.ndarray]:
     scale = max(float(np.abs(eigenvalues).max()), 1.0) if eigenvalues.size else 1.0
     groups: list[np.ndarray] = []
     start = 0
     for i in range(1, len(eigenvalues)):
-        if eigenvalues[i] - eigenvalues[i - 1] > tol * scale:
+        if eigenvalues[i] - eigenvalues[i - 1] > CLUSTER_TOL * scale:
             groups.append(np.arange(start, i))
             start = i
     groups.append(np.arange(start, len(eigenvalues)))
     return groups
 
 
-def decompose(spec: SystemSpec, mode: Sequence[int], cluster_tol: float = 1e-9) -> ModeDecomposition:
+def decompose(spec: SystemSpec, mode: Sequence[int]) -> ModeDecomposition:
     """Eigenstructure of the advection symbol at one integer mode.
 
     Solved as the symmetric problem on g^{1/2} a(xi) g^{-1/2}; eigenvalues
-    within cluster_tol * max|omega| of each other merge into one frequency
+    within CLUSTER_TOL * max|omega| of each other merge into one frequency
     whose stored value is the cluster mean.
     """
     key = tuple(int(c) for c in mode)
@@ -184,18 +186,17 @@ def decompose(spec: SystemSpec, mode: Sequence[int], cluster_tol: float = 1e-9) 
             mode=key,
             frequencies=np.zeros(1),
             projectors=np.eye(n)[None, :, :],
-            cluster_tol=cluster_tol,
         )
     root, inv_root = spec.metric_sqrt()
     sym = root @ advection_symbol(spec, np.asarray(key, dtype=float)) @ inv_root
     evals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
-    groups = _cluster(evals, cluster_tol)
+    groups = _cluster(evals)
     freqs = np.array([evals[g].mean() for g in groups])
     projs = np.empty((len(groups), n, n))
     for j, g in enumerate(groups):
         block = vecs[:, g]
         projs[j] = inv_root @ (block @ block.T) @ root
-    return ModeDecomposition(mode=key, frequencies=freqs, projectors=projs, cluster_tol=cluster_tol)
+    return ModeDecomposition(mode=key, frequencies=freqs, projectors=projs)
 
 
 def evolve_group(dec: ModeDecomposition, t: float, vec: np.ndarray) -> np.ndarray:
@@ -204,9 +205,9 @@ def evolve_group(dec: ModeDecomposition, t: float, vec: np.ndarray) -> np.ndarra
     return np.einsum("j,jpq,q->p", phases, dec.projectors, np.asarray(vec, dtype=complex))
 
 
-def frequency_spectrum(spec: SystemSpec, lattice: FrequencyLattice, cluster_tol: float = 1e-9) -> Spectrum:
+def frequency_spectrum(spec: SystemSpec, lattice: FrequencyLattice) -> Spectrum:
     """Decomposition at every lattice mode, stacked in lattice order."""
-    decs = [decompose(spec, mode, cluster_tol) for mode in lattice]
+    decs = [decompose(spec, mode) for mode in lattice]
     nfreq = np.array([dec.nfreq for dec in decs])
     width = int(nfreq.max())
     frequencies = np.zeros((len(decs), width))
@@ -214,9 +215,11 @@ def frequency_spectrum(spec: SystemSpec, lattice: FrequencyLattice, cluster_tol:
     for i, dec in enumerate(decs):
         frequencies[i, : dec.nfreq] = dec.frequencies
         projectors[i, : dec.nfreq] = dec.projectors
-    for arr in (frequencies, projectors, nfreq):
+    scale = np.maximum(np.abs(frequencies).max(axis=1, keepdims=True), 1.0)
+    null = (np.arange(width) < nfreq[:, None]) & (np.abs(frequencies) <= CLUSTER_TOL * scale)
+    for arr in (frequencies, projectors, nfreq, null):
         arr.setflags(write=False)
-    return Spectrum(lattice, frequencies, projectors, nfreq, cluster_tol)
+    return Spectrum(lattice, frequencies, projectors, nfreq, null)
 
 
 def spectrum_csv_rows(spectrum: Spectrum) -> Iterator[list]:

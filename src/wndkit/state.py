@@ -15,7 +15,7 @@ the squared coefficient magnitude, so s = 0 recovers the plain norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np

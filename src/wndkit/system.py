@@ -22,7 +22,7 @@ only this data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +40,12 @@ __all__ = [
     "spec_to_dict",
     "spec_from_dict",
 ]
+
+# validate_entropy_structure: sampled unit directions and relative pass thresholds
+ENTROPY_DIRECTIONS = 64
+TOL_SYM = 1e-10
+TOL_PSD = 1e-10
+CONDITION_CAP = 1e10  # change_of_variables rejects transforms with a larger condition number
 
 
 class SpecShapeError(ValueError):
@@ -153,9 +159,6 @@ class EntropyReport:
 
 def validate_entropy_structure(
     spec: SystemSpec,
-    n_directions: int = 64,
-    tol_sym: float = 1e-10,
-    tol_psd: float = 1e-10,
 ) -> EntropyReport:
     """Scan unit directions for violations of the entropy structure.
 
@@ -164,11 +167,9 @@ def validate_entropy_structure(
     so the pass thresholds are scale free.  The report carries the worst
     offending direction.
     """
-    if n_directions < 1:
-        raise ValueError("n_directions must be >= 1")
     g = spec.entropy_hessian
     min_eig_g = float(np.linalg.eigvalsh(0.5 * (g + g.T)).min())
-    dirs = unit_directions(spec.dim, n_directions)
+    dirs = unit_directions(spec.dim, ENTROPY_DIRECTIONS)
 
     worst_asym = 0.0
     worst_neg = 0.0
@@ -190,20 +191,20 @@ def validate_entropy_structure(
         worst_asym = max(worst_asym, asym)
         worst_neg = min(worst_neg, neg)
 
-    passed = (min_eig_g > 0.0) and (worst_asym <= tol_sym) and (worst_neg >= -tol_psd)
+    passed = (min_eig_g > 0.0) and (worst_asym <= TOL_SYM) and (worst_neg >= -TOL_PSD)
     return EntropyReport(
         passed=passed,
         worst_direction=np.array(worst_dir),
         min_entropy_eigenvalue=min_eig_g,
         max_asymmetry=worst_asym,
         min_diffusion_eigenvalue=worst_neg,
-        tol_sym=tol_sym,
-        tol_psd=tol_psd,
+        tol_sym=TOL_SYM,
+        tol_psd=TOL_PSD,
         n_directions=len(dirs),
     )
 
 
-def change_of_variables(spec: SystemSpec, transform: np.ndarray, cond_cap: float = 1e10) -> SystemSpec:
+def change_of_variables(spec: SystemSpec, transform: np.ndarray) -> SystemSpec:
     """Conjugate all symbol tensors by a linear change of working variables.
 
     With perturbations related by w = t w', the primed tensors are
@@ -220,7 +221,7 @@ def change_of_variables(spec: SystemSpec, transform: np.ndarray, cond_cap: float
     if t.shape != (n, n):
         raise SpecShapeError(f"transform has shape {t.shape}, expected ({n}, {n})")
     svals = np.linalg.svd(t, compute_uv=False)
-    if svals.min() <= 0.0 or svals.max() / svals.min() > cond_cap:
+    if svals.min() <= 0.0 or svals.max() / svals.min() > CONDITION_CAP:
         raise np.linalg.LinAlgError("change-of-variables matrix is singular or ill-conditioned")
     t_inv = np.linalg.inv(t)
     adv = np.einsum("ip,apq,qj->aij", t_inv, spec.advection, t)

@@ -74,17 +74,69 @@ def test_malformed_config_exits_two(tmp_path, capsys):
         ("simulate", "simulation", "diagnostics_every", 0),
         ("simulate", "simulation", "t_end", -1),
         ("dissipativity", "dissipativity", "direction_count", 0),
+        ("validate", None, None, []),  # key None: the whole config is `value`
+        ("validate", None, "resonance", []),
+        ("simulate", None, "simulation", []),
+        ("dissipativity", None, "dissipativity", "abc"),
+        ("validate", None, "outputs", []),
+        ("dissipativity", "dissipativity", "alpha_grid", [-1.0]),
+        ("dissipativity", "dissipativity", "alpha_grid", "abc"),
+        ("dissipativity", "dissipativity", "alpha_grid", 0),
+        ("dissipativity", "dissipativity", "alpha_grid", []),
     ],
 )
 def test_bad_config_values_exit_two(tmp_path, capsys, command, section, key, value):
     cfg = write_config(tmp_path / "run.json")
     data = json.loads(cfg.read_text())
-    (data if section is None else data.setdefault(section, {}))[key] = value
+    if key is None:
+        data = value
+    else:
+        (data if section is None else data.setdefault(section, {}))[key] = value
     cfg.write_text(json.dumps(data))
     assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ")
     assert "Traceback" not in err
+
+
+def modes_config(path: Path, entries: list) -> Path:
+    cfg = write_config(path)
+    data = json.loads(cfg.read_text())
+    data["simulation"]["initial"] = {"type": "modes", "entries": entries}
+    cfg.write_text(json.dumps(data))
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"coeff_re": [1.0, 0.0, 0.0, 0.0]},  # no mode
+        {"mode": [1, 0]},  # no coeff_re
+        {"mode": [9, 9], "coeff_re": [1.0, 0.0, 0.0, 0.0]},  # outside the radius-2 lattice
+        {"mode": [1], "coeff_re": [1.0, 0.0, 0.0, 0.0]},  # 1-D mode on the 2-D lattice
+        {"mode": [1, 0], "coeff_re": [1.0, 0.0]},  # 2 components for the 4-component gas
+        {"mode": [1, 0], "coeff_re": [1.0, 0.0, 0.0, 0.0], "coeff_im": [1.0]},
+    ],
+)
+def test_bad_modes_entry_exits_two(tmp_path, capsys, entry):
+    cfg = modes_config(tmp_path / "run.json", [entry])
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ")
+
+
+def test_simulate_modes_initial(tmp_path):
+    entry = {"mode": [1, 0], "coeff_re": [0.0, 0.01, 0.0, 0.0], "coeff_im": [0.0, 0.0, 0.02, 0.0]}
+    cfg = modes_config(tmp_path / "run.json", [entry])
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    rows = (tmp_path / "out" / "snapshots" / "state_t0.000000.csv").read_text().splitlines()
+    values = {}
+    for row in rows:
+        fields = row.split(",")
+        values[tuple(int(c) for c in fields[:3])] = complex(float(fields[3]), float(fields[4]))
+    assert values[(1, 0, 1)] == 0.01 and values[(1, 0, 2)] == 0.02j
+    assert values[(-1, 0, 1)] == 0.01 and values[(-1, 0, 2)] == -0.02j  # the mirrored conjugate
+    assert sum(abs(v) for v in values.values()) == pytest.approx(0.06)
 
 
 def test_unknown_preset_exits_two(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -313,6 +314,30 @@ def test_wcns_coupling_report(cns_model):
         per_row[key] = per_row.get(key, 0) + 1
     assert counts == dict(sorted(per_row.items()))
     assert list(counts) == sorted(counts)
+
+
+@pytest.mark.parametrize("radius, probes", [(2, []), (3, ["acoustic_acoustic"])])
+def test_wcns_coupling_report_keeps_probes_that_fit(cns_model, radius, probes):
+    lat = wk.FrequencyLattice(2, radius)
+    ops = wk.build_operators(cns_model.spec, lat, exact_rule=wk.make_exact_resonance_rule(cns_model))
+    report = wcns_coupling_report(cns_model, ops.spectrum, ops.table)
+    assert list(report["couplings"]) == probes
+    assert report["n_triples"] == len(ops.table)
+    assert sum(report["resonance_counts"].values()) == len(ops.table)
+
+
+def test_finite_difference_second_partials_match_analytic_kernel(cns_model):
+    # the ideal gas without its optional second partials: all four are differenced
+    eos = dataclasses.replace(
+        ideal_gas(3),
+        pressure_rho_rho=None,
+        pressure_rho_theta=None,
+        pressure_theta_theta=None,
+        heat_capacity_theta=None,
+    )
+    fd = wk.build_cns_model(eos, cns_model.transport, cns_model.rho, cns_model.theta, cns_model.dim)
+    ref = cns_model.spec.quadratic
+    assert np.abs(fd.spec.quadratic - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 def test_heat_capacity_pressure_ideal():
