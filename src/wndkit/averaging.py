@@ -18,6 +18,19 @@ and the entropy structure gives the quadratic operator the cyclic identity
 
 which is what makes the nonlinearity energy neutral.
 
+The projectors have low rank (1 for an acoustic branch, 2 for a null
+branch, N only at the zero mode) and the ranks at a mode sum to N, so one
+g-orthonormal eigenvector basis B(xi) per mode carries every branch.  In
+those branch coordinates a = B^T g w each resonant triple is a handful of
+scalar interaction coefficients
+
+    c = (B^T g)(m)_o . (i m . q)(B(k)_p, B(l)_q),
+
+one per coordinate triple (o, p, q) in the branches (j3, j1, j2), and qbar
+at m is B(m) times the sum of c a1(k)_p a2(l)_q over them.  Many c vanish
+by structure (fast-fast resonances do not force the slow mode); they are
+dropped at compile time against DROP_TOL, with the margin recorded.
+
 Resonance detection is the main correctness hazard: by default frequency
 sums are matched with a relative tolerance, and callers with arithmetic
 structure (the gas-dynamics instantiation) supply an exact predicate
@@ -63,6 +76,10 @@ ExactRule = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
 # propagator powers per block in the time-average oracles (bounds their memory)
 DIFFUSION_ORACLE_CHUNK = 32768
 QUADRATIC_ORACLE_CHUNK = 2048
+
+# branch-coordinate coefficients of qbar with |c| <= DROP_TOL * max|c| vanish
+# by structure and are dropped at compile time
+DROP_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -233,14 +250,29 @@ class _CompiledQuadratic:
     axis, on which no product of two retained modes aliases onto a retained
     mode.
 
-    The other table entries are applied as dense kernels.  Entries whose
-    output mode m is the zero mode contribute nothing (the divergence factor
-    i*m vanishes) and are dropped.  Both parts are evaluated on the positive
-    half of the modes only: the symbols are real, so for any complex inputs
-    qbar(w1, w2)(-m) = conj(qbar(~w1, ~w2)(m)) with ~w(k) = conj(w(-k)), and
-    the negative half is a second pass on the mirrored inputs.  Reality-
-    symmetric inputs are their own mirrors and take one pass.  The identity
-    needs a table closed under negation, which the compile checks.
+    The other table rows are applied in branch coordinates (see the module
+    docstring): each row expands to its coordinate triples (o at m, p at k,
+    q at l), one interaction coefficient c each.  The ranks are 1
+    (acoustic) or 2 (null) off the zero mode, so a row holds a few scalars
+    instead of a dense N x N^2 kernel.  Coefficients with |c| <= DROP_TOL *
+    max|c| are structural zeros and are dropped.  The kept terms are sorted
+    by output coordinate; a call projects each input to coordinates once
+    per mode, then does one gather, multiply and reduceat over the terms
+    and maps back with the basis.
+
+    Rows whose output mode m is the zero mode contribute nothing (the
+    divergence factor i*m vanishes) and are dropped.  Both parts are
+    evaluated on the positive half of the modes only: the symbols are real,
+    so for any complex inputs qbar(w1, w2)(-m) = conj(qbar(~w1, ~w2)(m))
+    with ~w(k) = conj(w(-k)), and the negative half is a second pass on the
+    mirrored inputs.  Reality-symmetric inputs are their own mirrors and
+    take one pass.  The identity needs a table closed under negation, which
+    the compile checks.
+
+    Plain attributes report what was compiled: `terms` (kept coefficients),
+    `coefficient_bytes` (coefficient, index and segment arrays), `dropped`
+    (structural zeros) and `drop_margin` (the largest dropped and the
+    smallest kept |c|, both relative to max|c|).
     """
 
     def __init__(self, spec: SystemSpec, spectrum: Spectrum, table: ResonanceTable) -> None:
@@ -279,23 +311,33 @@ class _CompiledQuadratic:
         self.flux_matrix = spec.quadratic.reshape(lattice.dim * n, n * n)
         self.i_modes = 1j * lattice.array[self.upper].astype(float)
 
-        entries = entries[~null_triple & (entries[:, 4] > zero_idx)]
-        order = np.argsort(entries[:, 4], kind="stable")
-        entries = entries[order]
-        self.idx_k = entries[:, 0].copy()
-        self.idx_l = entries[:, 2].copy()
-        idx_m = entries[:, 4]
-        self.seg_starts = np.flatnonzero(np.r_[True, np.diff(idx_m) > 0]) if len(entries) else np.zeros(0, np.int64)
-        self.seg_pos = idx_m[self.seg_starts] - (zero_idx + 1) if len(entries) else np.zeros(0, np.int64)
-
-        modes_arr = lattice.array.astype(float)
-        pstack = spectrum.projectors
-        p_out = pstack[entries[:, 4], entries[:, 5]]
-        p_in1 = pstack[entries[:, 0], entries[:, 1]]
-        p_in2 = pstack[entries[:, 2], entries[:, 3]]
-        div = 1j * np.einsum("ta,aijk->tijk", modes_arr[entries[:, 4]], spec.quadratic)
-        kernels = np.einsum("tpi,tijk,tjb,tkc->tpbc", p_out, div, p_in1, p_in2, optimize=True)
-        self.kernels = np.ascontiguousarray(kernels.reshape(len(entries), n, n * n))
+        # every coordinate triple (o at m, p at k, q at l) of every non-null
+        # row with m in the positive half: coordinates lie in the row's branches
+        basis, branch = spectrum.basis, spectrum.branch
+        self.cobasis = np.ascontiguousarray(basis.transpose(0, 2, 1) @ spec.entropy_hessian)
+        self.upper_basis = basis[self.upper]
+        k, j1, l, j2, m, j3 = entries[~null_triple & (entries[:, 4] > zero_idx)].T
+        o, p, q = (c.ravel() for c in np.indices((n, n, n)))
+        row, coord = np.nonzero(
+            (branch[m][:, o] == j3[:, None]) & (branch[k][:, p] == j1[:, None]) & (branch[l][:, q] == j2[:, None])
+        )
+        k, l, m, o, p, q = k[row], l[row], m[row], o[coord], p[coord], q[coord]
+        flux = np.einsum("aijk,tj,tk->tai", spec.quadratic, basis[k, :, p], basis[l, :, q])
+        coef = 1j * np.einsum("ta,ti,tai->t", lattice.array[m].astype(float), self.cobasis[m, o], flux)
+        magnitude = np.abs(coef)
+        rel = magnitude / max(magnitude.max(initial=0.0), np.finfo(float).tiny)
+        keep = rel > DROP_TOL
+        self.dropped = int(np.count_nonzero(~keep))
+        self.drop_margin = (float(rel[~keep].max(initial=0.0)), float(rel[keep].min(initial=np.inf)))
+        out = (m - (zero_idx + 1)) * n + o  # output coordinate in the positive half
+        kept = np.flatnonzero(keep)
+        kept = kept[np.argsort(out[kept], kind="stable")]
+        out = out[kept]
+        self.coef, self.idx1, self.idx2 = coef[kept], (k * n + p)[kept], (l * n + q)[kept]
+        self.seg_starts = np.flatnonzero(np.diff(out, prepend=-1))
+        self.seg_pos = out[self.seg_starts]
+        self.terms = len(self.coef)
+        self.coefficient_bytes = sum(a.nbytes for a in (self.coef, self.idx1, self.idx2, self.seg_starts, self.seg_pos))
         # the negative half of the output comes from the mirror identity, so
         # every row needs its mirror (-k, j1'; -l, j2'; -m, j3'), with j' =
         # nfreq - 1 - j the branch of frequency -omega_j (branches ascend);
@@ -313,17 +355,15 @@ class _CompiledQuadratic:
         """qbar(c1, c2) on the positive half, in the order of self.upper.
 
         The null part is P0 (i m . q)(P0 c1, P0 c2) summed over k + l = m by
-        padded FFT; the table part sums the compiled kernels.
+        padded FFT; the table part sums the branch-coordinate terms.
         """
         n = self.ncomp
         upper = self.upper
-        table_part = np.zeros((len(upper), n), dtype=complex)
-        if len(self.idx_k):
-            v1 = c1[self.idx_k]
-            v2 = c2[self.idx_l]
-            pair = (v1[:, :, None] * v2[:, None, :]).reshape(len(v1), -1)
-            contrib = np.matmul(self.kernels, pair[:, :, None])[:, :, 0]
-            table_part[self.seg_pos] = np.add.reduceat(contrib, self.seg_starts, axis=0)
+        a1 = np.matmul(self.cobasis, c1[:, :, None]).ravel()
+        a2 = a1 if c2 is c1 else np.matmul(self.cobasis, c2[:, :, None]).ravel()
+        coords = np.zeros(len(upper) * n, dtype=complex)
+        coords[self.seg_pos] = np.add.reduceat(a1[self.idx1] * a2[self.idx2] * self.coef, self.seg_starts)
+        table_part = np.matmul(self.upper_basis, coords.reshape(-1, n, 1))[:, :, 0]
         if not self.null_active:
             return table_part
         both = np.matmul(self.p0, np.stack([c1, c2])[..., None])[..., 0]
@@ -372,10 +412,11 @@ def apply_averaged_quadratic(
 
     Symmetric in its arguments (the kernel is symmetric and the table stores
     both orderings of every pair); preserves reality symmetry bit for bit.
-    The positive half is computed (null triples by padded FFT, the rest by
-    compiled kernels) and mirrored: one pass for reality-symmetric inputs,
-    two otherwise.  Raises ValueError if the table lacks a null triple of
-    the lattice or is not closed under negation.
+    The positive half is computed (null triples by padded FFT, the rest as
+    a sparse sum of branch-coordinate coefficients) and mirrored: one pass
+    for reality-symmetric inputs, two otherwise.  Raises ValueError if the
+    table lacks a null triple of the lattice or is not closed under
+    negation.
     """
     if w1.lattice.modes != table.lattice.modes or w2.lattice.modes != table.lattice.modes:
         raise ValueError("states and resonance table live on different lattices")

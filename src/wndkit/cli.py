@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,12 +22,13 @@ import numpy as np
 
 from . import navier_stokes as ns
 from .averaging import (
+    _compiled,
     cyclic_residual,
     diffusion_csv_rows,
     resonance_csv_rows,
 )
 from .dissipativity import analyze_dissipativity, default_alpha_grid
-from .solver import INTEGRATORS, BlowUpError, build_operators, simulate
+from .solver import INTEGRATORS, BlowUpError, build_operators, simulate, whole_steps
 from .spectral import FrequencyLattice, spectrum_csv_rows
 from .state import SpectralState, random_real_state, state_from_modes
 from .system import (
@@ -165,8 +167,11 @@ class Run:
             )
         if kind == "modes":
             n = self.spec.ncomp
+            items = cfg.get("entries", [])
+            if not isinstance(items, list):
+                raise ConfigError(f"modes 'entries' must be a list, got {items!r}")
             entries = []
-            for item in cfg.get("entries", []):
+            for item in items:
                 try:
                     mode = tuple(int(c) for c in item["mode"])
                     re = np.asarray(item["coeff_re"], dtype=float)
@@ -221,6 +226,11 @@ def cmd_operators(run: Run, outdir: Path) -> int:
         write_csv(outdir / "cyclic_residuals.csv", [["trial", "residual"]] + residuals)
         print(f"resonance triples: {len(ops.table)}; "
               f"max cyclic residual {max(r[1] for r in residuals):.3e}")
+        quad = _compiled(run.spec, ops.spectrum, ops.table)
+        largest, smallest = quad.drop_margin
+        print(f"qbar coefficients: {quad.terms} terms, {quad.coefficient_bytes} bytes; "
+              f"{quad.dropped} dropped as structural zeros, largest dropped {largest:.3e}, "
+              f"smallest kept {smallest:.3e} (relative to max |c|)")
         if not ops.table.exact:
             t = ops.table
             print(f"float resonance rule: worst accepted |defect| {np.abs(t.defects).max(initial=0.0):.3e}, "
@@ -250,6 +260,11 @@ def cmd_dissipativity(run: Run, outdir: Path) -> int:
 
 
 def cmd_simulate(run: Run, outdir: Path) -> int:
+    if run.dt is not None:
+        try:
+            whole_steps(run.t_end, run.dt)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     lattice = run.lattice()
     ops = build_operators(
         run.spec, lattice, resonance_tol=run.resonance_tol, exact_rule=run.exact_rule()
@@ -259,8 +274,10 @@ def cmd_simulate(run: Run, outdir: Path) -> int:
     snapdir.mkdir(exist_ok=True)
     dt = run.dt
     if dt is None:
-        # keep the nonlinear stage error dominant: resolve the fastest frequency
-        dt = min(1e-3, 0.1 / ops.omega_max) if ops.omega_max > 0 else 1e-3
+        # keep the nonlinear stage error dominant: resolve the fastest frequency,
+        # in the fewest equal steps that end at t_end
+        dt_max = min(1e-3, 0.1 / ops.omega_max) if ops.omega_max > 0 else 1e-3
+        dt = run.t_end / math.ceil(run.t_end / dt_max)
     try:
         snapshots, series = simulate(
             ops,

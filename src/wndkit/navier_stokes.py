@@ -49,6 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .averaging import apply_averaged_quadratic
+from .solver import whole_steps
 from .spectral import FrequencyLattice, Spectrum
 from .state import SpectralState, zero_state
 from .system import SystemSpec, change_of_variables
@@ -466,9 +467,7 @@ def simulate_incompressible_reference(
     """
     if t_end <= 0.0 or dt <= 0.0:
         raise ValueError("need t_end > 0 and dt > 0")
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError(f"t_end = {t_end:g} is not a whole number of steps of dt = {dt:g}")
+    n_steps = whole_steps(t_end, dt)
     dim = model.dim
     arr = lattice.array.astype(float)
     sq = (arr**2).sum(axis=1)

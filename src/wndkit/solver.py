@@ -25,7 +25,6 @@ the group.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -222,6 +221,14 @@ class DiagnosticsSeries:
             yield row
 
 
+def whole_steps(t_end: float, dt: float) -> int:
+    """The number of steps of dt that reach t_end; ValueError unless whole."""
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValueError(f"t_end = {t_end:g} is not a whole number of steps of dt = {dt:g}")
+    return n_steps
+
+
 def simulate(
     ops: WndOperators,
     initial: SpectralState,
@@ -235,6 +242,7 @@ def simulate(
 ) -> tuple[list[SpectralState], DiagnosticsSeries]:
     """Fixed-step integration with energy accounting.
 
+    t_end must be a whole number of steps of dt (ValueError otherwise).
     Snapshots are full states taken every `diagnostics_every` steps (plus the
     final state).  The budget residual reported at each snapshot is the
     defect of the energy identity accumulated from t = 0.
@@ -250,9 +258,7 @@ def simulate(
             "but nonlinear stage accuracy may suffer",
             stacklevel=2,
         )
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        n_steps = math.ceil(t_end / dt)
+    n_steps = whole_steps(t_end, dt)
 
     spec = ops.spec
     state = initial.copy()

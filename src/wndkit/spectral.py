@@ -109,12 +109,17 @@ class ModeDecomposition:
 
     Invariants (up to roundoff): projectors sum to the identity, are mutually
     annihilating idempotents, are self-adjoint in the g inner product, and
-    reassemble the advection symbol as sum_j omega_j * p_j.
+    reassemble the advection symbol as sum_j omega_j * p_j.  The columns of
+    `basis` are g-orthonormal eigenvectors (basis^T g basis = I, so the
+    inverse is basis^T g); column c lies in branch `branch[c]`, and p_j is
+    the sum of b_c b_c^T g over the columns of branch j.
     """
 
     mode: Mode
     frequencies: np.ndarray
     projectors: np.ndarray
+    basis: np.ndarray  # (N, N) float
+    branch: np.ndarray  # (N,) int
 
     @property
     def nfreq(self) -> int:
@@ -130,8 +135,11 @@ class Spectrum(Mapping):
     a padded branch has frequency 0 and a zero projector, so any sum over
     all B branches equals the sum over the real ones.  `null` marks the
     branches whose frequency is zero within the clustering tolerance
-    (padded branches are not branches).  As a read-only mapping from mode
-    to ModeDecomposition it serves views of those rows.
+    (padded branches are not branches).  `basis` (M, N, N) and `branch`
+    (M, N) stack the per-mode eigenvector bases and the branch of each
+    column: the branch ranks at a mode sum to N, so one basis spans them
+    all.  As a read-only mapping from mode to ModeDecomposition it serves
+    views of those rows.
     """
 
     lattice: FrequencyLattice
@@ -139,6 +147,8 @@ class Spectrum(Mapping):
     projectors: np.ndarray  # (M, B, N, N) float
     nfreq: np.ndarray  # (M,) int
     null: np.ndarray  # (M, B) bool
+    basis: np.ndarray  # (M, N, N) float
+    branch: np.ndarray  # (M, N) int
 
     def __getitem__(self, mode: Sequence[int]) -> ModeDecomposition:
         i = self.lattice.index(mode)
@@ -147,6 +157,8 @@ class Spectrum(Mapping):
             mode=self.lattice.modes[i],
             frequencies=self.frequencies[i, :k],
             projectors=self.projectors[i, :k],
+            basis=self.basis[i],
+            branch=self.branch[i],
         )
 
     def __iter__(self) -> Iterator[Mode]:
@@ -177,26 +189,32 @@ def decompose(spec: SystemSpec, mode: Sequence[int]) -> ModeDecomposition:
 
     Solved as the symmetric problem on g^{1/2} a(xi) g^{-1/2}; eigenvalues
     within CLUSTER_TOL * max|omega| of each other merge into one frequency
-    whose stored value is the cluster mean.
+    whose stored value is the cluster mean.  The basis is g^{-1/2} times
+    the symmetric problem's eigenvectors (g^{-1/2} itself at the zero mode,
+    whose one branch is everything).
     """
     key = tuple(int(c) for c in mode)
     n = spec.ncomp
+    root, inv_root = spec.metric_sqrt()
     if not any(key):
         return ModeDecomposition(
             mode=key,
             frequencies=np.zeros(1),
             projectors=np.eye(n)[None, :, :],
+            basis=inv_root,
+            branch=np.zeros(n, dtype=np.int64),
         )
-    root, inv_root = spec.metric_sqrt()
     sym = root @ advection_symbol(spec, np.asarray(key, dtype=float)) @ inv_root
     evals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
     groups = _cluster(evals)
     freqs = np.array([evals[g].mean() for g in groups])
     projs = np.empty((len(groups), n, n))
+    branch = np.empty(n, dtype=np.int64)
     for j, g in enumerate(groups):
         block = vecs[:, g]
         projs[j] = inv_root @ (block @ block.T) @ root
-    return ModeDecomposition(mode=key, frequencies=freqs, projectors=projs)
+        branch[g] = j
+    return ModeDecomposition(mode=key, frequencies=freqs, projectors=projs, basis=inv_root @ vecs, branch=branch)
 
 
 def evolve_group(dec: ModeDecomposition, t: float, vec: np.ndarray) -> np.ndarray:
@@ -217,9 +235,11 @@ def frequency_spectrum(spec: SystemSpec, lattice: FrequencyLattice) -> Spectrum:
         projectors[i, : dec.nfreq] = dec.projectors
     scale = np.maximum(np.abs(frequencies).max(axis=1, keepdims=True), 1.0)
     null = (np.arange(width) < nfreq[:, None]) & (np.abs(frequencies) <= CLUSTER_TOL * scale)
-    for arr in (frequencies, projectors, nfreq, null):
+    basis = np.stack([dec.basis for dec in decs])
+    branch = np.stack([dec.branch for dec in decs])
+    for arr in (frequencies, projectors, nfreq, null, basis, branch):
         arr.setflags(write=False)
-    return Spectrum(lattice, frequencies, projectors, nfreq, null)
+    return Spectrum(lattice, frequencies, projectors, nfreq, null, basis, branch)
 
 
 def spectrum_csv_rows(spectrum: Spectrum) -> Iterator[list]:

@@ -3,6 +3,7 @@ import pytest
 
 import wndkit as wk
 from wndkit.averaging import (
+    _compiled,
     _CompiledQuadratic,
     apply_averaged_quadratic,
     apply_quadratic,
@@ -195,6 +196,67 @@ def test_qbar_matches_table_reference(cns_ops4, cns_model):
         assert err <= 1e-13 * scale, name
         if name == "real":
             assert is_reality_symmetric(got)
+
+
+def _system(name, request):
+    """(spec, ops, model) of a test system; the model, which wcns_split needs, only for the float-rule 2-D gas."""
+    if name == "ideal-gas-2d":
+        return request.getfixturevalue("cns_model").spec, request.getfixturevalue("cns_ops4"), None
+    if name == "coupled-wave":
+        return (*request.getfixturevalue("coupled_wave"), None)
+    if name == "scalar":
+        return request.getfixturevalue("scalar_spec"), request.getfixturevalue("scalar_ops"), None
+    if name == "ideal-gas-1d":
+        model = wk.build_preset("ideal-gas-1d")
+        lat = wk.FrequencyLattice(1, 6)
+        return model.spec, wk.build_operators(model.spec, lat, exact_rule=wk.make_exact_resonance_rule(model)), None
+    model = request.getfixturevalue("cns_model")  # "float-rule-2d"
+    return model.spec, wk.build_operators(model.spec, wk.FrequencyLattice(2, 3)), model
+
+
+@pytest.mark.parametrize("system", ["ideal-gas-1d", "float-rule-2d", "coupled-wave", "scalar"])
+def test_qbar_matches_table_reference_beyond_the_2d_gas(system, request):
+    spec, ops, model = _system(system, request)
+    lat, n = ops.lattice, spec.ncomp
+    w1 = wk.random_real_state(lat, n, seed=91, decay=2.0)
+    w2 = wk.random_real_state(lat, n, seed=92, decay=2.0)
+    mixed = w1.copy()
+    mixed.coeffs = w1.coeffs + 1j * w2.coeffs
+    offset = wk.random_real_state(lat, n, seed=93, decay=2.0, zero_mean=False)
+    offset.coeffs = offset.coeffs + 1j * w1.coeffs
+    offset.coeffs[lat.zero_index()] += 0.3j
+    cases = {"real": (w1, w2), "mixed": (mixed, w2), "complex": (offset, mixed)}
+    if model is not None:
+        split, _ = wcns_split(model, ops.spectrum, w1)
+        cases["split"] = (split, split)
+    assert _compiled(spec, ops.spectrum, ops.table).terms > 0
+    for name, (a, b) in cases.items():
+        got, err, scale = _qbar_vs_reference(ops, spec, a, b)
+        assert err <= 1e-13 * scale, name
+        if name == "real":
+            assert is_reality_symmetric(got)
+
+
+@pytest.mark.parametrize("system", ["ideal-gas-2d", "ideal-gas-1d", "float-rule-2d", "coupled-wave", "scalar"])
+def test_spectrum_basis_rebuilds_projectors(system, request):
+    """basis^T g basis = I, and the columns of branch j give p_j = sum b_c b_c^T g."""
+    spec, ops, _ = _system(system, request)
+    spectrum = ops.spectrum
+    cobasis = spectrum.basis.transpose(0, 2, 1) @ spec.entropy_hessian
+    assert np.abs(cobasis @ spectrum.basis - np.eye(spec.ncomp)).max() <= 1e-14
+    in_branch = spectrum.branch[:, :, None] == np.arange(spectrum.frequencies.shape[1])
+    rebuilt = np.einsum("mpc,mcj,mcq->mjpq", spectrum.basis, in_branch, cobasis)
+    assert np.abs(rebuilt - spectrum.projectors).max() <= 1e-14
+
+
+@pytest.mark.parametrize("ops_fixture", ["cns_ops4", "cns_ops8"])
+def test_qbar_drop_margin(ops_fixture, cns_model, request):
+    """Dropped coefficients are roundoff, kept ones are far from it."""
+    ops = request.getfixturevalue(ops_fixture)
+    quad = _compiled(cns_model.spec, ops.spectrum, ops.table)
+    largest, smallest = quad.drop_margin
+    assert quad.dropped > 0 and largest <= 1e-14 and smallest >= 1e-6
+    assert quad.terms == len(quad.coef) and quad.coefficient_bytes <= 500_000
 
 
 def test_qbar_alias_free_on_corner_modes(cns_ops4, cns_model):

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,37 @@ def test_bad_modes_entry_exits_two(tmp_path, capsys, entry):
     assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("entries", [5, None])
+def test_modes_entries_not_a_list_exits_two(tmp_path, capsys, entries):
+    cfg = modes_config(tmp_path / "run.json", entries)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ")
+
+
+def test_simulate_dt_must_divide_t_end(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.json")
+    data = json.loads(cfg.read_text())
+    data["simulation"]["dt"] = 0.03  # t_end 0.05 is not a whole number of steps
+    cfg.write_text(json.dumps(data))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ")
+    assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+def test_simulate_default_dt_ends_at_t_end(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.json")
+    data = json.loads(cfg.read_text())
+    del data["simulation"]["dt"]
+    data["simulation"]["t_end"] = 0.0125  # 12.5 steps of the 1e-3 cap: 13 equal steps instead
+    cfg.write_text(json.dumps(data))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert "simulated to t = 0.0125;" in capsys.readouterr().out
+    energy = np.loadtxt(tmp_path / "out" / "energy.dat")
+    assert energy[-1, 0] == pytest.approx(0.0125, rel=1e-12)
+
+
 def test_simulate_modes_initial(tmp_path):
     entry = {"mode": [1, 0], "coeff_re": [0.0, 0.01, 0.0, 0.0], "coeff_im": [0.0, 0.0, 0.02, 0.0]}
     cfg = modes_config(tmp_path / "run.json", [entry])
@@ -147,7 +179,10 @@ def test_unknown_preset_exits_two(tmp_path):
 def test_operators_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.json")
     assert main(["operators", "--config", str(cfg)]) == 0
-    assert "float resonance rule" not in capsys.readouterr().out  # exact rule: no margin line
+    stdout = capsys.readouterr().out
+    assert "float resonance rule" not in stdout  # exact rule: no margin line
+    assert re.search(r"qbar coefficients: [1-9]\d* terms, [1-9]\d* bytes; [1-9]\d* dropped as structural zeros, "
+                     r"largest dropped \S+, smallest kept \S+", stdout)
     out = tmp_path / "out"
     table = (out / "resonance_table.csv").read_text().strip().splitlines()
     assert len(table) > 0

@@ -205,6 +205,12 @@ def test_blowup_detection(cns_model):
     assert exc.value.magnitude > 1e12
 
 
+def test_simulate_rejects_partial_last_step(cns_ops4):
+    w0 = wk.zero_state(cns_ops4.lattice, 4)
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        wk.simulate(cns_ops4, w0, t_end=0.05, dt=0.03)
+
+
 def test_dt_warning(cns_ops4):
     w0 = wk.zero_state(cns_ops4.lattice, 4)
     with pytest.warns(UserWarning, match="under-resolves"):
