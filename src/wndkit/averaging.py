@@ -96,8 +96,7 @@ class AveragedDiffusion:
 def averaged_diffusion(spec: SystemSpec, spectrum: Spectrum, lattice: FrequencyLattice) -> AveragedDiffusion:
     """dbar(xi) = - sum_j p_j(xi) b(xi) p_j(xi) for every lattice mode."""
     spectrum.require_lattice(lattice)
-    xi = lattice.array.astype(float)
-    bsym = np.einsum("ma,mb,abqr->mqr", xi, xi, spec.diffusion)
+    bsym = diffusion_symbol(spec, lattice.array.astype(float))
     proj = spectrum.projectors
     blocks = np.zeros((len(lattice), spec.ncomp, spec.ncomp), dtype=complex)
     blocks.real = -np.einsum("mjpq,mqr,mjrs->mps", proj, bsym, proj)
@@ -366,11 +365,12 @@ class _CompiledQuadratic:
         table_part = np.matmul(self.upper_basis, coords.reshape(-1, n, 1))[:, :, 0]
         if not self.null_active:
             return table_part
-        both = np.matmul(self.p0, np.stack([c1, c2])[..., None])[..., 0]
-        grid = np.zeros((2, n, *self.grid_shape), dtype=complex)
-        grid[(slice(None), slice(None), *self.grid_index)] = both.transpose(0, 2, 1)
-        fields = scipy.fft.ifftn(grid, axes=self.axes, norm="forward", overwrite_x=True).reshape(2, n, -1)
-        pair = (fields[0][:, None] * fields[1][None, :]).reshape(n * n, -1)
+        inputs = np.stack([c1] if c2 is c1 else [c1, c2])  # the same input is transformed once
+        null_part = np.matmul(self.p0, inputs[..., None])[..., 0]
+        grid = np.zeros((len(inputs), n, *self.grid_shape), dtype=complex)
+        grid[(slice(None), slice(None), *self.grid_index)] = null_part.transpose(0, 2, 1)
+        fields = scipy.fft.ifftn(grid, axes=self.axes, norm="forward", overwrite_x=True).reshape(len(inputs), n, -1)
+        pair = (fields[0][:, None] * fields[-1][None, :]).reshape(n * n, -1)
         flux = (self.flux_matrix @ pair).reshape(-1, *self.grid_shape)
         flux = scipy.fft.fftn(flux, axes=self.axes, norm="forward", overwrite_x=True)
         gathered = flux[(slice(None), *self.upper_grid_index)].reshape(-1, n, len(upper))
@@ -380,7 +380,8 @@ class _CompiledQuadratic:
     def apply(self, w1: SpectralState, w2: SpectralState) -> SpectralState:
         neg = self.lattice.negation
         c1, c2 = w1.coeffs, w2.coeffs
-        m1, m2 = c1[neg].conj(), c2[neg].conj()
+        m1 = c1[neg].conj()
+        m2 = m1 if c2 is c1 else c2[neg].conj()
         out = np.zeros_like(c1)
         half = self._upper(c1, c2)
         out[self.upper] = half

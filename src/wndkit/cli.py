@@ -43,6 +43,10 @@ EXIT_FINDING = 1
 EXIT_INPUT = 2
 EXIT_BLOWUP = 3
 
+# a dissipativity run stacks one (N, N) matrix per direction and solves one pencil per direction and alpha
+MAX_DIRECTIONS = 100_000
+MAX_ALPHAS = 10_000
+
 
 class ConfigError(ValueError):
     pass
@@ -139,12 +143,14 @@ class Run:
         diss = config.get("dissipativity", {})
         # a count of log-spaced alphas in [1e-2, 1e2], or the alphas themselves
         grid = diss.get("alpha_grid", 32)
+        if (grid if type(grid) is int else np.size(grid)) > MAX_ALPHAS:
+            raise ConfigError(f"alpha_grid holds more than {MAX_ALPHAS} alphas")
         self.alphas = default_alpha_grid(grid) if type(grid) is int else np.asarray(grid, dtype=float)
         if self.alphas.ndim != 1 or not self.alphas.size or not (np.isfinite(self.alphas) & (self.alphas > 0)).all():
             raise ConfigError("alpha_grid must be a count >= 1 or a nonempty list of positive alphas")
         self.direction_count = int(diss.get("direction_count", 200))
-        if self.direction_count < 1:
-            raise ConfigError("direction_count must be >= 1")
+        if not 1 <= self.direction_count <= MAX_DIRECTIONS:
+            raise ConfigError(f"direction_count must be in [1, {MAX_DIRECTIONS}]")
 
     def lattice(self) -> FrequencyLattice:
         return FrequencyLattice(self.spec.dim, self.lattice_k)

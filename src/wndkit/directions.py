@@ -59,18 +59,19 @@ def unit_directions(dim: int, count: int) -> np.ndarray:
 
 
 def lattice_directions(lattice_array: np.ndarray) -> np.ndarray:
-    """Distinct unit directions spanned by nonzero integer lattice modes.
+    """Distinct unit directions spanned by nonzero integer lattice modes, in lexicographic order.
 
     Collinear modes are deduplicated through their primitive integer vector,
     keeping the scan size independent of the truncation radius along rays.
     """
-    prims: dict[tuple[int, ...], np.ndarray] = {}
-    for mode in np.asarray(lattice_array, dtype=np.int64):
-        if not mode.any():
-            continue
-        g = int(np.gcd.reduce(np.abs(mode)))
-        key = tuple(int(c) for c in mode // g)
-        if key not in prims:
-            vec = np.asarray(key, dtype=float)
-            prims[key] = vec / np.linalg.norm(vec)
-    return np.array(sorted(prims.values(), key=tuple))
+    modes = np.asarray(lattice_array, dtype=np.int64)
+    modes = modes[modes.any(axis=1)]
+    prims = np.unique(modes // np.gcd.reduce(np.abs(modes), axis=1, keepdims=True), axis=0).astype(float)
+    units = prims / norms(prims)[:, None]
+    return units[np.lexsort(units.T[::-1])]
+
+
+def norms(vecs: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis, one BLAS dot per vector: the bits
+    of np.linalg.norm on each vector (its axis form sums in another order)."""
+    return np.sqrt(np.matmul(vecs[..., None, :], vecs[..., :, None])[..., 0, 0])

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .averaging import AveragedDiffusion
-from .directions import lattice_directions, unit_directions
+from .directions import lattice_directions, norms, unit_directions
 from .spectral import FrequencyLattice
 from .system import SystemSpec, advection_symbol, diffusion_symbol
 
@@ -67,25 +67,26 @@ def kawashima_check(
 ) -> tuple[bool, list[KawashimaWitness]]:
     """Test whether any advection eigenvector is annihilated by the diffusion symbol.
 
-    For each sampled direction, every eigenvector v of a(xi) is checked
-    against |b(xi) v| <= KAWASHIMA_NULL_TOL * |b(xi)| |v|; matches are returned as
-    witnesses (they correspond to nonconstant undamped waves).
+    At every sampled direction (one stacked eigensolve), every eigenvector v
+    of a(xi) is checked against |b(xi) v| <= KAWASHIMA_NULL_TOL * |b(xi)| |v|;
+    matches are returned as witnesses (they correspond to nonconstant
+    undamped waves), by direction, then by ascending eigenvalue.
     """
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if dirs.size == 0:
         raise ValueError("need at least one direction")
-    witnesses: list[KawashimaWitness] = []
     root, inv_root = spec.metric_sqrt()
-    for xi in dirs:
-        bsym = diffusion_symbol(spec, xi)
-        bnorm = np.linalg.norm(bsym, 2)
-        sym = root @ advection_symbol(spec, xi) @ inv_root
-        evals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
-        for omega, col in zip(evals, vecs.T):
-            vec = inv_root @ col
-            vec = vec / np.linalg.norm(vec)
-            if np.linalg.norm(bsym @ vec) <= KAWASHIMA_NULL_TOL * bnorm:
-                witnesses.append(KawashimaWitness(np.array(xi), float(omega), vec))
+    bsym = diffusion_symbol(spec, dirs)
+    bnorm = np.linalg.norm(bsym, 2, axis=(1, 2))
+    sym = root @ advection_symbol(spec, dirs) @ inv_root
+    evals, vecs = np.linalg.eigh(0.5 * (sym + sym.swapaxes(-1, -2)))
+    # row c of vecs[i] is eigenvector c; matrix-vector products (gemv) keep the per-vector bits
+    vecs = np.matmul(inv_root, vecs.swapaxes(-1, -2)[..., None])[..., 0]
+    vecs = vecs / norms(vecs)[..., None]
+    undamped = norms(np.matmul(bsym[:, None], vecs[..., None])[..., 0]) <= KAWASHIMA_NULL_TOL * bnorm[:, None]
+    witnesses = [
+        KawashimaWitness(np.array(dirs[i]), float(evals[i, c]), vecs[i, c]) for i, c in zip(*np.nonzero(undamped))
+    ]
     return (len(witnesses) == 0), witnesses
 
 
@@ -97,12 +98,28 @@ def metric_operator_norm(spec: SystemSpec, mat: np.ndarray) -> float:
 
 def sphere_constants(spec: SystemSpec, directions: np.ndarray) -> tuple[float, float]:
     """Sampled sphere maxima of the advection and diffusion symbol norms."""
-    c_adv = 0.0
-    c_diff = 0.0
-    for xi in np.atleast_2d(directions):
-        c_adv = max(c_adv, metric_operator_norm(spec, advection_symbol(spec, xi)))
-        c_diff = max(c_diff, metric_operator_norm(spec, diffusion_symbol(spec, xi)))
-    return c_adv, c_diff
+    dirs = np.atleast_2d(directions)
+    root, inv_root = spec.metric_sqrt()
+    return tuple(
+        float(np.linalg.norm(root @ sym @ inv_root, 2, axis=(1, 2)).max())
+        for sym in (advection_symbol(spec, dirs), diffusion_symbol(spec, dirs))
+    )
+
+
+def _betas(spec: SystemSpec, alphas: np.ndarray | list[float], directions: np.ndarray) -> np.ndarray:
+    """beta_by_direction at every alpha, shape (alphas, directions); the symbols are evaluated once."""
+    dirs = np.atleast_2d(directions)
+    g = spec.entropy_hessian
+    a = advection_symbol(spec, dirs)
+    gb = g @ diffusion_symbol(spec, dirs)
+    coupled = a.swapaxes(-1, -2) @ gb @ a
+    out = np.empty((len(alphas), len(dirs)))
+    for i, alpha in enumerate(alphas):
+        mat = gb + coupled / alpha**2
+        mat = 0.5 * (mat + mat.swapaxes(-1, -2))
+        # scipy's generalized eigh takes one pencil at a time
+        out[i] = [scipy.linalg.eigh(m, g, eigvals_only=True)[0] for m in mat]
+    return out
 
 
 def beta_by_direction(spec: SystemSpec, alpha: float, directions: np.ndarray) -> np.ndarray:
@@ -110,16 +127,7 @@ def beta_by_direction(spec: SystemSpec, alpha: float, directions: np.ndarray) ->
 
         (g b(xi) + alpha^-2 a(xi)^T g b(xi) a(xi),  g).
     """
-    g = spec.entropy_hessian
-    out = np.empty(len(np.atleast_2d(directions)))
-    for i, xi in enumerate(np.atleast_2d(directions)):
-        a = advection_symbol(spec, xi)
-        gb = g @ diffusion_symbol(spec, xi)
-        mat = gb + (a.T @ gb @ a) / alpha**2
-        mat = 0.5 * (mat + mat.T)
-        vals = scipy.linalg.eigh(mat, g, eigvals_only=True)
-        out[i] = float(vals[0])
-    return out
+    return _betas(spec, [alpha], directions)[0]
 
 
 def criterion_beta(spec: SystemSpec, alpha: float, directions: np.ndarray) -> float:
@@ -164,6 +172,7 @@ def strict_criterion_search(
 ) -> CriterionSearch:
     """Scan the alpha grid and keep the (alpha, beta) pair maximizing delta.
 
+    The symbols are evaluated once per direction for the whole grid.
     Failure (beta <= 0 for every alpha) is reported in the result, not
     raised: a system without the property is a finding, not an error.
     """
@@ -179,8 +188,7 @@ def strict_criterion_search(
     c_diff = max(c_diff, 1e-30)
     best: CriterionSearch | None = None
     pairs = []
-    for alpha in alphas:
-        values = beta_by_direction(spec, float(alpha), directions)
+    for alpha, values in zip(alphas, _betas(spec, alphas, directions)):
         beta = float(values.min())
         pairs.append((float(alpha), beta))
         if beta <= 0.0:
@@ -200,17 +208,12 @@ def verify_delta(spec: SystemSpec, avg: AveragedDiffusion) -> float:
     criterion directions contained the lattice directions.
     """
     g = spec.entropy_hessian
-    best = np.inf
-    arr = avg.lattice.array
-    for i, mode in enumerate(arr):
-        sq = float((mode.astype(float) ** 2).sum())
-        if sq == 0.0:
-            continue
-        gd = g @ avg.blocks[i]
-        herm = -0.5 * (gd + gd.conj().T)
-        vals = scipy.linalg.eigh(herm, sq * g.astype(complex), eigvals_only=True)
-        best = min(best, float(vals[0]))
-    return best
+    sq = (avg.lattice.array.astype(float) ** 2).sum(axis=1)
+    nonzero = sq != 0.0
+    gd = g @ avg.blocks[nonzero]
+    herm = -0.5 * (gd + gd.conj().swapaxes(-1, -2))
+    vals = [scipy.linalg.eigh(h, s * g.astype(complex), eigvals_only=True)[0] for h, s in zip(herm, sq[nonzero])]
+    return float(min(vals, default=np.inf))
 
 
 @dataclass(frozen=True)
@@ -247,11 +250,7 @@ class DissipativityReport:
 
 def report_directions(spec: SystemSpec, lattice: FrequencyLattice, extra: int) -> np.ndarray:
     """Direction sample: every lattice direction plus a deterministic sphere set."""
-    dirs = [unit_directions(spec.dim, extra)]
-    lat = lattice_directions(lattice.array)
-    if lat.size:
-        dirs.append(lat)
-    return np.concatenate(dirs, axis=0)
+    return np.concatenate([unit_directions(spec.dim, extra), lattice_directions(lattice.array)])
 
 
 def analyze_dissipativity(

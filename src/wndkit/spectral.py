@@ -172,49 +172,53 @@ class Spectrum(Mapping):
             raise ValueError("spectrum and lattice have different modes")
 
 
-def _cluster(eigenvalues: np.ndarray) -> list[np.ndarray]:
-    scale = max(float(np.abs(eigenvalues).max()), 1.0) if eigenvalues.size else 1.0
-    groups: list[np.ndarray] = []
-    start = 0
-    for i in range(1, len(eigenvalues)):
-        if eigenvalues[i] - eigenvalues[i - 1] > CLUSTER_TOL * scale:
-            groups.append(np.arange(start, i))
-            start = i
-    groups.append(np.arange(start, len(eigenvalues)))
-    return groups
+def _decompose_modes(spec: SystemSpec, modes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Spectrum arrays (frequencies, projectors, nfreq, null, basis, branch) at each row of `modes` (K, d).
+
+    One batched eigensolve on g^{1/2} a(xi) g^{-1/2}.  A new branch starts
+    wherever consecutive eigenvalues differ by more than CLUSTER_TOL *
+    max(max|omega|, 1), and its frequency is the cluster mean.
+    """
+    n = spec.ncomp
+    root, inv_root = spec.metric_sqrt()
+    sym = root @ advection_symbol(spec, modes.astype(float)) @ inv_root
+    evals, vecs = np.linalg.eigh(0.5 * (sym + sym.swapaxes(-1, -2)))
+    scale = np.maximum(np.abs(evals).max(axis=1, keepdims=True), 1.0)
+    branch = np.cumsum(np.diff(evals, axis=1, prepend=evals[:, :1]) > CLUSTER_TOL * scale, axis=1)
+    nfreq = branch[:, -1] + 1
+    width = int(nfreq.max())
+    size = (branch[:, None, :] == np.arange(width)[:, None]).sum(axis=2)
+    first = np.cumsum(size, axis=1) - size  # branches are contiguous runs of columns
+    frequencies = np.zeros((len(modes), width))
+    projectors = np.zeros((len(modes), width, n, n))
+    # one gather per cluster size, so each mean and each block @ block^T
+    # sees exactly the cluster's own columns
+    for count in np.unique(size[size > 0]):
+        row, j = np.nonzero(size == count)
+        cols = first[row, j][:, None] + np.arange(count)
+        frequencies[row, j] = evals[row[:, None], cols].mean(axis=1)
+        block = vecs[row[:, None, None], np.arange(n)[:, None], cols[:, None, :]]
+        projectors[row, j] = inv_root @ (block @ block.swapaxes(-1, -2)) @ root
+    basis = inv_root @ vecs
+    zero = ~modes.any(axis=1)  # the zero mode has one branch: P = I, basis g^{-1/2}
+    frequencies[zero] = 0.0
+    projectors[zero, 0] = np.eye(n)
+    basis[zero] = inv_root
+    scale = np.maximum(np.abs(frequencies).max(axis=1, keepdims=True), 1.0)
+    null = (np.arange(width) < nfreq[:, None]) & (np.abs(frequencies) <= CLUSTER_TOL * scale)
+    return frequencies, projectors, nfreq, null, basis, branch
 
 
 def decompose(spec: SystemSpec, mode: Sequence[int]) -> ModeDecomposition:
-    """Eigenstructure of the advection symbol at one integer mode.
+    """Eigenstructure of the advection symbol at one integer mode: one row of frequency_spectrum.
 
-    Solved as the symmetric problem on g^{1/2} a(xi) g^{-1/2}; eigenvalues
-    within CLUSTER_TOL * max|omega| of each other merge into one frequency
-    whose stored value is the cluster mean.  The basis is g^{-1/2} times
-    the symmetric problem's eigenvectors (g^{-1/2} itself at the zero mode,
-    whose one branch is everything).
+    The basis is g^{-1/2} times the symmetric problem's eigenvectors
+    (g^{-1/2} itself at the zero mode, whose one branch is everything).
     """
     key = tuple(int(c) for c in mode)
-    n = spec.ncomp
-    root, inv_root = spec.metric_sqrt()
-    if not any(key):
-        return ModeDecomposition(
-            mode=key,
-            frequencies=np.zeros(1),
-            projectors=np.eye(n)[None, :, :],
-            basis=inv_root,
-            branch=np.zeros(n, dtype=np.int64),
-        )
-    sym = root @ advection_symbol(spec, np.asarray(key, dtype=float)) @ inv_root
-    evals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
-    groups = _cluster(evals)
-    freqs = np.array([evals[g].mean() for g in groups])
-    projs = np.empty((len(groups), n, n))
-    branch = np.empty(n, dtype=np.int64)
-    for j, g in enumerate(groups):
-        block = vecs[:, g]
-        projs[j] = inv_root @ (block @ block.T) @ root
-        branch[g] = j
-    return ModeDecomposition(mode=key, frequencies=freqs, projectors=projs, basis=inv_root @ vecs, branch=branch)
+    frequencies, projectors, nfreq, _, basis, branch = _decompose_modes(spec, np.array([key], dtype=np.int64))
+    k = int(nfreq[0])
+    return ModeDecomposition(key, frequencies[0, :k], projectors[0, :k], basis[0], branch[0])
 
 
 def evolve_group(dec: ModeDecomposition, t: float, vec: np.ndarray) -> np.ndarray:
@@ -224,22 +228,11 @@ def evolve_group(dec: ModeDecomposition, t: float, vec: np.ndarray) -> np.ndarra
 
 
 def frequency_spectrum(spec: SystemSpec, lattice: FrequencyLattice) -> Spectrum:
-    """Decomposition at every lattice mode, stacked in lattice order."""
-    decs = [decompose(spec, mode) for mode in lattice]
-    nfreq = np.array([dec.nfreq for dec in decs])
-    width = int(nfreq.max())
-    frequencies = np.zeros((len(decs), width))
-    projectors = np.zeros((len(decs), width, spec.ncomp, spec.ncomp))
-    for i, dec in enumerate(decs):
-        frequencies[i, : dec.nfreq] = dec.frequencies
-        projectors[i, : dec.nfreq] = dec.projectors
-    scale = np.maximum(np.abs(frequencies).max(axis=1, keepdims=True), 1.0)
-    null = (np.arange(width) < nfreq[:, None]) & (np.abs(frequencies) <= CLUSTER_TOL * scale)
-    basis = np.stack([dec.basis for dec in decs])
-    branch = np.stack([dec.branch for dec in decs])
-    for arr in (frequencies, projectors, nfreq, null, basis, branch):
+    """Decomposition at every lattice mode: one batched eigensolve, in lattice order."""
+    arrays = _decompose_modes(spec, lattice.array)
+    for arr in arrays:
         arr.setflags(write=False)
-    return Spectrum(lattice, frequencies, projectors, nfreq, null, basis, branch)
+    return Spectrum(lattice, *arrays)
 
 
 def spectrum_csv_rows(spectrum: Spectrum) -> Iterator[list]:

@@ -335,6 +335,33 @@ def test_qbar_pass_count(cns_ops4, cns_model, monkeypatch):
         assert len(passes) == count, name
 
 
+def test_qbar_of_one_state_transforms_it_once(cns_ops4, cns_model, monkeypatch):
+    """qbar(w, w) transforms w once per pass and gives qbar(w, w.copy()) bit for bit."""
+    import scipy.fft
+
+    spec = cns_model.spec
+    lat = cns_ops4.lattice
+    real = wk.random_real_state(lat, 4, seed=89, decay=2.0)
+    split, _ = wcns_split(cns_model, cns_ops4.spectrum, real)
+    complex_ = wk.random_real_state(lat, 4, seed=90, decay=2.0, zero_mean=False)
+    complex_.coeffs = complex_.coeffs * (1.0 + 0.5j)
+    complex_.coeffs[lat.zero_index()] += 0.3j
+    stacks = []
+    ifftn = scipy.fft.ifftn
+
+    def counted(x, *args, **kwargs):
+        stacks.append(x.shape[0])
+        return ifftn(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "ifftn", counted)
+    for name, w in {"real": real, "split": split, "complex": complex_}.items():
+        stacks.clear()
+        same = apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, w, w)
+        assert set(stacks) == {1}, name
+        other = apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, w, w.copy())
+        assert same.coeffs.tobytes() == other.coeffs.tobytes(), name
+
+
 def _reference_table(spectrum, lattice, decide):
     """The per-triple loop the table build replaced: decide(k, w1, l, w2, m, w3) -> bool."""
     modes = lattice.modes

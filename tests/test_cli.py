@@ -84,6 +84,9 @@ def test_malformed_config_exits_two(tmp_path, capsys):
         ("dissipativity", "dissipativity", "alpha_grid", "abc"),
         ("dissipativity", "dissipativity", "alpha_grid", 0),
         ("dissipativity", "dissipativity", "alpha_grid", []),
+        ("dissipativity", "dissipativity", "alpha_grid", 10**12),  # refused before allocating
+        ("dissipativity", "dissipativity", "alpha_grid", [1.0] * 10_001),
+        ("dissipativity", "dissipativity", "direction_count", 10**12),
     ],
 )
 def test_bad_config_values_exit_two(tmp_path, capsys, command, section, key, value):

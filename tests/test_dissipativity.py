@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wndkit as wk
+from wndkit.directions import lattice_directions
 from wndkit.dissipativity import (
+    KAWASHIMA_NULL_TOL,
     analyze_dissipativity,
+    beta_by_direction,
     constructive_delta,
     criterion_beta,
+    default_alpha_grid,
     kawashima_check,
     report_directions,
+    sphere_constants,
     strict_criterion_search,
     verify_delta,
 )
@@ -126,8 +132,6 @@ def test_delta_positive_implies_kawashima(cns_model, cns_ops4):
 
 
 def test_generalized_eigs_scale_with_mode_square(cns_model, cns_ops8):
-    import scipy.linalg
-
     g = cns_model.spec.entropy_hessian.astype(complex)
     base = None
     for mult in (1, 2, 4):
@@ -157,3 +161,119 @@ def test_report_directions_include_axes(cns_model):
         assert any(np.allclose(d, axis) for d in dirs)
     norms = np.linalg.norm(dirs, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
+
+
+# The per-direction and per-mode loops that the stacked certificate replaced,
+# kept as references: the stacked code must reproduce them bit for bit.
+
+
+def _reference_kawashima(spec, dirs):
+    witnesses = []
+    root, inv_root = spec.metric_sqrt()
+    for xi in dirs:
+        bsym = wk.diffusion_symbol(spec, xi)
+        bnorm = np.linalg.norm(bsym, 2)
+        sym = root @ wk.advection_symbol(spec, xi) @ inv_root
+        evals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
+        for omega, col in zip(evals, vecs.T):
+            vec = inv_root @ col
+            vec = vec / np.linalg.norm(vec)
+            if np.linalg.norm(bsym @ vec) <= KAWASHIMA_NULL_TOL * bnorm:
+                witnesses.append((np.array(xi), float(omega), vec))
+    return witnesses
+
+
+def _reference_sphere_constants(spec, dirs):
+    root, inv_root = spec.metric_sqrt()
+    c_adv = c_diff = 0.0
+    for xi in dirs:
+        c_adv = max(c_adv, float(np.linalg.norm(root @ wk.advection_symbol(spec, xi) @ inv_root, 2)))
+        c_diff = max(c_diff, float(np.linalg.norm(root @ wk.diffusion_symbol(spec, xi) @ inv_root, 2)))
+    return c_adv, c_diff
+
+
+def _reference_betas(spec, alpha, dirs):
+    g = spec.entropy_hessian
+    out = np.empty(len(dirs))
+    for i, xi in enumerate(dirs):
+        a = wk.advection_symbol(spec, xi)
+        gb = g @ wk.diffusion_symbol(spec, xi)
+        mat = gb + (a.T @ gb @ a) / alpha**2
+        mat = 0.5 * (mat + mat.T)
+        out[i] = float(scipy.linalg.eigh(mat, g, eigvals_only=True)[0])
+    return out
+
+
+def _reference_verify_delta(spec, avg):
+    g = spec.entropy_hessian
+    best = np.inf
+    for i, mode in enumerate(avg.lattice.array):
+        sq = float((mode.astype(float) ** 2).sum())
+        if sq == 0.0:
+            continue
+        gd = g @ avg.blocks[i]
+        herm = -0.5 * (gd + gd.conj().T)
+        best = min(best, float(scipy.linalg.eigh(herm, sq * g.astype(complex), eigvals_only=True)[0]))
+    return best
+
+
+def _certificate_system(name, request):
+    """(spec, lattice) of a test system; lattice radius 4 except the 2-D Euler spec."""
+    if name == "ideal-gas-2d":
+        return request.getfixturevalue("cns_model").spec, wk.FrequencyLattice(2, 4)
+    if name == "wave2":
+        return request.getfixturevalue("wave2_spec"), wk.FrequencyLattice(1, 4)
+    if name == "euler":
+        model = request.getfixturevalue("cns_model")
+        euler = wk.build_cns_spec(model.eos, wk.TransportCoefficients(0, 0, 0, 3), 1.0, 1.0, 2)
+        return euler, wk.FrequencyLattice(2, 2)
+    negative = wk.SystemSpec(1, 1, [0.0], [[[1.0]]], [[[[-1.0]]]], [[[[0.0]]]], [[1.0]])
+    return negative, wk.FrequencyLattice(1, 4)
+
+
+@pytest.mark.parametrize("system", ["ideal-gas-2d", "wave2", "euler", "negative-diffusion"])
+def test_stacked_certificate_matches_per_direction_reference(system, request):
+    spec, lattice = _certificate_system(system, request)
+    dirs = report_directions(spec, lattice, 64)
+    ok, witnesses = kawashima_check(spec, dirs)
+    ref = _reference_kawashima(spec, dirs)
+    assert ok == (not ref) and len(witnesses) == len(ref)
+    for got, (xi, omega, vec) in zip(witnesses, ref):
+        assert got.direction.tobytes() == xi.tobytes()
+        assert np.float64(got.frequency).tobytes() == np.float64(omega).tobytes()
+        assert got.vector.tobytes() == vec.tobytes()
+    if system == "euler":
+        assert witnesses  # the reference loop has something to match
+    assert sphere_constants(spec, dirs) == _reference_sphere_constants(spec, dirs)
+    alphas = default_alpha_grid(8)
+    refs = [_reference_betas(spec, float(alpha), dirs) for alpha in alphas]
+    for alpha, expected in zip(alphas, refs):
+        assert beta_by_direction(spec, float(alpha), dirs).tobytes() == expected.tobytes()
+    search = strict_criterion_search(spec, dirs, alphas)
+    assert search.beta_by_alpha == tuple((float(a), float(r.min())) for a, r in zip(alphas, refs))
+    if search.ok:
+        assert search.beta_per_direction == tuple(refs[list(alphas).index(search.alpha)].tolist())
+    avg = wk.build_operators(spec, lattice, with_quadratic=False).avg
+    got, expected = verify_delta(spec, avg), _reference_verify_delta(spec, avg)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+def _reference_lattice_directions(lattice_array):
+    prims = {}
+    for mode in np.asarray(lattice_array, dtype=np.int64):
+        if not mode.any():
+            continue
+        g = int(np.gcd.reduce(np.abs(mode)))
+        key = tuple(int(c) for c in mode // g)
+        if key not in prims:
+            vec = np.asarray(key, dtype=float)
+            prims[key] = vec / np.linalg.norm(vec)
+    return np.array(sorted(prims.values(), key=tuple))
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 5), (2, 6), (2, 1), (3, 3)])
+def test_lattice_directions_match_per_mode_reference(dim, radius):
+    got = lattice_directions(wk.FrequencyLattice(dim, radius).array)
+    expected = _reference_lattice_directions(wk.FrequencyLattice(dim, radius).array)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert lattice_directions(wk.FrequencyLattice(dim, 0).array).shape == (0, dim)

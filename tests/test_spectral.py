@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wndkit as wk
-from wndkit.spectral import FrequencyLattice, decompose, evolve_group, frequency_spectrum
+from wndkit.spectral import CLUSTER_TOL, FrequencyLattice, decompose, evolve_group, frequency_spectrum
 
 
 def test_lattice_negation_closure_and_order():
@@ -110,6 +110,95 @@ def test_frequency_spectrum_scalar_advection():
     assert np.allclose(freqs, [-2, -1, 0, 1, 2])
 
 
+def _reference_cluster(eigenvalues):
+    scale = max(float(np.abs(eigenvalues).max()), 1.0) if eigenvalues.size else 1.0
+    groups = []
+    start = 0
+    for i in range(1, len(eigenvalues)):
+        if eigenvalues[i] - eigenvalues[i - 1] > CLUSTER_TOL * scale:
+            groups.append(np.arange(start, i))
+            start = i
+    groups.append(np.arange(start, len(eigenvalues)))
+    return groups
+
+
+def _reference_decompose(spec, mode):
+    """The per-mode eigensolve and clustering loop the stacked spectrum replaced:
+    (frequencies, projectors, basis, branch) at one mode."""
+    n = spec.ncomp
+    root, inv_root = spec.metric_sqrt()
+    if not any(mode):
+        return np.zeros(1), np.eye(n)[None, :, :], inv_root, np.zeros(n, dtype=np.int64)
+    sym = root @ wk.advection_symbol(spec, np.asarray(mode, dtype=float)) @ inv_root
+    evals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
+    groups = _reference_cluster(evals)
+    freqs = np.array([evals[g].mean() for g in groups])
+    projs = np.empty((len(groups), n, n))
+    branch = np.empty(n, dtype=np.int64)
+    for j, g in enumerate(groups):
+        block = vecs[:, g]
+        projs[j] = inv_root @ (block @ block.T) @ root
+        branch[g] = j
+    return freqs, projs, inv_root @ vecs, branch
+
+
+def _reference_spectrum(spec, lattice):
+    """Every Spectrum array, stacked from _reference_decompose mode by mode."""
+    decs = [_reference_decompose(spec, mode) for mode in lattice]
+    nfreq = np.array([len(dec[0]) for dec in decs])
+    width = int(nfreq.max())
+    frequencies = np.zeros((len(decs), width))
+    projectors = np.zeros((len(decs), width, spec.ncomp, spec.ncomp))
+    for i, (freqs, projs, _, _) in enumerate(decs):
+        frequencies[i, : len(freqs)] = freqs
+        projectors[i, : len(freqs)] = projs
+    scale = np.maximum(np.abs(frequencies).max(axis=1, keepdims=True), 1.0)
+    null = (np.arange(width) < nfreq[:, None]) & (np.abs(frequencies) <= CLUSTER_TOL * scale)
+    return {
+        "frequencies": frequencies,
+        "projectors": projectors,
+        "nfreq": nfreq,
+        "null": null,
+        "basis": np.stack([dec[2] for dec in decs]),
+        "branch": np.stack([dec[3] for dec in decs]),
+    }
+
+
+def _spectrum_system(name, request):
+    if name == "wave2":
+        return request.getfixturevalue("wave2_spec"), FrequencyLattice(1, 4)
+    if name == "scalar":
+        return request.getfixturevalue("scalar_spec"), FrequencyLattice(1, 4)
+    if name == "ideal-gas-1d":
+        return wk.build_preset("ideal-gas-1d").spec, FrequencyLattice(1, 8)
+    if name == "ideal-gas-3d":  # a null cluster of three eigenvalues
+        return wk.build_preset("ideal-gas-2d", dim=3).spec, FrequencyLattice(3, 2)
+    spec = request.getfixturevalue("cns_model").spec
+    if name == "change-of-variables":
+        rng = np.random.Generator(np.random.Philox(key=12))
+        spec = wk.change_of_variables(spec, np.eye(4) + 0.2 * rng.standard_normal((4, 4)))
+    return spec, FrequencyLattice(2, 4)
+
+
+@pytest.mark.parametrize(
+    "system", ["ideal-gas-2d", "ideal-gas-1d", "wave2", "scalar", "change-of-variables", "ideal-gas-3d"]
+)
+def test_frequency_spectrum_matches_per_mode_reference(system, request):
+    """The batched eigensolve and array clustering give the per-mode loop's arrays bit for bit."""
+    spec, lattice = _spectrum_system(system, request)
+    spectrum = frequency_spectrum(spec, lattice)
+    ref = _reference_spectrum(spec, lattice)
+    for name, expected in ref.items():
+        got = getattr(spectrum, name)
+        assert got.shape == expected.shape and got.dtype == expected.dtype, name
+        assert got.tobytes() == expected.tobytes(), name
+    for mode in (lattice.modes[0], lattice.modes[lattice.zero_index()], lattice.modes[-2]):
+        dec = decompose(spec, mode)
+        freqs, projs, basis, branch = _reference_decompose(spec, mode)
+        assert dec.frequencies.tobytes() == freqs.tobytes() and dec.projectors.tobytes() == projs.tobytes()
+        assert dec.basis.tobytes() == basis.tobytes() and dec.branch.tobytes() == branch.tobytes()
+
+
 def test_frequency_spectrum_cns_branch_count(cns_model, cns_ops4):
     spectrum = cns_ops4.spectrum
     assert spectrum.frequencies.shape == (len(cns_ops4.lattice), 3)
@@ -118,10 +207,10 @@ def test_frequency_spectrum_cns_branch_count(cns_model, cns_ops4):
         expected = 1 if mode == (0, 0) else 3
         assert dec.nfreq == expected
         assert spectrum.nfreq[i] == expected
-        # stacked rows are the per-mode decomposition, bit for bit
-        ref = decompose(cns_model.spec, mode)
-        assert spectrum.frequencies[i, :expected].tobytes() == ref.frequencies.tobytes()
-        assert spectrum.projectors[i, :expected].tobytes() == ref.projectors.tobytes()
+        # stacked rows are the per-mode reference decomposition, bit for bit
+        freqs, projs, _, _ = _reference_decompose(cns_model.spec, mode)
+        assert spectrum.frequencies[i, :expected].tobytes() == freqs.tobytes()
+        assert spectrum.projectors[i, :expected].tobytes() == projs.tobytes()
         # padded branches are exactly zero
         assert not spectrum.frequencies[i, expected:].any()
         assert not spectrum.projectors[i, expected:].any()

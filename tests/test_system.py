@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wndkit as wk
-from wndkit.system import SpecShapeError
+from wndkit.directions import unit_directions
+from wndkit.system import ENTROPY_DIRECTIONS, SpecShapeError
 
 
 def test_scalar_advection_symbol_linearity(scalar_spec):
@@ -20,6 +21,23 @@ def test_diffusion_symbol_scalar_heat(scalar_spec):
 def test_symbol_dimension_mismatch(scalar_spec):
     with pytest.raises(SpecShapeError):
         wk.advection_symbol(scalar_spec, [1.0, 2.0])
+    for bad in (1.0, np.zeros((3, 2)), np.zeros((2, 3, 0))):
+        for symbol in (wk.advection_symbol, wk.diffusion_symbol):
+            with pytest.raises(SpecShapeError):
+                symbol(scalar_spec, bad)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_symbols_of_a_direction_stack_match_one_at_a_time(dim):
+    """(..., d) directions give (..., N, N) symbols, each with the bits of the single call."""
+    spec = wk.build_preset("ideal-gas-2d", dim=dim).spec
+    rng = np.random.Generator(np.random.Philox(key=6))
+    dirs = rng.standard_normal((3, 5, dim))
+    for symbol in (wk.advection_symbol, wk.diffusion_symbol):
+        stacked = symbol(spec, dirs)
+        assert stacked.shape == (3, 5, spec.ncomp, spec.ncomp)
+        for idx in np.ndindex(3, 5):
+            assert stacked[idx].tobytes() == symbol(spec, dirs[idx]).tobytes()
 
 
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2), st.floats(-3, 3))
@@ -56,6 +74,55 @@ def test_validate_negative_diffusion_fails():
     report = wk.validate_entropy_structure(spec)
     assert not report.passed
     assert report.min_diffusion_eigenvalue == pytest.approx(-1.0)
+
+
+def _reference_entropy_scan(spec):
+    """The per-direction loop the stacked scan replaced: (max asymmetry, min diffusion, worst direction)."""
+    g = spec.entropy_hessian
+    dirs = unit_directions(spec.dim, ENTROPY_DIRECTIONS)
+    worst_asym, worst_neg, worst_dir = 0.0, 0.0, dirs[0]
+    for xi in dirs:
+        ga = g @ wk.advection_symbol(spec, xi)
+        gb = g @ wk.diffusion_symbol(spec, xi)
+        asym = 0.0
+        scale_a = np.linalg.norm(ga)
+        if scale_a > 0.0:
+            asym = np.linalg.norm(ga - ga.T) / scale_a
+        scale_b = np.linalg.norm(gb)
+        neg = 0.0
+        if scale_b > 0.0:
+            asym = max(asym, np.linalg.norm(gb - gb.T) / scale_b)
+            neg = float(np.linalg.eigvalsh(0.5 * (gb + gb.T)).min()) / scale_b
+        if asym > worst_asym or neg < worst_neg:
+            worst_dir = xi
+        worst_asym = max(worst_asym, asym)
+        worst_neg = min(worst_neg, neg)
+    return float(worst_asym), float(worst_neg), np.array(worst_dir)
+
+
+@pytest.mark.parametrize("system", ["ideal-gas-2d", "wave2", "euler", "negative-diffusion", "asymmetric"])
+def test_validate_matches_per_direction_reference(system, cns_model, wave2_spec):
+    if system == "ideal-gas-2d":
+        spec = cns_model.spec
+    elif system == "wave2":
+        spec = wave2_spec
+    elif system == "euler":
+        spec = wk.build_cns_spec(cns_model.eos, wk.TransportCoefficients(0, 0, 0, 3), 1.0, 1.0, 2)
+    elif system == "negative-diffusion":
+        spec = wk.SystemSpec(1, 1, [0.0], [[[1.0]]], [[[[-1.0]]]], [[[[0.0]]]], [[1.0]])
+    else:  # asymmetric g a(xi) and indefinite g b(xi): both residuals set records, the last at direction 57
+        adv = cns_model.spec.advection.copy()
+        adv[1, 0, 1] += 0.3
+        dif = cns_model.spec.diffusion.copy()
+        dif[0, 1, 0, 0] -= 0.2
+        dif[1, 0, 0, 0] -= 0.2
+        spec = wk.SystemSpec(2, 4, cns_model.spec.state, adv, dif, cns_model.spec.quadratic,
+                             cns_model.spec.entropy_hessian)
+    report = wk.validate_entropy_structure(spec)
+    asym, neg, worst = _reference_entropy_scan(spec)
+    assert np.float64(report.max_asymmetry).tobytes() == np.float64(asym).tobytes()
+    assert np.float64(report.min_diffusion_eigenvalue).tobytes() == np.float64(neg).tobytes()
+    assert report.worst_direction.tobytes() == worst.tobytes()
 
 
 def test_validate_cns_passes(cns_model):
