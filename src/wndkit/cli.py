@@ -29,7 +29,7 @@ from .averaging import (
 )
 from .dissipativity import analyze_dissipativity, default_alpha_grid
 from .solver import INTEGRATORS, BlowUpError, build_operators, simulate, whole_steps
-from .spectral import FrequencyLattice, spectrum_csv_rows
+from .spectral import FrequencyLattice, convolution_pair_count, spectrum_csv_rows
 from .state import SpectralState, random_real_state, state_from_modes
 from .system import (
     SpecShapeError,
@@ -46,10 +46,20 @@ EXIT_BLOWUP = 3
 # a dissipativity run stacks one (N, N) matrix per direction and solves one pencil per direction and alpha
 MAX_DIRECTIONS = 100_000
 MAX_ALPHAS = 10_000
+# the (k, l) pairs of the lattice size the resonance-table candidates, the oracles and the incompressible reference
+MAX_PAIRS = 12_000_000
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _count(section: dict, key: str, default: int) -> int:
+    """A count must be a JSON integer: a bool, a fraction or a string is an input error."""
+    value = section.get(key, default)
+    if type(value) is not int:
+        raise ConfigError(f"{key} must be a JSON integer, got {json.dumps(value)}")
+    return value
 
 
 def _fmt(value) -> str:
@@ -108,12 +118,20 @@ class Run:
         else:
             raise ConfigError("config needs 'system': preset name or inline spec mapping")
 
-        self.lattice_k = int(config.get("lattice_k", 4))
+        self.lattice_k = _count(config, "lattice_k", 4)
         if self.lattice_k < 1:
             raise ConfigError("lattice_k must be >= 1")
+        pairs = convolution_pair_count(self.spec.dim, self.lattice_k)
+        if pairs > MAX_PAIRS:
+            raise ConfigError(
+                f"lattice_k {self.lattice_k} in {self.spec.dim}-D gives {pairs} convolution pairs, "
+                f"more than {MAX_PAIRS}"
+            )
         res = config.get("resonance", {})
         self.resonance_tol = float(res.get("tolerance", 1e-9))
-        self.use_exact_rule = bool(res.get("exact_rule", self.model is not None))
+        self.use_exact_rule = res.get("exact_rule", self.model is not None)
+        if type(self.use_exact_rule) is not bool:
+            raise ConfigError(f"exact_rule must be a JSON boolean, got {json.dumps(self.use_exact_rule)}")
         if self.use_exact_rule and self.model is None:
             raise ConfigError("exact_rule requires a gas-dynamics preset system")
         sim = config.get("simulation", {})
@@ -128,7 +146,7 @@ class Run:
         self.integrator = str(sim.get("integrator", "if_rk4"))
         if self.integrator not in INTEGRATORS:
             raise ConfigError(f"unknown integrator {self.integrator!r}; expected one of {INTEGRATORS}")
-        self.diagnostics_every = int(sim.get("diagnostics_every", 10))
+        self.diagnostics_every = _count(sim, "diagnostics_every", 10)
         if self.diagnostics_every < 1:
             raise ConfigError("diagnostics_every must be >= 1")
         self.sobolev_orders = [float(s) for s in sim.get("sobolev_orders", [1.0])]
@@ -148,7 +166,7 @@ class Run:
         self.alphas = default_alpha_grid(grid) if type(grid) is int else np.asarray(grid, dtype=float)
         if self.alphas.ndim != 1 or not self.alphas.size or not (np.isfinite(self.alphas) & (self.alphas > 0)).all():
             raise ConfigError("alpha_grid must be a count >= 1 or a nonempty list of positive alphas")
-        self.direction_count = int(diss.get("direction_count", 200))
+        self.direction_count = _count(diss, "direction_count", 200)
         if not 1 <= self.direction_count <= MAX_DIRECTIONS:
             raise ConfigError(f"direction_count must be in [1, {MAX_DIRECTIONS}]")
 

@@ -419,7 +419,7 @@ def make_exact_resonance_rule(model: CnsModel):
     """
 
     def rule(k, w1, l, w2, m, w3) -> np.ndarray:
-        a, b, c = ((x * x).sum(axis=1) for x in (k, l, m))
+        a, b, c = (np.einsum("ij,ij->i", x, x) for x in (k, l, m))  # integer-exact row norms
         return acoustic_sum_resonant(a, b, c, *(_branch_sign(model, w) for w in (w1, w2, w3)))
 
     return rule
@@ -464,6 +464,12 @@ def simulate_incompressible_reference(
     independent of the generic averaged machinery; used as its oracle.
     t_end must be a whole number of steps, so that the reference stops at
     the time `simulate` reaches rather than one step short of it.
+
+    The advection is a brute-force direct sum over the lattice's (k, l)
+    pairs, no FFT.  The state is held component-major, one (d+1, M) array
+    with the velocity components in rows 0..d-1 and theta in row d, so
+    every gather is a 1-D take and every segment sum a 1-D reduceat.
+    Returns u (M, d) and theta (M,).
     """
     if t_end <= 0.0 or dt <= 0.0:
         raise ValueError("need t_end > 0 and dt > 0")
@@ -473,44 +479,41 @@ def simulate_incompressible_reference(
     sq = (arr**2).sum(axis=1)
     nu_u = model.transport.shear / model.rho
     nu_t = model.transport.thermal / (model.rho * model.c_p)
+    nu = np.array([nu_u] * dim + [nu_t])[:, None]  # (d+1, 1)
     pk, pl, _, seg, seg_modes = lattice.convolution_pairs()
-    lvec = arr[pl]
+    lrow = arr[pl].T.copy()  # (d, pairs): component a of l in row a
+    zero = lattice.zero_index()
 
-    nonzero = sq > 0
-    leray = np.zeros((len(lattice), dim, dim))
-    leray[:] = np.eye(dim)
-    leray[nonzero] -= arr[nonzero, :, None] * arr[nonzero, None, :] / sq[nonzero, None, None]
+    # leray[a, e, m] = delta_ae - m_a m_e / |m|^2 (the identity at m = 0)
+    outer = arr.T[:, None, :] * arr.T[None, :, :]
+    leray = np.eye(dim)[:, :, None] - np.divide(outer, sq, out=np.zeros_like(outer), where=sq > 0)
 
-    def tendency(u: np.ndarray, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dot = 1j * np.einsum("pd,pd->p", u[pk], lvec.astype(complex))
-        adv_u = dot[:, None] * u[pl]
-        adv_t = dot * th[pl]
-        conv_u = np.zeros_like(u)
-        conv_t = np.zeros_like(th)
-        conv_u[seg_modes] = np.add.reduceat(adv_u, seg, axis=0)
-        conv_t[seg_modes] = np.add.reduceat(adv_t, seg, axis=0)
-        du = -np.einsum("mde,me->md", leray, conv_u)
-        dth = -conv_t
-        zero = lattice.zero_index()
-        du[zero] = 0.0
-        dth[zero] = 0.0
-        return du, dth
+    def tendency(q: np.ndarray) -> np.ndarray:
+        """-(P(u.grad u), u.grad theta) on the lattice, as (d+1, M)."""
+        dot = np.take(q[0], pk) * lrow[0]
+        for a in range(1, dim):
+            dot += np.take(q[a], pk) * lrow[a]
+        dot *= 1j  # i u(k).l per pair
+        conv = np.zeros_like(q)
+        for c in range(dim + 1):
+            conv[c, seg_modes] = np.add.reduceat(dot * np.take(q[c], pl), seg)
+        out = np.empty_like(q)
+        out[:dim] = -(leray * conv[:dim]).sum(axis=1)
+        out[dim] = -conv[dim]
+        out[:, zero] = 0.0
+        return out
 
-    u = u_hat.astype(complex).copy()
-    th = theta_hat.astype(complex).copy()
-    e_u = np.exp(-nu_u * sq * dt)[:, None]
-    e_t = np.exp(-nu_t * sq * dt)
-    h_u = np.exp(-nu_u * sq * 0.5 * dt)[:, None]
-    h_t = np.exp(-nu_t * sq * 0.5 * dt)
+    q = np.concatenate([np.asarray(u_hat).T, np.asarray(theta_hat)[None]]).astype(complex)
+    e = np.exp(-nu * sq * dt)
+    h = np.exp(-nu * sq * 0.5 * dt)
 
     for _ in range(n_steps):
-        k1u, k1t = tendency(u, th)
-        k2u, k2t = tendency(h_u * (u + 0.5 * dt * k1u), h_t * (th + 0.5 * dt * k1t))
-        k3u, k3t = tendency(h_u * u + 0.5 * dt * k2u, h_t * th + 0.5 * dt * k2t)
-        k4u, k4t = tendency(h_u * (h_u * u + dt * k3u), h_t * (h_t * th + dt * k3t))
-        u = e_u * u + (dt / 6.0) * (e_u * k1u + 2.0 * h_u * (k2u + k3u) + k4u)
-        th = e_t * th + (dt / 6.0) * (e_t * k1t + 2.0 * h_t * (k2t + k3t) + k4t)
-    return u, th
+        k1 = tendency(q)
+        k2 = tendency(h * (q + 0.5 * dt * k1))
+        k3 = tendency(h * q + 0.5 * dt * k2)
+        k4 = tendency(h * (h * q + dt * k3))
+        q = e * q + (dt / 6.0) * (e * k1 + 2.0 * h * (k2 + k3) + k4)
+    return q[:dim].T.copy(), q[dim].copy()
 
 
 def _single_mode_state(lattice: FrequencyLattice, ncomp: int, mode, coeff: np.ndarray) -> SpectralState:

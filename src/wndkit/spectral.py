@@ -24,6 +24,7 @@ __all__ = [
     "FrequencyLattice",
     "ModeDecomposition",
     "Spectrum",
+    "convolution_pair_count",
     "decompose",
     "evolve_group",
     "frequency_spectrum",
@@ -33,6 +34,15 @@ __all__ = [
 Mode = tuple[int, ...]
 
 CLUSTER_TOL = 1e-9  # eigenvalues closer than CLUSTER_TOL * max(max|omega|, 1) at a mode merge
+
+
+def convolution_pair_count(dim: int, radius: int) -> int:
+    """len(FrequencyLattice(dim, radius).convolution_pairs()[0]), without building it.
+
+    On one axis, m in [-R, R] has 2R + 1 - |m| partners k, 3R^2 + 3R + 1 in
+    all; the box is a product set, so the count is that to the power d.
+    """
+    return (3 * radius * radius + 3 * radius + 1) ** dim
 
 
 @dataclass(eq=False)
@@ -86,19 +96,24 @@ class FrequencyLattice:
     def convolution_pairs(self) -> tuple[np.ndarray, ...]:
         """Every (k, l) with k + l = m inside the lattice, grouped by m.
 
-        Returns index arrays (k, l, m) sorted stably by m, the start of each
-        m-segment and the m of each segment, ready for np.add.reduceat.
+        Returns index arrays (k, l, m) sorted by m, then by k, the start of
+        each m-segment and the m of each segment, ready for np.add.reduceat.
+        The box is a product set, so a pair is valid iff |m_a - k_a| <= R on
+        every axis: the valid (m, k) are the nonzeros of an outer product of
+        per-axis masks, laid out as (m_1..m_d, k_1..k_d), whose C order is
+        the (m, k) order.  The index is affine in the mode, so l = m - k has
+        index m - k + zero_index.
         """
-        arr = self.array
-        pk, pl, pm = [], [], []
-        for ki in range(len(self)):
-            ksum = arr + arr[ki]
-            li = np.flatnonzero(np.abs(ksum).max(axis=1) <= self.radius)
-            pk.append(np.full(li.size, ki, dtype=np.int64))
-            pl.append(li.astype(np.int64))
-            pm.append(self.index_array(ksum[li]))
-        order = np.argsort(np.concatenate(pm), kind="stable")
-        pk, pl, pm = (np.concatenate(p)[order] for p in (pk, pl, pm))
+        span = np.arange(-self.radius, self.radius + 1)
+        axis_ok = np.abs(span[:, None] - span[None, :]) <= self.radius  # (m_a, k_a)
+        size = span.size
+        valid = np.ones((1,) * (2 * self.dim), dtype=bool)
+        for a in range(self.dim):
+            shape = [1] * (2 * self.dim)
+            shape[a] = shape[self.dim + a] = size
+            valid = valid & axis_ok.reshape(shape)
+        pm, pk = np.divmod(np.flatnonzero(valid), len(self))
+        pl = pm - pk + self.zero_index()
         seg = np.flatnonzero(np.r_[True, np.diff(pm) > 0])
         return pk, pl, pm, seg, pm[seg]
 

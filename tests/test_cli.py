@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import wndkit as wk
+from wndkit import cli
 from wndkit.cli import main
+from wndkit.spectral import convolution_pair_count
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -87,6 +89,17 @@ def test_malformed_config_exits_two(tmp_path, capsys):
         ("dissipativity", "dissipativity", "alpha_grid", 10**12),  # refused before allocating
         ("dissipativity", "dissipativity", "alpha_grid", [1.0] * 10_001),
         ("dissipativity", "dissipativity", "direction_count", 10**12),
+        # exact_rule is a JSON boolean and the counts JSON integers: nothing is coerced
+        ("validate", "resonance", "exact_rule", "false"),
+        ("validate", "resonance", "exact_rule", 0),
+        ("validate", None, "lattice_k", 2.7),
+        ("validate", None, "lattice_k", 2.0),
+        ("validate", None, "lattice_k", "3"),
+        ("validate", None, "lattice_k", True),
+        ("validate", "simulation", "diagnostics_every", 2.5),
+        ("validate", "simulation", "diagnostics_every", True),
+        ("validate", "dissipativity", "direction_count", 10.9),
+        ("validate", "dissipativity", "direction_count", "32"),
     ],
 )
 def test_bad_config_values_exit_two(tmp_path, capsys, command, section, key, value):
@@ -101,6 +114,21 @@ def test_bad_config_values_exit_two(tmp_path, capsys, command, section, key, val
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ")
     assert "Traceback" not in err
+
+
+def test_lattice_pair_guard_exits_two_before_building(tmp_path, capsys, monkeypatch):
+    # 2-D R=34 has (3*34^2 + 3*34 + 1)^2 = 12,752,041 pairs; R=33 (11,336,689) is admitted
+    assert convolution_pair_count(2, 34) > cli.MAX_PAIRS >= convolution_pair_count(2, 33)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_operators called")
+
+    monkeypatch.setattr(cli, "build_operators", refuse)
+    cfg = write_config(tmp_path / "run.json", lattice_k=34)
+    assert main(["operators", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ")
+    assert "12752041" in err
 
 
 def modes_config(path: Path, entries: list) -> Path:

@@ -16,6 +16,7 @@ from wndkit.navier_stokes import (
     wcns_coupling_report,
     wcns_split,
 )
+from wndkit.solver import whole_steps
 
 from conftest import state_diff_norm
 
@@ -239,6 +240,72 @@ def test_incompressible_reference_match_small(cns_model, cns_ops4):
     ref.coeffs[:, 0] = -cns_model.p_theta / cns_model.p_rho * th_final
     rel = state_diff_norm(cns_model.spec, snaps[-1], ref) / wk.energy_norm(cns_model.spec, ref)
     assert rel <= 1e-8
+
+
+def _incompressible_reference_loop(model, lattice, u_hat, theta_hat, t_end, dt):
+    """The reference solve mode-major: u (M, d) and theta (M,) gathered and summed separately."""
+    dim = model.dim
+    arr = lattice.array.astype(float)
+    sq = (arr**2).sum(axis=1)
+    nu_u = model.transport.shear / model.rho
+    nu_t = model.transport.thermal / (model.rho * model.c_p)
+    pk, pl, _, seg, seg_modes = lattice.convolution_pairs()
+    lvec = arr[pl]
+    nonzero = sq > 0
+    leray = np.zeros((len(lattice), dim, dim))
+    leray[:] = np.eye(dim)
+    leray[nonzero] -= arr[nonzero, :, None] * arr[nonzero, None, :] / sq[nonzero, None, None]
+    zero = lattice.zero_index()
+
+    def tendency(u, th):
+        dot = 1j * np.einsum("pd,pd->p", u[pk], lvec.astype(complex))
+        conv_u = np.zeros_like(u)
+        conv_t = np.zeros_like(th)
+        conv_u[seg_modes] = np.add.reduceat(dot[:, None] * u[pl], seg, axis=0)
+        conv_t[seg_modes] = np.add.reduceat(dot * th[pl], seg, axis=0)
+        du = -np.einsum("mde,me->md", leray, conv_u)
+        dth = -conv_t
+        du[zero] = 0.0
+        dth[zero] = 0.0
+        return du, dth
+
+    u = u_hat.astype(complex)
+    th = theta_hat.astype(complex)
+    e_u = np.exp(-nu_u * sq * dt)[:, None]
+    e_t = np.exp(-nu_t * sq * dt)
+    h_u = np.exp(-nu_u * sq * 0.5 * dt)[:, None]
+    h_t = np.exp(-nu_t * sq * 0.5 * dt)
+    for _ in range(whole_steps(t_end, dt)):
+        k1u, k1t = tendency(u, th)
+        k2u, k2t = tendency(h_u * (u + 0.5 * dt * k1u), h_t * (th + 0.5 * dt * k1t))
+        k3u, k3t = tendency(h_u * u + 0.5 * dt * k2u, h_t * th + 0.5 * dt * k2t)
+        k4u, k4t = tendency(h_u * (h_u * u + dt * k3u), h_t * (h_t * th + dt * k3t))
+        u = e_u * u + (dt / 6.0) * (e_u * k1u + 2.0 * h_u * (k2u + k3u) + k4u)
+        th = e_t * th + (dt / 6.0) * (e_t * k1t + 2.0 * h_t * (k2t + k3t) + k4t)
+    return u, th
+
+
+@pytest.mark.parametrize(
+    "preset, overrides, radius",
+    [("ideal-gas-2d", {}, 3), ("ideal-gas-2d", {}, 6), ("ideal-gas-1d", {}, 5), ("ideal-gas-1d", {"dim": 3}, 2)],
+)
+def test_incompressible_reference_matches_loop_reference(preset, overrides, radius):
+    model = wk.build_preset(preset, **overrides)
+    lat = wk.FrequencyLattice(model.dim, radius)
+    spectrum = wk.frequency_spectrum(model.spec, lat)
+    d = model.dim
+    state = wk.random_real_state(lat, d + 2, seed=91, decay=3.0, amplitude=0.2)
+    split, _ = wcns_split(model, spectrum, state)
+    rng = np.random.Generator(np.random.Philox(key=92))
+    shape = (len(lat), d + 1)
+    plain = 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    inputs = {"split": split.coeffs[:, 1:], "random complex": plain}
+    for name, coeffs in inputs.items():
+        got = simulate_incompressible_reference(model, lat, coeffs[:, :d], coeffs[:, d], 0.02, 1e-3)
+        ref = _incompressible_reference_loop(model, lat, coeffs[:, :d], coeffs[:, d], 0.02, 1e-3)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), name
 
 
 @pytest.mark.parametrize("t_end, dt", [(0.0225, 1e-3), (0.0, 1e-3), (0.02, 0.0), (0.02, -1e-3)])

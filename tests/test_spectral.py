@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wndkit as wk
-from wndkit.spectral import CLUSTER_TOL, FrequencyLattice, decompose, evolve_group, frequency_spectrum
+from wndkit.spectral import (
+    CLUSTER_TOL,
+    FrequencyLattice,
+    convolution_pair_count,
+    decompose,
+    evolve_group,
+    frequency_spectrum,
+)
 
 
 def test_lattice_negation_closure_and_order():
@@ -15,6 +22,33 @@ def test_lattice_negation_closure_and_order():
         assert lat.modes[lat.negation[i]] == neg
         assert lat.index(mode) == i
     assert list(lat)[:3] == [(-2, -2), (-2, -1), (-2, 0)]  # lexicographic
+
+
+def _convolution_pairs_reference(lat):
+    """The pairs by a loop over k: every l with k + l in the box, sorted stably by m."""
+    arr = lat.array
+    pk, pl, pm = [], [], []
+    for ki in range(len(lat)):
+        ksum = arr + arr[ki]
+        li = np.flatnonzero(np.abs(ksum).max(axis=1) <= lat.radius)
+        pk.append(np.full(li.size, ki, dtype=np.int64))
+        pl.append(li.astype(np.int64))
+        pm.append(lat.index_array(ksum[li]))
+    order = np.argsort(np.concatenate(pm), kind="stable")
+    pk, pl, pm = (np.concatenate(p)[order] for p in (pk, pl, pm))
+    seg = np.flatnonzero(np.r_[True, np.diff(pm) > 0])
+    return pk, pl, pm, seg, pm[seg]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("radius", range(7))
+def test_convolution_pairs_match_loop_reference(dim, radius):
+    lat = FrequencyLattice(dim, radius)
+    got = lat.convolution_pairs()
+    ref = _convolution_pairs_reference(lat)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert convolution_pair_count(dim, radius) == len(got[0])
 
 
 def test_lattice_rejects_outside_mode():
