@@ -29,7 +29,10 @@ scalar interaction coefficients
 one per coordinate triple (o, p, q) in the branches (j3, j1, j2), and qbar
 at m is B(m) times the sum of c a1(k)_p a2(l)_q over them.  Many c vanish
 by structure (fast-fast resonances do not force the slow mode); they are
-dropped at compile time against DROP_TOL, with the margin recorded.
+dropped at compile time against DROP_TOL, with the margin recorded.  The
+null triples (all three frequencies zero) are resonant for every pair of
+modes; together they are the slow, incompressible dynamics P0 Q(P0 w1, P0
+w2), computed whole as one pseudo-spectral product on a padded grid.
 
 Resonance detection is the main correctness hazard: by default frequency
 sums are matched with a relative tolerance, and callers with arithmetic
@@ -45,7 +48,7 @@ code with the spectral formulas they check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -238,6 +241,20 @@ def build_resonance_table(
     )
 
 
+class _NullGrid(NamedTuple):
+    """One padded grid of the null part: transform axes; the input modes,
+    their null projectors and grid positions; the grid shape; the grid
+    positions and (n, d n) read-out maps of the output modes."""
+
+    axes: tuple
+    modes: slice | np.ndarray
+    p0: np.ndarray
+    index: tuple
+    shape: tuple
+    out_index: tuple
+    read: np.ndarray
+
+
 class _CompiledQuadratic:
     """The averaged quadratic form of one (spec, table), compiled once.
 
@@ -247,7 +264,14 @@ class _CompiledQuadratic:
     (the whole identity at the zero mode).  That part is computed
     pseudo-spectrally on a zero-padded grid of at least 3R+1 points per
     axis, on which no product of two retained modes aliases onto a retained
-    mode.
+    mode, by one inverse and one forward transform per call.  For
+    reality-symmetric inputs P0 w is a real field: the transforms are real
+    (scipy.fft.irfftn / rfftn on the half-spectrum grid), and so are the
+    field products and the flux matmul.  Other inputs take the complex
+    transforms of the full grid, read out on both halves of the modes.
+    qbar(w, w) transforms its one input and forms the n(n+1)/2 products
+    f_i f_j with i <= j, against the flux matrix with its (i, j) and (j, i)
+    columns folded.
 
     The other table rows are applied in branch coordinates (see the module
     docstring): each row expands to its coordinate triples (o at m, p at k,
@@ -260,13 +284,15 @@ class _CompiledQuadratic:
     and maps back with the basis.
 
     Rows whose output mode m is the zero mode contribute nothing (the
-    divergence factor i*m vanishes) and are dropped.  Both parts are
+    divergence factor i*m vanishes) and are dropped.  The table part is
     evaluated on the positive half of the modes only: the symbols are real,
     so for any complex inputs qbar(w1, w2)(-m) = conj(qbar(~w1, ~w2)(m))
-    with ~w(k) = conj(w(-k)), and the negative half is a second pass on the
-    mirrored inputs.  Reality-symmetric inputs are their own mirrors and
-    take one pass.  The identity needs a table closed under negation, which
-    the compile checks.
+    with ~w(k) = conj(w(-k)), and the negative half is a second table pass
+    on the mirrored inputs.  Reality-symmetric inputs are their own mirrors:
+    one table pass, and the whole positive half (null part included) is
+    mirrored by conjugation, so the output is reality-symmetric bit for
+    bit.  The identity needs a table closed under negation, which the
+    compile checks.
 
     Plain attributes report what was compiled: `terms` (kept coefficients),
     `coefficient_bytes` (coefficient, index and segment arrays), `dropped`
@@ -301,14 +327,44 @@ class _CompiledQuadratic:
             )
         # without a null branch off the zero mode every null triple has m = 0
         self.null_active = bool(has_null[self.upper].any())
-        self.p0 = np.einsum("mj,mjpq->mpq", null, spectrum.projectors)
-        size = scipy.fft.next_fast_len(3 * lattice.radius + 1)
-        self.grid_shape = (size,) * lattice.dim
-        self.grid_index = tuple((lattice.array % size).T)
-        self.upper_grid_index = tuple(ix[self.upper] for ix in self.grid_index)
-        self.axes = tuple(range(-lattice.dim, 0))
-        self.flux_matrix = spec.quadratic.reshape(lattice.dim * n, n * n)
-        self.i_modes = 1j * lattice.array[self.upper].astype(float)
+        p0 = np.einsum("mj,mjpq->mpq", null, spectrum.projectors)
+        # the null part at m is P0(m) (i m . F(m)) for the transformed flux F:
+        # one (n, d n) map per mode
+        read = (1j * lattice.array[:, None, :, None] * p0[:, :, None, :]).reshape(len(lattice), n, -1)
+        dim, size = lattice.dim, scipy.fft.next_fast_len(3 * lattice.radius + 1, real=True)
+        self.grid_shape = (size,) * dim
+        index = (lattice.array % size).T
+        # complex inputs: the full grid, read out on both halves (positive, then negative)
+        self.halves = np.concatenate([self.upper, lattice.negation[self.upper]])
+        self.complex_grid = _NullGrid(
+            tuple(range(-dim, 0)),
+            slice(None),
+            p0,
+            tuple(index),
+            self.grid_shape,
+            tuple(index[:, self.halves]),
+            read[self.halves],
+        )
+        # reality-symmetric inputs: P0 w is a real field, and the real transform
+        # halves the first axis (scipy halves the last of `axes`); that half
+        # holds every mode with m_1 >= 0, so the whole positive half
+        half = np.flatnonzero(lattice.array[:, 0] >= 0)
+        self.real_grid = _NullGrid(
+            (*range(1 - dim, 0), -dim),
+            half,
+            p0[half],
+            tuple(index[:, half]),
+            (size // 2 + 1, *self.grid_shape[1:]),
+            tuple(index[:, self.upper]),
+            read[self.upper],
+        )
+        quadratic = spec.quadratic.reshape(dim * n, n, n)
+        self.flux_matrix = quadratic.reshape(dim * n, n * n)
+        # qbar(w, w): the n(n+1)/2 products f_i f_j with i <= j, against the
+        # (i, j) and (j, i) columns folded into one
+        self.pair_i, self.pair_j = np.triu_indices(n)
+        off = self.pair_i != self.pair_j
+        self.folded_flux_matrix = quadratic[:, self.pair_i, self.pair_j] + off * quadratic[:, self.pair_j, self.pair_i]
 
         # every coordinate triple (o at m, p at k, q at l) of every non-null
         # row with m in the positive half: coordinates lie in the row's branches
@@ -350,45 +406,68 @@ class _CompiledQuadratic:
         if unmatched:
             raise ValueError(f"resonance table is not closed under negation: {unmatched} rows lack their mirror")
 
-    def _upper(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        """qbar(c1, c2) on the positive half, in the order of self.upper.
-
-        The null part is P0 (i m . q)(P0 c1, P0 c2) summed over k + l = m by
-        padded FFT; the table part sums the branch-coordinate terms.
-        """
+    def _table(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        """The table part of qbar(c1, c2) on the positive half, in the order of self.upper."""
         n = self.ncomp
-        upper = self.upper
         a1 = np.matmul(self.cobasis, c1[:, :, None]).ravel()
         a2 = a1 if c2 is c1 else np.matmul(self.cobasis, c2[:, :, None]).ravel()
-        coords = np.zeros(len(upper) * n, dtype=complex)
+        coords = np.zeros(len(self.upper) * n, dtype=complex)
         coords[self.seg_pos] = np.add.reduceat(a1[self.idx1] * a2[self.idx2] * self.coef, self.seg_starts)
-        table_part = np.matmul(self.upper_basis, coords.reshape(-1, n, 1))[:, :, 0]
-        if not self.null_active:
-            return table_part
-        inputs = np.stack([c1] if c2 is c1 else [c1, c2])  # the same input is transformed once
-        null_part = np.matmul(self.p0, inputs[..., None])[..., 0]
-        grid = np.zeros((len(inputs), n, *self.grid_shape), dtype=complex)
-        grid[(slice(None), slice(None), *self.grid_index)] = null_part.transpose(0, 2, 1)
-        fields = scipy.fft.ifftn(grid, axes=self.axes, norm="forward", overwrite_x=True).reshape(len(inputs), n, -1)
-        pair = (fields[0][:, None] * fields[-1][None, :]).reshape(n * n, -1)
-        flux = (self.flux_matrix @ pair).reshape(-1, *self.grid_shape)
-        flux = scipy.fft.fftn(flux, axes=self.axes, norm="forward", overwrite_x=True)
-        gathered = flux[(slice(None), *self.upper_grid_index)].reshape(-1, n, len(upper))
-        part = np.einsum("ta,ait->ti", self.i_modes, gathered)
-        return np.matmul(self.p0[upper], part[:, :, None])[:, :, 0] + table_part
+        return np.matmul(self.upper_basis, coords.reshape(-1, n, 1))[:, :, 0]
+
+    def _null(self, c1: np.ndarray, c2: np.ndarray, real: bool) -> np.ndarray:
+        """The null part P0 (i m . q)(P0 c1, P0 c2), summed over k + l = m by one
+        padded inverse and one forward transform.
+
+        Reality-symmetric inputs take the real transform of the half-spectrum
+        grid and are read out on the positive half; other inputs take the
+        complex transform and are read out on self.halves.
+        """
+        n = self.ncomp
+        grid = self.real_grid if real else self.complex_grid
+        inputs = np.stack([c1] if c2 is c1 else [c1, c2])[:, grid.modes]  # the same input is transformed once
+        projected = np.matmul(grid.p0, inputs[..., None])[..., 0]
+        spectra = np.zeros((len(inputs), n, *grid.shape), dtype=complex)
+        spectra[(slice(None), slice(None), *grid.index)] = projected.transpose(0, 2, 1)
+        if real:
+            fields = scipy.fft.irfftn(spectra, s=self.grid_shape, axes=grid.axes, norm="forward", overwrite_x=True)
+        else:
+            fields = scipy.fft.ifftn(spectra, axes=grid.axes, norm="forward", overwrite_x=True)
+        fields = fields.reshape(len(inputs), n, -1)
+        if c2 is c1:
+            pair, matrix = fields[0][self.pair_i] * fields[0][self.pair_j], self.folded_flux_matrix
+        else:
+            pair, matrix = (fields[0][:, None] * fields[1][None, :]).reshape(n * n, -1), self.flux_matrix
+        if real:
+            flux = scipy.fft.rfftn((matrix @ pair).reshape(-1, *self.grid_shape), axes=grid.axes, norm="forward")
+        else:
+            # the real matrix times the complex products, as one real matmul on their (re, im) pairs
+            flux = (matrix @ pair.view(float)).view(complex).reshape(-1, *self.grid_shape)
+            flux = scipy.fft.fftn(flux, axes=grid.axes, norm="forward", overwrite_x=True)
+        gathered = flux[(slice(None), *grid.out_index)]
+        return np.matmul(grid.read, gathered.T[:, :, None])[:, :, 0]
 
     def apply(self, w1: SpectralState, w2: SpectralState) -> SpectralState:
         neg = self.lattice.negation
         c1, c2 = w1.coeffs, w2.coeffs
+        if c2 is not c1 and np.array_equal(c1, c2):
+            c2 = c1  # qbar(w, w) whatever the arrays: one input to transform, symmetric products
         m1 = c1[neg].conj()
         m2 = m1 if c2 is c1 else c2[neg].conj()
+        # reality-symmetric inputs are their own mirrors
+        real = np.array_equal(m1, c1) and np.array_equal(m2, c2)
         out = np.zeros_like(c1)
-        half = self._upper(c1, c2)
-        out[self.upper] = half
-        # reality-symmetric inputs are their own mirrors: one pass serves both halves
-        if not (np.array_equal(m1, c1) and np.array_equal(m2, c2)):
-            half = self._upper(m1, m2)
-        out[neg[self.upper]] = half.conj()
+        half = self._table(c1, c2)
+        if real:
+            if self.null_active:
+                half += self._null(c1, c2, True)
+            out[self.upper] = half
+            out[neg[self.upper]] = half.conj()
+        else:
+            out[self.upper] = half
+            out[neg[self.upper]] = self._table(m1, m2).conj()
+            if self.null_active:
+                out[self.halves] += self._null(c1, c2, False)
         return SpectralState(w1.lattice, out, w1.time)
 
 
@@ -413,10 +492,11 @@ def apply_averaged_quadratic(
 
     Symmetric in its arguments (the kernel is symmetric and the table stores
     both orderings of every pair); preserves reality symmetry bit for bit.
-    The positive half is computed (null triples by padded FFT, the rest as
-    a sparse sum of branch-coordinate coefficients) and mirrored: one pass
-    for reality-symmetric inputs, two otherwise.  Raises ValueError if the
-    table lacks a null triple of the lattice or is not closed under
+    Null triples take one padded transform pair per call (real transforms
+    for reality-symmetric inputs); the rest is a sparse sum of
+    branch-coordinate coefficients on the positive half, mirrored: one table
+    pass for reality-symmetric inputs, two otherwise.  Raises ValueError if
+    the table lacks a null triple of the lattice or is not closed under
     negation.
     """
     if w1.lattice.modes != table.lattice.modes or w2.lattice.modes != table.lattice.modes:

@@ -62,6 +62,14 @@ def _count(section: dict, key: str, default: int) -> int:
     return value
 
 
+def _number(section: dict, key: str, default: float | None) -> float:
+    """A real parameter must be a finite JSON number: a bool, a string, inf or nan is an input error."""
+    value = section.get(key, default)
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite JSON number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
@@ -128,19 +136,17 @@ class Run:
                 f"more than {MAX_PAIRS}"
             )
         res = config.get("resonance", {})
-        self.resonance_tol = float(res.get("tolerance", 1e-9))
+        self.resonance_tol = _number(res, "tolerance", 1e-9)
         self.use_exact_rule = res.get("exact_rule", self.model is not None)
         if type(self.use_exact_rule) is not bool:
             raise ConfigError(f"exact_rule must be a JSON boolean, got {json.dumps(self.use_exact_rule)}")
         if self.use_exact_rule and self.model is None:
             raise ConfigError("exact_rule requires a gas-dynamics preset system")
         sim = config.get("simulation", {})
-        self.dt = sim.get("dt")
-        if self.dt is not None:
-            self.dt = float(self.dt)
-            if self.dt <= 0.0:
-                raise ConfigError("dt must be positive")
-        self.t_end = float(sim.get("t_end", 1.0))
+        self.dt = None if sim.get("dt") is None else _number(sim, "dt", None)
+        if self.dt is not None and self.dt <= 0.0:
+            raise ConfigError("dt must be positive")
+        self.t_end = _number(sim, "t_end", 1.0)
         if self.t_end <= 0.0:
             raise ConfigError("t_end must be positive")
         self.integrator = str(sim.get("integrator", "if_rk4"))
@@ -153,11 +159,13 @@ class Run:
         self.initial_cfg = dict(
             sim.get("initial", {"type": "random", "seed": 0, "decay": 3.0, "amplitude": 0.1})
         )
+        seed = _count(sim, "seed", 0)  # the random initial's seed when it names none
         if self.initial_cfg.get("type", "random") == "random":
-            if "seed" not in self.initial_cfg and "seed" in sim:
-                self.initial_cfg["seed"] = int(sim["seed"])
+            self.initial_cfg["seed"] = _count(self.initial_cfg, "seed", seed)
             if seed_override is not None:
                 self.initial_cfg["seed"] = int(seed_override)
+            for key, default in (("decay", 3.0), ("amplitude", 0.1)):
+                self.initial_cfg[key] = _number(self.initial_cfg, key, default)
         diss = config.get("dissipativity", {})
         # a count of log-spaced alphas in [1e-2, 1e2], or the alphas themselves
         grid = diss.get("alpha_grid", 32)
@@ -185,9 +193,9 @@ class Run:
             return random_real_state(
                 lattice,
                 self.spec.ncomp,
-                seed=int(cfg.get("seed", 0)),
-                decay=float(cfg.get("decay", 3.0)),
-                amplitude=float(cfg.get("amplitude", 0.1)),
+                seed=cfg["seed"],
+                decay=cfg["decay"],
+                amplitude=cfg["amplitude"],
             )
         if kind == "modes":
             n = self.spec.ncomp

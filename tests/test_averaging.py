@@ -199,23 +199,36 @@ def test_qbar_matches_table_reference(cns_ops4, cns_model):
 
 
 def _system(name, request):
-    """(spec, ops, model) of a test system; the model, which wcns_split needs, only for the float-rule 2-D gas."""
+    """(spec, ops, model) of a test system; the model, which wcns_split needs, only for the 2-D gases past R=4."""
     if name == "ideal-gas-2d":
         return request.getfixturevalue("cns_model").spec, request.getfixturevalue("cns_ops4"), None
     if name == "coupled-wave":
         return (*request.getfixturevalue("coupled_wave"), None)
     if name == "scalar":
         return request.getfixturevalue("scalar_spec"), request.getfixturevalue("scalar_ops"), None
-    if name == "ideal-gas-1d":
+    if name.startswith("ideal-gas-1d"):
         model = wk.build_preset("ideal-gas-1d")
-        lat = wk.FrequencyLattice(1, 6)
+        lat = wk.FrequencyLattice(1, 8 if name.endswith("r8") else 6)
         return model.spec, wk.build_operators(model.spec, lat, exact_rule=wk.make_exact_resonance_rule(model)), None
-    model = request.getfixturevalue("cns_model")  # "float-rule-2d"
+    if name == "ideal-gas-3d":
+        model = wk.build_preset("ideal-gas-2d", dim=3)
+        lat = wk.FrequencyLattice(3, 2)
+        return model.spec, wk.build_operators(model.spec, lat, exact_rule=wk.make_exact_resonance_rule(model)), None
+    model = request.getfixturevalue("cns_model")
+    if name == "ideal-gas-2d-r8":
+        return model.spec, request.getfixturevalue("cns_ops8"), model
+    # "float-rule-2d"
     return model.spec, wk.build_operators(model.spec, wk.FrequencyLattice(2, 3)), model
 
 
-@pytest.mark.parametrize("system", ["ideal-gas-1d", "float-rule-2d", "coupled-wave", "scalar"])
+@pytest.mark.parametrize(
+    "system",
+    ["ideal-gas-1d", "ideal-gas-1d-r8", "float-rule-2d", "ideal-gas-2d-r8", "ideal-gas-3d", "coupled-wave", "scalar"],
+)
 def test_qbar_matches_table_reference_beyond_the_2d_gas(system, request):
+    """Even and odd padded grids: 20 points (1-D R=6), 25 (1-D R=8), 10
+    (float rule, 2-D R=3), 25 (2-D R=8) and 8 (3-D R=2), next to 15 for the
+    2-D gas at R=4."""
     spec, ops, model = _system(system, request)
     lat, n = ops.lattice, spec.ncomp
     w1 = wk.random_real_state(lat, n, seed=91, decay=2.0)
@@ -312,8 +325,23 @@ def test_qbar_rejects_table_not_closed_under_negation(cns_model):
         apply_averaged_quadratic(cns_model.spec, ops.spectrum, ops.table, w, w)
 
 
+def _count_transforms(monkeypatch):
+    """Patch scipy.fft's padded transforms to record (name, stack size) per call."""
+    import scipy.fft
+
+    calls = []
+    for name in ("ifftn", "fftn", "irfftn", "rfftn"):
+        def counted(x, *args, _name=name, _transform=getattr(scipy.fft, name), **kwargs):
+            calls.append((_name, x.shape[0]))
+            return _transform(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return calls
+
+
 def test_qbar_pass_count(cns_ops4, cns_model, monkeypatch):
-    """Reality-symmetric pairs take one positive-half pass, any other pair two."""
+    """One padded inverse and one forward transform per call, real for
+    reality-symmetric pairs; one table pass for those pairs, two otherwise."""
     spec = cns_model.spec
     lat = cns_ops4.lattice
     real = wk.random_real_state(lat, 4, seed=88, decay=2.0)
@@ -321,45 +349,52 @@ def test_qbar_pass_count(cns_ops4, cns_model, monkeypatch):
     other = real.copy()
     other.coeffs = real.coeffs * (1.0 + 0.5j)
     passes = []
-    upper = _CompiledQuadratic._upper
+    table = _CompiledQuadratic._table
 
     def counted(self, c1, c2):
         passes.append(1)
-        return upper(self, c1, c2)
+        return table(self, c1, c2)
 
-    monkeypatch.setattr(_CompiledQuadratic, "_upper", counted)
-    expected = {"real": ((real, real), 1), "split": ((split, split), 2), "one complex": ((real, other), 2)}
-    for name, ((a, b), count) in expected.items():
+    monkeypatch.setattr(_CompiledQuadratic, "_table", counted)
+    transforms = _count_transforms(monkeypatch)
+    expected = {
+        "real": ((real, real), 1, ["irfftn", "rfftn"]),
+        "split": ((split, split), 2, ["ifftn", "fftn"]),
+        "one complex": ((real, other), 2, ["ifftn", "fftn"]),
+    }
+    for name, ((a, b), count, names) in expected.items():
         passes.clear()
+        transforms.clear()
         apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, a, b)
         assert len(passes) == count, name
+        assert [t for t, _ in transforms] == names, name
 
 
 def test_qbar_of_one_state_transforms_it_once(cns_ops4, cns_model, monkeypatch):
-    """qbar(w, w) transforms w once per pass and gives qbar(w, w.copy()) bit for bit."""
-    import scipy.fft
-
+    """qbar(w, w) transforms a stack of one input and gives qbar(w, w.copy())
+    bit for bit; distinct inputs are transformed as a stack of two."""
     spec = cns_model.spec
     lat = cns_ops4.lattice
-    real = wk.random_real_state(lat, 4, seed=89, decay=2.0)
-    split, _ = wcns_split(cns_model, cns_ops4.spectrum, real)
-    complex_ = wk.random_real_state(lat, 4, seed=90, decay=2.0, zero_mean=False)
-    complex_.coeffs = complex_.coeffs * (1.0 + 0.5j)
-    complex_.coeffs[lat.zero_index()] += 0.3j
-    stacks = []
-    ifftn = scipy.fft.ifftn
 
-    def counted(x, *args, **kwargs):
-        stacks.append(x.shape[0])
-        return ifftn(x, *args, **kwargs)
+    def states(seed):
+        real = wk.random_real_state(lat, 4, seed=seed, decay=2.0)
+        split, _ = wcns_split(cns_model, cns_ops4.spectrum, real)
+        complex_ = wk.random_real_state(lat, 4, seed=seed + 1, decay=2.0, zero_mean=False)
+        complex_.coeffs = complex_.coeffs * (1.0 + 0.5j)
+        complex_.coeffs[lat.zero_index()] += 0.3j
+        return {"real": real, "split": split, "complex": complex_}
 
-    monkeypatch.setattr(scipy.fft, "ifftn", counted)
-    for name, w in {"real": real, "split": split, "complex": complex_}.items():
-        stacks.clear()
+    others = states(91)
+    transforms = _count_transforms(monkeypatch)
+    for name, w in states(89).items():
+        inverse, forward = ("irfftn", "rfftn") if name == "real" else ("ifftn", "fftn")
+        transforms.clear()
         same = apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, w, w)
-        assert set(stacks) == {1}, name
         other = apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, w, w.copy())
         assert same.coeffs.tobytes() == other.coeffs.tobytes(), name
+        apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, w, others[name])
+        assert [size for t, size in transforms if t == inverse] == [1, 1, 2], name
+        assert [t for t, _ in transforms] == [inverse, forward] * 3, name
 
 
 def _reference_table(spectrum, lattice, decide):

@@ -100,6 +100,24 @@ def test_malformed_config_exits_two(tmp_path, capsys):
         ("validate", "simulation", "diagnostics_every", True),
         ("validate", "dissipativity", "direction_count", 10.9),
         ("validate", "dissipativity", "direction_count", "32"),
+        # real parameters are finite JSON numbers and seeds JSON integers
+        ("simulate", "simulation", "t_end", "inf"),
+        ("simulate", "simulation", "t_end", float("inf")),
+        ("simulate", "simulation", "t_end", True),
+        ("simulate", "simulation", "t_end", "0.05"),
+        ("simulate", "simulation", "dt", "0.005"),
+        ("simulate", "simulation", "dt", float("nan")),
+        ("simulate", "simulation", "dt", True),
+        ("validate", "resonance", "tolerance", float("inf")),
+        ("validate", "resonance", "tolerance", True),
+        ("simulate", "simulation", "initial", {"type": "random", "amplitude": "nan"}),
+        ("simulate", "simulation", "initial", {"type": "random", "amplitude": float("nan")}),
+        ("simulate", "simulation", "initial", {"type": "random", "decay": "3"}),
+        ("simulate", "simulation", "initial", {"type": "random", "decay": float("-inf")}),
+        ("simulate", "simulation", "initial", {"type": "random", "seed": 7.9}),
+        ("simulate", "simulation", "initial", {"type": "random", "seed": True}),
+        ("simulate", "simulation", "seed", 2.5),
+        ("simulate", "simulation", "seed", "3"),
     ],
 )
 def test_bad_config_values_exit_two(tmp_path, capsys, command, section, key, value):
