@@ -73,7 +73,8 @@ __all__ = [
     "diffusion_csv_rows",
 ]
 
-# (k, omega1, l, omega2, m, omega3) on T candidates: (T, d) int modes, (T,) frequencies -> (T,) bools
+# (k, omega1, l, omega2, m, omega3) on T candidates: (T, d) int modes, (T,) frequencies -> (T,) bools.
+# Called once per lattice mode k; its arguments are read-only, and k is a broadcast view of one row.
 ExactRule = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 # propagator powers per block in the time-average oracles (bounds their memory)
@@ -154,7 +155,7 @@ def averaged_diffusion_oracle(
                 weights[0] = 0.5 * dt
             if offset + fwd.shape[0] == n_steps + 1:
                 weights[-1] = 0.5 * dt
-            integrand = np.einsum("tpq,qr,trs->tps", fwd, -b, fwd.conj())
+            integrand = (fwd @ -b) @ fwd.conj()
             acc += np.einsum("t,tpq->pq", weights, integrand)
             offset += fwd.shape[0]
     return acc / (2.0 * t_span)
@@ -203,36 +204,60 @@ def build_resonance_table(
     callers should pass an exact_rule (an array predicate, see ExactRule;
     ValueError unless it returns one boolean per candidate) whenever the
     spectrum has arithmetic structure.
+
+    A candidate is carried only as three flat indices (mode * width +
+    branch) into the stacked frequencies, which are read by flat gathers.
+    The rule's arguments are read-only: k is a broadcast view of the
+    block's one row, l and m are repeats of the block's l and m rows.  Only
+    the accepted candidates become (k, j1, l, j2, m, j3) rows, by divmod of
+    their indices.
     """
     spectrum.require_lattice(lattice)
     freqs, nfreq = spectrum.frequencies, spectrum.nfreq
     scale = max(float(np.abs(freqs).max()), 1.0)
-    arr = lattice.array
+    arr, zero = lattice.array, lattice.zero_index()
+    flat, width = freqs.ravel(), freqs.shape[1]
     # branch triples (j1, j2, j3) in lexicographic order
-    j1, j2, j3 = (j.ravel() for j in np.indices((freqs.shape[1],) * 3))
-    rows, defects, closest = [], [], np.inf
+    j1, j2, j3 = (j.ravel() for j in np.indices((width,) * 3))
+    accepted, defects, closest = [], [], np.inf
     for ki in range(len(lattice)):
-        ksum = arr + arr[ki]  # candidate m = k + l for every l
-        lis = np.flatnonzero(np.abs(ksum).max(axis=1) <= lattice.radius)
-        mis = lattice.index_array(ksum[lis])
+        lis = np.flatnonzero(np.abs(arr + arr[ki]).max(axis=1) <= lattice.radius)
+        mis = lis + (ki - zero)  # index(k + l) = index(k) + index(l) - index(0)
         # padded branches (j >= nfreq) are not candidates
         branch = (j1 < nfreq[ki]) & (j2 < nfreq[lis, None]) & (j3 < nfreq[mis, None])
-        lpos, jpos = np.nonzero(branch)
-        cand = np.stack([np.full(len(lpos), ki), j1[jpos], lis[lpos], j2[jpos], mis[lpos], j3[jpos]], axis=1)
-        w1, w2, w3 = freqs[cand[:, 0], cand[:, 1]], freqs[cand[:, 2], cand[:, 3]], freqs[cand[:, 4], cand[:, 5]]
+        idx = [
+            np.broadcast_to(ki * width + j1, branch.shape)[branch],
+            (lis[:, None] * width + j2)[branch],
+            (mis[:, None] * width + j3)[branch],
+        ]
+        w1, w2, w3 = (flat.take(i) for i in idx)
         defect = (w1 + w2) - w3
         if exact_rule is None:
             hit = np.abs(defect) <= tol * scale
             closest = min(closest, np.abs(defect[~hit]).min(initial=np.inf))
         else:
-            hit = np.asarray(exact_rule(arr[cand[:, 0]], w1, arr[cand[:, 2]], w2, arr[cand[:, 4]], w3))
+            per_l = np.count_nonzero(branch, axis=1)
+            args = (
+                np.broadcast_to(arr[ki], (len(defect), lattice.dim)),
+                w1,
+                np.repeat(arr[lis], per_l, axis=0),
+                w2,
+                np.repeat(arr[mis], per_l, axis=0),
+                w3,
+            )
+            for a in args:
+                a.flags.writeable = False
+            hit = np.asarray(exact_rule(*args))
             if hit.dtype != bool or hit.shape != defect.shape:
                 raise ValueError(f"exact_rule returned {hit.dtype} {hit.shape}, expected {len(defect)} booleans")
-        rows.append(cand[hit])
-        defects.append(defect[hit])
+        keep = np.flatnonzero(hit)
+        accepted.append(np.stack([i.take(keep) for i in idx]))
+        defects.append(defect.take(keep))
+    # (k, j1, l, j2, m, j3) columns from the flat (mode, branch) indices
+    entries = np.stack(np.divmod(np.concatenate(accepted, axis=1).T, width), axis=2).reshape(-1, 6)
     return ResonanceTable(
         lattice=lattice,
-        entries=np.concatenate(rows),
+        entries=entries,
         defects=np.concatenate(defects),
         tolerance=tol,
         scale=scale,
@@ -455,7 +480,7 @@ class _CompiledQuadratic:
         m1 = c1[neg].conj()
         m2 = m1 if c2 is c1 else c2[neg].conj()
         # reality-symmetric inputs are their own mirrors
-        real = np.array_equal(m1, c1) and np.array_equal(m2, c2)
+        real = np.array_equal(m1, c1) and (c2 is c1 or np.array_equal(m2, c2))
         out = np.zeros_like(c1)
         half = self._table(c1, c2)
         if real:

@@ -54,17 +54,15 @@ class ConfigError(ValueError):
     pass
 
 
-def _count(section: dict, key: str, default: int) -> int:
+def _count(value, key: str) -> int:
     """A count must be a JSON integer: a bool, a fraction or a string is an input error."""
-    value = section.get(key, default)
     if type(value) is not int:
         raise ConfigError(f"{key} must be a JSON integer, got {json.dumps(value)}")
     return value
 
 
-def _number(section: dict, key: str, default: float | None) -> float:
+def _number(value, key: str) -> float:
     """A real parameter must be a finite JSON number: a bool, a string, inf or nan is an input error."""
-    value = section.get(key, default)
     if type(value) not in (int, float) or not math.isfinite(value):
         raise ConfigError(f"{key} must be a finite JSON number, got {json.dumps(value)}")
     return float(value)
@@ -126,7 +124,7 @@ class Run:
         else:
             raise ConfigError("config needs 'system': preset name or inline spec mapping")
 
-        self.lattice_k = _count(config, "lattice_k", 4)
+        self.lattice_k = _count(config.get("lattice_k", 4), "lattice_k")
         if self.lattice_k < 1:
             raise ConfigError("lattice_k must be >= 1")
         pairs = convolution_pair_count(self.spec.dim, self.lattice_k)
@@ -136,36 +134,39 @@ class Run:
                 f"more than {MAX_PAIRS}"
             )
         res = config.get("resonance", {})
-        self.resonance_tol = _number(res, "tolerance", 1e-9)
+        self.resonance_tol = _number(res.get("tolerance", 1e-9), "tolerance")
         self.use_exact_rule = res.get("exact_rule", self.model is not None)
         if type(self.use_exact_rule) is not bool:
             raise ConfigError(f"exact_rule must be a JSON boolean, got {json.dumps(self.use_exact_rule)}")
         if self.use_exact_rule and self.model is None:
             raise ConfigError("exact_rule requires a gas-dynamics preset system")
         sim = config.get("simulation", {})
-        self.dt = None if sim.get("dt") is None else _number(sim, "dt", None)
+        self.dt = None if sim.get("dt") is None else _number(sim["dt"], "dt")
         if self.dt is not None and self.dt <= 0.0:
             raise ConfigError("dt must be positive")
-        self.t_end = _number(sim, "t_end", 1.0)
+        self.t_end = _number(sim.get("t_end", 1.0), "t_end")
         if self.t_end <= 0.0:
             raise ConfigError("t_end must be positive")
         self.integrator = str(sim.get("integrator", "if_rk4"))
         if self.integrator not in INTEGRATORS:
             raise ConfigError(f"unknown integrator {self.integrator!r}; expected one of {INTEGRATORS}")
-        self.diagnostics_every = _count(sim, "diagnostics_every", 10)
+        self.diagnostics_every = _count(sim.get("diagnostics_every", 10), "diagnostics_every")
         if self.diagnostics_every < 1:
             raise ConfigError("diagnostics_every must be >= 1")
-        self.sobolev_orders = [float(s) for s in sim.get("sobolev_orders", [1.0])]
+        orders = sim.get("sobolev_orders", [1.0])
+        if type(orders) is not list:
+            raise ConfigError(f"sobolev_orders must be a JSON list of numbers, got {json.dumps(orders)}")
+        self.sobolev_orders = [_number(s, "sobolev_orders") for s in orders]
         self.initial_cfg = dict(
             sim.get("initial", {"type": "random", "seed": 0, "decay": 3.0, "amplitude": 0.1})
         )
-        seed = _count(sim, "seed", 0)  # the random initial's seed when it names none
+        seed = _count(sim.get("seed", 0), "seed")  # the random initial's seed when it names none
         if self.initial_cfg.get("type", "random") == "random":
-            self.initial_cfg["seed"] = _count(self.initial_cfg, "seed", seed)
+            self.initial_cfg["seed"] = _count(self.initial_cfg.get("seed", seed), "seed")
             if seed_override is not None:
                 self.initial_cfg["seed"] = int(seed_override)
             for key, default in (("decay", 3.0), ("amplitude", 0.1)):
-                self.initial_cfg[key] = _number(self.initial_cfg, key, default)
+                self.initial_cfg[key] = _number(self.initial_cfg.get(key, default), key)
         diss = config.get("dissipativity", {})
         # a count of log-spaced alphas in [1e-2, 1e2], or the alphas themselves
         grid = diss.get("alpha_grid", 32)
@@ -174,7 +175,7 @@ class Run:
         self.alphas = default_alpha_grid(grid) if type(grid) is int else np.asarray(grid, dtype=float)
         if self.alphas.ndim != 1 or not self.alphas.size or not (np.isfinite(self.alphas) & (self.alphas > 0)).all():
             raise ConfigError("alpha_grid must be a count >= 1 or a nonempty list of positive alphas")
-        self.direction_count = _count(diss, "direction_count", 200)
+        self.direction_count = _count(diss.get("direction_count", 200), "direction_count")
         if not 1 <= self.direction_count <= MAX_DIRECTIONS:
             raise ConfigError(f"direction_count must be in [1, {MAX_DIRECTIONS}]")
 
@@ -205,10 +206,10 @@ class Run:
             entries = []
             for item in items:
                 try:
-                    mode = tuple(int(c) for c in item["mode"])
-                    re = np.asarray(item["coeff_re"], dtype=float)
-                    im = np.asarray(item.get("coeff_im", np.zeros(n)), dtype=float)
-                except (KeyError, TypeError, ValueError) as exc:
+                    mode = tuple(_count(c, "mode") for c in item["mode"])
+                    re = np.array([_number(c, "coeff_re") for c in item["coeff_re"]], dtype=float)
+                    im = np.array([_number(c, "coeff_im") for c in item.get("coeff_im", [0.0] * n)], dtype=float)
+                except (KeyError, TypeError) as exc:
                     raise ConfigError(f"bad modes entry {item!r}: needs 'mode' and 'coeff_re' ({exc!r})") from exc
                 if not lattice.contains(mode):
                     raise ConfigError(

@@ -388,8 +388,9 @@ def wcns_split(model: CnsModel, spectrum: Spectrum, state: SpectralState) -> tup
 
 
 def _branch_sign(model: CnsModel, omega) -> np.ndarray:
-    """Branch label of gas frequencies: 0 where |omega| < c0/2, sign(omega) elsewhere."""
-    return np.where(np.abs(omega) < 0.5 * model.sound, 0, np.sign(omega)).astype(np.int64)
+    """Branch label of gas frequencies as int8: 0 where |omega| < c0/2, sign(omega) elsewhere."""
+    half = 0.5 * model.sound
+    return np.subtract(omega >= half, omega <= -half, dtype=np.int8)
 
 
 def acoustic_sum_resonant(a, b, c, s1, s2, s3):
@@ -410,17 +411,25 @@ def acoustic_sum_resonant(a, b, c, s1, s2, s3):
     return (gap * gap == 4 * A * B) & (s1 * s2 * gap >= 0) & same_sign
 
 
+def _squared_norms(modes: np.ndarray) -> np.ndarray:
+    """Integer-exact |x|^2 of each row of a (T, d) integer array, one column at a time."""
+    out = modes[:, 0] * modes[:, 0]
+    for column in modes.T[1:]:
+        out += column * column
+    return out
+
+
 def make_exact_resonance_rule(model: CnsModel):
     """Array rule for `build_resonance_table`: the integer acoustic identity.
 
     Takes a block of T candidates, (T, d) integer modes k, l, m and (T,)
     frequencies, labels each frequency with its branch sign and returns the
     (T,) booleans of `acoustic_sum_resonant` on the squared mode norms.
+    Reads its arguments only, so a broadcast view serves as well as an array.
     """
 
     def rule(k, w1, l, w2, m, w3) -> np.ndarray:
-        a, b, c = (np.einsum("ij,ij->i", x, x) for x in (k, l, m))  # integer-exact row norms
-        return acoustic_sum_resonant(a, b, c, *(_branch_sign(model, w) for w in (w1, w2, w3)))
+        return acoustic_sum_resonant(*map(_squared_norms, (k, l, m)), *(_branch_sign(model, w) for w in (w1, w2, w3)))
 
     return rule
 

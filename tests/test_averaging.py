@@ -426,12 +426,17 @@ def _reference_table(spectrum, lattice, decide):
         ("ideal-gas-2d", 3, False),
         ("ideal-gas-1d", 5, True),
         ("ideal-gas-1d", 5, False),
+        ("ideal-gas-3d", 2, True),
+        ("ideal-gas-3d", 2, False),
         ("scalar", 6, False),
     ],
 )
 def test_resonance_table_matches_per_triple_reference(system, radius, exact, scalar_spec):
     """Entries in the same order, defects bit for bit, closest_rejected exactly."""
-    model = None if system == "scalar" else wk.build_preset(system)
+    if system == "ideal-gas-3d":
+        model = wk.build_preset("ideal-gas-2d", dim=3)
+    else:
+        model = None if system == "scalar" else wk.build_preset(system)
     spec = scalar_spec if model is None else model.spec
     lat = wk.FrequencyLattice(spec.dim, radius)
     spectrum = wk.frequency_spectrum(spec, lat)
@@ -461,6 +466,36 @@ def test_resonance_table_matches_per_triple_reference(system, radius, exact, sca
         assert np.isnan(table.closest_rejected)
     else:
         assert table.closest_rejected == closest
+
+
+def test_exact_rule_sees_one_read_only_block_per_mode(cns_model):
+    """The rule gets one call per lattice mode, (T, d) integer modes and (T,)
+    frequencies, all read-only, and its calls concatenated are the per-triple
+    enumeration: every candidate in table order, with its values."""
+    lat = wk.FrequencyLattice(2, 3)
+    spectrum = wk.frequency_spectrum(cns_model.spec, lat)
+    rule = wk.make_exact_resonance_rule(cns_model)
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return rule(*args)
+
+    table = build_resonance_table(spectrum, lat, exact_rule=recording)
+    assert len(calls) == len(lat)
+    for k, w1, l, w2, m, w3 in calls:
+        for x in (k, l, m):
+            assert x.shape == (len(w1), 2) and np.issubdtype(x.dtype, np.integer)
+        for w in (w1, w2, w3):
+            assert w.shape == (len(w1),) and w.dtype == float
+        assert not any(x.flags.writeable for x in (k, w1, l, w2, m, w3))
+    stream = [np.concatenate(column) for column in zip(*calls)]
+    seen = []
+    _reference_table(spectrum, lat, lambda *candidate: seen.append(candidate) or True)
+    assert len(seen) == len(stream[0])
+    for got, want in zip(stream, zip(*seen)):
+        assert np.array_equal(got, np.array(want)), "candidate stream differs from the per-triple enumeration"
+    assert len(table) > 0
 
 
 def test_resonance_table_rejects_a_scalar_rule(cns_model):

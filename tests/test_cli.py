@@ -68,6 +68,11 @@ def test_malformed_config_exits_two(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+def one_mode(**entry) -> dict:
+    """A `modes` initial condition with one entry."""
+    return {"type": "modes", "entries": [entry]}
+
+
 @pytest.mark.parametrize(
     "command, section, key, value",
     [
@@ -118,6 +123,12 @@ def test_malformed_config_exits_two(tmp_path, capsys):
         ("simulate", "simulation", "initial", {"type": "random", "seed": True}),
         ("simulate", "simulation", "seed", 2.5),
         ("simulate", "simulation", "seed", "3"),
+        ("simulate", "simulation", "sobolev_orders", ["nan"]),
+        ("simulate", "simulation", "sobolev_orders", "1"),
+        # a modes entry holds JSON integers and finite JSON numbers
+        ("simulate", "simulation", "initial", one_mode(mode=[1.7, 0], coeff_re=[1, 0, 0, 0])),
+        ("simulate", "simulation", "initial", one_mode(mode=[1, 0], coeff_re=["nan", 0, 0, 0])),
+        ("simulate", "simulation", "initial", one_mode(mode=[1, 0], coeff_re=[1, 0, 0, 0], coeff_im=[float("nan")] * 4)),
     ],
 )
 def test_bad_config_values_exit_two(tmp_path, capsys, command, section, key, value):
