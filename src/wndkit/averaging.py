@@ -211,12 +211,16 @@ def build_resonance_table(
     block's one row, l and m are repeats of the block's l and m rows.  Only
     the accepted candidates become (k, j1, l, j2, m, j3) rows, by divmod of
     their indices.
+    ValueError unless the table holds qbar's two invariants: each k-block
+    accepts all n0(k) sum_l n0(l) n0(k + l) null triples (n0 counts the null
+    branches at a mode; the error names k), and every row has its mirror.
     """
     spectrum.require_lattice(lattice)
     freqs, nfreq = spectrum.frequencies, spectrum.nfreq
     scale = max(float(np.abs(freqs).max()), 1.0)
     arr, zero = lattice.array, lattice.zero_index()
     flat, width = freqs.ravel(), freqs.shape[1]
+    null, n0 = spectrum.null.ravel(), spectrum.null.sum(axis=1)
     # branch triples (j1, j2, j3) in lexicographic order
     j1, j2, j3 = (j.ravel() for j in np.indices((width,) * 3))
     accepted, defects, closest = [], [], np.inf
@@ -251,10 +255,27 @@ def build_resonance_table(
             if hit.dtype != bool or hit.shape != defect.shape:
                 raise ValueError(f"exact_rule returned {hit.dtype} {hit.shape}, expected {len(defect)} booleans")
         keep = np.flatnonzero(hit)
-        accepted.append(np.stack([i.take(keep) for i in idx]))
+        block = np.stack([i.take(keep) for i in idx])
+        found = np.count_nonzero(null.take(block).all(axis=0))
+        expected = n0[ki] * np.dot(n0[lis], n0[mis])
+        if found != expected:
+            missing = f"{expected - found} of the {expected} null triples at k = {tuple(arr[ki].tolist())}"
+            raise ValueError(f"resonance rule rejects {missing}; every null triple is resonant")
+        accepted.append(block)
         defects.append(defect.take(keep))
     # (k, j1, l, j2, m, j3) columns from the flat (mode, branch) indices
     entries = np.stack(np.divmod(np.concatenate(accepted, axis=1).T, width), axis=2).reshape(-1, 6)
+    # qbar's mirror identity needs every row's mirror (-k, j1'; -l, j2'; -m,
+    # j3'), with j' = nfreq - 1 - j the branch of frequency -omega_j
+    # (branches ascend); m = k + l, so (k, j1, l, j2, j3) names a row
+    k, j1, l, j2, m, j3 = entries.T
+    neg = lattice.negation
+    shape = (len(lattice), width, len(lattice), width, width)
+    rows = np.sort(np.ravel_multi_index((k, j1, l, j2, j3), shape))
+    mirrors = np.ravel_multi_index((neg[k], nfreq[k] - 1 - j1, neg[l], nfreq[l] - 1 - j2, nfreq[m] - 1 - j3), shape)
+    unmatched = int(np.count_nonzero(rows.take(np.searchsorted(rows, mirrors), mode="clip") != mirrors))
+    if unmatched:
+        raise ValueError(f"resonance table is not closed under negation: {unmatched} rows lack their mirror")
     return ResonanceTable(
         lattice=lattice,
         entries=entries,
@@ -317,7 +338,7 @@ class _CompiledQuadratic:
     one table pass, and the whole positive half (null part included) is
     mirrored by conjugation, so the output is reality-symmetric bit for
     bit.  The identity needs a table closed under negation, which the
-    compile checks.
+    build checks.
 
     Plain attributes report what was compiled: `terms` (kept coefficients),
     `coefficient_bytes` (coefficient, index and segment arrays), `dropped`
@@ -335,23 +356,12 @@ class _CompiledQuadratic:
         self.upper = np.arange(zero_idx + 1, len(lattice))  # positive half in lex order
 
         null = spectrum.null
-        has_null = null.any(axis=1)
         entries = table.entries
         null_triple = (
             null[entries[:, 0], entries[:, 1]] & null[entries[:, 2], entries[:, 3]] & null[entries[:, 4], entries[:, 5]]
         )
-        # the convolution adds every null triple on the lattice; a table that
-        # excludes one must not silently gain it
-        pk, pl, pm, _, _ = lattice.convolution_pairs()
-        expected = int((has_null[pk] & has_null[pl] & has_null[pm]).sum())
-        found = int(null_triple.sum())
-        if found != expected:
-            raise ValueError(
-                f"resonance table holds {found} null triples, "
-                f"but the lattice has {expected} pairs of modes with null branches at k, l and k + l"
-            )
         # without a null branch off the zero mode every null triple has m = 0
-        self.null_active = bool(has_null[self.upper].any())
+        self.null_active = bool(null[self.upper].any())
         p0 = np.einsum("mj,mjpq->mpq", null, spectrum.projectors)
         # the null part at m is P0(m) (i m . F(m)) for the transformed flux F:
         # one (n, d n) map per mode
@@ -418,18 +428,6 @@ class _CompiledQuadratic:
         self.seg_pos = out[self.seg_starts]
         self.terms = len(self.coef)
         self.coefficient_bytes = sum(a.nbytes for a in (self.coef, self.idx1, self.idx2, self.seg_starts, self.seg_pos))
-        # the negative half of the output comes from the mirror identity, so
-        # every row needs its mirror (-k, j1'; -l, j2'; -m, j3'), with j' =
-        # nfreq - 1 - j the branch of frequency -omega_j (branches ascend);
-        # m = k + l, so (k, j1, l, j2, j3) names a row
-        k, j1, l, j2, m, j3 = table.entries.T
-        neg, nfreq, width = lattice.negation, spectrum.nfreq, spectrum.frequencies.shape[1]
-        shape = (len(lattice), width, len(lattice), width, width)
-        rows = np.sort(np.ravel_multi_index((k, j1, l, j2, j3), shape))
-        mirrors = np.ravel_multi_index((neg[k], nfreq[k] - 1 - j1, neg[l], nfreq[l] - 1 - j2, nfreq[m] - 1 - j3), shape)
-        unmatched = int(np.count_nonzero(rows.take(np.searchsorted(rows, mirrors), mode="clip") != mirrors))
-        if unmatched:
-            raise ValueError(f"resonance table is not closed under negation: {unmatched} rows lack their mirror")
 
     def _table(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
         """The table part of qbar(c1, c2) on the positive half, in the order of self.upper."""
@@ -520,9 +518,7 @@ def apply_averaged_quadratic(
     Null triples take one padded transform pair per call (real transforms
     for reality-symmetric inputs); the rest is a sparse sum of
     branch-coordinate coefficients on the positive half, mirrored: one table
-    pass for reality-symmetric inputs, two otherwise.  Raises ValueError if
-    the table lacks a null triple of the lattice or is not closed under
-    negation.
+    pass for reality-symmetric inputs, two otherwise.
     """
     if w1.lattice.modes != table.lattice.modes or w2.lattice.modes != table.lattice.modes:
         raise ValueError("states and resonance table live on different lattices")

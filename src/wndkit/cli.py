@@ -107,6 +107,9 @@ class Run:
         for name in ("resonance", "simulation", "dissipativity", "outputs"):
             if not isinstance(config.get(name, {}), dict):
                 raise ConfigError(f"'{name}' must be a JSON object")
+        directory = config.get("outputs", {}).get("directory", "out")
+        if type(directory) is not str:
+            raise ConfigError(f"outputs.directory must be a JSON string, got {json.dumps(directory)}")
         self.config = config
         system = config.get("system")
         self.model: ns.CnsModel | None = None
@@ -135,6 +138,8 @@ class Run:
             )
         res = config.get("resonance", {})
         self.resonance_tol = _number(res.get("tolerance", 1e-9), "tolerance")
+        if self.resonance_tol <= 0.0:
+            raise ConfigError("tolerance must be positive")
         self.use_exact_rule = res.get("exact_rule", self.model is not None)
         if type(self.use_exact_rule) is not bool:
             raise ConfigError(f"exact_rule must be a JSON boolean, got {json.dumps(self.use_exact_rule)}")
@@ -170,10 +175,14 @@ class Run:
         diss = config.get("dissipativity", {})
         # a count of log-spaced alphas in [1e-2, 1e2], or the alphas themselves
         grid = diss.get("alpha_grid", 32)
-        if (grid if type(grid) is int else np.size(grid)) > MAX_ALPHAS:
+        if type(grid) not in (int, list):
+            raise ConfigError(f"alpha_grid must be a JSON integer or a JSON list of numbers, got {json.dumps(grid)}")
+        if (grid if type(grid) is int else len(grid)) > MAX_ALPHAS:
             raise ConfigError(f"alpha_grid holds more than {MAX_ALPHAS} alphas")
-        self.alphas = default_alpha_grid(grid) if type(grid) is int else np.asarray(grid, dtype=float)
-        if self.alphas.ndim != 1 or not self.alphas.size or not (np.isfinite(self.alphas) & (self.alphas > 0)).all():
+        self.alphas = (
+            default_alpha_grid(grid) if type(grid) is int else np.array([_number(a, "alpha_grid") for a in grid])
+        )
+        if not self.alphas.size or not (self.alphas > 0).all():
             raise ConfigError("alpha_grid must be a count >= 1 or a nonempty list of positive alphas")
         self.direction_count = _count(diss.get("direction_count", 200), "direction_count")
         if not 1 <= self.direction_count <= MAX_DIRECTIONS:
@@ -182,10 +191,13 @@ class Run:
     def lattice(self) -> FrequencyLattice:
         return FrequencyLattice(self.spec.dim, self.lattice_k)
 
-    def exact_rule(self):
-        if self.use_exact_rule and self.model is not None:
-            return ns.make_exact_resonance_rule(self.model)
-        return None
+    def operators(self, lattice: FrequencyLattice):
+        """The run's operators; a table the build refuses (a float tolerance below null noise) is an input error."""
+        rule = ns.make_exact_resonance_rule(self.model) if self.use_exact_rule else None
+        try:
+            return build_operators(self.spec, lattice, resonance_tol=self.resonance_tol, exact_rule=rule)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def initial_state(self, lattice: FrequencyLattice) -> SpectralState:
         cfg = self.initial_cfg
@@ -242,9 +254,7 @@ def cmd_operators(run: Run, outdir: Path) -> int:
         print("entropy validation failed; refusing to build operators", file=sys.stderr)
         return EXIT_FINDING
     lattice = run.lattice()
-    ops = build_operators(
-        run.spec, lattice, resonance_tol=run.resonance_tol, exact_rule=run.exact_rule()
-    )
+    ops = run.operators(lattice)
     write_csv(outdir / "averaged_diffusion.csv", diffusion_csv_rows(ops.avg))
     write_csv(outdir / "spectrum.csv", spectrum_csv_rows(ops.spectrum))
     residuals = []
@@ -299,9 +309,7 @@ def cmd_simulate(run: Run, outdir: Path) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     lattice = run.lattice()
-    ops = build_operators(
-        run.spec, lattice, resonance_tol=run.resonance_tol, exact_rule=run.exact_rule()
-    )
+    ops = run.operators(lattice)
     initial = run.initial_state(lattice)
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)

@@ -40,7 +40,6 @@ __all__ = [
     "CriterionSearch",
     "DissipativityReport",
     "kawashima_check",
-    "metric_operator_norm",
     "sphere_constants",
     "criterion_beta",
     "strict_criterion_search",
@@ -88,12 +87,6 @@ def kawashima_check(
         KawashimaWitness(np.array(dirs[i]), float(evals[i, c]), vecs[i, c]) for i, c in zip(*np.nonzero(undamped))
     ]
     return (len(witnesses) == 0), witnesses
-
-
-def metric_operator_norm(spec: SystemSpec, mat: np.ndarray) -> float:
-    """Operator norm of `mat` in the entropy inner product."""
-    root, inv_root = spec.metric_sqrt()
-    return float(np.linalg.norm(root @ mat @ inv_root, 2))
 
 
 def sphere_constants(spec: SystemSpec, directions: np.ndarray) -> tuple[float, float]:

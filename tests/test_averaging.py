@@ -293,6 +293,8 @@ def test_qbar_alias_free_on_corner_modes(cns_ops4, cns_model):
 
 
 def test_qbar_rejects_table_missing_a_null_triple(cns_model):
+    # qbar adds every null triple by one convolution, so the build refuses a
+    # table that lacks one, naming its k-block
     rule = wk.make_exact_resonance_rule(cns_model)
     null = 0.5 * cns_model.sound
 
@@ -302,10 +304,16 @@ def test_qbar_rejects_table_missing_a_null_triple(cns_model):
         return rule(k, w1, l, w2, m, w3) & ~(pair & all_null)
 
     lat = wk.FrequencyLattice(2, 2)
-    ops = wk.build_operators(cns_model.spec, lat, exact_rule=leaky)
-    w = wk.random_real_state(lat, 4, seed=85)
-    with pytest.raises(ValueError, match=r"holds \d+ null triples, but the lattice has \d+"):
-        apply_averaged_quadratic(cns_model.spec, ops.spectrum, ops.table, w, w)
+    with pytest.raises(ValueError, match=r"rejects 1 of the \d+ null triples at k = \(1, 0\)"):
+        wk.build_operators(cns_model.spec, lat, exact_rule=leaky)
+
+
+def test_float_rule_below_the_null_defects_raises_at_build(cns_model):
+    # the null frequencies are eigensolve noise, not zeros: a tolerance below
+    # their defects rejects null triples, and the build refuses the table
+    lat = wk.FrequencyLattice(2, 2)
+    with pytest.raises(ValueError, match=r"null triples at k = "):
+        wk.build_operators(cns_model.spec, lat, resonance_tol=1e-30)
 
 
 def test_qbar_rejects_table_not_closed_under_negation(cns_model):
@@ -319,10 +327,8 @@ def test_qbar_rejects_table_not_closed_under_negation(cns_model):
         return rule(k, w1, l, w2, m, w3) & ~(pair & all_plus)
 
     lat = wk.FrequencyLattice(2, 2)
-    ops = wk.build_operators(cns_model.spec, lat, exact_rule=lopsided)
-    w = wk.random_real_state(lat, 4, seed=87)
     with pytest.raises(ValueError, match=r"not closed under negation: 1 rows lack their mirror"):
-        apply_averaged_quadratic(cns_model.spec, ops.spectrum, ops.table, w, w)
+        wk.build_operators(cns_model.spec, lat, exact_rule=lopsided)
 
 
 def _count_transforms(monkeypatch):

@@ -129,6 +129,16 @@ def one_mode(**entry) -> dict:
         ("simulate", "simulation", "initial", one_mode(mode=[1.7, 0], coeff_re=[1, 0, 0, 0])),
         ("simulate", "simulation", "initial", one_mode(mode=[1, 0], coeff_re=["nan", 0, 0, 0])),
         ("simulate", "simulation", "initial", one_mode(mode=[1, 0], coeff_re=[1, 0, 0, 0], coeff_im=[float("nan")] * 4)),
+        # the tolerance is positive, the output directory a JSON string and each alpha a finite JSON number
+        ("validate", "resonance", "tolerance", 0),
+        ("validate", "resonance", "tolerance", -1),
+        ("validate", "outputs", "directory", 5),
+        ("validate", "outputs", "directory", ["out"]),
+        ("dissipativity", "dissipativity", "alpha_grid", ["0.5", True]),
+        ("dissipativity", "dissipativity", "alpha_grid", [0.5, True]),
+        ("dissipativity", "dissipativity", "alpha_grid", [[0.5]]),
+        ("dissipativity", "dissipativity", "alpha_grid", [float("nan")]),
+        ("dissipativity", "dissipativity", "alpha_grid", 2.5),
     ],
 )
 def test_bad_config_values_exit_two(tmp_path, capsys, command, section, key, value):
@@ -143,6 +153,17 @@ def test_bad_config_values_exit_two(tmp_path, capsys, command, section, key, val
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["operators", "simulate"])
+def test_refused_resonance_table_exits_two_before_writing(tmp_path, capsys, command):
+    # the float rule at 1e-30 rejects null triples, whose frequencies are eigensolve noise
+    cfg = write_config(tmp_path / "run.json", resonance={"exact_rule": False, "tolerance": 1e-30})
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ")
+    assert "null triples at k = " in err
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_lattice_pair_guard_exits_two_before_building(tmp_path, capsys, monkeypatch):
