@@ -170,7 +170,9 @@ class ResonanceTable:
     eigensolve noise for entries admitted by an exact rule).  Symmetric: the
     (l, k) mirror of every entry is present.  The float rule accepts
     |defect| <= tolerance * scale; `closest_rejected` is the smallest
-    |defect| it rejected (inf if none, nan under an exact rule).
+    |defect| it rejected (inf if none, nan under an exact rule).  qbar
+    assumes the table holds every null triple and is closed under negation;
+    only `build_resonance_table` checks both, so tables must come from it.
     """
 
     lattice: FrequencyLattice
@@ -265,9 +267,8 @@ def build_resonance_table(
         defects.append(defect.take(keep))
     # (k, j1, l, j2, m, j3) columns from the flat (mode, branch) indices
     entries = np.stack(np.divmod(np.concatenate(accepted, axis=1).T, width), axis=2).reshape(-1, 6)
-    # qbar's mirror identity needs every row's mirror (-k, j1'; -l, j2'; -m,
-    # j3'), with j' = nfreq - 1 - j the branch of frequency -omega_j
-    # (branches ascend); m = k + l, so (k, j1, l, j2, j3) names a row
+    # qbar's mirror identity needs every row's mirror (-k, j1'; -l, j2'; -m, j3'), with
+    # j' = nfreq - 1 - j the branch of -omega_j; m = k + l, so (k, j1, l, j2, j3) names a row
     k, j1, l, j2, m, j3 = entries.T
     neg = lattice.negation
     shape = (len(lattice), width, len(lattice), width, width)

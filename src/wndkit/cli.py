@@ -179,9 +179,7 @@ class Run:
             raise ConfigError(f"alpha_grid must be a JSON integer or a JSON list of numbers, got {json.dumps(grid)}")
         if (grid if type(grid) is int else len(grid)) > MAX_ALPHAS:
             raise ConfigError(f"alpha_grid holds more than {MAX_ALPHAS} alphas")
-        self.alphas = (
-            default_alpha_grid(grid) if type(grid) is int else np.array([_number(a, "alpha_grid") for a in grid])
-        )
+        self.alphas = default_alpha_grid(grid) if type(grid) is int else np.array([_number(a, "alpha_grid") for a in grid])
         if not self.alphas.size or not (self.alphas > 0).all():
             raise ConfigError("alpha_grid must be a count >= 1 or a nonempty list of positive alphas")
         self.direction_count = _count(diss.get("direction_count", 200), "direction_count")
@@ -192,11 +190,13 @@ class Run:
         return FrequencyLattice(self.spec.dim, self.lattice_k)
 
     def operators(self, lattice: FrequencyLattice):
-        """The run's operators; a table the build refuses (a float tolerance below null noise) is an input error."""
+        """The run's operators; a refused table is an input error under the float rule, a fault under the exact one."""
         rule = ns.make_exact_resonance_rule(self.model) if self.use_exact_rule else None
         try:
             return build_operators(self.spec, lattice, resonance_tol=self.resonance_tol, exact_rule=rule)
         except ValueError as exc:
+            if rule is not None:
+                raise
             raise ConfigError(str(exc)) from exc
 
     def initial_state(self, lattice: FrequencyLattice) -> SpectralState:

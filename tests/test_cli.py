@@ -166,6 +166,16 @@ def test_refused_resonance_table_exits_two_before_writing(tmp_path, capsys, comm
     assert not any((tmp_path / "out").iterdir())
 
 
+def test_exact_rule_table_refusal_is_a_fault(tmp_path, monkeypatch):
+    # the exact rule has no tolerance in the config, so a refused table is a
+    # program fault: it propagates instead of becoming an input error
+    monkeypatch.setattr(cli.ns, "make_exact_resonance_rule", lambda model: lambda k, w1, *rest: np.zeros(w1.shape, bool))
+    cfg = write_config(tmp_path / "run.json")
+    with pytest.raises(ValueError, match="null triples at k = ") as info:
+        main(["operators", "--config", str(cfg)])
+    assert not isinstance(info.value, cli.ConfigError)
+
+
 def test_lattice_pair_guard_exits_two_before_building(tmp_path, capsys, monkeypatch):
     # 2-D R=34 has (3*34^2 + 3*34 + 1)^2 = 12,752,041 pairs; R=33 (11,336,689) is admitted
     assert convolution_pair_count(2, 34) > cli.MAX_PAIRS >= convolution_pair_count(2, 33)
