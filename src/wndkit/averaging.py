@@ -48,6 +48,7 @@ code with the spectral formulas they check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -97,9 +98,9 @@ class AveragedDiffusion:
         return self.blocks[self.lattice.index(mode)]
 
 
-def averaged_diffusion(spec: SystemSpec, spectrum: Spectrum, lattice: FrequencyLattice) -> AveragedDiffusion:
-    """dbar(xi) = - sum_j p_j(xi) b(xi) p_j(xi) for every lattice mode."""
-    spectrum.require_lattice(lattice)
+def averaged_diffusion(spectrum: Spectrum) -> AveragedDiffusion:
+    """dbar(xi) = - sum_j p_j(xi) b(xi) p_j(xi) for every mode of the spectrum's lattice."""
+    spec, lattice = spectrum.spec, spectrum.lattice
     bsym = diffusion_symbol(spec, lattice.array.astype(float))
     proj = spectrum.projectors
     blocks = np.zeros((len(lattice), spec.ncomp, spec.ncomp), dtype=complex)
@@ -163,19 +164,22 @@ def averaged_diffusion_oracle(
 
 @dataclass(eq=False)
 class ResonanceTable:
-    """Resonant frequency triples (k, j1; l, j2; m=k+l, j3) on one lattice.
+    """Resonant frequency triples (k, j1; l, j2; m=k+l, j3) of one spectrum.
 
-    `entries` columns: k index, j1, l index, j2, m index, j3.  `defects`
-    stores the measured frequency mismatch omega1 + omega2 - omega3 (pure
-    eigensolve noise for entries admitted by an exact rule).  Symmetric: the
-    (l, k) mirror of every entry is present.  The float rule accepts
-    |defect| <= tolerance * scale; `closest_rejected` is the smallest
-    |defect| it rejected (inf if none, nan under an exact rule).  qbar
-    assumes the table holds every null triple and is closed under negation;
-    only `build_resonance_table` checks both, so tables must come from it.
+    The branches j are the spectrum's, so the table lives on its lattice
+    and serves only its system.  `entries` columns: k index, j1, l index,
+    j2, m index, j3.  `defects` stores the measured frequency mismatch
+    omega1 + omega2 - omega3 (pure eigensolve noise for entries admitted by
+    an exact rule).  Symmetric: the (l, k) mirror of every entry is
+    present.  The float rule accepts |defect| <= tolerance * scale;
+    `closest_rejected` is the smallest |defect| it rejected (inf if none,
+    nan under an exact rule).  qbar assumes the table holds every null
+    triple and is closed under negation; only `build_resonance_table`
+    checks both, so tables must come from it.  `quadratic` is qbar
+    compiled for the table, on first use.
     """
 
-    lattice: FrequencyLattice
+    spectrum: Spectrum
     entries: np.ndarray  # (T, 6) int64
     defects: np.ndarray  # (T,) float
     tolerance: float
@@ -186,17 +190,21 @@ class ResonanceTable:
     def __len__(self) -> int:
         return self.entries.shape[0]
 
-    def __post_init__(self) -> None:
-        self._compiled: dict = {}
+    @property
+    def lattice(self) -> FrequencyLattice:
+        return self.spectrum.lattice
+
+    @cached_property
+    def quadratic(self) -> _CompiledQuadratic:
+        return _CompiledQuadratic(self)
 
 
 def build_resonance_table(
     spectrum: Spectrum,
-    lattice: FrequencyLattice,
     tol: float = 1e-9,
     exact_rule: ExactRule | None = None,
 ) -> ResonanceTable:
-    """Enumerate all resonant triples with k, l and k+l inside the lattice.
+    """Enumerate all resonant triples with k, l and k+l inside the spectrum's lattice.
 
     Built one k-block at a time: the candidates (l, j1, j2, j3) of one k, in
     table order (l ascending, then the branches lexicographically), are
@@ -217,8 +225,7 @@ def build_resonance_table(
     accepts all n0(k) sum_l n0(l) n0(k + l) null triples (n0 counts the null
     branches at a mode; the error names k), and every row has its mirror.
     """
-    spectrum.require_lattice(lattice)
-    freqs, nfreq = spectrum.frequencies, spectrum.nfreq
+    lattice, freqs, nfreq = spectrum.lattice, spectrum.frequencies, spectrum.nfreq
     scale = max(float(np.abs(freqs).max()), 1.0)
     arr, zero = lattice.array, lattice.zero_index()
     flat, width = freqs.ravel(), freqs.shape[1]
@@ -278,7 +285,7 @@ def build_resonance_table(
     if unmatched:
         raise ValueError(f"resonance table is not closed under negation: {unmatched} rows lack their mirror")
     return ResonanceTable(
-        lattice=lattice,
+        spectrum=spectrum,
         entries=entries,
         defects=np.concatenate(defects),
         tolerance=tol,
@@ -303,7 +310,7 @@ class _NullGrid(NamedTuple):
 
 
 class _CompiledQuadratic:
-    """The averaged quadratic form of one (spec, table), compiled once.
+    """The averaged quadratic form of one table, compiled once (`ResonanceTable.quadratic`).
 
     Null triples, whose three branches all have zero frequency, are resonant
     for every pair of modes, so together they are the truncated convolution
@@ -347,9 +354,8 @@ class _CompiledQuadratic:
     smallest kept |c|, both relative to max|c|).
     """
 
-    def __init__(self, spec: SystemSpec, spectrum: Spectrum, table: ResonanceTable) -> None:
-        lattice = table.lattice
-        spectrum.require_lattice(lattice)
+    def __init__(self, table: ResonanceTable) -> None:
+        spectrum, spec, lattice = table.spectrum, table.spectrum.spec, table.lattice
         n = spec.ncomp
         self.lattice = lattice
         self.ncomp = n
@@ -495,16 +501,6 @@ class _CompiledQuadratic:
         return SpectralState(w1.lattice, out, w1.time)
 
 
-def _compiled(spec: SystemSpec, spectrum, table: ResonanceTable) -> _CompiledQuadratic:
-    # key on identity but keep the spec alive in the entry, so a recycled id
-    # can never serve another spec's kernels
-    cached = table._compiled.get(id(spec))
-    if cached is None or cached[0] is not spec:
-        cached = (spec, _CompiledQuadratic(spec, spectrum, table))
-        table._compiled[id(spec)] = cached
-    return cached[1]
-
-
 def apply_averaged_quadratic(
     spec: SystemSpec,
     spectrum: Spectrum,
@@ -519,11 +515,15 @@ def apply_averaged_quadratic(
     Null triples take one padded transform pair per call (real transforms
     for reality-symmetric inputs); the rest is a sparse sum of
     branch-coordinate coefficients on the positive half, mirrored: one table
-    pass for reality-symmetric inputs, two otherwise.
+    pass for reality-symmetric inputs, two otherwise.  ValueError unless
+    `spectrum is table.spectrum`, `spec is spectrum.spec` and the states
+    live on the table's lattice.
     """
+    if spectrum is not table.spectrum or spec is not spectrum.spec:
+        raise ValueError("qbar needs the resonance table's own spectrum and that spectrum's spec")
     if w1.lattice.modes != table.lattice.modes or w2.lattice.modes != table.lattice.modes:
         raise ValueError("states and resonance table live on different lattices")
-    return _compiled(spec, spectrum, table).apply(w1, w2)
+    return table.quadratic.apply(w1, w2)
 
 
 def apply_quadratic(spec: SystemSpec, w1: SpectralState, w2: SpectralState) -> SpectralState:

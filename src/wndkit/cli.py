@@ -21,12 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import navier_stokes as ns
-from .averaging import (
-    _compiled,
-    cyclic_residual,
-    diffusion_csv_rows,
-    resonance_csv_rows,
-)
+from .averaging import cyclic_residual, diffusion_csv_rows, resonance_csv_rows
 from .dissipativity import analyze_dissipativity, default_alpha_grid
 from .solver import INTEGRATORS, BlowUpError, build_operators, simulate, whole_steps
 from .spectral import FrequencyLattice, convolution_pair_count, spectrum_csv_rows
@@ -108,9 +103,9 @@ class Run:
             if not isinstance(config.get(name, {}), dict):
                 raise ConfigError(f"'{name}' must be a JSON object")
         directory = config.get("outputs", {}).get("directory", "out")
-        if type(directory) is not str:
-            raise ConfigError(f"outputs.directory must be a JSON string, got {json.dumps(directory)}")
-        self.config = config
+        if type(directory) is not str or not directory:
+            raise ConfigError(f"outputs.directory must be a nonempty JSON string, got {json.dumps(directory)}")
+        self.directory = directory
         system = config.get("system")
         self.model: ns.CnsModel | None = None
         if isinstance(system, str):
@@ -229,6 +224,8 @@ class Run:
                     )
                 if re.shape != (n,) or im.shape != (n,):
                     raise ConfigError(f"mode {list(mode)}: coeff_re and coeff_im need {n} components each")
+                if not any(mode) and im.any():
+                    raise ConfigError(f"mode {list(mode)} is its own mirror, so its coeff_im must be zero")
                 entries.append((mode, re + 1j * im))
             return state_from_modes(lattice, n, entries)
         if kind == "zero":
@@ -269,7 +266,7 @@ def cmd_operators(run: Run, outdir: Path) -> int:
         write_csv(outdir / "cyclic_residuals.csv", [["trial", "residual"]] + residuals)
         print(f"resonance triples: {len(ops.table)}; "
               f"max cyclic residual {max(r[1] for r in residuals):.3e}")
-        quad = _compiled(run.spec, ops.spectrum, ops.table)
+        quad = ops.table.quadratic
         largest, smallest = quad.drop_margin
         print(f"qbar coefficients: {quad.terms} terms, {quad.coefficient_bytes} bytes; "
               f"{quad.dropped} dropped as structural zeros, largest dropped {largest:.3e}, "
@@ -396,8 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    out = args.out or config.get("outputs", {}).get("directory", "out")
-    outdir = Path(out)
+    outdir = Path(args.out or run.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         return COMMANDS[args.command](run, outdir)

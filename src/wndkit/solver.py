@@ -131,10 +131,10 @@ def build_operators(
     with_quadratic: bool = True,
 ) -> WndOperators:
     spectrum = frequency_spectrum(spec, lattice)
-    avg = averaged_diffusion(spec, spectrum, lattice)
+    avg = averaged_diffusion(spectrum)
     table = None
     if with_quadratic and np.abs(spec.quadratic).max() > 0.0:
-        table = build_resonance_table(spectrum, lattice, resonance_tol, exact_rule)
+        table = build_resonance_table(spectrum, resonance_tol, exact_rule)
     return WndOperators(spec=spec, lattice=lattice, spectrum=spectrum, avg=avg, table=table)
 
 

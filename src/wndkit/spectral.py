@@ -153,10 +153,11 @@ class Spectrum(Mapping):
     (padded branches are not branches).  `basis` (M, N, N) and `branch`
     (M, N) stack the per-mode eigenvector bases and the branch of each
     column: the branch ranks at a mode sum to N, so one basis spans them
-    all.  As a read-only mapping from mode to ModeDecomposition it serves
-    views of those rows.
+    all.  `spec` is the system decomposed.  As a read-only mapping from
+    mode to ModeDecomposition it serves views of those rows.
     """
 
+    spec: SystemSpec
     lattice: FrequencyLattice
     frequencies: np.ndarray  # (M, B) float
     projectors: np.ndarray  # (M, B, N, N) float
@@ -247,7 +248,7 @@ def frequency_spectrum(spec: SystemSpec, lattice: FrequencyLattice) -> Spectrum:
     arrays = _decompose_modes(spec, lattice.array)
     for arr in arrays:
         arr.setflags(write=False)
-    return Spectrum(lattice, *arrays)
+    return Spectrum(spec, lattice, *arrays)
 
 
 def spectrum_csv_rows(spectrum: Spectrum) -> Iterator[list]:

@@ -3,7 +3,6 @@ import pytest
 
 import wndkit as wk
 from wndkit.averaging import (
-    _compiled,
     _CompiledQuadratic,
     apply_averaged_quadratic,
     apply_quadratic,
@@ -119,7 +118,7 @@ def test_resonance_table_symmetry_and_containment(cns_ops4):
 def test_resonance_collinear_acoustic_stored(cns_model):
     lat = wk.FrequencyLattice(2, 8)
     spectrum = wk.frequency_spectrum(cns_model.spec, lat)
-    table = build_resonance_table(spectrum, lat, exact_rule=wk.make_exact_resonance_rule(cns_model))
+    table = build_resonance_table(spectrum, exact_rule=wk.make_exact_resonance_rule(cns_model))
     c0 = cns_model.sound
 
     def has_triple(k, l, s1, s2, s3):
@@ -242,7 +241,7 @@ def test_qbar_matches_table_reference_beyond_the_2d_gas(system, request):
     if model is not None:
         split, _ = wcns_split(model, ops.spectrum, w1)
         cases["split"] = (split, split)
-    assert _compiled(spec, ops.spectrum, ops.table).terms > 0
+    assert ops.table.quadratic.terms > 0
     for name, (a, b) in cases.items():
         got, err, scale = _qbar_vs_reference(ops, spec, a, b)
         assert err <= 1e-13 * scale, name
@@ -266,7 +265,7 @@ def test_spectrum_basis_rebuilds_projectors(system, request):
 def test_qbar_drop_margin(ops_fixture, cns_model, request):
     """Dropped coefficients are roundoff, kept ones are far from it."""
     ops = request.getfixturevalue(ops_fixture)
-    quad = _compiled(cns_model.spec, ops.spectrum, ops.table)
+    quad = ops.table.quadratic
     largest, smallest = quad.drop_margin
     assert quad.dropped > 0 and largest <= 1e-14 and smallest >= 1e-6
     assert quad.terms == len(quad.coef) and quad.coefficient_bytes <= 500_000
@@ -343,6 +342,61 @@ def _count_transforms(monkeypatch):
 
         monkeypatch.setattr(scipy.fft, name, counted)
     return calls
+
+
+def test_qbar_refuses_another_spectrum_or_spec(cns_model):
+    """A table's branch indices belong to the spectrum it was built from, and
+    that spectrum to one system: qbar and the cyclic residual refuse any
+    other spectrum on the same lattice, or any other spec, before compiling
+    anything, so a later call with the right pair is not served a stale
+    compile."""
+    spec = cns_model.spec
+    lat = wk.FrequencyLattice(2, 3)
+    rule = wk.make_exact_resonance_rule(cns_model)
+    ops = wk.build_operators(spec, lat, exact_rule=rule)
+    conserved = wk.build_cns_spec(cns_model.eos, cns_model.transport, 1.0, 1.0, 2, variables="conserved")
+    other = wk.frequency_spectrum(conserved, lat)
+    recomputed = wk.frequency_spectrum(spec, lat)  # equal arrays, another object
+    w = wk.random_real_state(lat, 4, seed=96, decay=2.0)
+    for pair in ((spec, other), (conserved, ops.spectrum), (conserved, other), (spec, recomputed)):
+        with pytest.raises(ValueError, match="own spectrum"):
+            apply_averaged_quadratic(*pair, ops.table, w, w)
+        with pytest.raises(ValueError, match="own spectrum"):
+            cyclic_residual(*pair, ops.table, w, w, w)
+    fresh = wk.build_operators(spec, lat, exact_rule=rule)
+    got = apply_averaged_quadratic(spec, ops.spectrum, ops.table, w, w)
+    want = apply_averaged_quadratic(spec, fresh.spectrum, fresh.table, w, w)
+    assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_table_compiles_qbar_once_on_first_use(cns_model, monkeypatch):
+    """The build does not compile; the first qbar call compiles
+    `table.quadratic`, and every later call, the cyclic residual and the
+    property itself reuse that one object."""
+    compiled, applied = [], []
+    init, table_pass = _CompiledQuadratic.__init__, _CompiledQuadratic._table
+
+    def counted_init(self, table):
+        compiled.append(self)
+        init(self, table)
+
+    def counted_pass(self, c1, c2):
+        applied.append(self)
+        return table_pass(self, c1, c2)
+
+    monkeypatch.setattr(_CompiledQuadratic, "__init__", counted_init)
+    monkeypatch.setattr(_CompiledQuadratic, "_table", counted_pass)
+    spec = cns_model.spec
+    lat = wk.FrequencyLattice(2, 2)
+    ops = wk.build_operators(spec, lat, exact_rule=wk.make_exact_resonance_rule(cns_model))
+    assert compiled == []
+    w = wk.random_real_state(lat, 4, seed=97, decay=2.0)
+    for _ in range(2):
+        apply_averaged_quadratic(spec, ops.spectrum, ops.table, w, w)
+    cyclic_residual(spec, ops.spectrum, ops.table, w, w, w)
+    quad = ops.table.quadratic
+    assert quad is ops.table.quadratic
+    assert compiled == [quad] and len(applied) == 5 and all(q is quad for q in applied)
 
 
 def test_qbar_pass_count(cns_ops4, cns_model, monkeypatch):
@@ -457,13 +511,13 @@ def test_resonance_table_matches_per_triple_reference(system, radius, exact, sca
             norms = [sum(c * c for c in mode) for mode in (k, l, m)]
             return acoustic_sum_resonant(*norms, sign(w1), sign(w2), sign(w3))
 
-        table = build_resonance_table(spectrum, lat, exact_rule=wk.make_exact_resonance_rule(model))
+        table = build_resonance_table(spectrum, exact_rule=wk.make_exact_resonance_rule(model))
     else:
 
         def decide(k, w1, l, w2, m, w3):
             return abs((w1 + w2) - w3) <= 1e-9 * scale
 
-        table = build_resonance_table(spectrum, lat)
+        table = build_resonance_table(spectrum)
     entries, defects, closest = _reference_table(spectrum, lat, decide)
     assert len(entries) > 0
     assert np.array_equal(table.entries, entries)
@@ -487,7 +541,7 @@ def test_exact_rule_sees_one_read_only_block_per_mode(cns_model):
         calls.append(args)
         return rule(*args)
 
-    table = build_resonance_table(spectrum, lat, exact_rule=recording)
+    table = build_resonance_table(spectrum, exact_rule=recording)
     assert len(calls) == len(lat)
     for k, w1, l, w2, m, w3 in calls:
         for x in (k, l, m):
@@ -508,18 +562,18 @@ def test_resonance_table_rejects_a_scalar_rule(cns_model):
     lat = wk.FrequencyLattice(2, 1)
     spectrum = wk.frequency_spectrum(cns_model.spec, lat)
     with pytest.raises(ValueError, match="expected \\d+ booleans"):
-        build_resonance_table(spectrum, lat, exact_rule=lambda k, w1, l, w2, m, w3: True)
+        build_resonance_table(spectrum, exact_rule=lambda k, w1, l, w2, m, w3: True)
 
 
 def test_float_rule_resonance_margin(cns_model):
     lat = wk.FrequencyLattice(2, 4)
     spectrum = wk.frequency_spectrum(cns_model.spec, lat)
-    table = build_resonance_table(spectrum, lat)
+    table = build_resonance_table(spectrum)
     scale = max(float(np.abs(spectrum.frequencies).max()), 1.0)
     assert table.scale == scale and not table.exact
     assert np.abs(table.defects).max() <= 1e-12 * scale
     assert table.closest_rejected >= 1e-3 * scale
-    exact = build_resonance_table(spectrum, lat, exact_rule=wk.make_exact_resonance_rule(cns_model))
+    exact = build_resonance_table(spectrum, exact_rule=wk.make_exact_resonance_rule(cns_model))
     assert np.isnan(exact.closest_rejected)
 
 

@@ -139,6 +139,10 @@ def one_mode(**entry) -> dict:
         ("dissipativity", "dissipativity", "alpha_grid", [[0.5]]),
         ("dissipativity", "dissipativity", "alpha_grid", [float("nan")]),
         ("dissipativity", "dissipativity", "alpha_grid", 2.5),
+        # the empty directory would be the working directory
+        ("validate", "outputs", "directory", ""),
+        # the zero mode is its own mirror: an imaginary part there is refused, not dropped
+        ("simulate", "simulation", "initial", one_mode(mode=[0, 0], coeff_re=[1, 0, 0, 0], coeff_im=[0.5, 0, 0, 0])),
     ],
 )
 def test_bad_config_values_exit_two(tmp_path, capsys, command, section, key, value):

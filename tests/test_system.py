@@ -172,9 +172,12 @@ def test_change_of_variables_functorial(seed1, seed2):
     t2 = _well_conditioned(seed2)
     once = wk.change_of_variables(wk.change_of_variables(model.spec, t1), t2)
     combo = wk.change_of_variables(model.spec, t1 @ t2)
+    # the two routes differ by the rounding of t1 @ t2 and of the inverses,
+    # which the conditioning of the transforms amplifies
+    bound = 4 * np.finfo(float).eps * np.linalg.cond(t1) * np.linalg.cond(t2)
     for name in ("advection", "diffusion", "quadratic", "entropy_hessian"):
         a, b = getattr(once, name), getattr(combo, name)
-        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+        assert np.abs(a - b).max() <= bound * max(1.0, np.abs(b).max())
 
 
 def test_change_of_variables_rejects_singular(cns_model):
