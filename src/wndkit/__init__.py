@@ -50,8 +50,6 @@ from .spectral import (
     FrequencyLattice,
     ModeDecomposition,
     Spectrum,
-    decompose,
-    evolve_group,
     frequency_spectrum,
 )
 from .state import (

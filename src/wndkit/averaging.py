@@ -111,16 +111,13 @@ def averaged_diffusion(spectrum: Spectrum) -> AveragedDiffusion:
     # the identity dbar(-xi) = conj(dbar(xi)) holds exactly for real symbols;
     # enforcing it removes independent-eigensolve roundoff so that stepping
     # preserves the reality symmetry of states bit for bit
-    neg = lattice.negation
-    upper = np.arange(len(lattice)) > lattice.zero_index()
-    blocks[neg[upper]] = blocks[upper].conj()
+    upper = lattice.upper
+    blocks[lattice.negation[upper]] = blocks[upper].conj()
     return AveragedDiffusion(lattice=lattice, blocks=blocks)
 
 
 def apply_averaged_diffusion(avg: AveragedDiffusion, state: SpectralState) -> SpectralState:
-    out = state.copy()
-    out.coeffs = np.einsum("mpq,mq->mp", avg.blocks, state.coeffs)
-    return out
+    return SpectralState(state.lattice, np.einsum("mpq,mq->mp", avg.blocks, state.coeffs), state.time)
 
 
 def averaged_diffusion_oracle(
@@ -139,27 +136,14 @@ def averaged_diffusion_oracle(
     if t_span <= 0.0 or n_steps < 100:
         raise ValueError("need t_span > 0 and n_steps >= 100")
     xi = np.asarray(xi, dtype=float)
-    a = advection_symbol(spec, xi)
     b = diffusion_symbol(spec, xi).astype(complex)
-    dt = t_span / n_steps
-    acc = np.zeros_like(b)
-    # e^{-i t a} = conj(e^{i t a}) for the real symbol a, so each half-axis
-    # needs a single power stream; the halves share the t = 0 node, whose two
-    # endpoint half-weights combine to the interior trapezoid weight.
-    for sign in (1.0, -1.0):
-        step = scipy.linalg.expm(sign * 1j * dt * a)
-        offset = 0
-        for powers in _propagator_powers_stack(step[None], n_steps + 1, DIFFUSION_ORACLE_CHUNK):
-            fwd = powers[:, 0]
-            weights = np.full(fwd.shape[0], dt)
-            if offset == 0:
-                weights[0] = 0.5 * dt
-            if offset + fwd.shape[0] == n_steps + 1:
-                weights[-1] = 0.5 * dt
-            integrand = (fwd @ -b) @ fwd.conj()
-            acc += np.einsum("t,tpq->pq", weights, integrand)
-            offset += fwd.shape[0]
-    return acc / (2.0 * t_span)
+    step = scipy.linalg.expm(1j * (t_span / n_steps) * advection_symbol(spec, xi))
+
+    def integrand(powers: np.ndarray) -> np.ndarray:
+        fwd = powers[:, 0]
+        return (fwd @ -b) @ fwd.conj()
+
+    return _trapezoid_average(step[None], t_span, n_steps, DIFFUSION_ORACLE_CHUNK, integrand)
 
 
 @dataclass(eq=False)
@@ -360,7 +344,7 @@ class _CompiledQuadratic:
         self.lattice = lattice
         self.ncomp = n
         zero_idx = lattice.zero_index()
-        self.upper = np.arange(zero_idx + 1, len(lattice))  # positive half in lex order
+        self.upper = lattice.upper
 
         null = spectrum.null
         entries = table.entries
@@ -521,7 +505,7 @@ def apply_averaged_quadratic(
     """
     if spectrum is not table.spectrum or spec is not spectrum.spec:
         raise ValueError("qbar needs the resonance table's own spectrum and that spectrum's spec")
-    if w1.lattice.modes != table.lattice.modes or w2.lattice.modes != table.lattice.modes:
+    if w1.lattice != table.lattice or w2.lattice != table.lattice:
         raise ValueError("states and resonance table live on different lattices")
     return table.quadratic.apply(w1, w2)
 
@@ -535,15 +519,14 @@ def apply_quadratic(spec: SystemSpec, w1: SpectralState, w2: SpectralState) -> S
     the all-resonant oracle and inside the time-average oracle.
     """
     lattice = w1.lattice
-    if w2.lattice.modes != lattice.modes:
+    if w2.lattice != lattice:
         raise ValueError("states live on different lattices")
     pk, pl, pm, seg_starts, seg_modes = lattice.convolution_pairs()
     quad = np.einsum("aijk,tj,tk->tai", spec.quadratic, w1.coeffs[pk], w2.coeffs[pl])
     div = 1j * np.einsum("ta,tai->ti", lattice.array[pm].astype(float), quad)
-    out = w1.copy()
-    out.coeffs = np.zeros_like(w1.coeffs)
-    out.coeffs[seg_modes] = np.add.reduceat(div, seg_starts, axis=0)
-    return out
+    out = np.zeros_like(w1.coeffs)
+    out[seg_modes] = np.add.reduceat(div, seg_starts, axis=0)
+    return SpectralState(lattice, out, w1.time)
 
 
 def quadratic_time_average_oracle(
@@ -572,30 +555,48 @@ def quadratic_time_average_oracle(
     pk, pl, pm, seg_starts, seg_modes = lattice.convolution_pairs()
     mvec = arr[pm]
 
-    acc = np.zeros((nmodes, n), dtype=complex)
-    # one power stream per half-axis; e^{+t A} at a mode is the elementwise
-    # conjugate of e^{-t A} there (real symbols), and the shared t = 0 node
-    # gets its full trapezoid weight from the two endpoint halves.
+    def integrand(back: np.ndarray) -> np.ndarray:
+        evolved = np.einsum("bmpq,mq->bmp", back, state.coeffs)
+        quad = np.einsum("aijk,btj,btk->btai", spec.quadratic, evolved[:, pk], evolved[:, pl])
+        div = 1j * np.einsum("ta,btai->bti", mvec, quad)
+        conv = np.zeros((back.shape[0], nmodes, n), dtype=complex)
+        conv[:, seg_modes] = np.add.reduceat(div, seg_starts, axis=1)
+        return np.einsum("bmpq,bmq->bmp", back.conj(), conv)
+
+    coeffs = _trapezoid_average(steps, t_span, n_steps, QUADRATIC_ORACLE_CHUNK, integrand)
+    return SpectralState(lattice, coeffs, state.time)
+
+
+def _trapezoid_average(
+    steps: np.ndarray,
+    t_span: float,
+    n_steps: int,
+    chunk: int,
+    integrand: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Trapezoidal average over [-T, T] of integrand(powers of the propagator), n_steps nodes per half-axis.
+
+    `steps` (nmodes, N, N) advances one node spacing for t >= 0.  For real
+    symbols the propagator at -t is the elementwise conjugate of the one at
+    t, so the t <= 0 half-axis is the power stream of steps.conj(); each
+    half-axis is one stream, and the halves share the t = 0 node, whose two
+    endpoint half-weights combine to the interior trapezoid weight.
+    `integrand` maps a block of powers (b, nmodes, N, N) to b samples.
+    """
+    dt = t_span / n_steps
+    acc = 0.0
     for side_steps in (steps, steps.conj()):
         offset = 0
-        for back in _propagator_powers_stack(side_steps, n_steps + 1, QUADRATIC_ORACLE_CHUNK):
-            nb = back.shape[0]
+        for powers in _propagator_powers_stack(side_steps, n_steps + 1, chunk):
+            nb = powers.shape[0]
             weights = np.full(nb, dt)
             if offset == 0:
                 weights[0] = 0.5 * dt
             if offset + nb == n_steps + 1:
                 weights[-1] = 0.5 * dt
-            evolved = np.einsum("bmpq,mq->bmp", back, state.coeffs)
-            quad = np.einsum("aijk,btj,btk->btai", spec.quadratic, evolved[:, pk], evolved[:, pl])
-            div = 1j * np.einsum("ta,btai->bti", mvec, quad)
-            conv = np.zeros((nb, nmodes, n), dtype=complex)
-            conv[:, seg_modes] = np.add.reduceat(div, seg_starts, axis=1)
-            undone = np.einsum("bmpq,bmq->bmp", back.conj(), conv)
-            acc += np.einsum("b,bmp->mp", weights, undone)
+            acc = acc + np.einsum("b,b...->...", weights, integrand(powers))
             offset += nb
-    out = state.copy()
-    out.coeffs = acc / (2.0 * t_span)
-    return out
+    return acc / (2.0 * t_span)
 
 
 def _propagator_powers_stack(steps: np.ndarray, count: int, chunk: int) -> Iterator[np.ndarray]:

@@ -224,10 +224,11 @@ class Run:
                     )
                 if re.shape != (n,) or im.shape != (n,):
                     raise ConfigError(f"mode {list(mode)}: coeff_re and coeff_im need {n} components each")
-                if not any(mode) and im.any():
-                    raise ConfigError(f"mode {list(mode)} is its own mirror, so its coeff_im must be zero")
                 entries.append((mode, re + 1j * im))
-            return state_from_modes(lattice, n, entries)
+            try:
+                return state_from_modes(lattice, n, entries)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         if kind == "zero":
             return state_from_modes(lattice, self.spec.ncomp, [])
         raise ConfigError(f"unknown initial condition type {kind!r}")
@@ -360,7 +361,7 @@ def cmd_wcns_report(run: Run, outdir: Path) -> int:
     lattice = run.lattice()
     if lattice.radius < 5:
         lattice = FrequencyLattice(run.spec.dim, 5)
-    ops = build_operators(run.spec, lattice, exact_rule=ns.make_exact_resonance_rule(run.model))
+    ops = run.operators(lattice)
     report = ns.wcns_coupling_report(run.model, ops.spectrum, ops.table)
     with open(outdir / "wcns_report.json", "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=1)

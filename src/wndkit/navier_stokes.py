@@ -376,15 +376,14 @@ def wcns_split(model: CnsModel, spectrum: Spectrum, state: SpectralState) -> tup
     (divergence-free velocity, pressure-neutral thermodynamics); the rest
     lives on the +-c0|k| eigenspaces.  The zero mode is incompressible.
     """
-    spectrum.require_lattice(state.lattice)
+    if state.lattice != spectrum.lattice:
+        raise ValueError("spectrum and state live on different lattices")
     # padded branches have a zero projector, so counting them as null is harmless
     null = _branch_sign(model, spectrum.frequencies) == 0
     p_null = (spectrum.projectors * null[:, :, None, None]).sum(axis=1)
-    w_in = state.copy()
-    w_in.coeffs = np.matmul(p_null, state.coeffs[:, :, None])[:, :, 0]
-    w_ac = state.copy()
-    w_ac.coeffs = state.coeffs - w_in.coeffs
-    return w_in, w_ac
+    incompressible = np.matmul(p_null, state.coeffs[:, :, None])[:, :, 0]
+    w_in = SpectralState(state.lattice, incompressible, state.time)
+    return w_in, SpectralState(state.lattice, state.coeffs - incompressible, state.time)
 
 
 def _branch_sign(model: CnsModel, omega) -> np.ndarray:

@@ -72,31 +72,34 @@ class BlowUpError(RuntimeError):
 
 @dataclass(eq=False)
 class WndOperators:
-    """Everything needed to advance one system on one lattice."""
+    """Everything needed to advance one system on one lattice; both are the spectrum's.
 
-    spec: SystemSpec
-    lattice: FrequencyLattice
+    `generator` holds the per-mode blocks -i sum_j omega_j p_j + dbar, and
+    `omega_max` the fastest retained frequency.
+    """
+
     spectrum: Spectrum
     avg: AveragedDiffusion
     table: ResonanceTable | None
 
     def __post_init__(self) -> None:
-        self.spectrum.require_lattice(self.lattice)
         asum = np.einsum("mj,mjpq->mpq", self.spectrum.frequencies, self.spectrum.projectors)
         # enforce the exact mirror identity a(-xi) = -a(xi); together with the
         # mirrored diffusion blocks this makes the per-mode generator satisfy
         # gen(-xi) = conj(gen(xi)) bitwise, so stepping preserves reality
-        neg = self.lattice.negation
-        upper = np.arange(len(self.lattice)) > self.lattice.zero_index()
-        asum[neg[upper]] = -asum[upper]
-        self._advection = asum
-        self._generator = -1j * asum + self.avg.blocks
-        self._omega_max = float(np.abs(self.spectrum.frequencies).max())
+        upper = self.lattice.upper
+        asum[self.lattice.negation[upper]] = -asum[upper]
+        self.generator = -1j * asum + self.avg.blocks
+        self.omega_max = float(np.abs(self.spectrum.frequencies).max())
         self._propagators: dict[tuple[float, bool], np.ndarray] = {}
 
     @property
-    def omega_max(self) -> float:
-        return self._omega_max
+    def spec(self) -> SystemSpec:
+        return self.spectrum.spec
+
+    @property
+    def lattice(self) -> FrequencyLattice:
+        return self.spectrum.lattice
 
     def quadratic_tendency(self, state: SpectralState) -> np.ndarray:
         if self.table is None:
@@ -113,7 +116,7 @@ class WndOperators:
         key = (float(dt), filtered)
         props = self._propagators.get(key)
         if props is None:
-            gen = self.avg.blocks if filtered else self._generator
+            gen = self.avg.blocks if filtered else self.generator
             props = np.empty_like(gen)
             half = np.arange(self.lattice.zero_index(), gen.shape[0])
             props[half] = scipy.linalg.expm(dt * gen[half])
@@ -135,21 +138,17 @@ def build_operators(
     table = None
     if with_quadratic and np.abs(spec.quadratic).max() > 0.0:
         table = build_resonance_table(spectrum, resonance_tol, exact_rule)
-    return WndOperators(spec=spec, lattice=lattice, spectrum=spectrum, avg=avg, table=table)
+    return WndOperators(spectrum, avg, table)
 
 
 def rhs(ops: WndOperators, state: SpectralState) -> SpectralState:
     """Tendency -A w - qbar(w, w) + dbar w, mode-wise."""
-    out = state.copy()
-    lin = np.einsum("mpq,mq->mp", ops._generator, state.coeffs)
-    out.coeffs = lin - ops.quadratic_tendency(state)
-    return out
+    lin = np.einsum("mpq,mq->mp", ops.generator, state.coeffs)
+    return SpectralState(state.lattice, lin - ops.quadratic_tendency(state), state.time)
 
 
 def _stage_rhs(ops: WndOperators, coeffs: np.ndarray, template: SpectralState) -> np.ndarray:
-    probe = template.copy()
-    probe.coeffs = coeffs
-    return -ops.quadratic_tendency(probe)
+    return -ops.quadratic_tendency(SpectralState(template.lattice, coeffs, template.time))
 
 
 def _apply(props: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -186,9 +185,7 @@ def step(
             _apply(full, coeffs)
             + (dt / 6.0) * (_apply(full, k1) + 2.0 * _apply(half, k2 + k3) + k4)
         )
-    out = state.copy(time=state.time + dt)
-    out.coeffs = new
-    return out
+    return SpectralState(state.lattice, new, state.time + dt)
 
 
 def _check_finite(ops: WndOperators, coeffs: np.ndarray, time: float) -> None:
@@ -335,9 +332,7 @@ def filtered_equivalence_check(
 
 
 def _diff_state(a: SpectralState, b: SpectralState) -> SpectralState:
-    out = a.copy()
-    out.coeffs = a.coeffs - b.coeffs
-    return out
+    return SpectralState(a.lattice, a.coeffs - b.coeffs, a.time)
 
 
 @dataclass(frozen=True)
@@ -410,7 +405,5 @@ def weak_strong_experiment(
 
 def _grad_weight(state: SpectralState) -> SpectralState:
     """State with coefficients scaled by |xi| (spectral gradient magnitude)."""
-    out = state.copy()
     mags = np.sqrt((state.lattice.array.astype(float) ** 2).sum(axis=1))
-    out.coeffs = state.coeffs * mags[:, None]
-    return out
+    return SpectralState(state.lattice, state.coeffs * mags[:, None], state.time)

@@ -1,4 +1,4 @@
-"""Truncated integer frequency lattice and per-mode spectral decomposition.
+"""Truncated integer frequency lattice and the stacked spectral decomposition of its modes.
 
 On the 2*pi-periodic torus the skew generator acts mode by mode through the
 real-spectrum pencil i*a(xi).  Because g a(xi) is symmetric, the similar
@@ -12,7 +12,6 @@ built on top.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -25,8 +24,6 @@ __all__ = [
     "ModeDecomposition",
     "Spectrum",
     "convolution_pair_count",
-    "decompose",
-    "evolve_group",
     "frequency_spectrum",
     "spectrum_csv_rows",
 ]
@@ -45,13 +42,17 @@ def convolution_pair_count(dim: int, radius: int) -> int:
     return (3 * radius * radius + 3 * radius + 1) ** dim
 
 
-@dataclass(eq=False)
+@dataclass
 class FrequencyLattice:
     """All integer modes with max-norm at most `radius`, in lexicographic order.
 
     The ordering is the reproducibility contract: every reduction over modes
     follows it, so parallel construction with an ordered merge is
-    deterministic.  The set is closed under negation by construction.
+    deterministic.  (dim, radius) fixes the mode set, so lattices compare
+    equal by value on it.  The set is closed under negation by construction:
+    `negation` holds the index of -xi for each xi, and `upper` the indices
+    of the positive half (the modes after the zero mode), whose mirrors are
+    the modes before it.
     """
 
     dim: int
@@ -70,6 +71,8 @@ class FrequencyLattice:
         # index of -xi for each xi; lex order reverses under negation
         self.negation = np.arange(len(self.modes) - 1, -1, -1)
         self.negation.setflags(write=False)
+        self.upper = np.arange(self.zero_index() + 1, len(self.modes))
+        self.upper.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -142,7 +145,7 @@ class ModeDecomposition:
 
 
 @dataclass(eq=False)
-class Spectrum(Mapping):
+class Spectrum:
     """Decompositions at every lattice mode, stacked in lattice order.
 
     Row i of `frequencies` (M, B) and `projectors` (M, B, N, N) holds the
@@ -153,8 +156,7 @@ class Spectrum(Mapping):
     (padded branches are not branches).  `basis` (M, N, N) and `branch`
     (M, N) stack the per-mode eigenvector bases and the branch of each
     column: the branch ranks at a mode sum to N, so one basis spans them
-    all.  `spec` is the system decomposed.  As a read-only mapping from
-    mode to ModeDecomposition it serves views of those rows.
+    all.  `spec` is the system decomposed.
     """
 
     spec: SystemSpec
@@ -167,6 +169,11 @@ class Spectrum(Mapping):
     branch: np.ndarray  # (M, N) int
 
     def __getitem__(self, mode: Sequence[int]) -> ModeDecomposition:
+        """Views of one mode's rows (KeyError outside the lattice).
+
+        Kept for the benchmark harness only: perfbench/run.py reads its
+        branch counts through it.  Library code reads the stacked arrays.
+        """
         i = self.lattice.index(mode)
         k = int(self.nfreq[i])
         return ModeDecomposition(
@@ -176,16 +183,6 @@ class Spectrum(Mapping):
             basis=self.basis[i],
             branch=self.branch[i],
         )
-
-    def __iter__(self) -> Iterator[Mode]:
-        return iter(self.lattice)
-
-    def __len__(self) -> int:
-        return len(self.lattice)
-
-    def require_lattice(self, lattice: FrequencyLattice) -> None:
-        if lattice is not self.lattice and lattice.modes != self.lattice.modes:
-            raise ValueError("spectrum and lattice have different modes")
 
 
 def _decompose_modes(spec: SystemSpec, modes: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -225,24 +222,6 @@ def _decompose_modes(spec: SystemSpec, modes: np.ndarray) -> tuple[np.ndarray, .
     return frequencies, projectors, nfreq, null, basis, branch
 
 
-def decompose(spec: SystemSpec, mode: Sequence[int]) -> ModeDecomposition:
-    """Eigenstructure of the advection symbol at one integer mode: one row of frequency_spectrum.
-
-    The basis is g^{-1/2} times the symmetric problem's eigenvectors
-    (g^{-1/2} itself at the zero mode, whose one branch is everything).
-    """
-    key = tuple(int(c) for c in mode)
-    frequencies, projectors, nfreq, _, basis, branch = _decompose_modes(spec, np.array([key], dtype=np.int64))
-    k = int(nfreq[0])
-    return ModeDecomposition(key, frequencies[0, :k], projectors[0, :k], basis[0], branch[0])
-
-
-def evolve_group(dec: ModeDecomposition, t: float, vec: np.ndarray) -> np.ndarray:
-    """Apply the unitary mode propagator sum_j exp(-i omega_j t) p_j."""
-    phases = np.exp(-1j * dec.frequencies * t)
-    return np.einsum("j,jpq,q->p", phases, dec.projectors, np.asarray(vec, dtype=complex))
-
-
 def frequency_spectrum(spec: SystemSpec, lattice: FrequencyLattice) -> Spectrum:
     """Decomposition at every lattice mode: one batched eigensolve, in lattice order."""
     arrays = _decompose_modes(spec, lattice.array)
@@ -253,7 +232,7 @@ def frequency_spectrum(spec: SystemSpec, lattice: FrequencyLattice) -> Spectrum:
 
 def spectrum_csv_rows(spectrum: Spectrum) -> Iterator[list]:
     """Diagnostic rows (mode components..., frequency index, omega, projector rank)."""
-    for mode, dec in spectrum.items():
-        for j, omega in enumerate(dec.frequencies):
-            rank = int(round(float(np.trace(dec.projectors[j]))))
-            yield [*mode, j, float(omega), rank]
+    ranks = np.rint(np.trace(spectrum.projectors, axis1=2, axis2=3)).astype(int)
+    for i, mode in enumerate(spectrum.lattice):
+        for j in range(spectrum.nfreq[i]):
+            yield [*mode, j, float(spectrum.frequencies[i, j]), int(ranks[i, j])]

@@ -71,14 +71,20 @@ def zero_state(lattice: FrequencyLattice, ncomp: int, time: float = 0.0) -> Spec
 def state_from_modes(
     lattice: FrequencyLattice, ncomp: int, entries: Iterable[tuple]
 ) -> SpectralState:
-    """Build a real field from (mode, coefficient) pairs; conjugates are mirrored."""
+    """Build a real field from (mode, coefficient) pairs; conjugates are mirrored.
+
+    The zero mode is its own mirror, so its coefficient must be real
+    (ValueError otherwise).
+    """
     out = zero_state(lattice, ncomp)
     for mode, coeff in entries:
         idx = lattice.index(mode)
         vec = np.asarray(coeff, dtype=complex)
         nidx = int(lattice.negation[idx])
         if nidx == idx:
-            out.coeffs[idx] += vec.real  # the zero mode is its own mirror
+            if vec.imag.any():
+                raise ValueError(f"mode {list(lattice.modes[idx])} is its own mirror, so its coefficient must be real")
+            out.coeffs[idx] += vec.real
         else:
             out.coeffs[idx] += vec
             out.coeffs[nidx] += vec.conj()
@@ -129,16 +135,10 @@ def random_real_state(
     return state
 
 
-def _require_same_lattice(*states: SpectralState) -> None:
-    first = states[0].lattice
-    for s in states[1:]:
-        if s.lattice is not first and s.lattice.modes != first.modes:
-            raise ValueError("states live on different lattices")
-
-
 def inner_product(spec: SystemSpec, w1: SpectralState, w2: SpectralState) -> complex:
     """Entropy-weighted Plancherel pairing; real for reality-symmetric fields."""
-    _require_same_lattice(w1, w2)
+    if w1.lattice != w2.lattice:
+        raise ValueError("states live on different lattices")
     return complex(np.einsum("mp,pq,mq->", w1.coeffs.conj(), spec.entropy_hessian, w2.coeffs))
 
 
@@ -163,8 +163,8 @@ def sobolev_norm(spec: SystemSpec, state: SpectralState, s: float) -> float:
 
 def evolve_state(spectrum: Spectrum, t: float, state: SpectralState) -> SpectralState:
     """Apply the unitary group mode-wise: w(xi) <- sum_j e^{-i omega_j t} p_j w(xi)."""
-    spectrum.require_lattice(state.lattice)
+    if state.lattice != spectrum.lattice:
+        raise ValueError("spectrum and state live on different lattices")
     phases = np.exp(-1j * spectrum.frequencies * t)
-    out = state.copy()
-    out.coeffs = np.einsum("mj,mjpq,mq->mp", phases, spectrum.projectors, state.coeffs)
-    return out
+    coeffs = np.einsum("mj,mjpq,mq->mp", phases, spectrum.projectors, state.coeffs)
+    return SpectralState(state.lattice, coeffs, state.time)

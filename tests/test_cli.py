@@ -159,7 +159,7 @@ def test_bad_config_values_exit_two(tmp_path, capsys, command, section, key, val
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["operators", "simulate"])
+@pytest.mark.parametrize("command", ["operators", "simulate", "wcns-report"])
 def test_refused_resonance_table_exits_two_before_writing(tmp_path, capsys, command):
     # the float rule at 1e-30 rejects null triples, whose frequencies are eigensolve noise
     cfg = write_config(tmp_path / "run.json", resonance={"exact_rule": False, "tolerance": 1e-30})

@@ -8,10 +8,14 @@ from wndkit.spectral import (
     CLUSTER_TOL,
     FrequencyLattice,
     convolution_pair_count,
-    decompose,
-    evolve_group,
     frequency_spectrum,
 )
+
+
+def _one_mode_state(lattice, mode, vec):
+    state = wk.zero_state(lattice, len(vec))
+    state.coeffs[lattice.index(mode)] = vec
+    return state
 
 
 def test_lattice_negation_closure_and_order():
@@ -57,15 +61,35 @@ def test_lattice_rejects_outside_mode():
         lat.index((2, 0))
 
 
+def test_lattices_compare_by_dim_and_radius():
+    lat = FrequencyLattice(2, 3)
+    assert lat == FrequencyLattice(2, 3) and lat is not FrequencyLattice(2, 3)
+    assert lat != FrequencyLattice(2, 2) and lat != FrequencyLattice(3, 3)
+    with pytest.raises(TypeError):
+        hash(lat)
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 0), (1, 3), (2, 2), (3, 1)])
+def test_lattice_upper_is_the_positive_half(dim, radius):
+    lat = FrequencyLattice(dim, radius)
+    zero = lat.zero_index()
+    assert lat.upper.tolist() == list(range(zero + 1, len(lat)))
+    # the positive half and its mirrors partition the nonzero modes
+    halves = np.sort(np.concatenate([lat.upper, lat.negation[lat.upper]]))
+    assert halves.tolist() == [i for i in range(len(lat)) if i != zero]
+    assert all(lat.modes[i] > (0,) * dim for i in lat.upper)  # lexicographically positive
+    assert not lat.upper.flags.writeable
+
+
 def test_decompose_zero_mode(cns_model):
-    dec = decompose(cns_model.spec, (0, 0))
+    dec = frequency_spectrum(cns_model.spec, FrequencyLattice(2, 1))[(0, 0)]
     assert dec.nfreq == 1
     assert dec.frequencies[0] == 0.0
     assert np.array_equal(dec.projectors[0], np.eye(4))
 
 
 def test_decompose_wave_pair(wave2_spec):
-    dec = decompose(wave2_spec, (1,))
+    dec = frequency_spectrum(wave2_spec, FrequencyLattice(1, 1))[(1,)]
     assert np.allclose(sorted(dec.frequencies), [-1.0, 1.0])
     minus = dec.projectors[np.argmin(dec.frequencies)]
     plus = dec.projectors[np.argmax(dec.frequencies)]
@@ -75,8 +99,9 @@ def test_decompose_wave_pair(wave2_spec):
 
 def test_decompose_cns_three_branches(cns_model):
     c0 = cns_model.sound
+    spectrum = frequency_spectrum(cns_model.spec, FrequencyLattice(2, 4))
     for mode in [(1, 0), (2, 1), (-3, 4)]:
-        dec = decompose(cns_model.spec, mode)
+        dec = spectrum[mode]
         assert dec.nfreq == 3
         norm = np.linalg.norm(mode)
         assert np.allclose(sorted(dec.frequencies), [-c0 * norm, 0.0, c0 * norm], atol=1e-9)
@@ -87,8 +112,9 @@ def test_decompose_cns_three_branches(cns_model):
 def test_mode_decomposition_invariants(cns_model):
     spec = cns_model.spec
     g = spec.entropy_hessian
+    spectrum = frequency_spectrum(spec, FrequencyLattice(2, 3))
     for mode in [(1, 0), (0, 2), (3, -1), (2, 2)]:
-        dec = decompose(spec, mode)
+        dec = spectrum[mode]
         total = dec.projectors.sum(axis=0)
         assert np.abs(total - np.eye(4)).max() <= 1e-12
         for j, pj in enumerate(dec.projectors):
@@ -102,46 +128,50 @@ def test_mode_decomposition_invariants(cns_model):
 
 
 def test_evolve_group_identity_and_closed_form(wave2_spec):
-    dec = decompose(wave2_spec, (1,))
-    v = np.array([1.0, 0.0])
-    assert np.allclose(evolve_group(dec, 0.0, v), v)
-    out = evolve_group(dec, np.pi / 2.0, v)
-    assert np.allclose(out, [0.0, -1.0j], atol=1e-12)
+    lat = FrequencyLattice(1, 1)
+    spectrum = frequency_spectrum(wave2_spec, lat)
+    w = _one_mode_state(lat, (1,), np.array([1.0, 0.0]))
+    assert np.allclose(wk.evolve_state(spectrum, 0.0, w).coeffs, w.coeffs)
+    out = wk.evolve_state(spectrum, np.pi / 2.0, w)
+    assert np.allclose(out.coeff((1,)), [0.0, -1.0j], atol=1e-12)
+    assert not out.coeff((0,)).any() and not out.coeff((-1,)).any()
 
 
 @given(st.floats(-50, 50), st.floats(-50, 50))
 @settings(max_examples=40, deadline=None)
 def test_evolve_group_law(t, s):
     model = wk.build_preset("ideal-gas-2d")
-    dec = decompose(model.spec, (2, 1))
-    v = np.array([0.3, -0.2, 0.5, 0.1], dtype=complex)
-    once = evolve_group(dec, t, evolve_group(dec, s, v))
-    combined = evolve_group(dec, t + s, v)
+    lat = FrequencyLattice(2, 2)
+    spectrum = frequency_spectrum(model.spec, lat)
+    w = _one_mode_state(lat, (2, 1), np.array([0.3, -0.2, 0.5, 0.1], dtype=complex))
+    once = wk.evolve_state(spectrum, t, wk.evolve_state(spectrum, s, w)).coeffs
+    combined = wk.evolve_state(spectrum, t + s, w).coeffs
     assert np.abs(once - combined).max() <= 1e-12 * max(1.0, np.abs(combined).max())
 
 
 def test_evolve_group_isometry(cns_model):
-    g = cns_model.spec.entropy_hessian
-    dec = decompose(cns_model.spec, (3, -2))
+    lat = FrequencyLattice(2, 3)
+    spectrum = frequency_spectrum(cns_model.spec, lat)
     rng = np.random.Generator(np.random.Philox(key=8))
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    ref = np.sqrt((v.conj() @ g @ v).real)
+    w = _one_mode_state(lat, (3, -2), rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    ref = wk.energy_norm(cns_model.spec, w)
     for t in (-1e3, -1.7, 0.33, 250.0, 1e3):
-        out = evolve_group(dec, t, v)
-        assert np.sqrt((out.conj() @ g @ out).real) == pytest.approx(ref, rel=1e-12)
+        out = wk.evolve_state(spectrum, t, w)
+        assert wk.energy_norm(cns_model.spec, out) == pytest.approx(ref, rel=1e-12)
 
 
 def test_frequency_spectrum_radius_zero(cns_model):
     lat = FrequencyLattice(2, 0)
     spectrum = frequency_spectrum(cns_model.spec, lat)
-    assert list(spectrum) == [(0, 0)]
+    assert spectrum.nfreq.tolist() == [1] and spectrum.frequencies.shape == (1, 1)
+    assert spectrum[(0, 0)].mode == (0, 0)
 
 
 def test_frequency_spectrum_scalar_advection():
     spec = wk.SystemSpec(1, 1, [0.0], [[[1.0]]], [[[[0.0]]]], [[[[0.0]]]], [[1.0]])
     spectrum = frequency_spectrum(spec, FrequencyLattice(1, 2))
-    freqs = sorted(dec.frequencies[0] for dec in spectrum.values())
-    assert np.allclose(freqs, [-2, -1, 0, 1, 2])
+    assert spectrum.nfreq.tolist() == [1] * 5
+    assert np.allclose(sorted(spectrum.frequencies[:, 0]), [-2, -1, 0, 1, 2])
 
 
 def _reference_cluster(eigenvalues):
@@ -227,7 +257,7 @@ def test_frequency_spectrum_matches_per_mode_reference(system, request):
         assert got.shape == expected.shape and got.dtype == expected.dtype, name
         assert got.tobytes() == expected.tobytes(), name
     for mode in (lattice.modes[0], lattice.modes[lattice.zero_index()], lattice.modes[-2]):
-        dec = decompose(spec, mode)
+        dec = spectrum[mode]
         freqs, projs, basis, branch = _reference_decompose(spec, mode)
         assert dec.frequencies.tobytes() == freqs.tobytes() and dec.projectors.tobytes() == projs.tobytes()
         assert dec.basis.tobytes() == basis.tobytes() and dec.branch.tobytes() == branch.tobytes()
@@ -237,7 +267,8 @@ def test_frequency_spectrum_cns_branch_count(cns_model, cns_ops4):
     spectrum = cns_ops4.spectrum
     assert spectrum.frequencies.shape == (len(cns_ops4.lattice), 3)
     assert spectrum.projectors.shape == (len(cns_ops4.lattice), 3, 4, 4)
-    for i, (mode, dec) in enumerate(spectrum.items()):
+    for i, mode in enumerate(cns_ops4.lattice):
+        dec = spectrum[mode]
         expected = 1 if mode == (0, 0) else 3
         assert dec.nfreq == expected
         assert spectrum.nfreq[i] == expected
@@ -248,19 +279,21 @@ def test_frequency_spectrum_cns_branch_count(cns_model, cns_ops4):
         # padded branches are exactly zero
         assert not spectrum.frequencies[i, expected:].any()
         assert not spectrum.projectors[i, expected:].any()
-        # the mapping view serves the same arrays
+        # the per-mode view serves the same arrays
         assert dec.mode == mode
         assert np.shares_memory(dec.frequencies, spectrum.frequencies)
         assert np.array_equal(dec.frequencies, spectrum.frequencies[i, :expected])
         assert np.array_equal(dec.projectors, spectrum.projectors[i, :expected])
-    assert list(spectrum) == list(cns_ops4.lattice)
-    assert (9, 0) not in spectrum and (0,) not in spectrum
+    for outside in ((9, 0), (0,)):
+        with pytest.raises(KeyError):
+            spectrum[outside]
 
 
 def test_reality_pairing(cns_model):
+    spectrum = frequency_spectrum(cns_model.spec, FrequencyLattice(2, 3))
     for mode in [(1, 0), (2, -1), (3, 3)]:
-        dec_p = decompose(cns_model.spec, mode)
-        dec_m = decompose(cns_model.spec, tuple(-c for c in mode))
+        dec_p = spectrum[mode]
+        dec_m = spectrum[tuple(-c for c in mode)]
         assert np.allclose(sorted(dec_m.frequencies), sorted(-dec_p.frequencies), atol=1e-11)
         for j, freq in enumerate(dec_p.frequencies):
             match = np.argmin(np.abs(dec_m.frequencies + freq))
@@ -271,9 +304,11 @@ def test_conjugation_covariance(cns_model):
     rng = np.random.Generator(np.random.Philox(key=12))
     transform = np.eye(4) + 0.2 * rng.standard_normal((4, 4))
     primed = wk.change_of_variables(cns_model.spec, transform)
+    lat = FrequencyLattice(2, 2)
+    spectrum, spectrum_p = frequency_spectrum(cns_model.spec, lat), frequency_spectrum(primed, lat)
     for mode in [(1, 0), (2, 1)]:
-        dec = decompose(cns_model.spec, mode)
-        dec_p = decompose(primed, mode)
+        dec = spectrum[mode]
+        dec_p = spectrum_p[mode]
         assert np.allclose(sorted(dec.frequencies), sorted(dec_p.frequencies), atol=1e-10)
         inv = np.linalg.inv(transform)
         for j, freq in enumerate(dec.frequencies):
@@ -284,6 +319,13 @@ def test_conjugation_covariance(cns_model):
 
 
 def test_spectrum_csv_rows(cns_ops4):
-    rows = list(wk.spectral.spectrum_csv_rows(cns_ops4.spectrum))
-    assert len(rows) == sum(d.nfreq for d in cns_ops4.spectrum.values())
+    spectrum = cns_ops4.spectrum
+    rows = list(wk.spectral.spectrum_csv_rows(spectrum))
+    assert len(rows) == spectrum.nfreq.sum()
     assert all(len(r) == 5 for r in rows)  # 2 mode components, index, omega, rank
+    # the rows of each mode, in lattice order: its branches in order, and ranks summing to N
+    expected = [(mode, j) for i, mode in enumerate(cns_ops4.lattice) for j in range(spectrum.nfreq[i])]
+    assert [(tuple(r[:2]), r[2]) for r in rows] == expected
+    assert [r[3] for r in rows] == [float(spectrum.frequencies[spectrum.lattice.index(m), j]) for m, j in expected]
+    ranks = np.add.reduceat([r[4] for r in rows], np.cumsum(spectrum.nfreq) - spectrum.nfreq)
+    assert (ranks == 4).all()
