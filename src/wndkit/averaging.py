@@ -55,7 +55,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from .spectral import FrequencyLattice, Spectrum
+from .spectral import FrequencyLattice, Spectrum, mode_csv_rows
 from .state import SpectralState, energy_norm, inner_product
 from .system import SystemSpec, advection_symbol, diffusion_symbol
 
@@ -353,7 +353,7 @@ class _CompiledQuadratic:
         )
         # without a null branch off the zero mode every null triple has m = 0
         self.null_active = bool(null[self.upper].any())
-        p0 = np.einsum("mj,mjpq->mpq", null, spectrum.projectors)
+        p0 = spectrum.null_projector
         # the null part at m is P0(m) (i m . F(m)) for the transformed flux F:
         # one (n, d n) map per mode
         read = (1j * lattice.array[:, None, :, None] * p0[:, :, None, :]).reshape(len(lattice), n, -1)
@@ -521,12 +521,17 @@ def apply_quadratic(spec: SystemSpec, w1: SpectralState, w2: SpectralState) -> S
     lattice = w1.lattice
     if w2.lattice != lattice:
         raise ValueError("states live on different lattices")
+    return SpectralState(lattice, _pair_sum(spec, lattice, w1.coeffs, w2.coeffs), w1.time)
+
+
+def _pair_sum(spec: SystemSpec, lattice: FrequencyLattice, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """apply_quadratic's sum on coefficient arrays (..., nmodes, N), batched over the leading axes."""
     pk, pl, pm, seg_starts, seg_modes = lattice.convolution_pairs()
-    quad = np.einsum("aijk,tj,tk->tai", spec.quadratic, w1.coeffs[pk], w2.coeffs[pl])
-    div = 1j * np.einsum("ta,tai->ti", lattice.array[pm].astype(float), quad)
-    out = np.zeros_like(w1.coeffs)
-    out[seg_modes] = np.add.reduceat(div, seg_starts, axis=0)
-    return SpectralState(lattice, out, w1.time)
+    quad = np.einsum("aijk,...tj,...tk->...tai", spec.quadratic, c1[..., pk, :], c2[..., pl, :])
+    div = 1j * np.einsum("ta,...tai->...ti", lattice.array[pm].astype(float), quad)
+    out = np.zeros(c1.shape, dtype=complex)
+    out[..., seg_modes, :] = np.add.reduceat(div, seg_starts, axis=-2)
+    return out
 
 
 def quadratic_time_average_oracle(
@@ -544,24 +549,11 @@ def quadratic_time_average_oracle(
     if t_span <= 0.0 or n_steps < 100:
         raise ValueError("need t_span > 0 and n_steps >= 100")
     lattice = state.lattice
-    arr = lattice.array.astype(float)
-    nmodes = len(lattice)
-    n = spec.ncomp
-    dt = t_span / n_steps
-    steps = np.empty((nmodes, n, n), dtype=complex)
-    for i in range(nmodes):
-        steps[i] = scipy.linalg.expm(-1j * dt * advection_symbol(spec, arr[i]))
-
-    pk, pl, pm, seg_starts, seg_modes = lattice.convolution_pairs()
-    mvec = arr[pm]
+    steps = scipy.linalg.expm(-1j * (t_span / n_steps) * advection_symbol(spec, lattice.array.astype(float)))
 
     def integrand(back: np.ndarray) -> np.ndarray:
         evolved = np.einsum("bmpq,mq->bmp", back, state.coeffs)
-        quad = np.einsum("aijk,btj,btk->btai", spec.quadratic, evolved[:, pk], evolved[:, pl])
-        div = 1j * np.einsum("ta,btai->bti", mvec, quad)
-        conv = np.zeros((back.shape[0], nmodes, n), dtype=complex)
-        conv[:, seg_modes] = np.add.reduceat(div, seg_starts, axis=1)
-        return np.einsum("bmpq,bmq->bmp", back.conj(), conv)
+        return np.einsum("bmpq,bmq->bmp", back.conj(), _pair_sum(spec, lattice, evolved, evolved))
 
     coeffs = _trapezoid_average(steps, t_span, n_steps, QUADRATIC_ORACLE_CHUNK, integrand)
     return SpectralState(lattice, coeffs, state.time)
@@ -660,10 +652,4 @@ def resonance_csv_rows(table: ResonanceTable) -> Iterator[list]:
 
 def diffusion_csv_rows(avg: AveragedDiffusion) -> Iterator[list]:
     """(mode..., row, col, Re, Im) entries of every averaged diffusion block."""
-    arr = avg.lattice.array
-    n = avg.blocks.shape[1]
-    for i in range(len(avg.lattice)):
-        for p in range(n):
-            for q in range(n):
-                val = avg.blocks[i, p, q]
-                yield [*arr[i].tolist(), p, q, float(val.real), float(val.imag)]
+    return mode_csv_rows(avg.lattice, avg.blocks)

@@ -24,7 +24,7 @@ from . import navier_stokes as ns
 from .averaging import cyclic_residual, diffusion_csv_rows, resonance_csv_rows
 from .dissipativity import analyze_dissipativity, default_alpha_grid
 from .solver import INTEGRATORS, BlowUpError, build_operators, simulate, whole_steps
-from .spectral import FrequencyLattice, convolution_pair_count, spectrum_csv_rows
+from .spectral import FrequencyLattice, convolution_pair_count, mode_csv_rows, spectrum_csv_rows
 from .state import SpectralState, random_real_state, state_from_modes
 from .system import (
     SpecShapeError,
@@ -340,12 +340,7 @@ def cmd_simulate(run: Run, outdir: Path) -> int:
         for t, e in zip(series.times, series.energy):
             handle.write(f"{_fmt(t)} {_fmt(e)}\n")
     for snap in snapshots:
-        rows = []
-        for i, mode in enumerate(lattice):
-            for comp in range(run.spec.ncomp):
-                val = snap.coeffs[i, comp]
-                rows.append([*mode, comp, float(val.real), float(val.imag)])
-        write_csv(snapdir / f"state_t{snap.time:.6f}.csv", rows)
+        write_csv(snapdir / f"state_t{snap.time:.6f}.csv", mode_csv_rows(lattice, snap.coeffs))
     print(f"simulated to t = {series.times[-1]:.6g}; final energy {series.energy[-1]:.6e}; "
           f"max budget residual {np.abs(series.budget_residual).max():.3e}")
     return EXIT_OK
@@ -353,11 +348,9 @@ def cmd_simulate(run: Run, outdir: Path) -> int:
 
 def cmd_wcns_report(run: Run, outdir: Path) -> int:
     if run.model is None:
-        print("wcns-report requires a gas-dynamics preset system", file=sys.stderr)
-        return EXIT_INPUT
+        raise ConfigError("wcns-report requires a gas-dynamics preset system")
     if run.model.dim != 2:
-        print(f"wcns-report needs a 2-D gas-dynamics preset, got d = {run.model.dim}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ConfigError(f"wcns-report needs a 2-D gas-dynamics preset, got d = {run.model.dim}")
     lattice = run.lattice()
     if lattice.radius < 5:
         lattice = FrequencyLattice(run.spec.dim, 5)

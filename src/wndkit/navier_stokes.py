@@ -370,26 +370,21 @@ def acoustic_basis(model: CnsModel, k) -> tuple[np.ndarray, np.ndarray]:
 
 
 def wcns_split(model: CnsModel, spectrum: Spectrum, state: SpectralState) -> tuple[SpectralState, SpectralState]:
-    """Split into the advection null component and the acoustic component.
+    """Split into the advection null component P0 w and the acoustic component w - P0 w.
 
-    Null-branch projection per mode gives the incompressible part
-    (divergence-free velocity, pressure-neutral thermodynamics); the rest
-    lives on the +-c0|k| eigenspaces.  The zero mode is incompressible.
+    P0 is `spectrum.null_projector`: null-branch projection per mode gives
+    the incompressible part (divergence-free velocity, pressure-neutral
+    thermodynamics); the rest lives on the +-c0|k| eigenspaces.  The zero
+    mode is incompressible.  ValueError unless the spectrum decomposes
+    `model.spec` and the state lives on its lattice.
     """
+    if spectrum.spec is not model.spec:
+        raise ValueError("wcns_split needs a spectrum of the model's own spec")
     if state.lattice != spectrum.lattice:
         raise ValueError("spectrum and state live on different lattices")
-    # padded branches have a zero projector, so counting them as null is harmless
-    null = _branch_sign(model, spectrum.frequencies) == 0
-    p_null = (spectrum.projectors * null[:, :, None, None]).sum(axis=1)
-    incompressible = np.matmul(p_null, state.coeffs[:, :, None])[:, :, 0]
+    incompressible = np.matmul(spectrum.null_projector, state.coeffs[:, :, None])[:, :, 0]
     w_in = SpectralState(state.lattice, incompressible, state.time)
     return w_in, SpectralState(state.lattice, state.coeffs - incompressible, state.time)
-
-
-def _branch_sign(model: CnsModel, omega) -> np.ndarray:
-    """Branch label of gas frequencies as int8: 0 where |omega| < c0/2, sign(omega) elsewhere."""
-    half = 0.5 * model.sound
-    return np.subtract(omega >= half, omega <= -half, dtype=np.int8)
 
 
 def acoustic_sum_resonant(a, b, c, s1, s2, s3):
@@ -425,10 +420,18 @@ def make_exact_resonance_rule(model: CnsModel):
     frequencies, labels each frequency with its branch sign and returns the
     (T,) booleans of `acoustic_sum_resonant` on the squared mode norms.
     Reads its arguments only, so a broadcast view serves as well as an array.
+    This is the one place that classifies raw gas frequencies; the table
+    build checks its null verdicts against `spectrum.null`.
     """
 
+    half = 0.5 * model.sound
+
+    def branch_sign(omega) -> np.ndarray:
+        """Branch label of gas frequencies as int8: 0 where |omega| < c0/2, sign(omega) elsewhere."""
+        return np.subtract(omega >= half, omega <= -half, dtype=np.int8)
+
     def rule(k, w1, l, w2, m, w3) -> np.ndarray:
-        return acoustic_sum_resonant(*map(_squared_norms, (k, l, m)), *(_branch_sign(model, w) for w in (w1, w2, w3)))
+        return acoustic_sum_resonant(*map(_squared_norms, (k, l, m)), *map(branch_sign, (w1, w2, w3)))
 
     return rule
 
@@ -601,8 +604,8 @@ def wcns_coupling_report(
             "normalized": (amp / (1j * norm_m)).real,
         }
 
-    entries = table.entries
-    labels = _branch_sign(model, spectrum.frequencies[entries[:, 0::2], entries[:, 1::2]])  # (T, 3): k, l, m
+    rows = (table.entries[:, 0::2], table.entries[:, 1::2])  # (T, 3) modes and branches of k, l, m
+    labels = np.where(spectrum.null[rows], 0, np.sign(spectrum.frequencies[rows])).astype(int)
     patterns, counts = np.unique(labels, axis=0, return_counts=True)
     symbol = {-1: "-", 0: "0", 1: "+"}
     report["resonance_counts"] = dict(

@@ -36,12 +36,13 @@ import scipy.linalg
 from .averaging import (
     AveragedDiffusion,
     ResonanceTable,
+    apply_averaged_diffusion,
     apply_averaged_quadratic,
     averaged_diffusion,
     build_resonance_table,
 )
 from .spectral import FrequencyLattice, Mode, Spectrum, frequency_spectrum
-from .state import SpectralState, energy_norm, evolve_state, sobolev_norm
+from .state import SpectralState, energy_norm, evolve_state, inner_product, sobolev_norm
 from .system import SystemSpec
 
 __all__ = [
@@ -266,11 +267,7 @@ def simulate(
 
     def record(i: int, st: SpectralState) -> None:
         energy_samples[i] = 0.5 * energy_norm(spec, st) ** 2
-        diss = np.einsum(
-            "mp,pq,mq->", st.coeffs.conj(), spec.entropy_hessian,
-            np.einsum("mpq,mq->mp", ops.avg.blocks, st.coeffs),
-        ).real
-        diss_samples[i] = -diss
+        diss_samples[i] = -inner_product(spec, st, apply_averaged_diffusion(ops.avg, st)).real
 
     record(0, state)
     snap_indices = [0]
@@ -311,7 +308,6 @@ def filtered_equivalence_check(
     initial: SpectralState,
     t_end: float,
     dt: float,
-    method: str = "if_rk4",
     diagnostics_every: int = 10,
 ) -> float:
     """Sup over snapshots of the relative defect | w(t) - e^{-tA} y(t) |.
@@ -320,8 +316,8 @@ def filtered_equivalence_check(
     same data.  The two formulations are exactly equivalent, stage by stage,
     for integrating-factor schemes; the defect measures roundoff only.
     """
-    full_snaps, _ = simulate(ops, initial, t_end, dt, method, diagnostics_every)
-    filt_snaps, _ = simulate(ops, initial, t_end, dt, method, diagnostics_every, filtered=True)
+    full_snaps, _ = simulate(ops, initial, t_end, dt, diagnostics_every=diagnostics_every)
+    filt_snaps, _ = simulate(ops, initial, t_end, dt, diagnostics_every=diagnostics_every, filtered=True)
     worst = 0.0
     for w_snap, y_snap in zip(full_snaps, filt_snaps):
         unfiltered = evolve_state(ops.spectrum, y_snap.time, y_snap)
@@ -355,7 +351,6 @@ def weak_strong_experiment(
     t_end: float,
     dt: float,
     s: float,
-    method: str = "if_rk4",
     diagnostics_every: int = 10,
 ) -> WeakStrongReport:
     """Two-trajectory stability study against the Gronwall envelope
@@ -369,8 +364,8 @@ def weak_strong_experiment(
     """
     if s <= max(ops.spec.dim / 2.0, 1.0):
         raise ValueError("need s > max(d/2, 1)")
-    snaps1, series1 = simulate(ops, smooth_initial, t_end, dt, method, diagnostics_every)
-    snaps2, _ = simulate(ops, perturbed_initial, t_end, dt, method, diagnostics_every)
+    snaps1, series1 = simulate(ops, smooth_initial, t_end, dt, diagnostics_every=diagnostics_every)
+    snaps2, _ = simulate(ops, perturbed_initial, t_end, dt, diagnostics_every=diagnostics_every)
 
     times = series1.times
     grad_s = np.array([sobolev_norm(ops.spec, _grad_weight(snap), float(s)) for snap in snaps1])

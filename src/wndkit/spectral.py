@@ -25,6 +25,7 @@ __all__ = [
     "Spectrum",
     "convolution_pair_count",
     "frequency_spectrum",
+    "mode_csv_rows",
     "spectrum_csv_rows",
 ]
 
@@ -81,7 +82,8 @@ class FrequencyLattice:
         return iter(self.modes)
 
     def contains(self, mode: Sequence[int]) -> bool:
-        return len(mode) == self.dim and all(abs(int(c)) <= self.radius for c in mode)
+        """Whether `mode` is a lattice point: dim integral components (NumPy integers and 1.0 count), each within the radius."""
+        return len(mode) == self.dim and all(abs(c) <= self.radius and float(c).is_integer() for c in mode)
 
     def index(self, mode: Sequence[int]) -> int:
         if not self.contains(mode):
@@ -153,7 +155,9 @@ class Spectrum:
     a padded branch has frequency 0 and a zero projector, so any sum over
     all B branches equals the sum over the real ones.  `null` marks the
     branches whose frequency is zero within the clustering tolerance
-    (padded branches are not branches).  `basis` (M, N, N) and `branch`
+    (padded branches are not branches), and `null_projector` (M, N, N) is
+    their summed projector P0 at each mode: the slow/fast split of a state
+    is P0 w and w - P0 w.  `basis` (M, N, N) and `branch`
     (M, N) stack the per-mode eigenvector bases and the branch of each
     column: the branch ranks at a mode sum to N, so one basis spans them
     all.  `spec` is the system decomposed.
@@ -167,6 +171,7 @@ class Spectrum:
     null: np.ndarray  # (M, B) bool
     basis: np.ndarray  # (M, N, N) float
     branch: np.ndarray  # (M, N) int
+    null_projector: np.ndarray  # (M, N, N) float
 
     def __getitem__(self, mode: Sequence[int]) -> ModeDecomposition:
         """Views of one mode's rows (KeyError outside the lattice).
@@ -186,7 +191,7 @@ class Spectrum:
 
 
 def _decompose_modes(spec: SystemSpec, modes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Spectrum arrays (frequencies, projectors, nfreq, null, basis, branch) at each row of `modes` (K, d).
+    """Spectrum arrays (frequencies, projectors, nfreq, null, basis, branch, null_projector) at each row of `modes` (K, d).
 
     One batched eigensolve on g^{1/2} a(xi) g^{-1/2}.  A new branch starts
     wherever consecutive eigenvalues differ by more than CLUSTER_TOL *
@@ -219,7 +224,8 @@ def _decompose_modes(spec: SystemSpec, modes: np.ndarray) -> tuple[np.ndarray, .
     basis[zero] = inv_root
     scale = np.maximum(np.abs(frequencies).max(axis=1, keepdims=True), 1.0)
     null = (np.arange(width) < nfreq[:, None]) & (np.abs(frequencies) <= CLUSTER_TOL * scale)
-    return frequencies, projectors, nfreq, null, basis, branch
+    null_projector = (projectors * null[:, :, None, None]).sum(axis=1)
+    return frequencies, projectors, nfreq, null, basis, branch, null_projector
 
 
 def frequency_spectrum(spec: SystemSpec, lattice: FrequencyLattice) -> Spectrum:
@@ -236,3 +242,12 @@ def spectrum_csv_rows(spectrum: Spectrum) -> Iterator[list]:
     for i, mode in enumerate(spectrum.lattice):
         for j in range(spectrum.nfreq[i]):
             yield [*mode, j, float(spectrum.frequencies[i, j]), int(ranks[i, j])]
+
+
+def mode_csv_rows(lattice: FrequencyLattice, values: np.ndarray) -> Iterator[list]:
+    """(mode components..., index..., Re, Im) rows of a per-mode complex array (M, ...), in lattice then C order."""
+    index = list(np.ndindex(values.shape[1:]))
+    flat = values.reshape(len(lattice), -1)
+    for mode, re, im in zip(lattice.modes, flat.real.tolist(), flat.imag.tolist()):
+        for idx, r, i in zip(index, re, im):
+            yield [*mode, *idx, r, i]

@@ -60,12 +60,12 @@ class SpectralState:
     def coeff(self, mode) -> np.ndarray:
         return self.coeffs[self.lattice.index(mode)]
 
-    def copy(self, time: float | None = None) -> "SpectralState":
-        return SpectralState(self.lattice, self.coeffs.copy(), self.time if time is None else time)
+    def copy(self) -> "SpectralState":
+        return SpectralState(self.lattice, self.coeffs.copy(), self.time)
 
 
-def zero_state(lattice: FrequencyLattice, ncomp: int, time: float = 0.0) -> SpectralState:
-    return SpectralState(lattice, np.zeros((len(lattice), ncomp), dtype=complex), time)
+def zero_state(lattice: FrequencyLattice, ncomp: int) -> SpectralState:
+    return SpectralState(lattice, np.zeros((len(lattice), ncomp), dtype=complex))
 
 
 def state_from_modes(

@@ -360,13 +360,15 @@ def test_wcns_report(tmp_path):
     assert report["acoustic_diffusivity"] == pytest.approx(0.8)
 
 
-def test_wcns_report_requires_preset(tmp_path):
+def test_wcns_report_requires_preset(tmp_path, capsys):
     spec = wk.SystemSpec(1, 1, [0.0], [[[1.0]]], [[[[0.1]]]], [[[[0.0]]]], [[1.0]])
     cfg = write_config(tmp_path / "run.json", system=wk.spec_to_dict(spec))
     data = json.loads(cfg.read_text())
     data["resonance"] = {"exact_rule": False}
     cfg.write_text(json.dumps(data))
     assert main(["wcns-report", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: wcns-report requires a gas-dynamics preset system\n"
 
 
 def test_wcns_report_requires_two_dimensions(tmp_path, capsys, monkeypatch):
@@ -377,7 +379,7 @@ def test_wcns_report_requires_two_dimensions(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path / "run.json", system="ideal-gas-1d")
     assert main(["wcns-report", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and "d = 1" in err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ") and "d = 1" in err
 
 
 def test_seed_override_changes_output(tmp_path):

@@ -170,6 +170,19 @@ def test_wcns_split_pure_components(cns_model, cns_ops4):
     assert wk.energy_norm(cns_model.spec, w_ac2) <= 1e-12
 
 
+def test_wcns_split_refuses_a_spectrum_of_another_spec(cns_model, cns_ops4):
+    # the conserved-variable spec has other null projectors: P0 of its spectrum is not the model's
+    conserved = wk.build_cns_spec(cns_model.eos, cns_model.transport, cns_model.rho, cns_model.theta, 2, "conserved")
+    spectrum = wk.frequency_spectrum(conserved, cns_ops4.lattice)
+    state = wk.random_real_state(cns_ops4.lattice, 4, seed=11, decay=2.0)
+    with pytest.raises(ValueError, match="model's own spec"):
+        wcns_split(cns_model, spectrum, state)
+    # an equal spec built again is another spec too
+    rebuilt = wk.build_preset("ideal-gas-2d")
+    with pytest.raises(ValueError, match="model's own spec"):
+        wcns_split(rebuilt, cns_ops4.spectrum, state)
+
+
 def test_exact_rule_examples():
     examples = [
         ((9, 16, 49, 1, 1, 1), True),  # (3,0) + (4,0) collinear

@@ -19,10 +19,31 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_runs(script, args):
+    proc = _run(script, args)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_outputs_script_keeps_every_command_run(tmp_path):
+    proc = _run("cli_outputs.py", [str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    codes = {
+        (path.parent.parent.name, path.parent.name): int(path.read_text())
+        for path in tmp_path.glob("*/*/exit_code")
+    }
+    assert len(codes) == 15
+    # wcns-report needs a 2-D preset: the 1-D gas and the inline spec are input errors
+    assert {run for run, code in codes.items() if code} == {("gas1d-r6", "wcns-report"), ("inline", "wcns-report")}
+    assert all(code == 2 for code in codes.values() if code)
+    for config in ("gas1d-r6", "inline"):
+        assert (tmp_path / config / "wcns-report" / "stderr").read_text().startswith("input error: ")
+    assert (tmp_path / "gas2d-r4" / "operators" / "resonance_table.csv").is_file()
+    assert any((tmp_path / "gas2d-r4" / "simulate" / "snapshots").iterdir())
+
+
+def _run(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr

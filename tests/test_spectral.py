@@ -61,6 +61,18 @@ def test_lattice_rejects_outside_mode():
         lat.index((2, 0))
 
 
+def test_lattice_refuses_fractional_modes():
+    lat = FrequencyLattice(2, 3)
+    assert not lat.contains((1.9, 0)) and not lat.contains((1, 0.5))
+    for mode in ((1.9, 0), (1, 0.5), (float("nan"), 0), (10**400, 0)):
+        with pytest.raises(KeyError):
+            lat.index(mode)
+    # integral floats and NumPy integers name their mode
+    assert lat.contains((1.0, -2.0)) and lat.index((1.0, -2.0)) == lat.index((1, -2))
+    assert lat.index((np.int64(1), np.int32(-2))) == lat.index((1, -2))
+    assert not lat.contains((4.0, 0))
+
+
 def test_lattices_compare_by_dim_and_radius():
     lat = FrequencyLattice(2, 3)
     assert lat == FrequencyLattice(2, 3) and lat is not FrequencyLattice(2, 3)
@@ -261,6 +273,19 @@ def test_frequency_spectrum_matches_per_mode_reference(system, request):
         freqs, projs, basis, branch = _reference_decompose(spec, mode)
         assert dec.frequencies.tobytes() == freqs.tobytes() and dec.projectors.tobytes() == projs.tobytes()
         assert dec.basis.tobytes() == basis.tobytes() and dec.branch.tobytes() == branch.tobytes()
+
+
+@pytest.mark.parametrize("dim, radius", [(2, 4), (3, 3)])
+def test_null_projector_sums_the_null_branches(dim, radius):
+    spectrum = frequency_spectrum(wk.build_preset("ideal-gas-2d", dim=dim).spec, FrequencyLattice(dim, radius))
+    p0 = spectrum.null_projector
+    assert not p0.flags.writeable
+    expected = np.einsum("mj,mjpq->mpq", spectrum.null, spectrum.projectors)
+    assert p0.shape == expected.shape and p0.tobytes() == expected.tobytes()
+    # the identity at the zero mode, and the d-dimensional null space elsewhere
+    assert np.array_equal(p0[spectrum.lattice.zero_index()], np.eye(dim + 2))
+    ranks = np.rint(np.trace(p0, axis1=1, axis2=2)).astype(int)
+    assert sorted(set(ranks.tolist())) == [dim, dim + 2]
 
 
 def test_frequency_spectrum_cns_branch_count(cns_model, cns_ops4):

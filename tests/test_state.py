@@ -13,6 +13,15 @@ def test_state_from_modes_refuses_complex_zero_mode():
         wk.state_from_modes(lat, 1, [((0, 0), [1.0 + 0.5j])])
 
 
+def test_state_from_modes_refuses_fractional_modes():
+    # a fractional component names no mode: it is refused, not truncated onto (1, 0)
+    lat = wk.FrequencyLattice(2, 3)
+    with pytest.raises(KeyError):
+        wk.state_from_modes(lat, 1, [((1.9, 0), [1.0])])
+    w = wk.state_from_modes(lat, 1, [((1.0, 0.0), [1.0])])
+    assert w.coeff((1, 0)).tolist() == [1.0] and w.coeff((-1, 0)).tolist() == [1.0]
+
+
 def test_lattices_equal_by_value_share_states(cns_model):
     lat, same, other = wk.FrequencyLattice(2, 2), wk.FrequencyLattice(2, 2), wk.FrequencyLattice(2, 3)
     spectrum = wk.frequency_spectrum(cns_model.spec, lat)
