@@ -1,4 +1,4 @@
-"""Run the five CLI commands on three fixed configs and keep everything they print and write.
+"""Run the five CLI commands on four fixed configs and keep everything they print and write.
 
     PYTHONPATH=src python scripts/cli_outputs.py OUT
 
@@ -14,8 +14,11 @@ PYTHONPATH and compare the two directories:
     diff -r before after
 
 The configs are the 2-D gas at R=4 under the exact resonance rule, the 1-D
-gas at R=6, and the 2-D gas written out as an inline spec at R=3 under the
-float rule.  wcns-report exits 2 on the last two (it needs a 2-D preset).
+gas at R=6, the 2-D gas written out as an inline spec at R=3 under the
+float rule, and the 2-D gas at R=3 stepped by IF-RK2 from a `modes`
+initial with a nonzero zero mode, so that the zero mode's propagator row
+and if_rk2 reach the snapshots.  wcns-report exits 2 on the second and
+third (it needs a 2-D preset).
 """
 
 from __future__ import annotations
@@ -51,6 +54,24 @@ CONFIGS = {
         "system": spec_to_dict(build_preset("ideal-gas-2d").spec),
         "lattice_k": 3,
         "resonance": {"exact_rule": False},
+    },
+    "gas2d-r3-rk2": {
+        "system": "ideal-gas-2d",
+        "lattice_k": 3,
+        "simulation": {
+            "dt": 0.001,
+            "t_end": 0.05,
+            "integrator": "if_rk2",
+            "diagnostics_every": 5,
+            "initial": {
+                "type": "modes",
+                "entries": [
+                    {"mode": [0, 0], "coeff_re": [0.02, -0.01, 0.03, 0.015]},
+                    {"mode": [1, 2], "coeff_re": [0.05, 0.02, -0.04, 0.01], "coeff_im": [-0.03, 0.04, 0.01, -0.02]},
+                    {"mode": [2, -1], "coeff_re": [-0.04, 0.03, 0.02, 0.05]},
+                ],
+            },
+        },
     },
 }
 

@@ -101,19 +101,14 @@ class AveragedDiffusion:
 def averaged_diffusion(spectrum: Spectrum) -> AveragedDiffusion:
     """dbar(xi) = - sum_j p_j(xi) b(xi) p_j(xi) for every mode of the spectrum's lattice."""
     spec, lattice = spectrum.spec, spectrum.lattice
-    bsym = diffusion_symbol(spec, lattice.array.astype(float))
-    proj = spectrum.projectors
-    blocks = np.zeros((len(lattice), spec.ncomp, spec.ncomp), dtype=complex)
-    blocks.real = -np.einsum("mjpq,mqr,mjrs->mps", proj, bsym, proj)
-    # the symbol vanishes at the zero mode; keep its block at +0.0 (the
-    # negation above would print as -0 in the CSV export)
-    blocks[lattice.zero_index()] = 0.0
-    # the identity dbar(-xi) = conj(dbar(xi)) holds exactly for real symbols;
-    # enforcing it removes independent-eigensolve roundoff so that stepping
-    # preserves the reality symmetry of states bit for bit
-    upper = lattice.upper
-    blocks[lattice.negation[upper]] = blocks[upper].conj()
-    return AveragedDiffusion(lattice=lattice, blocks=blocks)
+    # dbar(-xi) = conj(dbar(xi)) exactly for real symbols: the lattice completes the zero
+    # mode and the positive half, so that stepping keeps real states real bit for bit
+    zero = lattice.zero_index()
+    bsym = diffusion_symbol(spec, lattice.array[zero:].astype(float))
+    proj = spectrum.projectors[zero:]
+    half = (-np.einsum("mjpq,mqr,mjrs->mps", proj, bsym, proj)).astype(complex)
+    half[0] = 0.0  # the symbol vanishes there; +0.0, as the leading minus would print -0 in the CSV
+    return AveragedDiffusion(lattice=lattice, blocks=lattice.complete(half))
 
 
 def apply_averaged_diffusion(avg: AveragedDiffusion, state: SpectralState) -> SpectralState:
@@ -306,7 +301,8 @@ class _CompiledQuadratic:
     reality-symmetric inputs P0 w is a real field: the transforms are real
     (scipy.fft.irfftn / rfftn on the half-spectrum grid), and so are the
     field products and the flux matmul.  Other inputs take the complex
-    transforms of the full grid, read out on both halves of the modes.
+    transforms of the full grid, read out on every mode (the zero mode's
+    read map, i 0 P0, is exactly zero).
     qbar(w, w) transforms its one input and forms the n(n+1)/2 products
     f_i f_j with i <= j, against the flux matrix with its (i, j) and (j, i)
     columns folded.
@@ -324,13 +320,12 @@ class _CompiledQuadratic:
     Rows whose output mode m is the zero mode contribute nothing (the
     divergence factor i*m vanishes) and are dropped.  The table part is
     evaluated on the positive half of the modes only: the symbols are real,
-    so for any complex inputs qbar(w1, w2)(-m) = conj(qbar(~w1, ~w2)(m))
-    with ~w(k) = conj(w(-k)), and the negative half is a second table pass
-    on the mirrored inputs.  Reality-symmetric inputs are their own mirrors:
-    one table pass, and the whole positive half (null part included) is
-    mirrored by conjugation, so the output is reality-symmetric bit for
-    bit.  The identity needs a table closed under negation, which the
-    build checks.
+    so qbar(w1, w2)(-m) = conj(qbar(~w1, ~w2)(m)) with ~w = lattice.mirror(w),
+    and the negative half is a second table pass on the mirrored inputs.
+    Reality-symmetric inputs are their own mirrors: one pass, and the whole
+    positive half (null part included) is mirrored, so the output is
+    reality-symmetric bit for bit.  The identity needs a table closed under
+    negation, which the build checks.
 
     Plain attributes report what was compiled: `terms` (kept coefficients),
     `coefficient_bytes` (coefficient, index and segment arrays), `dropped`
@@ -360,16 +355,9 @@ class _CompiledQuadratic:
         dim, size = lattice.dim, scipy.fft.next_fast_len(3 * lattice.radius + 1, real=True)
         self.grid_shape = (size,) * dim
         index = (lattice.array % size).T
-        # complex inputs: the full grid, read out on both halves (positive, then negative)
-        self.halves = np.concatenate([self.upper, lattice.negation[self.upper]])
+        # complex inputs: the full grid, read out on every mode
         self.complex_grid = _NullGrid(
-            tuple(range(-dim, 0)),
-            slice(None),
-            p0,
-            tuple(index),
-            self.grid_shape,
-            tuple(index[:, self.halves]),
-            read[self.halves],
+            tuple(range(-dim, 0)), slice(None), p0, tuple(index), self.grid_shape, tuple(index), read
         )
         # reality-symmetric inputs: P0 w is a real field, and the real transform
         # halves the first axis (scipy halves the last of `axes`); that half
@@ -435,7 +423,7 @@ class _CompiledQuadratic:
 
         Reality-symmetric inputs take the real transform of the half-spectrum
         grid and are read out on the positive half; other inputs take the
-        complex transform and are read out on self.halves.
+        complex transform and are read out on every mode, in lattice order.
         """
         n = self.ncomp
         grid = self.real_grid if real else self.complex_grid
@@ -462,26 +450,20 @@ class _CompiledQuadratic:
         return np.matmul(grid.read, gathered.T[:, :, None])[:, :, 0]
 
     def apply(self, w1: SpectralState, w2: SpectralState) -> SpectralState:
-        neg = self.lattice.negation
         c1, c2 = w1.coeffs, w2.coeffs
         if c2 is not c1 and np.array_equal(c1, c2):
             c2 = c1  # qbar(w, w) whatever the arrays: one input to transform, symmetric products
-        m1 = c1[neg].conj()
-        m2 = m1 if c2 is c1 else c2[neg].conj()
+        m1 = self.lattice.mirror(c1)
+        m2 = m1 if c2 is c1 else self.lattice.mirror(c2)
         # reality-symmetric inputs are their own mirrors
         real = np.array_equal(m1, c1) and (c2 is c1 or np.array_equal(m2, c2))
-        out = np.zeros_like(c1)
-        half = self._table(c1, c2)
-        if real:
-            if self.null_active:
-                half += self._null(c1, c2, True)
-            out[self.upper] = half
-            out[neg[self.upper]] = half.conj()
-        else:
-            out[self.upper] = half
-            out[neg[self.upper]] = self._table(m1, m2).conj()
-            if self.null_active:
-                out[self.halves] += self._null(c1, c2, False)
+        upper = self._table(c1, c2)
+        if real and self.null_active:
+            upper += self._null(c1, c2, True)
+        lower = self.lattice.mirror(upper if real else self._table(m1, m2))
+        out = np.concatenate([lower, np.zeros((1, self.ncomp), dtype=complex), upper])
+        if not real and self.null_active:
+            out += self._null(c1, c2, False)
         return SpectralState(w1.lattice, out, w1.time)
 
 

@@ -43,6 +43,13 @@ MAX_DIRECTIONS = 100_000
 MAX_ALPHAS = 10_000
 # the (k, l) pairs of the lattice size the resonance-table candidates, the oracles and the incompressible reference
 MAX_PAIRS = 12_000_000
+# the criterion search solves one pencil per alpha and direction, ~26 us each on a 2-core host
+# (2-D and 3-D gas): 10^7 pencils take ~4.5 min, and their betas 80 MB
+MAX_PENCILS = 10_000_000
+# a simulation keeps at most one snapshot of every coefficient (mode x component) per step: 800 MB here.
+# On a 2-core host a coefficient-step takes 1.4-4.4 us (1-4 min here) from ~100 coefficients up; below
+# that a step's fixed 0.2-0.6 ms dominates, and 3 coefficients admit 1.7 x 10^7 steps (~1 h)
+MAX_COEFFICIENT_STEPS = 50_000_000
 
 
 class ConfigError(ValueError):
@@ -147,6 +154,11 @@ class Run:
         self.t_end = _number(sim.get("t_end", 1.0), "t_end")
         if self.t_end <= 0.0:
             raise ConfigError("t_end must be positive")
+        steps = self.t_end / (self.dt or 1e-3)  # the automatic step of cmd_simulate is at most 1e-3
+        coefficients = (2 * self.lattice_k + 1) ** self.spec.dim * self.spec.ncomp
+        if steps * coefficients > MAX_COEFFICIENT_STEPS:
+            raise ConfigError(
+                f"{steps:.3g} steps of {coefficients} coefficients exceed {MAX_COEFFICIENT_STEPS} coefficient-steps")
         self.integrator = str(sim.get("integrator", "if_rk4"))
         if self.integrator not in INTEGRATORS:
             raise ConfigError(f"unknown integrator {self.integrator!r}; expected one of {INTEGRATORS}")
@@ -180,6 +192,9 @@ class Run:
         self.direction_count = _count(diss.get("direction_count", 200), "direction_count")
         if not 1 <= self.direction_count <= MAX_DIRECTIONS:
             raise ConfigError(f"direction_count must be in [1, {MAX_DIRECTIONS}]")
+        if self.alphas.size * self.direction_count > MAX_PENCILS:
+            raise ConfigError(
+                f"{self.alphas.size} alphas x {self.direction_count} directions exceed {MAX_PENCILS} criterion pencils")
 
     def lattice(self) -> FrequencyLattice:
         return FrequencyLattice(self.spec.dim, self.lattice_k)

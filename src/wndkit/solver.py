@@ -84,13 +84,10 @@ class WndOperators:
     table: ResonanceTable | None
 
     def __post_init__(self) -> None:
-        asum = np.einsum("mj,mjpq->mpq", self.spectrum.frequencies, self.spectrum.projectors)
-        # enforce the exact mirror identity a(-xi) = -a(xi); together with the
-        # mirrored diffusion blocks this makes the per-mode generator satisfy
-        # gen(-xi) = conj(gen(xi)) bitwise, so stepping preserves reality
-        upper = self.lattice.upper
-        asum[self.lattice.negation[upper]] = -asum[upper]
-        self.generator = -1j * asum + self.avg.blocks
+        # gen(-xi) = conj(gen(xi)) exactly for real symbols, as for the diffusion blocks
+        zero = self.lattice.zero_index()
+        asum = np.einsum("mj,mjpq->mpq", self.spectrum.frequencies[zero:], self.spectrum.projectors[zero:])
+        self.generator = self.lattice.complete(-1j * asum + self.avg.blocks[zero:])
         self.omega_max = float(np.abs(self.spectrum.frequencies).max())
         self._propagators: dict[tuple[float, bool], np.ndarray] = {}
 
@@ -105,26 +102,19 @@ class WndOperators:
     def quadratic_tendency(self, state: SpectralState) -> np.ndarray:
         if self.table is None:
             return np.zeros_like(state.coeffs)
-        out = apply_averaged_quadratic(self.spec, self.spectrum, self.table, state, state)
-        return out.coeffs
+        return apply_averaged_quadratic(self.spec, self.spectrum, self.table, state, state).coeffs
 
     def propagators(self, dt: float, filtered: bool) -> np.ndarray:
         """Cached per-mode matrix exponentials of dt * generator.
 
-        Only the lexicographically nonnegative half is exponentiated; the
-        mirror half is its exact conjugate, keeping stepping reality-exact.
+        Only the zero mode and the positive half are exponentiated; the
+        lattice completes the rest, keeping stepping reality-exact.
         """
         key = (float(dt), filtered)
-        props = self._propagators.get(key)
-        if props is None:
+        if key not in self._propagators:
             gen = self.avg.blocks if filtered else self.generator
-            props = np.empty_like(gen)
-            half = np.arange(self.lattice.zero_index(), gen.shape[0])
-            props[half] = scipy.linalg.expm(dt * gen[half])
-            # the zero mode is its own mirror and takes the conjugate too
-            props[self.lattice.negation[half]] = props[half].conj()
-            self._propagators[key] = props
-        return props
+            self._propagators[key] = self.lattice.complete(scipy.linalg.expm(dt * gen[self.lattice.zero_index():]))
+        return self._propagators[key]
 
 
 def build_operators(
@@ -142,8 +132,16 @@ def build_operators(
     return WndOperators(spectrum, avg, table)
 
 
+def _require_fit(ops: WndOperators, state: SpectralState) -> None:
+    """ValueError unless the state lives on the operators' lattice with their system's components."""
+    if state.lattice != ops.lattice or state.ncomp != ops.spec.ncomp:
+        raise ValueError(f"a state of {state.ncomp} components on {state.lattice} does not fit "
+                         f"operators of {ops.spec.ncomp} components on {ops.lattice}")
+
+
 def rhs(ops: WndOperators, state: SpectralState) -> SpectralState:
-    """Tendency -A w - qbar(w, w) + dbar w, mode-wise."""
+    """Tendency -A w - qbar(w, w) + dbar w, mode-wise; ValueError unless the state fits the operators."""
+    _require_fit(ops, state)
     lin = np.einsum("mpq,mq->mp", ops.generator, state.coeffs)
     return SpectralState(state.lattice, lin - ops.quadratic_tendency(state), state.time)
 
@@ -163,7 +161,8 @@ def step(
     method: str = "if_rk4",
     filtered: bool = False,
 ) -> SpectralState:
-    """Advance one step; exact on the linear part for any dt."""
+    """Advance one step; exact on the linear part for any dt.  ValueError unless the state fits the operators."""
+    _require_fit(ops, state)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if method not in INTEGRATORS:
@@ -240,15 +239,16 @@ def simulate(
 ) -> tuple[list[SpectralState], DiagnosticsSeries]:
     """Fixed-step integration with energy accounting.
 
-    t_end must be a whole number of steps of dt (ValueError otherwise).
-    Snapshots are full states taken every `diagnostics_every` steps (plus the
-    final state).  The budget residual reported at each snapshot is the
-    defect of the energy identity accumulated from t = 0.
+    t_end must be a whole number of steps of dt, and the initial state must fit the
+    operators (ValueError otherwise).  Snapshots are full states taken every
+    `diagnostics_every` steps (plus the final state).  The budget residual reported
+    at each snapshot is the defect of the energy identity accumulated from t = 0.
     """
     if t_end <= 0.0 or dt <= 0.0:
         raise ValueError("need t_end > 0 and dt > 0")
     if diagnostics_every < 1:
         raise ValueError("diagnostics_every must be >= 1")
+    _require_fit(ops, initial)
     if ops.omega_max * dt > 0.5:
         warnings.warn(
             f"dt = {dt:g} under-resolves the fastest retained frequency "

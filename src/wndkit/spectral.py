@@ -98,6 +98,14 @@ class FrequencyLattice:
     def zero_index(self) -> int:
         return self.index((0,) * self.dim)
 
+    def mirror(self, values: np.ndarray) -> np.ndarray:
+        """conj(v(-xi)) for per-mode values in lattice order: values[negation].conj(), by reversal."""
+        return np.conj(values[::-1])  # a new array also for real values, where .conj() returns the view
+
+    def complete(self, half: np.ndarray) -> np.ndarray:
+        """Every mode from rows zero_index(): (the zero mode and the positive half) by v(-xi) = conj(v(xi))."""
+        return np.concatenate([self.mirror(half[1:]), half])
+
     def convolution_pairs(self) -> tuple[np.ndarray, ...]:
         """Every (k, l) with k + l = m inside the lattice, grouped by m.
 

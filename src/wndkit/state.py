@@ -93,19 +93,16 @@ def state_from_modes(
 
 def enforce_reality(state: SpectralState) -> SpectralState:
     """Project onto the reality-symmetric part, w(-xi) = conj(w(xi))."""
-    neg = state.lattice.negation
-    state.coeffs = 0.5 * (state.coeffs + state.coeffs[neg].conj())
+    state.coeffs = 0.5 * (state.coeffs + state.lattice.mirror(state.coeffs))
     return state
 
 
 def reality_defect(state: SpectralState) -> float:
-    neg = state.lattice.negation
-    return float(np.abs(state.coeffs - state.coeffs[neg].conj()).max())
+    return float(np.abs(state.coeffs - state.lattice.mirror(state.coeffs)).max())
 
 
 def is_reality_symmetric(state: SpectralState) -> bool:
-    neg = state.lattice.negation
-    return bool(np.array_equal(state.coeffs, state.coeffs[neg].conj()))
+    return bool(np.array_equal(state.coeffs, state.lattice.mirror(state.coeffs)))
 
 
 def random_real_state(
@@ -125,13 +122,10 @@ def random_real_state(
     m = len(lattice)
     raw = rng.standard_normal((m, ncomp)) + 1j * rng.standard_normal((m, ncomp))
     weights = amplitude * (1.0 + (lattice.array.astype(float) ** 2).sum(axis=1)) ** (-decay / 2.0)
-    state = SpectralState(lattice, raw * weights[:, None])
-    enforce_reality(state)
-    zero = lattice.zero_index()
+    # the projection makes the zero mode, its own mirror, real
+    state = enforce_reality(SpectralState(lattice, raw * weights[:, None]))
     if zero_mean:
-        state.coeffs[zero] = 0.0
-    else:
-        state.coeffs[zero] = state.coeffs[zero].real
+        state.coeffs[lattice.zero_index()] = 0.0
     return state
 
 

@@ -195,6 +195,34 @@ def test_lattice_pair_guard_exits_two_before_building(tmp_path, capsys, monkeypa
     assert "12752041" in err
 
 
+@pytest.mark.parametrize(
+    "section, values, message",
+    [
+        # 10^9 criterion pencils: hours of eigensolves and 8 GB of betas
+        ("dissipativity", {"alpha_grid": 10_000, "direction_count": 100_000}, "criterion pencils"),
+        # 10^8 steps of 289 modes x 4 components: 1.85 TB of snapshots
+        ("simulation", {"t_end": 1e5, "dt": 1e-3, "diagnostics_every": 1}, "coefficient-steps"),
+        # without dt the steps are counted at 1e-3, which the automatic step never exceeds
+        ("simulation", {"t_end": 1e5, "dt": None, "diagnostics_every": 1}, "coefficient-steps"),
+    ],
+)
+def test_run_refuses_products_past_their_caps(tmp_path, section, values, message):
+    # only Run is built: the refused configs must never run
+    config = json.loads(write_config(tmp_path / "run.json", lattice_k=8).read_text())
+    config[section].update(values)
+    with pytest.raises(cli.ConfigError, match=message):
+        cli.Run(config)
+
+
+def test_run_admits_products_at_their_caps(tmp_path):
+    config = json.loads(write_config(tmp_path / "run.json", lattice_k=8).read_text())
+    config["dissipativity"] = {"alpha_grid": cli.MAX_PENCILS // 100_000, "direction_count": 100_000}
+    # 289 modes x 4 components
+    config["simulation"].update(dt=1e-3, t_end=cli.MAX_COEFFICIENT_STEPS // (289 * 4) * 1e-3)
+    run = cli.Run(config)
+    assert run.alphas.size * run.direction_count == cli.MAX_PENCILS
+
+
 def modes_config(path: Path, entries: list) -> Path:
     cfg = write_config(path)
     data = json.loads(cfg.read_text())

@@ -30,7 +30,7 @@ def test_cli_outputs_script_keeps_every_command_run(tmp_path):
         (path.parent.parent.name, path.parent.name): int(path.read_text())
         for path in tmp_path.glob("*/*/exit_code")
     }
-    assert len(codes) == 15
+    assert len(codes) == 20
     # wcns-report needs a 2-D preset: the 1-D gas and the inline spec are input errors
     assert {run for run, code in codes.items() if code} == {("gas1d-r6", "wcns-report"), ("inline", "wcns-report")}
     assert all(code == 2 for code in codes.values() if code)
@@ -38,6 +38,8 @@ def test_cli_outputs_script_keeps_every_command_run(tmp_path):
         assert (tmp_path / config / "wcns-report" / "stderr").read_text().startswith("input error: ")
     assert (tmp_path / "gas2d-r4" / "operators" / "resonance_table.csv").is_file()
     assert any((tmp_path / "gas2d-r4" / "simulate" / "snapshots").iterdir())
+    # IF-RK2 from a nonzero zero mode: 50 steps, a snapshot every 5
+    assert len(list((tmp_path / "gas2d-r3-rk2" / "simulate" / "snapshots").iterdir())) == 11
 
 
 def _run(script, args):

@@ -218,6 +218,49 @@ def test_dt_warning(cns_ops4):
         wk.simulate(cns_ops4, w0, t_end=0.4, dt=0.2, diagnostics_every=1)
 
 
+@pytest.mark.parametrize(
+    "system, dim, radius", [("ideal-gas-1d", 1, 6), ("ideal-gas-2d", 2, 4), ("ideal-gas-2d", 3, 2), ("scalar", 1, 6)]
+)
+def test_per_mode_operators_obey_the_mirror_identity(scalar_spec, system, dim, radius):
+    spec = scalar_spec if system == "scalar" else wk.build_preset(system, dim=dim).spec
+    lat = wk.FrequencyLattice(dim, radius)
+    ops = wk.build_operators(spec, lat, with_quadratic=False)
+    blocks = {"avg": ops.avg.blocks, "generator": ops.generator}
+    for filtered in (False, True):
+        blocks[f"propagators {filtered}"] = ops.propagators(0.01, filtered)
+    zero = lat.zero_index()
+    for name, x in blocks.items():
+        # X(-xi) = conj(X(xi)) exactly (== treats the two zeros alike), and the
+        # lattice completes X from its zero mode and positive half
+        assert (x == x[lat.negation].conj()).all(), name
+        assert (lat.complete(x[zero:]) == x).all(), name
+
+
+STEPPERS = {
+    "simulate": lambda ops, w: wk.simulate(ops, w, t_end=0.01, dt=0.005),
+    "step": lambda ops, w: wk.step(ops, w, 0.005),
+    "rhs": wk.rhs,
+}
+
+
+@pytest.mark.parametrize("stepper", sorted(STEPPERS))
+def test_stepping_refuses_a_state_of_another_lattice(cns_model, stepper):
+    # no quadratic part, so no qbar lattice check runs; 1-D R=40 also has 81 modes
+    ops = wk.build_operators(cns_model.spec, wk.FrequencyLattice(2, 4), with_quadratic=False)
+    w0 = wk.random_real_state(wk.FrequencyLattice(1, 40), 4, seed=3)
+    assert len(w0.lattice) == len(ops.lattice)
+    with pytest.raises(ValueError, match=r"radius=40\) does not fit operators of 4 components on .*radius=4\)"):
+        STEPPERS[stepper](ops, w0)
+
+
+@pytest.mark.parametrize("stepper", sorted(STEPPERS))
+def test_stepping_refuses_a_state_with_other_components(wave2_spec, stepper):
+    ops = wk.build_operators(wave2_spec, wk.FrequencyLattice(1, 4))
+    w0 = wk.random_real_state(ops.lattice, 3, seed=3)
+    with pytest.raises(ValueError, match="a state of 3 components .* does not fit operators of 2 components"):
+        STEPPERS[stepper](ops, w0)
+
+
 def test_unknown_integrator_rejected(cns_ops4):
     w0 = wk.zero_state(cns_ops4.lattice, 4)
     with pytest.raises(ValueError):

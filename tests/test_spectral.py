@@ -93,6 +93,21 @@ def test_lattice_upper_is_the_positive_half(dim, radius):
     assert not lat.upper.flags.writeable
 
 
+@pytest.mark.parametrize("dim, radius", [(1, 0), (1, 3), (2, 0), (2, 2), (3, 0), (3, 1)])
+def test_lattice_mirror_is_the_conjugated_negation(dim, radius):
+    lat = FrequencyLattice(dim, radius)
+    rng = np.random.default_rng(10 * dim + radius)
+    for shape in ((len(lat), 3), (len(lat), 3, 3)):
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        mirrored = lat.mirror(values)
+        assert mirrored.shape == values.shape
+        assert mirrored.tobytes() == values[lat.negation].conj().tobytes()
+        assert not np.shares_memory(lat.mirror(values.real), values)  # a new array, as for complex values
+        # a reality-symmetric array is the completion of its zero mode and positive half
+        symmetric = 0.5 * (values + mirrored)
+        assert np.array_equal(lat.complete(symmetric[lat.zero_index():]), symmetric)
+
+
 def test_decompose_zero_mode(cns_model):
     dec = frequency_spectrum(cns_model.spec, FrequencyLattice(2, 1))[(0, 0)]
     assert dec.nfreq == 1
