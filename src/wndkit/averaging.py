@@ -74,13 +74,17 @@ __all__ = [
     "diffusion_csv_rows",
 ]
 
-# (k, omega1, l, omega2, m, omega3) on T candidates: (T, d) int modes, (T,) frequencies -> (T,) bools.
-# Called once per lattice mode k; its arguments are read-only, and k is a broadcast view of one row.
+# (k, omega1, l, omega2, m, omega3) on a chunk's grid of P pairs (k, l) by B^3 branch triples:
+# (P, 1, 1, 1, d) int modes and (P, B, 1, 1), (P, 1, B, 1), (P, 1, 1, B) frequencies -> (P, B, B, B) bools.
+# Called once per chunk of whole k-blocks; its arguments are read-only broadcast views.
 ExactRule = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 # propagator powers per block in the time-average oracles (bounds their memory)
 DIFFUSION_ORACLE_CHUNK = 32768
 QUADRATIC_ORACLE_CHUNK = 2048
+# grid cells ((k, l) pairs x branch triples) per resonance-rule call in the table build
+# (bounds its transient memory; a larger k-block is one call)
+RESONANCE_CHUNK_CELLS = 65536
 
 # branch-coordinate coefficients of qbar with |c| <= DROP_TOL * max|c| vanish
 # by structure and are dropped at compile time
@@ -185,72 +189,82 @@ def build_resonance_table(
 ) -> ResonanceTable:
     """Enumerate all resonant triples with k, l and k+l inside the spectrum's lattice.
 
-    Built one k-block at a time: the candidates (l, j1, j2, j3) of one k, in
-    table order (l ascending, then the branches lexicographically), are
-    decided in one array call.  Generic detection accepts |omega1 + omega2 -
-    omega3| <= tol * scale with scale the largest frequency magnitude on the
-    lattice; floating-point near-resonances are the dominant hazard, so
-    callers should pass an exact_rule (an array predicate, see ExactRule;
-    ValueError unless it returns one boolean per candidate) whenever the
-    spectrum has arithmetic structure.
+    Built a chunk of consecutive whole k-blocks at a time, at most
+    RESONANCE_CHUNK_CELLS grid cells per chunk (one k-block if a single block
+    is larger).  A chunk's P pairs (k, l), k ascending and then l, times the
+    B^3 branch triples (j1, j2, j3) form one (P, B, B, B) grid in table
+    order, decided in one array call.  Generic detection accepts
+    |omega1 + omega2 - omega3| <= tol * scale on that grid, with scale the
+    largest frequency magnitude on the lattice; floating-point
+    near-resonances are the dominant hazard, so callers should pass an
+    exact_rule (an array predicate, see ExactRule; ValueError unless it
+    returns the (P, B, B, B) booleans) whenever the spectrum has arithmetic
+    structure.
 
-    A candidate is carried only as three flat indices (mode * width +
-    branch) into the stacked frequencies, which are read by flat gathers.
-    The rule's arguments are read-only: k is a broadcast view of the
-    block's one row, l and m are repeats of the block's l and m rows.  Only
-    the accepted candidates become (k, j1, l, j2, m, j3) rows, by divmod of
-    their indices.
+    The rule's arguments are read-only broadcast views: k, l and m of shape
+    (P, 1, 1, 1, d) and the frequencies of shape (P, B, 1, 1), (P, 1, B, 1)
+    and (P, 1, 1, B).  Cells of padded branches (j >= nfreq) are not
+    candidates, whatever the verdict.  Only the accepted cells are decoded,
+    into three flat indices (mode * B + branch) into the stacked
+    frequencies, which give their defects by flat gathers and, at the end,
+    the (k, j1, l, j2, m, j3) rows by divmod.
     ValueError unless the table holds qbar's two invariants: each k-block
     accepts all n0(k) sum_l n0(l) n0(k + l) null triples (n0 counts the null
-    branches at a mode; the error names k), and every row has its mirror.
+    branches at a mode; the error names the first such k), and every row
+    has its mirror.
     """
     lattice, freqs, nfreq = spectrum.lattice, spectrum.frequencies, spectrum.nfreq
     scale = max(float(np.abs(freqs).max()), 1.0)
-    arr, zero = lattice.array, lattice.zero_index()
+    arr, zero, radius = lattice.array, lattice.zero_index(), lattice.radius
     flat, width = freqs.ravel(), freqs.shape[1]
     null, n0 = spectrum.null.ravel(), spectrum.null.sum(axis=1)
-    # branch triples (j1, j2, j3) in lexicographic order
-    j1, j2, j3 = (j.ravel() for j in np.indices((width,) * 3))
+    # padded branches (j >= nfreq) are not candidates
+    real = np.arange(width) < nfreq[:, None]
+    # the l with k + l on the lattice form a box of prod_a (2R + 1 - |k_a|) modes;
+    # ends[i] counts the grid cells of the k-blocks before mode i
+    ends = np.concatenate([[0], np.cumsum(np.prod(2 * radius + 1 - np.abs(arr), axis=1) * width**3)])
     accepted, defects, closest = [], [], np.inf
-    for ki in range(len(lattice)):
-        lis = np.flatnonzero(np.abs(arr + arr[ki]).max(axis=1) <= lattice.radius)
-        mis = lis + (ki - zero)  # index(k + l) = index(k) + index(l) - index(0)
-        # padded branches (j >= nfreq) are not candidates
-        branch = (j1 < nfreq[ki]) & (j2 < nfreq[lis, None]) & (j3 < nfreq[mis, None])
-        idx = [
-            np.broadcast_to(ki * width + j1, branch.shape)[branch],
-            (lis[:, None] * width + j2)[branch],
-            (mis[:, None] * width + j3)[branch],
-        ]
-        w1, w2, w3 = (flat.take(i) for i in idx)
-        defect = (w1 + w2) - w3
+    start = 0
+    while start < len(lattice):
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] + RESONANCE_CHUNK_CELLS, side="right")) - 1)
+        # the chunk's pairs, k ascending and then l: kp counts from start
+        inside = np.ones((stop - start, len(lattice)), dtype=bool)
+        for column in range(lattice.dim):
+            inside &= np.abs(arr[start:stop, column, None] + arr[:, column]) <= radius
+        kp, lis = np.nonzero(inside)
+        kis = kp + start
+        mis = lis + (kis - zero)  # index(k + l) = index(k) + index(l) - index(0)
+        w1, w2, w3 = (freqs.take(i, axis=0) for i in (kis, lis, mis))
+        w1, w2, w3 = w1[:, :, None, None], w2[:, None, :, None], w3[:, None, None, :]
         if exact_rule is None:
+            defect = (w1 + w2) - w3
             hit = np.abs(defect) <= tol * scale
-            closest = min(closest, np.abs(defect[~hit]).min(initial=np.inf))
+            r1, r2, r3 = (real.take(i, axis=0) for i in (kis, lis, mis))
+            valid = r1[:, :, None, None] & r2[:, None, :, None] & r3[:, None, None, :]
+            closest = min(closest, np.abs(defect[valid & ~hit]).min(initial=np.inf))
         else:
-            per_l = np.count_nonzero(branch, axis=1)
-            args = (
-                np.broadcast_to(arr[ki], (len(defect), lattice.dim)),
-                w1,
-                np.repeat(arr[lis], per_l, axis=0),
-                w2,
-                np.repeat(arr[mis], per_l, axis=0),
-                w3,
-            )
+            k, l, m = (arr.take(i, axis=0)[:, None, None, None] for i in (kis, lis, mis))
+            args = (k, w1, l, w2, m, w3)
             for a in args:
                 a.flags.writeable = False
             hit = np.asarray(exact_rule(*args))
-            if hit.dtype != bool or hit.shape != defect.shape:
-                raise ValueError(f"exact_rule returned {hit.dtype} {hit.shape}, expected {len(defect)} booleans")
-        keep = np.flatnonzero(hit)
-        block = np.stack([i.take(keep) for i in idx])
-        found = np.count_nonzero(null.take(block).all(axis=0))
-        expected = n0[ki] * np.dot(n0[lis], n0[mis])
-        if found != expected:
-            missing = f"{expected - found} of the {expected} null triples at k = {tuple(arr[ki].tolist())}"
+            grid = (len(kis), width, width, width)
+            if hit.dtype != bool or hit.shape != grid:
+                raise ValueError(f"exact_rule returned {hit.dtype} {hit.shape}, expected {grid} booleans")
+        # the accepted cells as flat (mode, branch) indices, less the padded ones
+        p, b1, b2, b3 = np.unravel_index(np.flatnonzero(hit), hit.shape)
+        block = np.stack([kis[p] * width + b1, lis[p] * width + b2, mis[p] * width + b3])
+        block = block[:, real.ravel().take(block).all(axis=0)]
+        found = np.bincount(block[0, null.take(block).all(axis=0)] // width - start, minlength=stop - start)
+        expected = n0[start:stop] * np.add.reduceat(n0[lis] * n0[mis], np.searchsorted(kp, np.arange(stop - start)))
+        short = np.flatnonzero(found != expected)
+        if len(short):
+            i = short[0]
+            missing = f"{expected[i] - found[i]} of the {expected[i]} null triples at k = {tuple(arr[start + i].tolist())}"
             raise ValueError(f"resonance rule rejects {missing}; every null triple is resonant")
         accepted.append(block)
-        defects.append(defect.take(keep))
+        defects.append((flat.take(block[0]) + flat.take(block[1])) - flat.take(block[2]))
+        start = stop
     # (k, j1, l, j2, m, j3) columns from the flat (mode, branch) indices
     entries = np.stack(np.divmod(np.concatenate(accepted, axis=1).T, width), axis=2).reshape(-1, 6)
     # qbar's mirror identity needs every row's mirror (-k, j1'; -l, j2'; -m, j3'), with

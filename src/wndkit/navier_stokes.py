@@ -406,19 +406,24 @@ def acoustic_sum_resonant(a, b, c, s1, s2, s3):
 
 
 def _squared_norms(modes: np.ndarray) -> np.ndarray:
-    """Integer-exact |x|^2 of each row of a (T, d) integer array, one column at a time."""
-    out = modes[:, 0] * modes[:, 0]
-    for column in modes.T[1:]:
-        out += column * column
+    """Integer-exact |x|^2 over the last axis of a (..., d) integer array, one component at a time."""
+    out = modes[..., 0] * modes[..., 0]
+    for column in range(1, modes.shape[-1]):
+        out += modes[..., column] * modes[..., column]
     return out
 
 
 def make_exact_resonance_rule(model: CnsModel):
     """Array rule for `build_resonance_table`: the integer acoustic identity.
 
-    Takes a block of T candidates, (T, d) integer modes k, l, m and (T,)
-    frequencies, labels each frequency with its branch sign and returns the
-    (T,) booleans of `acoustic_sum_resonant` on the squared mode norms.
+    Takes one chunk's grid (see ExactRule): (P, 1, 1, 1, d) integer modes k,
+    l, m and the broadcast frequency views, labels each frequency with its
+    branch sign and returns the (P, B, B, B) booleans of
+    `acoustic_sum_resonant` on the squared mode norms a, b, c.  Most pairs
+    need only the sign test, by a lemma: if a, b, c are pairwise distinct
+    and (c - a - b)^2 != 4ab (k and l not collinear, since c - a - b = 2 k.l),
+    the identity holds exactly on the all-null triple s1 = s2 = s3 = 0.  So
+    the identity itself runs only on equal-norm or collinear pairs.
     Reads its arguments only, so a broadcast view serves as well as an array.
     This is the one place that classifies raw gas frequencies; the table
     build checks its null verdicts against `spectrum.null`.
@@ -431,7 +436,13 @@ def make_exact_resonance_rule(model: CnsModel):
         return np.subtract(omega >= half, omega <= -half, dtype=np.int8)
 
     def rule(k, w1, l, w2, m, w3) -> np.ndarray:
-        return acoustic_sum_resonant(*map(_squared_norms, (k, l, m)), *map(branch_sign, (w1, w2, w3)))
+        a, b, c = map(_squared_norms, (k, l, m))
+        s1, s2, s3 = map(branch_sign, (w1, w2, w3))
+        hit = (s1 == 0) & (s2 == 0) & (s3 == 0)
+        gap = c - a - b
+        pairs = np.flatnonzero((a == b) | (a == c) | (b == c) | (gap * gap == 4 * a * b))
+        hit[pairs] = acoustic_sum_resonant(a[pairs], b[pairs], c[pairs], s1[pairs], s2[pairs], s3[pairs])
+        return hit
 
     return rule
 

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import wndkit as wk
+from wndkit import averaging
 from wndkit.averaging import (
     _CompiledQuadratic,
     apply_averaged_quadratic,
@@ -12,6 +15,7 @@ from wndkit.averaging import (
     quadratic_time_average_oracle,
 )
 from wndkit.navier_stokes import acoustic_sum_resonant, wcns_split
+from wndkit.spectral import convolution_pair_count
 from wndkit.state import is_reality_symmetric
 
 from conftest import state_diff_norm
@@ -298,7 +302,7 @@ def test_qbar_rejects_table_missing_a_null_triple(cns_model):
     null = 0.5 * cns_model.sound
 
     def leaky(k, w1, l, w2, m, w3):
-        pair = (k == (1, 0)).all(axis=1) & (l == (0, 1)).all(axis=1)
+        pair = (k == (1, 0)).all(axis=-1) & (l == (0, 1)).all(axis=-1)
         all_null = np.maximum(np.maximum(np.abs(w1), np.abs(w2)), np.abs(w3)) < null
         return rule(k, w1, l, w2, m, w3) & ~(pair & all_null)
 
@@ -321,7 +325,7 @@ def test_qbar_rejects_table_not_closed_under_negation(cns_model):
 
     def lopsided(k, w1, l, w2, m, w3):
         # drops the (+, + -> +) acoustic triple of (1, 0) + (1, 0) but keeps its mirror
-        pair = (k == (1, 0)).all(axis=1) & (l == (1, 0)).all(axis=1)
+        pair = (k == (1, 0)).all(axis=-1) & (l == (1, 0)).all(axis=-1)
         all_plus = np.minimum(np.minimum(w1, w2), w3) > null
         return rule(k, w1, l, w2, m, w3) & ~(pair & all_plus)
 
@@ -528,12 +532,17 @@ def test_resonance_table_matches_per_triple_reference(system, radius, exact, sca
         assert table.closest_rejected == closest
 
 
-def test_exact_rule_sees_one_read_only_block_per_mode(cns_model):
-    """The rule gets one call per lattice mode, (T, d) integer modes and (T,)
-    frequencies, all read-only, and its calls concatenated are the per-triple
-    enumeration: every candidate in table order, with its values."""
+def test_exact_rule_sees_one_read_only_grid_per_chunk(cns_model, monkeypatch):
+    """The rule gets one call per chunk of whole k-blocks: (P, 1, 1, 1, d)
+    integer modes and (P, B, 1, 1), (P, 1, B, 1), (P, 1, 1, B) frequencies,
+    all read-only.  Its valid cells (every branch below its mode's nfreq),
+    concatenated in call order, are the per-triple enumeration: every
+    candidate in table order, with its values."""
+    budget = 5000
+    monkeypatch.setattr(averaging, "RESONANCE_CHUNK_CELLS", budget)
     lat = wk.FrequencyLattice(2, 3)
     spectrum = wk.frequency_spectrum(cns_model.spec, lat)
+    nfreq, width = spectrum.nfreq, spectrum.frequencies.shape[1]
     rule = wk.make_exact_resonance_rule(cns_model)
     calls = []
 
@@ -542,27 +551,91 @@ def test_exact_rule_sees_one_read_only_block_per_mode(cns_model):
         return rule(*args)
 
     table = build_resonance_table(spectrum, exact_rule=recording)
-    assert len(calls) == len(lat)
+    assert len(calls) > 1
+    blocks, cells = [], []
+    j = np.arange(width)
     for k, w1, l, w2, m, w3 in calls:
+        pairs = len(k)
         for x in (k, l, m):
-            assert x.shape == (len(w1), 2) and np.issubdtype(x.dtype, np.integer)
-        for w in (w1, w2, w3):
-            assert w.shape == (len(w1),) and w.dtype == float
+            assert x.shape == (pairs, 1, 1, 1, 2) and np.issubdtype(x.dtype, np.integer)
+        assert [w.shape for w in (w1, w2, w3)] == [(pairs, width, 1, 1), (pairs, 1, width, 1), (pairs, 1, 1, width)]
+        assert all(w.dtype == float for w in (w1, w2, w3))
         assert not any(x.flags.writeable for x in (k, w1, l, w2, m, w3))
-    stream = [np.concatenate(column) for column in zip(*calls)]
+        ki, li, mi = (lat.index_array(x.reshape(pairs, 2)) for x in (k, l, m))
+        blocks.append(np.unique(ki))
+        assert pairs * width**3 <= budget or len(blocks[-1]) == 1
+        valid = (
+            (j < nfreq[ki, None])[:, :, None, None]
+            & (j < nfreq[li, None])[:, None, :, None]
+            & (j < nfreq[mi, None])[:, None, None, :]
+        )
+        columns = (k[..., 0], k[..., 1], w1, l[..., 0], l[..., 1], w2, m[..., 0], m[..., 1], w3)
+        cells.append(np.stack([c[valid] for c in np.broadcast_arrays(*columns)], axis=1))
+    # every k-block lies whole in one call, and the calls follow the lattice order
+    assert np.array_equal(np.concatenate(blocks), np.arange(len(lat)))
     seen = []
     _reference_table(spectrum, lat, lambda *candidate: seen.append(candidate) or True)
-    assert len(seen) == len(stream[0])
-    for got, want in zip(stream, zip(*seen)):
-        assert np.array_equal(got, np.array(want)), "candidate stream differs from the per-triple enumeration"
+    want = np.array([[*k, w1, *l, w2, *m, w3] for k, w1, l, w2, m, w3 in seen])
+    assert np.array_equal(np.concatenate(cells), want), "candidate stream differs from the per-triple enumeration"
     assert len(table) > 0
 
 
 def test_resonance_table_rejects_a_scalar_rule(cns_model):
     lat = wk.FrequencyLattice(2, 1)
     spectrum = wk.frequency_spectrum(cns_model.spec, lat)
-    with pytest.raises(ValueError, match="expected \\d+ booleans"):
-        build_resonance_table(spectrum, exact_rule=lambda k, w1, l, w2, m, w3: True)
+    # one boolean per pair and branch triple: a scalar or a grid missing an axis is refused
+    for rule in (lambda k, w1, l, w2, m, w3: True, lambda k, w1, l, w2, m, w3: w1 < w2):
+        with pytest.raises(ValueError, match=r"expected \(\d+, 3, 3, 3\) booleans"):
+            build_resonance_table(spectrum, exact_rule=rule)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_resonance_table_is_the_same_whatever_the_chunks(cns_model, monkeypatch, exact):
+    """One k-block per call, or a budget that splits the lattice mid-way:
+    entries, defects and closest_rejected are bitwise the default build's."""
+    lat = wk.FrequencyLattice(2, 4)
+    spectrum = wk.frequency_spectrum(cns_model.spec, lat)
+    rule = wk.make_exact_resonance_rule(cns_model)
+    calls = []
+
+    def build():
+        calls.clear()
+        if not exact:
+            return build_resonance_table(spectrum)
+        return build_resonance_table(spectrum, exact_rule=lambda *args: calls.append(args) or rule(*args))
+
+    base = build()
+    cells = convolution_pair_count(2, 4) * spectrum.frequencies.shape[1] ** 3
+    for budget, chunks in ((1, len(lat)), (cells // 2, 2)):
+        monkeypatch.setattr(averaging, "RESONANCE_CHUNK_CELLS", budget)
+        table = build()
+        if exact:
+            assert len(calls) >= chunks
+        assert table.entries.tobytes() == base.entries.tobytes()
+        assert table.defects.tobytes() == base.defects.tobytes()
+        assert np.array_equal(table.closest_rejected, base.closest_rejected, equal_nan=True)
+
+
+def test_missing_null_triple_inside_a_chunk_names_its_k(cns_model):
+    # a k-block in the middle of the last chunk loses its null triples with l = 0
+    lat = wk.FrequencyLattice(2, 4)
+    spectrum = wk.frequency_spectrum(cns_model.spec, lat)
+    rule = wk.make_exact_resonance_rule(cns_model)
+    calls = []
+    build_resonance_table(spectrum, exact_rule=lambda *args: calls.append(args) or rule(*args))
+    ks = np.unique(lat.index_array(calls[-1][0].reshape(-1, 2)))
+    assert len(calls) > 1 and len(ks) > 2
+    k_mid = lat.array[ks[len(ks) // 2]]
+    null = 0.5 * cns_model.sound
+
+    def leaky(k, w1, l, w2, m, w3):
+        pair = (k == k_mid).all(axis=-1) & (l == 0).all(axis=-1)
+        all_null = np.maximum(np.maximum(np.abs(w1), np.abs(w2)), np.abs(w3)) < null
+        return rule(k, w1, l, w2, m, w3) & ~(pair & all_null)
+
+    name = re.escape(str(tuple(k_mid.tolist())))
+    with pytest.raises(ValueError, match=rf"rejects \d+ of the \d+ null triples at k = {name};"):
+        build_resonance_table(spectrum, exact_rule=leaky)
 
 
 def test_float_rule_resonance_margin(cns_model):

@@ -173,7 +173,11 @@ def test_refused_resonance_table_exits_two_before_writing(tmp_path, capsys, comm
 def test_exact_rule_table_refusal_is_a_fault(tmp_path, monkeypatch):
     # the exact rule has no tolerance in the config, so a refused table is a
     # program fault: it propagates instead of becoming an input error
-    monkeypatch.setattr(cli.ns, "make_exact_resonance_rule", lambda model: lambda k, w1, *rest: np.zeros(w1.shape, bool))
+    monkeypatch.setattr(
+        cli.ns,
+        "make_exact_resonance_rule",
+        lambda model: lambda k, w1, l, w2, m, w3: np.zeros(np.broadcast_shapes(w1.shape, w2.shape, w3.shape), bool),
+    )
     cfg = write_config(tmp_path / "run.json")
     with pytest.raises(ValueError, match="null triples at k = ") as info:
         main(["operators", "--config", str(cfg)])
