@@ -1,4 +1,4 @@
-"""Run the five CLI commands on four fixed configs and keep everything they print and write.
+"""Run the five CLI commands on six fixed configs and keep everything they print and write.
 
     PYTHONPATH=src python scripts/cli_outputs.py OUT
 
@@ -15,10 +15,13 @@ PYTHONPATH and compare the two directories:
 
 The configs are the 2-D gas at R=4 under the exact resonance rule, the 1-D
 gas at R=6, the 2-D gas written out as an inline spec at R=3 under the
-float rule, and the 2-D gas at R=3 stepped by IF-RK2 from a `modes`
-initial with a nonzero zero mode, so that the zero mode's propagator row
-and if_rk2 reach the snapshots.  wcns-report exits 2 on the second and
-third (it needs a 2-D preset).
+float rule, the 2-D gas at R=3 stepped by IF-RK2 from a `modes` initial
+with a nonzero zero mode, so that the zero mode's propagator row and
+if_rk2 reach the snapshots, the 3-D gas at R=2 under the exact rule, and
+an inline 1-D spec whose g a(xi) is not symmetric (a = [[0, 1], [2, 0]],
+g = I), which validate, operators, dissipativity and simulate refuse with
+exit 1.  wcns-report exits 2 on every config but the 2-D presets (it needs
+a 2-D preset).
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from wndkit.cli import main as cli_main
 from wndkit.navier_stokes import build_preset
-from wndkit.system import spec_to_dict
+from wndkit.system import SystemSpec, spec_to_dict
 
 COMMANDS = ("validate", "operators", "dissipativity", "simulate", "wcns-report")
 
@@ -72,6 +77,12 @@ CONFIGS = {
                 ],
             },
         },
+    },
+    "gas3d-r2": {"system": "ideal-gas-3d", "lattice_k": 2, "resonance": {"exact_rule": True}},
+    "asymmetric": {
+        "system": spec_to_dict(SystemSpec(1, 2, [0.0, 0.0], [[[0.0, 1.0], [2.0, 0.0]]], [[[[1.0, 0.0], [0.0, 0.0]]]],
+                                          np.zeros((1, 2, 2, 2)), np.eye(2))),
+        "lattice_k": 4,
     },
 }
 

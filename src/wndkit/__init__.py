@@ -57,7 +57,6 @@ from .state import (
     energy_norm,
     enforce_reality,
     evolve_state,
-    gradient_norm,
     inner_product,
     random_real_state,
     sobolev_norm,

@@ -268,12 +268,14 @@ def build_resonance_table(
     # (k, j1, l, j2, m, j3) columns from the flat (mode, branch) indices
     entries = np.stack(np.divmod(np.concatenate(accepted, axis=1).T, width), axis=2).reshape(-1, 6)
     # qbar's mirror identity needs every row's mirror (-k, j1'; -l, j2'; -m, j3'), with
-    # j' = nfreq - 1 - j the branch of -omega_j; m = k + l, so (k, j1, l, j2, j3) names a row
+    # j' = nfreq - 1 - j the branch of -omega_j; m = k + l, so (k, l, j1, j2, j3) names a row.
+    # The rows come in that order, so their keys ascend without a sort (out of order, the
+    # search would only miss mirrors and refuse the table, never pass a bad one)
     k, j1, l, j2, m, j3 = entries.T
     neg = lattice.negation
-    shape = (len(lattice), width, len(lattice), width, width)
-    rows = np.sort(np.ravel_multi_index((k, j1, l, j2, j3), shape))
-    mirrors = np.ravel_multi_index((neg[k], nfreq[k] - 1 - j1, neg[l], nfreq[l] - 1 - j2, nfreq[m] - 1 - j3), shape)
+    shape = (len(lattice), len(lattice), width, width, width)
+    rows = np.ravel_multi_index((k, l, j1, j2, j3), shape)
+    mirrors = np.ravel_multi_index((neg[k], neg[l], nfreq[k] - 1 - j1, nfreq[l] - 1 - j2, nfreq[m] - 1 - j3), shape)
     unmatched = int(np.count_nonzero(rows.take(np.searchsorted(rows, mirrors), mode="clip") != mirrors))
     if unmatched:
         raise ValueError(f"resonance table is not closed under negation: {unmatched} rows lack their mirror")
@@ -360,8 +362,6 @@ class _CompiledQuadratic:
         null_triple = (
             null[entries[:, 0], entries[:, 1]] & null[entries[:, 2], entries[:, 3]] & null[entries[:, 4], entries[:, 5]]
         )
-        # without a null branch off the zero mode every null triple has m = 0
-        self.null_active = bool(null[self.upper].any())
         p0 = spectrum.null_projector
         # the null part at m is P0(m) (i m . F(m)) for the transformed flux F:
         # one (n, d n) map per mode
@@ -472,11 +472,11 @@ class _CompiledQuadratic:
         # reality-symmetric inputs are their own mirrors
         real = np.array_equal(m1, c1) and (c2 is c1 or np.array_equal(m2, c2))
         upper = self._table(c1, c2)
-        if real and self.null_active:
+        if real:
             upper += self._null(c1, c2, True)
         lower = self.lattice.mirror(upper if real else self._table(m1, m2))
         out = np.concatenate([lower, np.zeros((1, self.ncomp), dtype=complex), upper])
-        if not real and self.null_active:
+        if not real:
             out += self._null(c1, c2, False)
         return SpectralState(w1.lattice, out, w1.time)
 

@@ -58,6 +58,16 @@ class ConfigError(ValueError):
     pass
 
 
+class EntropyRefusal(Exception):
+    """A spec without entropy structure, refused by a command that builds on the spectrum (exit 1)."""
+
+
+def require_entropy_structure(spec) -> None:
+    # the spectrum decomposes the g-symmetrized advection symbol, which is the spec's own only with the structure
+    if not validate_entropy_structure(spec).passed:
+        raise EntropyRefusal("entropy validation failed; refusing to build operators")
+
+
 def _count(value, key: str) -> int:
     """A count must be a JSON integer: a bool, a fraction or a string is an input error."""
     if type(value) is not int:
@@ -73,10 +83,9 @@ def _number(value, key: str) -> float:
 
 
 def _fmt(value) -> str:
+    """17 significant digits for a float (np.float64 is one), str() for anything else."""
     if isinstance(value, float):
         return f"{value:.17g}"
-    if isinstance(value, (np.floating,)):
-        return f"{float(value):.17g}"
     return str(value)
 
 
@@ -264,10 +273,7 @@ def cmd_validate(run: Run, outdir: Path) -> int:
 
 
 def cmd_operators(run: Run, outdir: Path) -> int:
-    report = validate_entropy_structure(run.spec)
-    if not report.passed:
-        print("entropy validation failed; refusing to build operators", file=sys.stderr)
-        return EXIT_FINDING
+    require_entropy_structure(run.spec)
     lattice = run.lattice()
     ops = run.operators(lattice)
     write_csv(outdir / "averaged_diffusion.csv", diffusion_csv_rows(ops.avg))
@@ -299,6 +305,7 @@ def cmd_operators(run: Run, outdir: Path) -> int:
 
 
 def cmd_dissipativity(run: Run, outdir: Path) -> int:
+    require_entropy_structure(run.spec)
     lattice = run.lattice()
     ops = build_operators(run.spec, lattice, with_quadratic=False)
     report = analyze_dissipativity(
@@ -323,6 +330,7 @@ def cmd_simulate(run: Run, outdir: Path) -> int:
             whole_steps(run.t_end, run.dt)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+    require_entropy_structure(run.spec)
     lattice = run.lattice()
     ops = run.operators(lattice)
     initial = run.initial_state(lattice)
@@ -368,6 +376,7 @@ def cmd_wcns_report(run: Run, outdir: Path) -> int:
         raise ConfigError("wcns-report requires a gas-dynamics preset system")
     if run.model.dim != 2:
         raise ConfigError(f"wcns-report needs a 2-D gas-dynamics preset, got d = {run.model.dim}")
+    require_entropy_structure(run.spec)
     lattice = run.lattice()
     if lattice.radius < 5:
         lattice = FrequencyLattice(run.spec.dim, 5)
@@ -411,6 +420,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except EntropyRefusal as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_FINDING
 
 
 if __name__ == "__main__":

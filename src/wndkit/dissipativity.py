@@ -25,7 +25,7 @@ remains a true lower bound on the lattice where it is verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -179,19 +179,17 @@ def strict_criterion_search(
     # maximum (zero symbol) is floored so the formulas stay usable
     c_adv = max(c_adv, 1e-30)
     c_diff = max(c_diff, 1e-30)
-    best: CriterionSearch | None = None
-    pairs = []
-    for alpha, values in zip(alphas, _betas(spec, alphas, directions)):
-        beta = float(values.min())
-        pairs.append((float(alpha), beta))
-        if beta <= 0.0:
-            continue
-        epsilon, delta = constructive_delta(float(alpha), beta, c_adv, c_diff)
-        if best is None or delta > best.delta:
-            best = CriterionSearch(True, float(alpha), beta, c_adv, c_diff, epsilon, delta, (), tuple(values.tolist()))
-    if best is None:
-        return CriterionSearch(False, float("nan"), 0.0, c_adv, c_diff, 0.0, 0.0, tuple(pairs))
-    return replace(best, beta_by_alpha=tuple(pairs))
+    betas = _betas(spec, alphas, directions)
+    pairs = tuple((float(alpha), float(values.min())) for alpha, values in zip(alphas, betas))
+    certified = [
+        (constructive_delta(alpha, beta, c_adv, c_diff), i) for i, (alpha, beta) in enumerate(pairs) if beta > 0.0
+    ]
+    if not certified:
+        return CriterionSearch(False, float("nan"), 0.0, c_adv, c_diff, 0.0, 0.0, pairs)
+    # max keeps the first of equal deltas: ties go to the smallest alpha index
+    (epsilon, delta), i = max(certified, key=lambda item: item[0][1])
+    alpha, beta = pairs[i]
+    return CriterionSearch(True, alpha, beta, c_adv, c_diff, epsilon, delta, pairs, tuple(betas[i].tolist()))
 
 
 def verify_delta(spec: SystemSpec, avg: AveragedDiffusion) -> float:

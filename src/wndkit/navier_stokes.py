@@ -96,7 +96,6 @@ class EquationOfState:
     pressure_theta_theta: Scalar | None = None
     heat_capacity_theta: Scalar | None = None
     theta_from_energy: Scalar | None = None  # inverse of eps(rho, .), for conserved-variable work
-    name: str = "custom"
 
     def validate_at(self, rho: float, theta: float) -> None:
         if rho <= 0.0 or theta <= 0.0:
@@ -121,7 +120,6 @@ def ideal_gas(micro_dim: int = 3) -> EquationOfState:
         pressure_theta_theta=lambda rho, theta: 0.0,
         heat_capacity_theta=lambda rho, theta: 0.0,
         theta_from_energy=lambda rho, eps: eps / half_d,
-        name=f"ideal-gas-D{micro_dim}",
     )
 
 
@@ -627,16 +625,16 @@ def wcns_coupling_report(
 
 
 PRESETS: dict[str, dict] = {
-    "ideal-gas-2d": {"dim": 2, "rho": 1.0, "theta": 1.0, "micro_dim": 3, "shear": 1.0, "bulk": 0.0, "thermal": 1.0},
     "ideal-gas-1d": {"dim": 1, "rho": 1.0, "theta": 1.0, "micro_dim": 3, "shear": 1.0, "bulk": 0.0, "thermal": 1.0},
+    "ideal-gas-2d": {"dim": 2, "rho": 1.0, "theta": 1.0, "micro_dim": 3, "shear": 1.0, "bulk": 0.0, "thermal": 1.0},
+    "ideal-gas-3d": {"dim": 3, "rho": 1.0, "theta": 1.0, "micro_dim": 3, "shear": 1.0, "bulk": 0.0, "thermal": 1.0},
 }
 
 
-def build_preset(name: str, **overrides) -> CnsModel:
+def build_preset(name: str) -> CnsModel:
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    params = dict(PRESETS[name])
-    params.update(overrides)
+    params = PRESETS[name]
     eos = ideal_gas(params["micro_dim"])
     transport = TransportCoefficients(
         shear=params["shear"], bulk=params["bulk"], thermal=params["thermal"], micro_dim=params["micro_dim"]

@@ -260,7 +260,6 @@ def simulate(
 
     spec = ops.spec
     state = initial.copy()
-    energy0 = 0.5 * energy_norm(spec, state) ** 2
 
     diss_samples = np.empty(n_steps + 1)
     energy_samples = np.empty(n_steps + 1)
@@ -269,15 +268,12 @@ def simulate(
         energy_samples[i] = 0.5 * energy_norm(spec, st) ** 2
         diss_samples[i] = -inner_product(spec, st, apply_averaged_diffusion(ops.avg, st)).real
 
-    record(0, state)
-    snap_indices = [0]
-    snapshots = [state.copy()]
-    if snapshot_hook is not None:
-        snapshot_hook(snapshots[-1])
-
-    for i in range(1, n_steps + 1):
-        state = step(ops, state, dt, method, filtered=filtered)
-        _check_finite(ops, state.coeffs, state.time)
+    snap_indices: list[int] = []
+    snapshots: list[SpectralState] = []
+    for i in range(n_steps + 1):
+        if i:
+            state = step(ops, state, dt, method, filtered=filtered)
+            _check_finite(ops, state.coeffs, state.time)
         record(i, state)
         if i % diagnostics_every == 0 or i == n_steps:
             snap_indices.append(i)
@@ -288,7 +284,7 @@ def simulate(
     times = dt * np.arange(n_steps + 1)
     dissipated = scipy.integrate.cumulative_simpson(diss_samples, x=times, initial=0.0)
     idx = np.asarray(snap_indices)
-    budget = energy_samples[idx] + dissipated[idx] - energy0
+    budget = energy_samples[idx] + dissipated[idx] - energy_samples[0]
     sobolev = {
         float(s): np.array([sobolev_norm(spec, snap, float(s)) for snap in snapshots])
         for s in sobolev_orders

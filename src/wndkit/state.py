@@ -33,7 +33,6 @@ __all__ = [
     "is_reality_symmetric",
     "inner_product",
     "energy_norm",
-    "gradient_norm",
     "sobolev_norm",
     "evolve_state",
 ]
@@ -111,9 +110,8 @@ def random_real_state(
     seed: int = 0,
     decay: float = 2.0,
     amplitude: float = 1.0,
-    zero_mean: bool = True,
 ) -> SpectralState:
-    """Reality-symmetric random field from a counter-based generator.
+    """Reality-symmetric, zero-mean random field from a counter-based generator.
 
     Coefficient magnitudes scale like (1 + |xi|^2)^(-decay/2); the seed fully
     determines the field, independent of any global RNG state.
@@ -122,10 +120,8 @@ def random_real_state(
     m = len(lattice)
     raw = rng.standard_normal((m, ncomp)) + 1j * rng.standard_normal((m, ncomp))
     weights = amplitude * (1.0 + (lattice.array.astype(float) ** 2).sum(axis=1)) ** (-decay / 2.0)
-    # the projection makes the zero mode, its own mirror, real
     state = enforce_reality(SpectralState(lattice, raw * weights[:, None]))
-    if zero_mean:
-        state.coeffs[lattice.zero_index()] = 0.0
+    state.coeffs[lattice.zero_index()] = 0.0
     return state
 
 
@@ -143,11 +139,6 @@ def _weighted_sq(spec: SystemSpec, state: SpectralState) -> np.ndarray:
 
 def energy_norm(spec: SystemSpec, state: SpectralState) -> float:
     return float(np.sqrt(max(_weighted_sq(spec, state).sum(), 0.0)))
-
-
-def gradient_norm(spec: SystemSpec, state: SpectralState) -> float:
-    sq = (state.lattice.array.astype(float) ** 2).sum(axis=1)
-    return float(np.sqrt(max((sq * _weighted_sq(spec, state)).sum(), 0.0)))
 
 
 def sobolev_norm(spec: SystemSpec, state: SpectralState, s: float) -> float:

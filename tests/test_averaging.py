@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -190,9 +191,9 @@ def test_qbar_matches_table_reference(cns_ops4, cns_model):
     mixed = w1.copy()
     mixed.coeffs = w1.coeffs + 1j * w2.coeffs
     # both inputs complex, one with a non-real zero-mode coefficient
-    offset = wk.random_real_state(lat, 4, seed=86, decay=2.0, zero_mean=False)
+    offset = wk.random_real_state(lat, 4, seed=86, decay=2.0)
     offset.coeffs = offset.coeffs + 1j * w1.coeffs
-    offset.coeffs[lat.zero_index()] += 0.3j
+    offset.coeffs[lat.zero_index()] = 0.2 + 0.3j
     cases = {"real": (w1, w2), "split": (split, split), "mixed": (mixed, w2), "complex": (offset, mixed)}
     for name, (a, b) in cases.items():
         got, err, scale = _qbar_vs_reference(cns_ops4, spec, a, b)
@@ -214,7 +215,7 @@ def _system(name, request):
         lat = wk.FrequencyLattice(1, 8 if name.endswith("r8") else 6)
         return model.spec, wk.build_operators(model.spec, lat, exact_rule=wk.make_exact_resonance_rule(model)), None
     if name == "ideal-gas-3d":
-        model = wk.build_preset("ideal-gas-2d", dim=3)
+        model = wk.build_preset("ideal-gas-3d")
         lat = wk.FrequencyLattice(3, 2)
         return model.spec, wk.build_operators(model.spec, lat, exact_rule=wk.make_exact_resonance_rule(model)), None
     model = request.getfixturevalue("cns_model")
@@ -238,9 +239,9 @@ def test_qbar_matches_table_reference_beyond_the_2d_gas(system, request):
     w2 = wk.random_real_state(lat, n, seed=92, decay=2.0)
     mixed = w1.copy()
     mixed.coeffs = w1.coeffs + 1j * w2.coeffs
-    offset = wk.random_real_state(lat, n, seed=93, decay=2.0, zero_mean=False)
+    offset = wk.random_real_state(lat, n, seed=93, decay=2.0)
     offset.coeffs = offset.coeffs + 1j * w1.coeffs
-    offset.coeffs[lat.zero_index()] += 0.3j
+    offset.coeffs[lat.zero_index()] = 0.2 + 0.3j
     cases = {"real": (w1, w2), "mixed": (mixed, w2), "complex": (offset, mixed)}
     if model is not None:
         split, _ = wcns_split(model, ops.spectrum, w1)
@@ -443,9 +444,9 @@ def test_qbar_of_one_state_transforms_it_once(cns_ops4, cns_model, monkeypatch):
     def states(seed):
         real = wk.random_real_state(lat, 4, seed=seed, decay=2.0)
         split, _ = wcns_split(cns_model, cns_ops4.spectrum, real)
-        complex_ = wk.random_real_state(lat, 4, seed=seed + 1, decay=2.0, zero_mean=False)
+        complex_ = wk.random_real_state(lat, 4, seed=seed + 1, decay=2.0)
         complex_.coeffs = complex_.coeffs * (1.0 + 0.5j)
-        complex_.coeffs[lat.zero_index()] += 0.3j
+        complex_.coeffs[lat.zero_index()] = 0.2 + 0.3j
         return {"real": real, "split": split, "complex": complex_}
 
     others = states(91)
@@ -497,10 +498,7 @@ def _reference_table(spectrum, lattice, decide):
 )
 def test_resonance_table_matches_per_triple_reference(system, radius, exact, scalar_spec):
     """Entries in the same order, defects bit for bit, closest_rejected exactly."""
-    if system == "ideal-gas-3d":
-        model = wk.build_preset("ideal-gas-2d", dim=3)
-    else:
-        model = None if system == "scalar" else wk.build_preset(system)
+    model = None if system == "scalar" else wk.build_preset(system)
     spec = scalar_spec if model is None else model.spec
     lat = wk.FrequencyLattice(spec.dim, radius)
     spectrum = wk.frequency_spectrum(spec, lat)
@@ -648,6 +646,34 @@ def test_float_rule_resonance_margin(cns_model):
     assert table.closest_rejected >= 1e-3 * scale
     exact = build_resonance_table(spectrum, exact_rule=wk.make_exact_resonance_rule(cns_model))
     assert np.isnan(exact.closest_rejected)
+
+
+def test_float_rule_closest_rejected_skips_padded_branches():
+    """A padded branch's zero frequency is not a frequency: no near-miss through it counts.
+
+    On the 1-D lattice of radius 2, the modes +-1 carry the branches -a, +a
+    and the modes +-2 the branches -b, +b, each padded with a zero third
+    branch, and the zero mode its one null branch (mirror-consistent: the
+    branches of -k are those of k, negated and reversed).  A padded zero at
+    mode 1 makes 0 + a - b at k + l = 2, a defect of 1e-3, while every real
+    rejected cell misses by at least |2a - b| = 0.999.
+    """
+    a, b = 1.0, 1.001
+    gas = wk.frequency_spectrum(wk.build_preset("ideal-gas-1d").spec, wk.FrequencyLattice(1, 2))
+    frequencies = np.array([[-b, b, 0.0], [-a, a, 0.0], [0.0, 0.0, 0.0], [-a, a, 0.0], [-b, b, 0.0]])
+    null = np.zeros((5, 3), dtype=bool)
+    null[2, 0] = True
+    spectrum = dataclasses.replace(gas, frequencies=frequencies, nfreq=np.array([2, 2, 1, 2, 2]), null=null)
+    table = build_resonance_table(spectrum)
+
+    def decide(k, w1, l, w2, m, w3):
+        return abs((w1 + w2) - w3) <= 1e-9 * b  # b is the largest |omega|, so the float rule's scale
+
+    entries, defects, closest = _reference_table(spectrum, spectrum.lattice, decide)
+    assert np.array_equal(table.entries, entries)
+    assert table.defects.tobytes() == defects.tobytes()
+    assert closest == pytest.approx(abs(2 * a - b), rel=1e-12)
+    assert table.closest_rejected == closest
 
 
 def test_apply_quadratic_constant_killed(scalar_spec):

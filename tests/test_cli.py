@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -66,6 +67,11 @@ def test_malformed_config_exits_two(tmp_path, capsys):
     assert main(["validate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err and "column" in err
+
+
+def test_missing_config_exits_two(tmp_path, capsys):
+    assert main(["validate", "--config", str(tmp_path / "absent.json")]) == 2
+    assert capsys.readouterr().err == f"input error: config file not found: {tmp_path / 'absent.json'}\n"
 
 
 def one_mode(**entry) -> dict:
@@ -143,6 +149,14 @@ def one_mode(**entry) -> dict:
         ("validate", "outputs", "directory", ""),
         # the zero mode is its own mirror: an imaginary part there is refused, not dropped
         ("simulate", "simulation", "initial", one_mode(mode=[0, 0], coeff_re=[1, 0, 0, 0], coeff_im=[0.5, 0, 0, 0])),
+        ("validate", None, "lattice_k", 0),
+        ("simulate", "simulation", "dt", 0),
+        ("simulate", "simulation", "initial", {"type": "sine"}),
+        # the system is a preset name or an inline spec mapping, and the exact rule needs a preset
+        ("validate", None, "system", 5),
+        ("validate", None, "system", {"dim": 1, "ncomp": 1}),
+        ("validate", None, "system", wk.spec_to_dict(wk.SystemSpec(1, 1, [0.0], [[[1.0]]], [[[[0.1]]]],
+                                                                    [[[[0.0]]]], [[1.0]]))),
     ],
 )
 def test_bad_config_values_exit_two(tmp_path, capsys, command, section, key, value):
@@ -331,6 +345,58 @@ def test_operators_scalar_advection_diffusion(tmp_path, capsys):
     assert len(spectrum) == 17  # one frequency per mode on the radius-8 line
     residuals = (out / "cyclic_residuals.csv").read_text().strip().splitlines()[1:]
     assert all(float(line.split(",")[1]) <= 1e-12 for line in residuals)
+
+
+def test_operators_without_a_quadratic_term_builds_no_table(tmp_path, capsys, wave2_spec):
+    cfg = write_config(tmp_path / "run.json", system=wk.spec_to_dict(wave2_spec), resonance={"exact_rule": False})
+    assert main(["operators", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == "quadratic kernel is zero; no resonance table\n"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["averaged_diffusion.csv", "spectrum.csv"]
+
+
+# a = [[0, 1], [2, 0]] is not symmetric for g = I; the spectrum would decompose its symmetric part
+ASYMMETRIC = wk.SystemSpec(1, 2, [0.0, 0.0], [[[0.0, 1.0], [2.0, 0.0]]], [[[[1.0, 0.0], [0.0, 0.0]]]],
+                           np.zeros((1, 2, 2, 2)), np.eye(2))
+
+
+@pytest.mark.parametrize("command", ["operators", "dissipativity", "simulate", "wcns-report"])
+def test_commands_on_the_spectrum_refuse_a_spec_without_entropy_structure(tmp_path, capsys, monkeypatch, command):
+    cfg = write_config(tmp_path / "run.json", system=wk.spec_to_dict(ASYMMETRIC), resonance={"exact_rule": False})
+    if command == "wcns-report":
+        # its input errors come first, and an inline spec is one; so the refused
+        # spec here is the 2-D gas preset under the identity metric
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "input error: wcns-report requires a gas-dynamics preset system\n"
+        model = wk.build_preset("ideal-gas-2d")
+        bad = dataclasses.replace(model, spec=dataclasses.replace(model.spec, entropy_hessian=np.eye(4)))
+        monkeypatch.setattr(cli.ns, "build_preset", lambda name: bad)
+        cfg = write_config(tmp_path / "run.json")
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "validate")]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert main([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "entropy validation failed; refusing to build operators\n"
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_three_dimensional_gas_preset_runs_every_command(tmp_path, capsys):
+    """ideal-gas-3d is the 2-D preset's numbers in d = 3; wcns-report takes only d = 2."""
+    model = wk.build_preset("ideal-gas-3d")
+    assert model.dim == 3 and model.spec.ncomp == 5
+    assert {**wk.navier_stokes.PRESETS["ideal-gas-3d"], "dim": 2} == wk.navier_stokes.PRESETS["ideal-gas-2d"]
+    cfg = write_config(tmp_path / "run.json", system="ideal-gas-3d")
+    for command in ("validate", "dissipativity", "operators", "simulate"):
+        assert main([command, "--config", str(cfg)]) == 0, command
+    out = tmp_path / "out"
+    assert (out / "resonance_table.csv").is_file()
+    header = (out / "beta_by_direction.csv").read_text().splitlines()[0]
+    assert header == "dir0,dir1,dir2,beta"
+    assert len(list((out / "snapshots").glob("*.csv"))) == 3
+    capsys.readouterr()
+    assert main(["wcns-report", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "d = 3" in err
 
 
 def test_dissipativity_exit_codes(tmp_path):

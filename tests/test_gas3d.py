@@ -18,7 +18,7 @@ T_END, DT = 0.02, 1e-3
 
 @pytest.fixture(scope="module")
 def gas3d():
-    model = wk.build_preset("ideal-gas-2d", dim=3)
+    model = wk.build_preset("ideal-gas-3d")
     ops = wk.build_operators(model.spec, wk.FrequencyLattice(3, 3), exact_rule=wk.make_exact_resonance_rule(model))
     return model, ops
 

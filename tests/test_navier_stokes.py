@@ -253,7 +253,7 @@ def test_exact_rule_narrowing_is_complete(dim, radius, whole_table):
     (2, 2, 1) and (3, 0, 0) in 3-D, modes of equal norm need not be signed
     permutations of each other ((3, 4) and (5, 0)); such pairs must resonate
     too."""
-    model = wk.build_preset("ideal-gas-1d") if dim == 1 else wk.build_preset("ideal-gas-2d", dim=dim)
+    model = wk.build_preset(f"ideal-gas-{dim}d")
     lat = wk.FrequencyLattice(dim, radius)
     spectrum = wk.frequency_spectrum(model.spec, lat)
     rule, plain = wk.make_exact_resonance_rule(model), _plain_rule(model)
@@ -352,11 +352,10 @@ def _incompressible_reference_loop(model, lattice, u_hat, theta_hat, t_end, dt):
 
 
 @pytest.mark.parametrize(
-    "preset, overrides, radius",
-    [("ideal-gas-2d", {}, 3), ("ideal-gas-2d", {}, 6), ("ideal-gas-1d", {}, 5), ("ideal-gas-1d", {"dim": 3}, 2)],
+    "preset, radius", [("ideal-gas-2d", 3), ("ideal-gas-2d", 6), ("ideal-gas-1d", 5), ("ideal-gas-3d", 2)]
 )
-def test_incompressible_reference_matches_loop_reference(preset, overrides, radius):
-    model = wk.build_preset(preset, **overrides)
+def test_incompressible_reference_matches_loop_reference(preset, radius):
+    model = wk.build_preset(preset)
     lat = wk.FrequencyLattice(model.dim, radius)
     spectrum = wk.frequency_spectrum(model.spec, lat)
     d = model.dim

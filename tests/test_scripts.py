@@ -30,12 +30,19 @@ def test_cli_outputs_script_keeps_every_command_run(tmp_path):
         (path.parent.parent.name, path.parent.name): int(path.read_text())
         for path in tmp_path.glob("*/*/exit_code")
     }
-    assert len(codes) == 20
-    # wcns-report needs a 2-D preset: the 1-D gas and the inline spec are input errors
-    assert {run for run, code in codes.items() if code} == {("gas1d-r6", "wcns-report"), ("inline", "wcns-report")}
-    assert all(code == 2 for code in codes.values() if code)
-    for config in ("gas1d-r6", "inline"):
+    assert len(codes) == 30
+    # wcns-report needs a 2-D preset: on the other configs it is an input error
+    refused = {"gas1d-r6", "inline", "gas3d-r2", "asymmetric"}
+    assert {run for run, code in codes.items() if code == 2} == {(config, "wcns-report") for config in refused}
+    for config in refused:
         assert (tmp_path / config / "wcns-report" / "stderr").read_text().startswith("input error: ")
+    # the spec without entropy structure fails validation, and the commands on the spectrum refuse it
+    failed = {(run, command) for (run, command), code in codes.items() if code == 1}
+    assert failed == {("asymmetric", c) for c in ("validate", "operators", "dissipativity", "simulate")}
+    assert set(codes.values()) == {0, 1, 2}
+    assert (tmp_path / "asymmetric" / "simulate" / "stderr").read_text() == (
+        "entropy validation failed; refusing to build operators\n")
+    assert (tmp_path / "gas3d-r2" / "operators" / "resonance_table.csv").is_file()
     assert (tmp_path / "gas2d-r4" / "operators" / "resonance_table.csv").is_file()
     assert any((tmp_path / "gas2d-r4" / "simulate" / "snapshots").iterdir())
     # IF-RK2 from a nonzero zero mode: 50 steps, a snapshot every 5

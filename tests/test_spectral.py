@@ -263,7 +263,7 @@ def _spectrum_system(name, request):
     if name == "ideal-gas-1d":
         return wk.build_preset("ideal-gas-1d").spec, FrequencyLattice(1, 8)
     if name == "ideal-gas-3d":  # a null cluster of three eigenvalues
-        return wk.build_preset("ideal-gas-2d", dim=3).spec, FrequencyLattice(3, 2)
+        return wk.build_preset("ideal-gas-3d").spec, FrequencyLattice(3, 2)
     spec = request.getfixturevalue("cns_model").spec
     if name == "change-of-variables":
         rng = np.random.Generator(np.random.Philox(key=12))
@@ -292,7 +292,7 @@ def test_frequency_spectrum_matches_per_mode_reference(system, request):
 
 @pytest.mark.parametrize("dim, radius", [(2, 4), (3, 3)])
 def test_null_projector_sums_the_null_branches(dim, radius):
-    spectrum = frequency_spectrum(wk.build_preset("ideal-gas-2d", dim=dim).spec, FrequencyLattice(dim, radius))
+    spectrum = frequency_spectrum(wk.build_preset(f"ideal-gas-{dim}d").spec, FrequencyLattice(dim, radius))
     p0 = spectrum.null_projector
     assert not p0.flags.writeable
     expected = np.einsum("mj,mjpq->mpq", spectrum.null, spectrum.projectors)

@@ -30,7 +30,7 @@ def test_symbol_dimension_mismatch(scalar_spec):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_symbols_of_a_direction_stack_match_one_at_a_time(dim):
     """(..., d) directions give (..., N, N) symbols, each with the bits of the single call."""
-    spec = wk.build_preset("ideal-gas-2d", dim=dim).spec
+    spec = wk.build_preset(f"ideal-gas-{dim}d").spec
     rng = np.random.Generator(np.random.Philox(key=6))
     dirs = rng.standard_normal((3, 5, dim))
     for symbol in (wk.advection_symbol, wk.diffusion_symbol):
@@ -123,6 +123,31 @@ def test_validate_matches_per_direction_reference(system, cns_model, wave2_spec)
     assert np.float64(report.max_asymmetry).tobytes() == np.float64(asym).tobytes()
     assert np.float64(report.min_diffusion_eigenvalue).tobytes() == np.float64(neg).tobytes()
     assert report.worst_direction.tobytes() == worst.tobytes()
+
+
+def test_validate_in_four_dimensions_samples_the_sphere():
+    """From d = 4 the directions are a fixed-seed Gaussian sample: unit vectors, the same on every call."""
+    dim, n = 4, 2
+    adv = np.zeros((dim, n, n))
+    adv[:, 0, 1] = adv[:, 1, 0] = np.arange(1.0, dim + 1)  # g a(xi) symmetric for g = I
+    dif = np.zeros((dim, dim, n, n))
+    dif[np.arange(dim), np.arange(dim)] = np.eye(n)
+
+    def spec(advection):
+        return wk.SystemSpec(dim, n, np.zeros(n), advection, dif, np.zeros((dim, n, n, n)), np.eye(n))
+
+    dirs = unit_directions(dim, ENTROPY_DIRECTIONS)
+    assert dirs.shape == (2 * dim + ENTROPY_DIRECTIONS, dim)
+    assert np.abs(np.linalg.norm(dirs, axis=1) - 1.0).max() <= 1e-15
+    assert dirs.tobytes() == unit_directions(dim, ENTROPY_DIRECTIONS).tobytes()
+    report = wk.validate_entropy_structure(spec(adv))
+    assert report.passed and report.n_directions == len(dirs)
+    skewed = adv.copy()
+    skewed[3, 0, 1] += 0.5
+    report = wk.validate_entropy_structure(spec(skewed))
+    assert not report.passed
+    asym, _, worst = _reference_entropy_scan(spec(skewed))
+    assert report.max_asymmetry == asym and report.worst_direction.tobytes() == worst.tobytes()
 
 
 def test_validate_cns_passes(cns_model):
