@@ -79,8 +79,7 @@ __all__ = [
 # Called once per chunk of whole k-blocks; its arguments are read-only broadcast views.
 ExactRule = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-# propagator powers per block in the time-average oracles (bounds their memory)
-DIFFUSION_ORACLE_CHUNK = 32768
+# propagator powers per block in the quadratic time-average oracle (bounds its memory)
 QUADRATIC_ORACLE_CHUNK = 2048
 # grid cells ((k, l) pairs x branch triples) per resonance-rule call in the table build
 # (bounds its transient memory; a larger k-block is one call)
@@ -127,22 +126,27 @@ def averaged_diffusion_oracle(
 ) -> np.ndarray:
     """Trapezoidal time average of e^{i t a(xi)} (-b(xi)) e^{-i t a(xi)} on [-T, T].
 
-    Independent of the projector route: the propagator comes from one scipy
-    matrix exponential extended by batched powers; n_steps nodes cover each
-    half-axis.  Converges to the averaged-diffusion block at rate O(1/T)
-    (quasi-periodic integrand).
+    Independent of the projector route.  With U = expm(i dt a(xi)) from scipy,
+    the sums S(p) of the first p samples X_j = U^j (-b) conj(U^j) double as
+    S(p + q) = S(p) + U^p S(q) conj(U^p) along the binary digits of n_steps;
+    the t <= 0 half-axis is the conjugate of the t >= 0 one (real symbols).
+    Converges to the averaged-diffusion block at rate O(1/T) (quasi-periodic
+    integrand).
     """
     if t_span <= 0.0 or n_steps < 100:
         raise ValueError("need t_span > 0 and n_steps >= 100")
-    xi = np.asarray(xi, dtype=float)
-    b = diffusion_symbol(spec, xi).astype(complex)
-    step = scipy.linalg.expm(1j * (t_span / n_steps) * advection_symbol(spec, xi))
-
-    def integrand(powers: np.ndarray) -> np.ndarray:
-        fwd = powers[:, 0]
-        return (fwd @ -b) @ fwd.conj()
-
-    return _trapezoid_average(step[None], t_span, n_steps, DIFFUSION_ORACLE_CHUNK, integrand)
+    dt = t_span / n_steps
+    first = -diffusion_symbol(spec, xi).astype(complex)
+    block_sum, block_power = first, scipy.linalg.expm(1j * dt * advection_symbol(spec, xi))  # (S, U) of 2^k nodes
+    total, power = np.zeros_like(first), np.eye(len(first), dtype=complex)  # (S, U) of the nodes done
+    for digit in bin(n_steps)[:1:-1]:
+        if digit == "1":
+            total = total + power @ block_sum @ power.conj()
+            power = power @ block_power
+        block_sum = block_sum + block_power @ block_sum @ block_power.conj()
+        block_power = block_power @ block_power
+    half = dt * (total + 0.5 * (power @ first @ power.conj() - first))  # nodes 0..n, the endpoints at half weight
+    return (half + half.conj()) / (2.0 * t_span)
 
 
 @dataclass(eq=False)
@@ -538,53 +542,27 @@ def quadratic_time_average_oracle(
 ) -> SpectralState:
     """Trapezoidal average of e^{t A} Q(e^{-t A} w, e^{-t A} w) over [-T, T].
 
-    Propagators are scipy matrix exponentials extended by batched powers;
-    the convolution is the unaveraged operator.  Converges O(1/T) to the
-    averaged quadratic form on the same state.
+    Propagators are scipy matrix exponentials extended by batched powers,
+    n_steps + 1 nodes per half-axis; the t <= 0 half-axis streams the
+    conjugate step (real symbols), and the convolution is the unaveraged
+    operator.  Converges O(1/T) to the averaged quadratic form on the same state.
     """
     if t_span <= 0.0 or n_steps < 100:
         raise ValueError("need t_span > 0 and n_steps >= 100")
     lattice = state.lattice
-    steps = scipy.linalg.expm(-1j * (t_span / n_steps) * advection_symbol(spec, lattice.array.astype(float)))
-
-    def integrand(back: np.ndarray) -> np.ndarray:
-        evolved = np.einsum("bmpq,mq->bmp", back, state.coeffs)
-        return np.einsum("bmpq,bmq->bmp", back.conj(), _pair_sum(spec, lattice, evolved, evolved))
-
-    coeffs = _trapezoid_average(steps, t_span, n_steps, QUADRATIC_ORACLE_CHUNK, integrand)
-    return SpectralState(lattice, coeffs, state.time)
-
-
-def _trapezoid_average(
-    steps: np.ndarray,
-    t_span: float,
-    n_steps: int,
-    chunk: int,
-    integrand: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Trapezoidal average over [-T, T] of integrand(powers of the propagator), n_steps nodes per half-axis.
-
-    `steps` (nmodes, N, N) advances one node spacing for t >= 0.  For real
-    symbols the propagator at -t is the elementwise conjugate of the one at
-    t, so the t <= 0 half-axis is the power stream of steps.conj(); each
-    half-axis is one stream, and the halves share the t = 0 node, whose two
-    endpoint half-weights combine to the interior trapezoid weight.
-    `integrand` maps a block of powers (b, nmodes, N, N) to b samples.
-    """
     dt = t_span / n_steps
+    steps = scipy.linalg.expm(-1j * dt * advection_symbol(spec, lattice.array.astype(float)))
+    weights = np.full(n_steps + 1, dt)
+    weights[[0, -1]] = 0.5 * dt
     acc = 0.0
     for side_steps in (steps, steps.conj()):
         offset = 0
-        for powers in _propagator_powers_stack(side_steps, n_steps + 1, chunk):
-            nb = powers.shape[0]
-            weights = np.full(nb, dt)
-            if offset == 0:
-                weights[0] = 0.5 * dt
-            if offset + nb == n_steps + 1:
-                weights[-1] = 0.5 * dt
-            acc = acc + np.einsum("b,b...->...", weights, integrand(powers))
-            offset += nb
-    return acc / (2.0 * t_span)
+        for back in _propagator_powers_stack(side_steps, n_steps + 1, QUADRATIC_ORACLE_CHUNK):
+            evolved = np.einsum("bmpq,mq->bmp", back, state.coeffs)
+            samples = np.einsum("bmpq,bmq->bmp", back.conj(), _pair_sum(spec, lattice, evolved, evolved))
+            acc = acc + np.einsum("b,b...->...", weights[offset : offset + len(back)], samples)
+            offset += len(back)
+    return SpectralState(lattice, acc / (2.0 * t_span), state.time)
 
 
 def _propagator_powers_stack(steps: np.ndarray, count: int, chunk: int) -> Iterator[np.ndarray]:

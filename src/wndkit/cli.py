@@ -45,10 +45,11 @@ MAX_ALPHAS = 10_000
 # At the edge, 2-D R=32 and 3-D R=8, the exact-rule table builds in 6.5 and 9.6 s on a 2-core host, and the build
 # grows peak RSS by 1.34 and 1.44 GB: nearly all of it is the stored rows (10.3 and 11.0 million, 98% and 93% null)
 MAX_PAIRS = 12_000_000
-# the criterion search solves one pencil per alpha and direction, ~26 us each on a 2-core host
-# (2-D and 3-D gas): 10^7 pencils take ~4.5 min, and their betas 80 MB
+# the criterion search solves one pencil per alpha and direction, 4.0-4.4 us each on a 2-core host
+# (2-D and 3-D gas, 6.4 x 10^5 pencils): 10^7 pencils take ~45 s, and their betas 80 MB
 MAX_PENCILS = 10_000_000
 # a simulation keeps at most one snapshot of every coefficient (mode x component) per step: 800 MB here.
+# The steps are those of the dt that runs: Run counts an explicit dt, cmd_simulate the automatic one.
 # On a 2-core host a coefficient-step takes 1.4-4.4 us (1-4 min here) from ~100 coefficients up; below
 # that a step's fixed 0.2-0.6 ms dominates, and 3 coefficients admit 1.7 x 10^7 steps (~1 h)
 MAX_COEFFICIENT_STEPS = 50_000_000
@@ -66,6 +67,12 @@ def require_entropy_structure(spec) -> None:
     # the spectrum decomposes the g-symmetrized advection symbol, which is the spec's own only with the structure
     if not validate_entropy_structure(spec).passed:
         raise EntropyRefusal("entropy validation failed; refusing to build operators")
+
+
+def require_coefficient_steps(steps: float, coefficients: int) -> None:
+    if steps * coefficients > MAX_COEFFICIENT_STEPS:
+        raise ConfigError(
+            f"{steps:.3g} steps of {coefficients} coefficients exceed {MAX_COEFFICIENT_STEPS} coefficient-steps")
 
 
 def _count(value, key: str) -> int:
@@ -130,7 +137,7 @@ class Run:
             try:
                 self.model = ns.build_preset(system)
             except KeyError as exc:
-                raise ConfigError(str(exc)) from exc
+                raise ConfigError(exc.args[0]) from exc  # str() of a KeyError is its message's repr
             self.spec = self.model.spec
         elif isinstance(system, dict):
             try:
@@ -165,11 +172,10 @@ class Run:
         self.t_end = _number(sim.get("t_end", 1.0), "t_end")
         if self.t_end <= 0.0:
             raise ConfigError("t_end must be positive")
-        steps = self.t_end / (self.dt or 1e-3)  # the automatic step of cmd_simulate is at most 1e-3
         coefficients = (2 * self.lattice_k + 1) ** self.spec.dim * self.spec.ncomp
-        if steps * coefficients > MAX_COEFFICIENT_STEPS:
-            raise ConfigError(
-                f"{steps:.3g} steps of {coefficients} coefficients exceed {MAX_COEFFICIENT_STEPS} coefficient-steps")
+        # without dt the steps are counted at 1e-3, a lower bound: the automatic step of cmd_simulate
+        # is at most 1e-3, and cmd_simulate checks the step it picks before it writes a snapshot
+        require_coefficient_steps(self.t_end / (self.dt or 1e-3), coefficients)
         self.integrator = str(sim.get("integrator", "if_rk4"))
         if self.integrator not in INTEGRATORS:
             raise ConfigError(f"unknown integrator {self.integrator!r}; expected one of {INTEGRATORS}")
@@ -188,6 +194,8 @@ class Run:
             self.initial_cfg["seed"] = _count(self.initial_cfg.get("seed", seed), "seed")
             if seed_override is not None:
                 self.initial_cfg["seed"] = int(seed_override)
+            if not 0 <= self.initial_cfg["seed"] < 2**128:  # the Philox key range
+                raise ConfigError(f"seed must be in [0, 2**128), got {self.initial_cfg['seed']}")
             for key, default in (("decay", 3.0), ("amplitude", 0.1)):
                 self.initial_cfg[key] = _number(self.initial_cfg.get(key, default), key)
         diss = config.get("dissipativity", {})
@@ -334,14 +342,15 @@ def cmd_simulate(run: Run, outdir: Path) -> int:
     lattice = run.lattice()
     ops = run.operators(lattice)
     initial = run.initial_state(lattice)
-    snapdir = outdir / "snapshots"
-    snapdir.mkdir(exist_ok=True)
     dt = run.dt
     if dt is None:
         # keep the nonlinear stage error dominant: resolve the fastest frequency,
         # in the fewest equal steps that end at t_end
         dt_max = min(1e-3, 0.1 / ops.omega_max) if ops.omega_max > 0 else 1e-3
         dt = run.t_end / math.ceil(run.t_end / dt_max)
+        require_coefficient_steps(whole_steps(run.t_end, dt), len(lattice) * run.spec.ncomp)
+    snapdir = outdir / "snapshots"
+    snapdir.mkdir(exist_ok=True)
     try:
         snapshots, series = simulate(
             ops,

@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .averaging import AveragedDiffusion
 from .directions import lattice_directions, norms, unit_directions
-from .spectral import FrequencyLattice
+from .spectral import FrequencyLattice, symmetric_advection_eigh
 from .system import SystemSpec, advection_symbol, diffusion_symbol
 
 __all__ = [
@@ -74,11 +74,10 @@ def kawashima_check(
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if dirs.size == 0:
         raise ValueError("need at least one direction")
-    root, inv_root = spec.metric_sqrt()
+    _, inv_root = spec.metric_sqrt()
     bsym = diffusion_symbol(spec, dirs)
     bnorm = np.linalg.norm(bsym, 2, axis=(1, 2))
-    sym = root @ advection_symbol(spec, dirs) @ inv_root
-    evals, vecs = np.linalg.eigh(0.5 * (sym + sym.swapaxes(-1, -2)))
+    evals, vecs = symmetric_advection_eigh(spec, dirs)
     # row c of vecs[i] is eigenvector c; matrix-vector products (gemv) keep the per-vector bits
     vecs = np.matmul(inv_root, vecs.swapaxes(-1, -2)[..., None])[..., 0]
     vecs = vecs / norms(vecs)[..., None]
@@ -99,6 +98,22 @@ def sphere_constants(spec: SystemSpec, directions: np.ndarray) -> tuple[float, f
     )
 
 
+def _lowest_eigenvalues(pencils: np.ndarray, metrics: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric (Hermitian) pencil (pencils[i], metrics[i]); one metric may serve all.
+
+    The LAPACK driver that scipy's eigh(a, b, eigvals_only=True) calls by default, fetched once per stack.
+    """
+    name = "hegvd" if np.iscomplexobj(pencils) else "sygvd"
+    solve = get_lapack_funcs(name, (pencils, metrics))
+    out = np.empty(len(pencils))
+    for i, (pencil, metric) in enumerate(zip(pencils, np.broadcast_to(metrics, pencils.shape))):
+        w, _, info = solve(pencil, metric, itype=1, jobz="N", uplo="L")
+        if info:
+            raise LinAlgError(f"{name} failed on pencil {i} (info = {info})")
+        out[i] = w[0]
+    return out
+
+
 def _betas(spec: SystemSpec, alphas: np.ndarray | list[float], directions: np.ndarray) -> np.ndarray:
     """beta_by_direction at every alpha, shape (alphas, directions); the symbols are evaluated once."""
     dirs = np.atleast_2d(directions)
@@ -109,9 +124,7 @@ def _betas(spec: SystemSpec, alphas: np.ndarray | list[float], directions: np.nd
     out = np.empty((len(alphas), len(dirs)))
     for i, alpha in enumerate(alphas):
         mat = gb + coupled / alpha**2
-        mat = 0.5 * (mat + mat.swapaxes(-1, -2))
-        # scipy's generalized eigh takes one pencil at a time
-        out[i] = [scipy.linalg.eigh(m, g, eigvals_only=True)[0] for m in mat]
+        out[i] = _lowest_eigenvalues(0.5 * (mat + mat.swapaxes(-1, -2)), g)
     return out
 
 
@@ -196,15 +209,15 @@ def verify_delta(spec: SystemSpec, avg: AveragedDiffusion) -> float:
     """Empirical decay rate: min over nonzero modes of lambda_min(-g dbar(xi), |xi|^2 g).
 
     The constructive delta is a lower bound for this number wherever the
-    criterion directions contained the lattice directions.
+    criterion directions contained the lattice directions.  Only the positive
+    half is solved: a mirror mode's block is the conjugate, with the same eigenvalues.
     """
     g = spec.entropy_hessian
-    sq = (avg.lattice.array.astype(float) ** 2).sum(axis=1)
-    nonzero = sq != 0.0
-    gd = g @ avg.blocks[nonzero]
+    upper = avg.lattice.upper
+    sq = (avg.lattice.array[upper].astype(float) ** 2).sum(axis=1)
+    gd = g @ avg.blocks[upper]
     herm = -0.5 * (gd + gd.conj().swapaxes(-1, -2))
-    vals = [scipy.linalg.eigh(h, s * g.astype(complex), eigvals_only=True)[0] for h, s in zip(herm, sq[nonzero])]
-    return float(min(vals, default=np.inf))
+    return float(_lowest_eigenvalues(herm, sq[:, None, None] * g).min(initial=np.inf))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ __all__ = [
     "frequency_spectrum",
     "mode_csv_rows",
     "spectrum_csv_rows",
+    "symmetric_advection_eigh",
 ]
 
 Mode = tuple[int, ...]
@@ -198,17 +199,23 @@ class Spectrum:
         )
 
 
+def symmetric_advection_eigh(spec: SystemSpec, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of the symmetrized g^{1/2} a(xi) g^{-1/2} at each row of xi (K, d): one batched eigensolve."""
+    root, inv_root = spec.metric_sqrt()
+    sym = root @ advection_symbol(spec, xi) @ inv_root
+    return np.linalg.eigh(0.5 * (sym + sym.swapaxes(-1, -2)))
+
+
 def _decompose_modes(spec: SystemSpec, modes: np.ndarray) -> tuple[np.ndarray, ...]:
     """Spectrum arrays (frequencies, projectors, nfreq, null, basis, branch, null_projector) at each row of `modes` (K, d).
 
-    One batched eigensolve on g^{1/2} a(xi) g^{-1/2}.  A new branch starts
+    Eigenpairs from symmetric_advection_eigh.  A new branch starts
     wherever consecutive eigenvalues differ by more than CLUSTER_TOL *
     max(max|omega|, 1), and its frequency is the cluster mean.
     """
     n = spec.ncomp
     root, inv_root = spec.metric_sqrt()
-    sym = root @ advection_symbol(spec, modes.astype(float)) @ inv_root
-    evals, vecs = np.linalg.eigh(0.5 * (sym + sym.swapaxes(-1, -2)))
+    evals, vecs = symmetric_advection_eigh(spec, modes.astype(float))
     scale = np.maximum(np.abs(evals).max(axis=1, keepdims=True), 1.0)
     branch = np.cumsum(np.diff(evals, axis=1, prepend=evals[:, :1]) > CLUSTER_TOL * scale, axis=1)
     nfreq = branch[:, -1] + 1

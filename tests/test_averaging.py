@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import wndkit as wk
 from wndkit import averaging
@@ -94,6 +95,33 @@ def test_oracle_wave_convergence(wave2_spec):
         oracle = averaged_diffusion_oracle(wave2_spec, [1.0], t_span, int(t_span / 0.01))
         errs.append(np.abs(oracle - target).max())
     assert errs[0] <= 5e-2 and errs[1] <= errs[0] / 3.0  # roughly C / T
+
+
+def _sequential_diffusion_average(spec, xi, t_span, n_steps):
+    """Two-sided trapezoid average of e^{i t a} (-b) e^{-i t a}, node by node, from its own symbols and propagators."""
+    xi = np.asarray(xi, dtype=float)
+    a = np.einsum("k,kpq->pq", xi, spec.advection)
+    b = np.einsum("k,l,klpq->pq", xi, xi, spec.diffusion)
+    dt = t_span / n_steps
+    total = np.zeros(a.shape, dtype=complex)
+    for sign in (1.0, -1.0):  # t >= 0, then t <= 0
+        fwd_step, back_step = scipy.linalg.expm(sign * 1j * dt * a), scipy.linalg.expm(-sign * 1j * dt * a)
+        fwd = back = np.eye(len(a), dtype=complex)
+        for j in range(n_steps + 1):
+            weight = 0.5 * dt if j in (0, n_steps) else dt
+            total += weight * (fwd @ -b @ back)
+            fwd, back = fwd @ fwd_step, back_step @ back
+    return total / (2.0 * t_span)
+
+
+@pytest.mark.parametrize("n_steps", [100, 777, 1024, 4097])
+@pytest.mark.parametrize("system, xi", [("wave2", [1.0]), ("ideal-gas-2d", [2.0, 1.0])])
+def test_diffusion_oracle_doubling_matches_sequential_sum(system, xi, n_steps, request):
+    # odd, even and power-of-two node counts exercise every digit pattern of the doubling
+    spec = request.getfixturevalue("wave2_spec") if system == "wave2" else wk.build_preset(system).spec
+    expected = _sequential_diffusion_average(spec, xi, 20.0, n_steps)
+    got = averaged_diffusion_oracle(spec, xi, 20.0, n_steps)
+    assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
 
 
 def test_resonance_table_scalar_all_pairs(scalar_ops):

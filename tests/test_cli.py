@@ -157,6 +157,12 @@ def one_mode(**entry) -> dict:
         ("validate", None, "system", {"dim": 1, "ncomp": 1}),
         ("validate", None, "system", wk.spec_to_dict(wk.SystemSpec(1, 1, [0.0], [[[1.0]]], [[[[0.1]]]],
                                                                     [[[[0.0]]]], [[1.0]]))),
+        # a random initial's seed is a Philox key, in [0, 2**128)
+        ("simulate", "simulation", "initial", {"type": "random", "seed": -1}),
+        ("simulate", "simulation", "initial", {"type": "random", "seed": 2**128}),
+        # simulation.seed keys a random initial that names no seed
+        ("simulate", None, None, {"system": "ideal-gas-2d", "lattice_k": 2, "simulation": {
+            "dt": 0.005, "t_end": 0.05, "seed": -1, "initial": {"type": "random"}}}),
     ],
 )
 def test_bad_config_values_exit_two(tmp_path, capsys, command, section, key, value):
@@ -220,7 +226,7 @@ def test_lattice_pair_guard_exits_two_before_building(tmp_path, capsys, monkeypa
         ("dissipativity", {"alpha_grid": 10_000, "direction_count": 100_000}, "criterion pencils"),
         # 10^8 steps of 289 modes x 4 components: 1.85 TB of snapshots
         ("simulation", {"t_end": 1e5, "dt": 1e-3, "diagnostics_every": 1}, "coefficient-steps"),
-        # without dt the steps are counted at 1e-3, which the automatic step never exceeds
+        # without dt the steps are counted at 1e-3, a lower bound: the automatic step never exceeds it
         ("simulation", {"t_end": 1e5, "dt": None, "diagnostics_every": 1}, "coefficient-steps"),
     ],
 )
@@ -230,6 +236,30 @@ def test_run_refuses_products_past_their_caps(tmp_path, section, values, message
     config[section].update(values)
     with pytest.raises(cli.ConfigError, match=message):
         cli.Run(config)
+
+
+def test_automatic_step_past_the_coefficient_step_cap_exits_two(tmp_path, capsys, monkeypatch):
+    # a = 1000 at R=100 makes omega_max 10^5 and the automatic step 10^-6: 10^7 steps of 201
+    # coefficients, 40 times the cap, where Run counts 10^4 steps at 1e-3 and admits the config
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate called")
+
+    monkeypatch.setattr(cli, "simulate", refuse)
+    fast = wk.SystemSpec(1, 1, [0.0], [[[1000.0]]], [[[[1.0]]]], [[[[0.0]]]], [[1.0]])
+    cfg = write_config(tmp_path / "run.json", system=wk.spec_to_dict(fast), lattice_k=100,
+                       resonance={"exact_rule": False}, simulation={"t_end": 10.0})
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ")
+    assert "201 coefficients exceed" in err
+    assert not (tmp_path / "out" / "snapshots").exists()
+
+
+def test_seed_override_outside_the_key_range_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.json")
+    assert main(["simulate", "--config", str(cfg), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "input error: seed must be in [0, 2**128), got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_admits_products_at_their_caps(tmp_path):
@@ -312,9 +342,11 @@ def test_simulate_modes_initial(tmp_path):
     assert sum(abs(v) for v in values.values()) == pytest.approx(0.06)
 
 
-def test_unknown_preset_exits_two(tmp_path):
+def test_unknown_preset_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.json", system="no-such-system")
     assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: unknown preset 'no-such-system'; available: ['ideal-gas-1d', 'ideal-gas-2d', 'ideal-gas-3d']\n")
 
 
 def test_operators_outputs(tmp_path, capsys):

@@ -105,6 +105,17 @@ def test_verify_delta_scalar_heat():
     assert verify_delta(spec, ops.avg) == pytest.approx(0.4)
 
 
+@pytest.mark.parametrize("system", ["scalar-heat", "ideal-gas-2d"])
+def test_verify_delta_without_nonzero_modes_is_infinite(system):
+    # an R=0 lattice holds only the zero mode, so no pencil is solved
+    if system == "ideal-gas-2d":
+        spec = wk.build_preset(system).spec
+    else:
+        spec = wk.SystemSpec(1, 1, [0.0], [[[0.0]]], [[[[0.4]]]], [[[[0.0]]]], [[1.0]])
+    ops = wk.build_operators(spec, wk.FrequencyLattice(spec.dim, 0), with_quadratic=False)
+    assert verify_delta(spec, ops.avg) == np.inf
+
+
 def test_wave_example_certificate(wave2_spec):
     lat = wk.FrequencyLattice(1, 4)
     ops = wk.build_operators(wave2_spec, lat, with_quadratic=False)
@@ -218,9 +229,11 @@ def _reference_verify_delta(spec, avg):
 
 
 def _certificate_system(name, request):
-    """(spec, lattice) of a test system; lattice radius 4 except the 2-D Euler spec."""
+    """(spec, lattice) of a test system; lattice radius 4 except the 2-D Euler spec and the 3-D gas."""
     if name == "ideal-gas-2d":
         return request.getfixturevalue("cns_model").spec, wk.FrequencyLattice(2, 4)
+    if name == "ideal-gas-3d":
+        return wk.build_preset(name).spec, wk.FrequencyLattice(3, 2)
     if name == "wave2":
         return request.getfixturevalue("wave2_spec"), wk.FrequencyLattice(1, 4)
     if name == "euler":
@@ -231,7 +244,7 @@ def _certificate_system(name, request):
     return negative, wk.FrequencyLattice(1, 4)
 
 
-@pytest.mark.parametrize("system", ["ideal-gas-2d", "wave2", "euler", "negative-diffusion"])
+@pytest.mark.parametrize("system", ["ideal-gas-2d", "wave2", "euler", "negative-diffusion", "ideal-gas-3d"])
 def test_stacked_certificate_matches_per_direction_reference(system, request):
     spec, lattice = _certificate_system(system, request)
     dirs = report_directions(spec, lattice, 64)
