@@ -186,9 +186,7 @@ class Run:
         if type(orders) is not list:
             raise ConfigError(f"sobolev_orders must be a JSON list of numbers, got {json.dumps(orders)}")
         self.sobolev_orders = [_number(s, "sobolev_orders") for s in orders]
-        self.initial_cfg = dict(
-            sim.get("initial", {"type": "random", "seed": 0, "decay": 3.0, "amplitude": 0.1})
-        )
+        self.initial_cfg = dict(sim.get("initial", {"type": "random", "decay": 3.0, "amplitude": 0.1}))
         seed = _count(sim.get("seed", 0), "seed")  # the random initial's seed when it names none
         if self.initial_cfg.get("type", "random") == "random":
             self.initial_cfg["seed"] = _count(self.initial_cfg.get("seed", seed), "seed")

@@ -29,7 +29,6 @@ __all__ = [
     "state_from_modes",
     "random_real_state",
     "enforce_reality",
-    "reality_defect",
     "is_reality_symmetric",
     "inner_product",
     "energy_norm",
@@ -94,10 +93,6 @@ def enforce_reality(state: SpectralState) -> SpectralState:
     """Project onto the reality-symmetric part, w(-xi) = conj(w(xi))."""
     state.coeffs = 0.5 * (state.coeffs + state.lattice.mirror(state.coeffs))
     return state
-
-
-def reality_defect(state: SpectralState) -> float:
-    return float(np.abs(state.coeffs - state.lattice.mirror(state.coeffs)).max())
 
 
 def is_reality_symmetric(state: SpectralState) -> bool:

@@ -729,6 +729,52 @@ def test_quadratic_time_average_oracle(coupled_wave):
     assert np.abs(oracle.coeffs - qbar.coeffs).max() <= 1e-3 * scale
 
 
+def _sequential_quadratic_average(spec, state, t_span, n_steps):
+    """Two-sided trapezoid average of e^{t A} Q(e^{-t A} w, e^{-t A} w), node by node, from expm and apply_quadratic."""
+    lattice = state.lattice
+    a = np.einsum("mk,kpq->mpq", lattice.array.astype(float), spec.advection)
+    dt = t_span / n_steps
+    total = np.zeros(state.coeffs.shape, dtype=complex)
+    for sign in (1.0, -1.0):  # t >= 0, then t <= 0
+        fwd_step = np.stack([scipy.linalg.expm(-sign * 1j * dt * am) for am in a])
+        back_step = np.stack([scipy.linalg.expm(sign * 1j * dt * am) for am in a])
+        fwd = back = np.broadcast_to(np.eye(spec.ncomp, dtype=complex), a.shape)
+        for j in range(n_steps + 1):
+            weight = 0.5 * dt if j in (0, n_steps) else dt
+            evolved = wk.SpectralState(lattice, np.einsum("mpq,mq->mp", fwd, state.coeffs), state.time)
+            total += weight * np.einsum("mpq,mq->mp", back, apply_quadratic(spec, evolved, evolved).coeffs)
+            fwd, back = fwd @ fwd_step, back_step @ back
+    return total / (2.0 * t_span)
+
+
+@pytest.mark.parametrize("n_steps", [100, 777, 1024, 4097])
+@pytest.mark.parametrize("system", ["coupled-wave", "ideal-gas-2d"])
+def test_quadratic_oracle_doubling_matches_sequential_sum(system, n_steps, coupled_wave):
+    # odd, even and power-of-two node counts exercise every digit pattern of the doubling; every
+    # coupled-wave interaction is resonant (constant samples), so the gas also checks the endpoints
+    if system == "coupled-wave":
+        spec, lattice = coupled_wave[0], coupled_wave[1].lattice
+    else:
+        spec, lattice = wk.build_preset(system).spec, wk.FrequencyLattice(2, 1)
+    w = wk.random_real_state(lattice, spec.ncomp, seed=13, decay=1.0, amplitude=0.5)
+    expected = _sequential_quadratic_average(spec, w, 20.0, n_steps)
+    got = quadratic_time_average_oracle(spec, w, 20.0, n_steps).coeffs
+    assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+
+@pytest.mark.parametrize("name, radius", [("ideal-gas-1d", 6), ("ideal-gas-2d", 4), ("ideal-gas-3d", 2)])
+def test_gas_qbar_matches_time_average_oracle(name, radius):
+    # the exact-rule table, the FFT null part and the compiled coefficients together, against
+    # the definition of qbar; at 2-D R=4 the null part's padded grid has 15 points (odd real FFT)
+    model = wk.build_preset(name)
+    lattice = wk.FrequencyLattice(model.spec.dim, radius)
+    ops = wk.build_operators(model.spec, lattice, exact_rule=wk.make_exact_resonance_rule(model))
+    w = wk.random_real_state(lattice, model.spec.ncomp, seed=11, decay=2.0, amplitude=0.5)
+    qbar = apply_averaged_quadratic(model.spec, ops.spectrum, ops.table, w, w)
+    oracle = quadratic_time_average_oracle(model.spec, w, t_span=1e6, n_steps=10**8)
+    assert np.abs(oracle.coeffs - qbar.coeffs).max() <= 1e-5 * max(1.0, np.abs(qbar.coeffs).max())
+
+
 def test_cyclic_identity_zero_kernel(wave2_spec):
     lat = wk.FrequencyLattice(1, 3)
     ops = wk.build_operators(wave2_spec, lat, with_quadratic=True)

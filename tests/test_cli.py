@@ -534,3 +534,9 @@ def test_simulation_level_seed_alias(tmp_path):
     cfg.write_text(json.dumps(data))
     main(["simulate", "--config", str(cfg)])
     assert (tmp_path / "out" / "diagnostics.csv").read_bytes() == aliased
+    # without an initial, the default random one (decay 3, amplitude 0.1) takes the simulation seed too
+    del data["simulation"]["initial"]
+    data["simulation"]["seed"] = 7
+    cfg.write_text(json.dumps(data))
+    main(["simulate", "--config", str(cfg)])
+    assert (tmp_path / "out" / "diagnostics.csv").read_bytes() == aliased
