@@ -50,14 +50,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.fft
 import scipy.linalg
 
 from .spectral import FrequencyLattice, Spectrum, mode_csv_rows
-from .state import SpectralState, energy_norm, inner_product
+from .state import SpectralState, energy_norm, inner_product, require_reality
 from .system import SystemSpec, advection_symbol, diffusion_symbol
 
 __all__ = [
@@ -307,22 +307,15 @@ def build_resonance_table(
     )
 
 
-class _NullGrid(NamedTuple):
-    """One padded grid of the null part: transform axes; the input modes,
-    their null projectors and grid positions; the grid shape; the grid
-    positions and (n, d n) read-out maps of the output modes."""
-
-    axes: tuple
-    modes: slice | np.ndarray
-    p0: np.ndarray
-    index: tuple
-    shape: tuple
-    out_index: tuple
-    read: np.ndarray
-
-
 class _CompiledQuadratic:
     """The averaged quadratic form of one table, compiled once (`ResonanceTable.quadratic`).
+
+    Its inputs are real fields (`apply_averaged_quadratic` gates them), so
+    qbar(w1, w2)(-m) = conj(qbar(w1, w2)(m)): the symbols are real and the
+    table is closed under negation (the build checks it).  Only the positive
+    half is computed, in one table pass and one null part, and
+    `lattice.complete` adds a zero row for the zero mode (the divergence
+    factor i*m vanishes there) and the mirrored negative half.
 
     Null triples, whose three branches all have zero frequency, are resonant
     for every pair of modes, so together they are the truncated convolution
@@ -330,35 +323,21 @@ class _CompiledQuadratic:
     (the whole identity at the zero mode).  That part is computed
     pseudo-spectrally on a zero-padded grid of at least 3R+1 points per
     axis, on which no product of two retained modes aliases onto a retained
-    mode, by one inverse and one forward transform per call.  For
-    reality-symmetric inputs P0 w is a real field: the transforms are real
-    (scipy.fft.irfftn / rfftn on the half-spectrum grid), and so are the
-    field products and the flux matmul.  Other inputs take the complex
-    transforms of the full grid, read out on every mode (the zero mode's
-    read map, i 0 P0, is exactly zero).
-    qbar(w, w) transforms its one input and forms the n(n+1)/2 products
-    f_i f_j with i <= j, against the flux matrix with its (i, j) and (j, i)
-    columns folded.
+    mode.  P0 w is a real field, so one real inverse and one real forward
+    transform serve (scipy.fft.irfftn / rfftn, halving the first axis: the
+    modes with m_1 >= 0, the whole positive half), and the field products
+    and the flux matmul are real.  qbar(w, w) transforms its one input and
+    forms the n(n+1)/2 products f_i f_j with i <= j, against the flux
+    matrix with its (i, j) and (j, i) columns folded.
 
-    The other table rows are applied in branch coordinates (see the module
-    docstring): each row expands to its coordinate triples (o at m, p at k,
-    q at l), one interaction coefficient c each.  The ranks are 1
-    (acoustic) or 2 (null) off the zero mode, so a row holds a few scalars
-    instead of a dense N x N^2 kernel.  Coefficients with |c| <= DROP_TOL *
-    max|c| are structural zeros and are dropped.  The kept terms are sorted
-    by output coordinate; a call projects each input to coordinates once
-    per mode, then does one gather, multiply and reduceat over the terms
-    and maps back with the basis.
-
-    Rows whose output mode m is the zero mode contribute nothing (the
-    divergence factor i*m vanishes) and are dropped.  The table part is
-    evaluated on the positive half of the modes only: the symbols are real,
-    so qbar(w1, w2)(-m) = conj(qbar(~w1, ~w2)(m)) with ~w = lattice.mirror(w),
-    and the negative half is a second table pass on the mirrored inputs.
-    Reality-symmetric inputs are their own mirrors: one pass, and the whole
-    positive half (null part included) is mirrored, so the output is
-    reality-symmetric bit for bit.  The identity needs a table closed under
-    negation, which the build checks.
+    The other rows with m in the positive half are applied in branch
+    coordinates (see the module docstring): each row expands to its
+    coordinate triples (o at m, p at k, q at l), one interaction
+    coefficient c each, a few scalars per row instead of a dense N x N^2
+    kernel.  Coefficients with |c| <= DROP_TOL * max|c| are structural
+    zeros and are dropped; the kept terms are sorted by output coordinate.
+    A call projects each input to coordinates once per mode, then does one
+    gather, multiply and reduceat over the terms and maps back with the basis.
 
     Plain attributes report what was compiled: `terms` (kept coefficients),
     `coefficient_bytes` (coefficient, index and segment arrays), `dropped`
@@ -379,30 +358,20 @@ class _CompiledQuadratic:
         null_triple = (
             null[entries[:, 0], entries[:, 1]] & null[entries[:, 2], entries[:, 3]] & null[entries[:, 4], entries[:, 5]]
         )
-        p0 = spectrum.null_projector
-        # the null part at m is P0(m) (i m . F(m)) for the transformed flux F:
-        # one (n, d n) map per mode
-        read = (1j * lattice.array[:, None, :, None] * p0[:, :, None, :]).reshape(len(lattice), n, -1)
+        # the null part: the input modes of the half-spectrum grid, their P0 and grid positions, the
+        # axes (scipy halves the last), and the output positions and (n, d n) maps P0(m) (i m . F(m))
+        # that read the transformed flux F on the positive half
         dim, size = lattice.dim, scipy.fft.next_fast_len(3 * lattice.radius + 1, real=True)
         self.grid_shape = (size,) * dim
+        self.null_modes = np.flatnonzero(lattice.array[:, 0] >= 0)
+        self.null_p0 = spectrum.null_projector[self.null_modes]
         index = (lattice.array % size).T
-        # complex inputs: the full grid, read out on every mode
-        self.complex_grid = _NullGrid(
-            tuple(range(-dim, 0)), slice(None), p0, tuple(index), self.grid_shape, tuple(index), read
-        )
-        # reality-symmetric inputs: P0 w is a real field, and the real transform
-        # halves the first axis (scipy halves the last of `axes`); that half
-        # holds every mode with m_1 >= 0, so the whole positive half
-        half = np.flatnonzero(lattice.array[:, 0] >= 0)
-        self.real_grid = _NullGrid(
-            (*range(1 - dim, 0), -dim),
-            half,
-            p0[half],
-            tuple(index[:, half]),
-            (size // 2 + 1, *self.grid_shape[1:]),
-            tuple(index[:, self.upper]),
-            read[self.upper],
-        )
+        self.null_index = tuple(index[:, self.null_modes])
+        self.null_axes = (*range(1 - dim, 0), -dim)
+        self.spectrum_shape = (size // 2 + 1, *self.grid_shape[1:])
+        self.out_index = tuple(index[:, self.upper])
+        p0 = spectrum.null_projector[self.upper]
+        self.read = (1j * lattice.array[self.upper, None, :, None] * p0[:, :, None, :]).reshape(len(self.upper), n, -1)
         quadratic = spec.quadratic.reshape(dim * n, n, n)
         self.flux_matrix = quadratic.reshape(dim * n, n * n)
         # qbar(w, w): the n(n+1)/2 products f_i f_j with i <= j, against the
@@ -448,54 +417,32 @@ class _CompiledQuadratic:
         coords[self.seg_pos] = np.add.reduceat(a1[self.idx1] * a2[self.idx2] * self.coef, self.seg_starts)
         return np.matmul(self.upper_basis, coords.reshape(-1, n, 1))[:, :, 0]
 
-    def _null(self, c1: np.ndarray, c2: np.ndarray, real: bool) -> np.ndarray:
-        """The null part P0 (i m . q)(P0 c1, P0 c2), summed over k + l = m by one
-        padded inverse and one forward transform.
-
-        Reality-symmetric inputs take the real transform of the half-spectrum
-        grid and are read out on the positive half; other inputs take the
-        complex transform and are read out on every mode, in lattice order.
-        """
+    def _null(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        """The null part P0 (i m . q)(P0 c1, P0 c2) on the positive half, summed over
+        k + l = m by one padded real inverse and one real forward transform."""
         n = self.ncomp
-        grid = self.real_grid if real else self.complex_grid
-        inputs = np.stack([c1] if c2 is c1 else [c1, c2])[:, grid.modes]  # the same input is transformed once
-        projected = np.matmul(grid.p0, inputs[..., None])[..., 0]
-        spectra = np.zeros((len(inputs), n, *grid.shape), dtype=complex)
-        spectra[(slice(None), slice(None), *grid.index)] = projected.transpose(0, 2, 1)
-        if real:
-            fields = scipy.fft.irfftn(spectra, s=self.grid_shape, axes=grid.axes, norm="forward", overwrite_x=True)
-        else:
-            fields = scipy.fft.ifftn(spectra, axes=grid.axes, norm="forward", overwrite_x=True)
+        inputs = np.stack([c1] if c2 is c1 else [c1, c2])[:, self.null_modes]  # the same input is transformed once
+        projected = np.matmul(self.null_p0, inputs[..., None])[..., 0]
+        spectra = np.zeros((len(inputs), n, *self.spectrum_shape), dtype=complex)
+        spectra[(slice(None), slice(None), *self.null_index)] = projected.transpose(0, 2, 1)
+        fields = scipy.fft.irfftn(spectra, s=self.grid_shape, axes=self.null_axes, norm="forward", overwrite_x=True)
         fields = fields.reshape(len(inputs), n, -1)
         if c2 is c1:
             pair, matrix = fields[0][self.pair_i] * fields[0][self.pair_j], self.folded_flux_matrix
         else:
             pair, matrix = (fields[0][:, None] * fields[1][None, :]).reshape(n * n, -1), self.flux_matrix
-        if real:
-            flux = scipy.fft.rfftn((matrix @ pair).reshape(-1, *self.grid_shape), axes=grid.axes, norm="forward")
-        else:
-            # the real matrix times the complex products, as one real matmul on their (re, im) pairs
-            flux = (matrix @ pair.view(float)).view(complex).reshape(-1, *self.grid_shape)
-            flux = scipy.fft.fftn(flux, axes=grid.axes, norm="forward", overwrite_x=True)
-        gathered = flux[(slice(None), *grid.out_index)]
-        return np.matmul(grid.read, gathered.T[:, :, None])[:, :, 0]
+        flux = scipy.fft.rfftn((matrix @ pair).reshape(-1, *self.grid_shape), axes=self.null_axes, norm="forward")
+        gathered = flux[(slice(None), *self.out_index)]
+        return np.matmul(self.read, gathered.T[:, :, None])[:, :, 0]
 
     def apply(self, w1: SpectralState, w2: SpectralState) -> SpectralState:
+        """qbar(w1, w2) of reality-symmetric inputs: one table pass and the null part, completed."""
         c1, c2 = w1.coeffs, w2.coeffs
         if c2 is not c1 and np.array_equal(c1, c2):
             c2 = c1  # qbar(w, w) whatever the arrays: one input to transform, symmetric products
-        m1 = self.lattice.mirror(c1)
-        m2 = m1 if c2 is c1 else self.lattice.mirror(c2)
-        # reality-symmetric inputs are their own mirrors
-        real = np.array_equal(m1, c1) and (c2 is c1 or np.array_equal(m2, c2))
-        upper = self._table(c1, c2)
-        if real:
-            upper += self._null(c1, c2, True)
-        lower = self.lattice.mirror(upper if real else self._table(m1, m2))
-        out = np.concatenate([lower, np.zeros((1, self.ncomp), dtype=complex), upper])
-        if not real:
-            out += self._null(c1, c2, False)
-        return SpectralState(w1.lattice, out, w1.time)
+        upper = self._table(c1, c2) + self._null(c1, c2)
+        half = np.concatenate([np.zeros((1, self.ncomp), dtype=complex), upper])
+        return SpectralState(w1.lattice, self.lattice.complete(half), w1.time)
 
 
 def apply_averaged_quadratic(
@@ -508,19 +455,18 @@ def apply_averaged_quadratic(
     """qbar(w1, w2): resonant projected interactions accumulated at m = k + l.
 
     Symmetric in its arguments (the kernel is symmetric and the table stores
-    both orderings of every pair); preserves reality symmetry bit for bit.
-    Null triples take one padded transform pair per call (real transforms
-    for reality-symmetric inputs); the rest is a sparse sum of
-    branch-coordinate coefficients on the positive half, mirrored: one table
-    pass for reality-symmetric inputs, two otherwise.  ValueError unless
-    `spectrum is table.spectrum`, `spec is spectrum.spec` and the states
-    live on the table's lattice.
+    both orderings of every pair).  Takes real fields: each distinct input
+    passes the entry gate `state.require_reality`, and the output is
+    reality-symmetric bit for bit (see _CompiledQuadratic).  ValueError
+    unless `spectrum is table.spectrum`, `spec is spectrum.spec`, the states
+    live on the table's lattice and each is real.
     """
     if spectrum is not table.spectrum or spec is not spectrum.spec:
         raise ValueError("qbar needs the resonance table's own spectrum and that spectrum's spec")
     if w1.lattice != table.lattice or w2.lattice != table.lattice:
         raise ValueError("states and resonance table live on different lattices")
-    return table.quadratic.apply(w1, w2)
+    real = require_reality(w1)
+    return table.quadratic.apply(real, real if w2 is w1 else require_reality(w2))
 
 
 def apply_quadratic(spec: SystemSpec, w1: SpectralState, w2: SpectralState) -> SpectralState:

@@ -55,8 +55,24 @@ MAX_PENCILS = 10_000_000
 MAX_COEFFICIENT_STEPS = 50_000_000
 
 
+# the keys each section and each initial type of a config may hold; any other is an input error
+SECTION_KEYS = {"resonance": ("tolerance", "exact_rule"),
+                "simulation": ("dt", "t_end", "integrator", "diagnostics_every", "sobolev_orders", "initial", "seed"),
+                "dissipativity": ("alpha_grid", "direction_count"), "outputs": ("directory",)}
+INITIAL_KEYS = {"random": ("type", "seed", "decay", "amplitude"), "modes": ("type", "entries"), "zero": ("type",)}
+
+
 class ConfigError(ValueError):
     pass
+
+
+def _require_object(value, known: tuple[str, ...], where: str) -> None:
+    """ConfigError unless `value` is a JSON object of `known` keys only; the message names the first unknown one."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(value) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}; known keys: {', '.join(sorted(set(known)))}")
 
 
 class EntropyRefusal(Exception):
@@ -122,11 +138,9 @@ class Run:
     """Resolved configuration: spec (plus gas model when preset-based) and knobs."""
 
     def __init__(self, config: dict, seed_override: int | None = None):
-        if not isinstance(config, dict):
-            raise ConfigError("config must be a JSON object")
-        for name in ("resonance", "simulation", "dissipativity", "outputs"):
-            if not isinstance(config.get(name, {}), dict):
-                raise ConfigError(f"'{name}' must be a JSON object")
+        _require_object(config, ("system", "lattice_k", *SECTION_KEYS), "the config")
+        for name, known in SECTION_KEYS.items():
+            _require_object(config.get(name, {}), known, name)
         directory = config.get("outputs", {}).get("directory", "out")
         if type(directory) is not str or not directory:
             raise ConfigError(f"outputs.directory must be a nonempty JSON string, got {json.dumps(directory)}")
@@ -144,6 +158,10 @@ class Run:
                 self.spec = spec_from_dict(system)
             except (SpecShapeError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad inline system spec: {exc}") from exc
+            _require_object(system, (*spec_to_dict(self.spec), "labels"), "the inline spec")
+            for name, entry in system.items():
+                if isinstance(entry, dict):  # a tensor
+                    _require_object(entry, ("data", "shape"), f"system.{name}")
         else:
             raise ConfigError("config needs 'system': preset name or inline spec mapping")
 
@@ -186,9 +204,15 @@ class Run:
         if type(orders) is not list:
             raise ConfigError(f"sobolev_orders must be a JSON list of numbers, got {json.dumps(orders)}")
         self.sobolev_orders = [_number(s, "sobolev_orders") for s in orders]
-        self.initial_cfg = dict(sim.get("initial", {"type": "random", "decay": 3.0, "amplitude": 0.1}))
+        initial = sim.get("initial", {"type": "random", "decay": 3.0, "amplitude": 0.1})
+        kind = initial.get("type", "random") if isinstance(initial, dict) else None
+        if not isinstance(kind, str) or kind not in INITIAL_KEYS:
+            raise ConfigError(f"simulation.initial must be a JSON object of type {', '.join(INITIAL_KEYS)}, "
+                              f"got {json.dumps(initial)}")
+        _require_object(initial, INITIAL_KEYS[kind], f"a {kind} initial")
+        self.initial_cfg = dict(initial)
         seed = _count(sim.get("seed", 0), "seed")  # the random initial's seed when it names none
-        if self.initial_cfg.get("type", "random") == "random":
+        if kind == "random":
             self.initial_cfg["seed"] = _count(self.initial_cfg.get("seed", seed), "seed")
             if seed_override is not None:
                 self.initial_cfg["seed"] = int(seed_override)
@@ -244,6 +268,7 @@ class Run:
                 raise ConfigError(f"modes 'entries' must be a list, got {items!r}")
             entries = []
             for item in items:
+                _require_object(item, ("mode", "coeff_re", "coeff_im"), "a modes entry")
                 try:
                     mode = tuple(_count(c, "mode") for c in item["mode"])
                     re = np.array([_number(c, "coeff_re") for c in item["coeff_re"]], dtype=float)
@@ -261,9 +286,7 @@ class Run:
                 return state_from_modes(lattice, n, entries)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-        if kind == "zero":
-            return state_from_modes(lattice, self.spec.ncomp, [])
-        raise ConfigError(f"unknown initial condition type {kind!r}")
+        return state_from_modes(lattice, self.spec.ncomp, [])  # the zero initial
 
 
 def cmd_validate(run: Run, outdir: Path) -> int:

@@ -51,7 +51,7 @@ import numpy as np
 from .averaging import apply_averaged_quadratic
 from .solver import whole_steps
 from .spectral import FrequencyLattice, Spectrum
-from .state import SpectralState, zero_state
+from .state import SpectralState, state_from_modes
 from .system import SystemSpec, change_of_variables
 
 __all__ = [
@@ -488,7 +488,8 @@ def simulate_incompressible_reference(
     The advection is a brute-force direct sum over the lattice's (k, l)
     pairs, no FFT.  The state is held component-major, one (d+1, M) array
     with the velocity components in rows 0..d-1 and theta in row d, so
-    every gather is a 1-D take and every segment sum a 1-D reduceat.
+    every gather is a 1-D fancy index (np.take would copy the lattice's read-only
+    index arrays on every call) and every segment sum a 1-D reduceat.
     Returns u (M, d) and theta (M,).
     """
     if t_end <= 0.0 or dt <= 0.0:
@@ -510,13 +511,13 @@ def simulate_incompressible_reference(
 
     def tendency(q: np.ndarray) -> np.ndarray:
         """-(P(u.grad u), u.grad theta) on the lattice, as (d+1, M)."""
-        dot = np.take(q[0], pk) * lrow[0]
+        dot = q[0][pk] * lrow[0]
         for a in range(1, dim):
-            dot += np.take(q[a], pk) * lrow[a]
+            dot += q[a][pk] * lrow[a]
         dot *= 1j  # i u(k).l per pair
         conv = np.zeros_like(q)
         for c in range(dim + 1):
-            conv[c, seg_modes] = np.add.reduceat(dot * np.take(q[c], pl), seg)
+            conv[c, seg_modes] = np.add.reduceat(dot * q[c][pl], seg)
         out = np.empty_like(q)
         out[:dim] = -(leray * conv[:dim]).sum(axis=1)
         out[dim] = -conv[dim]
@@ -534,12 +535,6 @@ def simulate_incompressible_reference(
         k4 = tendency(h * (h * q + dt * k3))
         q = e * q + (dt / 6.0) * (e * k1 + 2.0 * h * (k2 + k3) + k4)
     return q[:dim].T.copy(), q[dim].copy()
-
-
-def _single_mode_state(lattice: FrequencyLattice, ncomp: int, mode, coeff: np.ndarray) -> SpectralState:
-    out = zero_state(lattice, ncomp)
-    out.coeffs[lattice.index(mode)] = coeff
-    return out
 
 
 def _transverse_unit(model: CnsModel, lmode) -> np.ndarray:
@@ -569,8 +564,10 @@ def wcns_coupling_report(
     The mode-sum coefficients of the split system are not transcribed from
     anywhere; they are read off the generic operator through four canonical
     resonant probes (acoustic-in-velocity, two acoustic-in-temperature
-    geometries, collinear acoustic-acoustic).  Values are reported as found,
-    normalized by |m| and the probe geometry, with no asserted reference.
+    geometries, collinear acoustic-acoustic), each two real fields, at k and
+    at l with their mirrors: only the pair (k, l) reaches m = k + l.  Values
+    are reported as found, normalized by |m| and the probe geometry, with no
+    asserted reference.
     """
     if model.dim != 2:
         raise ValueError("coupling probes are defined for d = 2")
@@ -602,8 +599,8 @@ def wcns_coupling_report(
             spec,
             spectrum,
             table,
-            _single_mode_state(lattice, model.ncomp, k, h_k.astype(complex)),
-            _single_mode_state(lattice, model.ncomp, l, vec_l.astype(complex)),
+            state_from_modes(lattice, model.ncomp, [(k, h_k)]),
+            state_from_modes(lattice, model.ncomp, [(l, vec_l)]),
         )
         amp = complex(h_m @ g @ out.coeffs[lattice.index(m)])
         norm_m = math.sqrt(sum(c * c for c in m))

@@ -42,7 +42,7 @@ from .averaging import (
     build_resonance_table,
 )
 from .spectral import FrequencyLattice, Mode, Spectrum, frequency_spectrum
-from .state import SpectralState, energy_norm, evolve_state, inner_product, sobolev_norm
+from .state import SpectralState, energy_norm, evolve_state, inner_product, require_reality, sobolev_norm
 from .system import SystemSpec
 
 __all__ = [
@@ -132,16 +132,17 @@ def build_operators(
     return WndOperators(spectrum, avg, table)
 
 
-def _require_fit(ops: WndOperators, state: SpectralState) -> None:
-    """ValueError unless the state lives on the operators' lattice with their system's components."""
+def _entry(ops: WndOperators, state: SpectralState) -> SpectralState:
+    """The state, gated by `require_reality`; ValueError unless it has the operators' lattice and components."""
     if state.lattice != ops.lattice or state.ncomp != ops.spec.ncomp:
         raise ValueError(f"a state of {state.ncomp} components on {state.lattice} does not fit "
                          f"operators of {ops.spec.ncomp} components on {ops.lattice}")
+    return require_reality(state)
 
 
 def rhs(ops: WndOperators, state: SpectralState) -> SpectralState:
-    """Tendency -A w - qbar(w, w) + dbar w, mode-wise; ValueError unless the state fits the operators."""
-    _require_fit(ops, state)
+    """Tendency -A w - qbar(w, w) + dbar w, mode-wise; ValueError unless the state fits and is real."""
+    state = _entry(ops, state)
     lin = np.einsum("mpq,mq->mp", ops.generator, state.coeffs)
     return SpectralState(state.lattice, lin - ops.quadratic_tendency(state), state.time)
 
@@ -161,8 +162,8 @@ def step(
     method: str = "if_rk4",
     filtered: bool = False,
 ) -> SpectralState:
-    """Advance one step; exact on the linear part for any dt.  ValueError unless the state fits the operators."""
-    _require_fit(ops, state)
+    """Advance one step; exact on the linear part for any dt.  ValueError unless the state fits and is real."""
+    state = _entry(ops, state)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if method not in INTEGRATORS:
@@ -240,7 +241,8 @@ def simulate(
     """Fixed-step integration with energy accounting.
 
     t_end must be a whole number of steps of dt, and the initial state must fit the
-    operators (ValueError otherwise).  Snapshots are full states taken every
+    operators and be real (ValueError otherwise): it passes the entry gate once, so every
+    snapshot is reality-symmetric.  Snapshots are full states taken every
     `diagnostics_every` steps (plus the final state).  The budget residual reported
     at each snapshot is the defect of the energy identity accumulated from t = 0.
     """
@@ -248,7 +250,7 @@ def simulate(
         raise ValueError("need t_end > 0 and dt > 0")
     if diagnostics_every < 1:
         raise ValueError("diagnostics_every must be >= 1")
-    _require_fit(ops, initial)
+    state = _entry(ops, initial)
     if ops.omega_max * dt > 0.5:
         warnings.warn(
             f"dt = {dt:g} under-resolves the fastest retained frequency "
@@ -259,7 +261,6 @@ def simulate(
     n_steps = whole_steps(t_end, dt)
 
     spec = ops.spec
-    state = initial.copy()
 
     diss_samples = np.empty(n_steps + 1)
     energy_samples = np.empty(n_steps + 1)

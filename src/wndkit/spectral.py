@@ -13,6 +13,7 @@ built on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -116,8 +117,12 @@ class FrequencyLattice:
         every axis: the valid (m, k) are the nonzeros of an outer product of
         per-axis masks, laid out as (m_1..m_d, k_1..k_d), whose C order is
         the (m, k) order.  The index is affine in the mode, so l = m - k has
-        index m - k + zero_index.
+        index m - k + zero_index.  Built once per lattice, as read-only arrays.
         """
+        return self._convolution_pairs
+
+    @cached_property
+    def _convolution_pairs(self) -> tuple[np.ndarray, ...]:
         span = np.arange(-self.radius, self.radius + 1)
         axis_ok = np.abs(span[:, None] - span[None, :]) <= self.radius  # (m_a, k_a)
         size = span.size
@@ -129,7 +134,10 @@ class FrequencyLattice:
         pm, pk = np.divmod(np.flatnonzero(valid), len(self))
         pl = pm - pk + self.zero_index()
         seg = np.flatnonzero(np.r_[True, np.diff(pm) > 0])
-        return pk, pl, pm, seg, pm[seg]
+        pairs = (pk, pl, pm, seg, pm[seg])
+        for arr in pairs:
+            arr.setflags(write=False)
+        return pairs
 
 
 @dataclass(eq=False)
@@ -165,8 +173,9 @@ class Spectrum:
     all B branches equals the sum over the real ones.  `null` marks the
     branches whose frequency is zero within the clustering tolerance
     (padded branches are not branches), and `null_projector` (M, N, N) is
-    their summed projector P0 at each mode: the slow/fast split of a state
-    is P0 w and w - P0 w.  `basis` (M, N, N) and `branch`
+    their summed projector P0 at each mode, completed from the zero mode
+    and the positive half (P0(-xi) = P0(xi) bit for bit): the slow/fast
+    split of a state is P0 w and w - P0 w.  `basis` (M, N, N) and `branch`
     (M, N) stack the per-mode eigenvector bases and the branch of each
     column: the branch ranks at a mode sum to N, so one basis spans them
     all.  `spec` is the system decomposed.
@@ -245,7 +254,9 @@ def _decompose_modes(spec: SystemSpec, modes: np.ndarray) -> tuple[np.ndarray, .
 
 def frequency_spectrum(spec: SystemSpec, lattice: FrequencyLattice) -> Spectrum:
     """Decomposition at every lattice mode: one batched eigensolve, in lattice order."""
-    arrays = _decompose_modes(spec, lattice.array)
+    *arrays, null_projector = _decompose_modes(spec, lattice.array)
+    # P0(-xi) = P0(xi) bit for bit (real symbols), so the split of a real state is real
+    arrays.append(lattice.complete(null_projector[lattice.zero_index():]))
     for arr in arrays:
         arr.setflags(write=False)
     return Spectrum(spec, lattice, *arrays)

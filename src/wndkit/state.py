@@ -1,8 +1,9 @@
 """Truncated Fourier coefficient fields and the entropy inner product.
 
 A state stores one complex N-vector per lattice mode.  Real physical fields
-satisfy the reality symmetry  w(-xi) = conj(w(xi)), which every operator in
-the package preserves exactly (all symbol tensors are real).
+satisfy the reality symmetry  w(-xi) = conj(w(xi)), which every per-mode
+operator keeps bit for bit (each is completed from the positive half by the
+mirror); the solver and `qbar` take them through one gate, `require_reality`.
 
 The inner product is the Plancherel form weighted by the entropy Hessian g,
 
@@ -23,6 +24,8 @@ import numpy as np
 from .spectral import FrequencyLattice, Spectrum
 from .system import SystemSpec
 
+REALITY_TOL = 1e-12  # the largest mirror defect max|w - mirror(w)| / max|w| that is roundoff
+
 __all__ = [
     "SpectralState",
     "zero_state",
@@ -30,6 +33,7 @@ __all__ = [
     "random_real_state",
     "enforce_reality",
     "is_reality_symmetric",
+    "require_reality",
     "inner_product",
     "energy_norm",
     "sobolev_norm",
@@ -99,6 +103,20 @@ def is_reality_symmetric(state: SpectralState) -> bool:
     return bool(np.array_equal(state.coeffs, state.lattice.mirror(state.coeffs)))
 
 
+def require_reality(state: SpectralState) -> SpectralState:
+    """The state if reality-symmetric bit for bit; `enforce_reality` of a copy if its mirror
+    defect max|w - mirror(w)| is at most REALITY_TOL * max|w|; ValueError otherwise.
+
+    A NaN defect, from a stage that overflowed, is not refused: `simulate`'s blow-up check names it.
+    """
+    if is_reality_symmetric(state):
+        return state
+    defect = float(np.abs(state.coeffs - state.lattice.mirror(state.coeffs)).max() / np.abs(state.coeffs).max())
+    if defect > REALITY_TOL:
+        raise ValueError(f"state is not real: its relative mirror defect {defect:.3e} exceeds {REALITY_TOL:g}")
+    return enforce_reality(state.copy())
+
+
 def random_real_state(
     lattice: FrequencyLattice,
     ncomp: int,
@@ -142,9 +160,10 @@ def sobolev_norm(spec: SystemSpec, state: SpectralState, s: float) -> float:
 
 
 def evolve_state(spectrum: Spectrum, t: float, state: SpectralState) -> SpectralState:
-    """Apply the unitary group mode-wise: w(xi) <- sum_j e^{-i omega_j t} p_j w(xi)."""
+    """Apply the unitary group mode-wise: w(xi) <- sum_j e^{-i omega_j t} p_j w(xi), from the half by the mirror."""
     if state.lattice != spectrum.lattice:
         raise ValueError("spectrum and state live on different lattices")
-    phases = np.exp(-1j * spectrum.frequencies * t)
-    coeffs = np.einsum("mj,mjpq,mq->mp", phases, spectrum.projectors, state.coeffs)
-    return SpectralState(state.lattice, coeffs, state.time)
+    zero = spectrum.lattice.zero_index()
+    phases = np.exp(-1j * spectrum.frequencies[zero:] * t)
+    group = spectrum.lattice.complete(np.einsum("mj,mjpq->mpq", phases, spectrum.projectors[zero:]))
+    return SpectralState(state.lattice, np.einsum("mpq,mq->mp", group, state.coeffs), state.time)

@@ -181,8 +181,8 @@ def test_apply_averaged_quadratic_bilinear(cns_ops4, cns_model):
     ba = apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, w2, w1)
     assert np.abs(ab.coeffs - ba.coeffs).max() <= 1e-13 * max(1.0, np.abs(ab.coeffs).max())
     assert is_reality_symmetric(ab)
-    # bilinearity in the first argument, over the complex field
-    for lam in (0.7, 0.4 - 1.3j):
+    # bilinearity in the first argument, over the reals: qbar takes real fields
+    for lam in (0.7, -1.3):
         combo = w1.copy()
         combo.coeffs = w1.coeffs + lam * w2.coeffs
         lhs = apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, combo, w2)
@@ -191,6 +191,11 @@ def test_apply_averaged_quadratic_bilinear(cns_ops4, cns_model):
             spec, cns_ops4.spectrum, cns_ops4.table, w2, w2
         ).coeffs
         assert np.abs(lhs.coeffs - rhs.coeffs).max() <= 1e-12 * max(1.0, np.abs(rhs.coeffs).max()), lam
+    # a complex combination is no real field: refused, not answered on another path
+    combo = w1.copy()
+    combo.coeffs = w1.coeffs + (0.4 - 1.3j) * w2.coeffs
+    with pytest.raises(ValueError, match="mirror defect"):
+        apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, combo, w2)
 
 
 def _table_reference(spec, spectrum, table, w1, w2):
@@ -210,24 +215,41 @@ def _qbar_vs_reference(ops, spec, w1, w2):
     return got, float(np.abs(got.coeffs - ref).max()), float(np.abs(ref).max())
 
 
-def test_qbar_matches_table_reference(cns_ops4, cns_model):
-    spec = cns_model.spec
-    lat = cns_ops4.lattice
-    w1 = wk.random_real_state(lat, 4, seed=81, decay=2.0)
-    w2 = wk.random_real_state(lat, 4, seed=82, decay=2.0)
-    split, _ = wcns_split(cns_model, cns_ops4.spectrum, w1)
+def _qbar_cases(lat, n, seed, split=None):
+    """Real input pairs for qbar, and truly complex ones that it must refuse.
+
+    The real pairs hold a real zero-mode coefficient, a roundoff mirror
+    defect (projected by the entry gate) and, if given, a split state."""
+    w1, w2, offset = (wk.random_real_state(lat, n, seed=seed + j, decay=2.0) for j in range(3))
+    offset.coeffs[lat.zero_index()] = np.linspace(0.2, -0.3, n)
+    noisy = w2.copy()
+    noisy.coeffs[lat.zero_index()] += 1e-17j
+    real = {"real": (w1, w2), "zero mode": (offset, w1), "roundoff": (noisy, w1)}
+    if split is not None:
+        real.update({"split": (split, split), "split and real": (split, w2)})
     mixed = w1.copy()
     mixed.coeffs = w1.coeffs + 1j * w2.coeffs
     # both inputs complex, one with a non-real zero-mode coefficient
-    offset = wk.random_real_state(lat, 4, seed=86, decay=2.0)
-    offset.coeffs = offset.coeffs + 1j * w1.coeffs
-    offset.coeffs[lat.zero_index()] = 0.2 + 0.3j
-    cases = {"real": (w1, w2), "split": (split, split), "mixed": (mixed, w2), "complex": (offset, mixed)}
-    for name, (a, b) in cases.items():
-        got, err, scale = _qbar_vs_reference(cns_ops4, spec, a, b)
+    complex_ = offset.copy()
+    complex_.coeffs = offset.coeffs + 1j * w1.coeffs
+    complex_.coeffs[lat.zero_index()] = 0.2 + 0.3j
+    return real, {"mixed": (mixed, w2), "complex": (complex_, mixed)}
+
+
+def _check_qbar_cases(ops, spec, real, refused):
+    for name, (a, b) in real.items():
+        got, err, scale = _qbar_vs_reference(ops, spec, a, b)
         assert err <= 1e-13 * scale, name
-        if name == "real":
-            assert is_reality_symmetric(got)
+        assert is_reality_symmetric(got), name
+    for name, (a, b) in refused.items():
+        with pytest.raises(ValueError, match="mirror defect"):
+            apply_averaged_quadratic(spec, ops.spectrum, ops.table, a, b)
+
+
+def test_qbar_matches_table_reference(cns_ops4, cns_model):
+    lat = cns_ops4.lattice
+    split, _ = wcns_split(cns_model, cns_ops4.spectrum, wk.random_real_state(lat, 4, seed=81, decay=2.0))
+    _check_qbar_cases(cns_ops4, cns_model.spec, *_qbar_cases(lat, 4, 81, split))
 
 
 def _system(name, request):
@@ -263,23 +285,11 @@ def test_qbar_matches_table_reference_beyond_the_2d_gas(system, request):
     2-D gas at R=4."""
     spec, ops, model = _system(system, request)
     lat, n = ops.lattice, spec.ncomp
-    w1 = wk.random_real_state(lat, n, seed=91, decay=2.0)
-    w2 = wk.random_real_state(lat, n, seed=92, decay=2.0)
-    mixed = w1.copy()
-    mixed.coeffs = w1.coeffs + 1j * w2.coeffs
-    offset = wk.random_real_state(lat, n, seed=93, decay=2.0)
-    offset.coeffs = offset.coeffs + 1j * w1.coeffs
-    offset.coeffs[lat.zero_index()] = 0.2 + 0.3j
-    cases = {"real": (w1, w2), "mixed": (mixed, w2), "complex": (offset, mixed)}
+    split = None
     if model is not None:
-        split, _ = wcns_split(model, ops.spectrum, w1)
-        cases["split"] = (split, split)
+        split, _ = wcns_split(model, ops.spectrum, wk.random_real_state(lat, n, seed=91, decay=2.0))
     assert ops.table.quadratic.terms > 0
-    for name, (a, b) in cases.items():
-        got, err, scale = _qbar_vs_reference(ops, spec, a, b)
-        assert err <= 1e-13 * scale, name
-        if name == "real":
-            assert is_reality_symmetric(got)
+    _check_qbar_cases(ops, spec, *_qbar_cases(lat, n, 91, split))
 
 
 @pytest.mark.parametrize("system", ["ideal-gas-2d", "ideal-gas-1d", "float-rule-2d", "coupled-wave", "scalar"])
@@ -433,12 +443,15 @@ def test_table_compiles_qbar_once_on_first_use(cns_model, monkeypatch):
 
 
 def test_qbar_pass_count(cns_ops4, cns_model, monkeypatch):
-    """One padded inverse and one forward transform per call, real for
-    reality-symmetric pairs; one table pass for those pairs, two otherwise."""
+    """One table pass, one padded real inverse and one real forward transform
+    per call, for a split state and a roundoff mirror defect as for a real
+    state; a complex input is refused before any pass or transform."""
     spec = cns_model.spec
     lat = cns_ops4.lattice
     real = wk.random_real_state(lat, 4, seed=88, decay=2.0)
     split, _ = wcns_split(cns_model, cns_ops4.spectrum, real)
+    noisy = real.copy()
+    noisy.coeffs[lat.zero_index()] += 1e-17j
     other = real.copy()
     other.coeffs = real.coeffs * (1.0 + 0.5j)
     passes = []
@@ -450,44 +463,50 @@ def test_qbar_pass_count(cns_ops4, cns_model, monkeypatch):
 
     monkeypatch.setattr(_CompiledQuadratic, "_table", counted)
     transforms = _count_transforms(monkeypatch)
-    expected = {
-        "real": ((real, real), 1, ["irfftn", "rfftn"]),
-        "split": ((split, split), 2, ["ifftn", "fftn"]),
-        "one complex": ((real, other), 2, ["ifftn", "fftn"]),
-    }
-    for name, ((a, b), count, names) in expected.items():
+    cases = {"real": (real, real), "split": (split, split), "roundoff": (noisy, noisy), "two real": (real, split)}
+    for name, (a, b) in cases.items():
         passes.clear()
         transforms.clear()
         apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, a, b)
-        assert len(passes) == count, name
-        assert [t for t, _ in transforms] == names, name
+        assert len(passes) == 1, name
+        assert [t for t, _ in transforms] == ["irfftn", "rfftn"], name
+    passes.clear()
+    transforms.clear()
+    with pytest.raises(ValueError, match="mirror defect"):
+        apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, real, other)
+    assert passes == [] and transforms == []
 
 
 def test_qbar_of_one_state_transforms_it_once(cns_ops4, cns_model, monkeypatch):
     """qbar(w, w) transforms a stack of one input and gives qbar(w, w.copy())
-    bit for bit; distinct inputs are transformed as a stack of two."""
+    bit for bit; distinct inputs are transformed as a stack of two.  Every
+    real input takes the real transforms, and a complex one is refused."""
     spec = cns_model.spec
     lat = cns_ops4.lattice
 
     def states(seed):
         real = wk.random_real_state(lat, 4, seed=seed, decay=2.0)
         split, _ = wcns_split(cns_model, cns_ops4.spectrum, real)
-        complex_ = wk.random_real_state(lat, 4, seed=seed + 1, decay=2.0)
-        complex_.coeffs = complex_.coeffs * (1.0 + 0.5j)
-        complex_.coeffs[lat.zero_index()] = 0.2 + 0.3j
-        return {"real": real, "split": split, "complex": complex_}
+        offset = wk.random_real_state(lat, 4, seed=seed + 1, decay=2.0)
+        offset.coeffs[lat.zero_index()] = [0.2, -0.1, 0.3, 0.05]
+        return {"real": real, "split": split, "zero mode": offset}
 
     others = states(91)
     transforms = _count_transforms(monkeypatch)
     for name, w in states(89).items():
-        inverse, forward = ("irfftn", "rfftn") if name == "real" else ("ifftn", "fftn")
         transforms.clear()
         same = apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, w, w)
         other = apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, w, w.copy())
         assert same.coeffs.tobytes() == other.coeffs.tobytes(), name
         apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, w, others[name])
-        assert [size for t, size in transforms if t == inverse] == [1, 1, 2], name
-        assert [t for t, _ in transforms] == [inverse, forward] * 3, name
+        assert [size for t, size in transforms if t == "irfftn"] == [1, 1, 2], name
+        assert [t for t, _ in transforms] == ["irfftn", "rfftn"] * 3, name
+    complex_ = others["zero mode"].copy()
+    complex_.coeffs = complex_.coeffs * (1.0 + 0.5j)
+    transforms.clear()
+    with pytest.raises(ValueError, match="mirror defect"):
+        apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, complex_, complex_)
+    assert transforms == []
 
 
 def _reference_table(spectrum, lattice, decide):

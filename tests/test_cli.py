@@ -81,88 +81,132 @@ def one_mode(**entry) -> dict:
 
 @pytest.mark.parametrize(
     "command, section, key, value",
+    # explicit ids: a case added anywhere renames no other; the older ones keep the
+    # names pytest first generated for them
     [
-        ("validate", None, "lattice_k", "abc"),
-        ("validate", "resonance", "tolerance", "x"),
-        ("simulate", "simulation", "integrator", "rk3"),
-        ("simulate", "simulation", "diagnostics_every", 0),
-        ("simulate", "simulation", "t_end", -1),
-        ("dissipativity", "dissipativity", "direction_count", 0),
-        ("validate", None, None, []),  # key None: the whole config is `value`
-        ("validate", None, "resonance", []),
-        ("simulate", None, "simulation", []),
-        ("dissipativity", None, "dissipativity", "abc"),
-        ("validate", None, "outputs", []),
-        ("dissipativity", "dissipativity", "alpha_grid", [-1.0]),
-        ("dissipativity", "dissipativity", "alpha_grid", "abc"),
-        ("dissipativity", "dissipativity", "alpha_grid", 0),
-        ("dissipativity", "dissipativity", "alpha_grid", []),
-        ("dissipativity", "dissipativity", "alpha_grid", 10**12),  # refused before allocating
-        ("dissipativity", "dissipativity", "alpha_grid", [1.0] * 10_001),
-        ("dissipativity", "dissipativity", "direction_count", 10**12),
+        pytest.param("validate", None, "lattice_k", "abc", id="validate-None-lattice_k-abc"),
+        pytest.param("validate", "resonance", "tolerance", "x", id="validate-resonance-tolerance-x"),
+        pytest.param("simulate", "simulation", "integrator", "rk3", id="simulate-simulation-integrator-rk3"),
+        pytest.param("simulate", "simulation", "diagnostics_every", 0, id="simulate-simulation-diagnostics_every-0"),
+        pytest.param("simulate", "simulation", "t_end", -1, id="simulate-simulation-t_end--1"),
+        pytest.param("dissipativity", "dissipativity", "direction_count", 0,
+                     id="dissipativity-dissipativity-direction_count-0"),
+        # key None: the whole config is `value`
+        pytest.param("validate", None, None, [], id="validate-None-None-value6"),
+        pytest.param("validate", None, "resonance", [], id="validate-None-resonance-value7"),
+        pytest.param("simulate", None, "simulation", [], id="simulate-None-simulation-value8"),
+        pytest.param("dissipativity", None, "dissipativity", "abc", id="dissipativity-None-dissipativity-abc"),
+        pytest.param("validate", None, "outputs", [], id="validate-None-outputs-value10"),
+        pytest.param("dissipativity", "dissipativity", "alpha_grid", [-1.0],
+                     id="dissipativity-dissipativity-alpha_grid-value11"),
+        pytest.param("dissipativity", "dissipativity", "alpha_grid", "abc",
+                     id="dissipativity-dissipativity-alpha_grid-abc"),
+        pytest.param("dissipativity", "dissipativity", "alpha_grid", 0, id="dissipativity-dissipativity-alpha_grid-0"),
+        pytest.param("dissipativity", "dissipativity", "alpha_grid", [],
+                     id="dissipativity-dissipativity-alpha_grid-value14"),
+        # refused before allocating
+        pytest.param("dissipativity", "dissipativity", "alpha_grid", 10**12,
+                     id="dissipativity-dissipativity-alpha_grid-1000000000000"),
+        pytest.param("dissipativity", "dissipativity", "alpha_grid", [1.0] * 10_001,
+                     id="dissipativity-dissipativity-alpha_grid-value16"),
+        pytest.param("dissipativity", "dissipativity", "direction_count", 10**12,
+                     id="dissipativity-dissipativity-direction_count-1000000000000"),
         # exact_rule is a JSON boolean and the counts JSON integers: nothing is coerced
-        ("validate", "resonance", "exact_rule", "false"),
-        ("validate", "resonance", "exact_rule", 0),
-        ("validate", None, "lattice_k", 2.7),
-        ("validate", None, "lattice_k", 2.0),
-        ("validate", None, "lattice_k", "3"),
-        ("validate", None, "lattice_k", True),
-        ("validate", "simulation", "diagnostics_every", 2.5),
-        ("validate", "simulation", "diagnostics_every", True),
-        ("validate", "dissipativity", "direction_count", 10.9),
-        ("validate", "dissipativity", "direction_count", "32"),
+        pytest.param("validate", "resonance", "exact_rule", "false", id="validate-resonance-exact_rule-false"),
+        pytest.param("validate", "resonance", "exact_rule", 0, id="validate-resonance-exact_rule-0"),
+        pytest.param("validate", None, "lattice_k", 2.7, id="validate-None-lattice_k-2.7"),
+        pytest.param("validate", None, "lattice_k", 2.0, id="validate-None-lattice_k-2.0"),
+        pytest.param("validate", None, "lattice_k", "3", id="validate-None-lattice_k-3"),
+        pytest.param("validate", None, "lattice_k", True, id="validate-None-lattice_k-True"),
+        pytest.param("validate", "simulation", "diagnostics_every", 2.5,
+                     id="validate-simulation-diagnostics_every-2.5"),
+        pytest.param("validate", "simulation", "diagnostics_every", True,
+                     id="validate-simulation-diagnostics_every-True"),
+        pytest.param("validate", "dissipativity", "direction_count", 10.9,
+                     id="validate-dissipativity-direction_count-10.9"),
+        pytest.param("validate", "dissipativity", "direction_count", "32",
+                     id="validate-dissipativity-direction_count-32"),
         # real parameters are finite JSON numbers and seeds JSON integers
-        ("simulate", "simulation", "t_end", "inf"),
-        ("simulate", "simulation", "t_end", float("inf")),
-        ("simulate", "simulation", "t_end", True),
-        ("simulate", "simulation", "t_end", "0.05"),
-        ("simulate", "simulation", "dt", "0.005"),
-        ("simulate", "simulation", "dt", float("nan")),
-        ("simulate", "simulation", "dt", True),
-        ("validate", "resonance", "tolerance", float("inf")),
-        ("validate", "resonance", "tolerance", True),
-        ("simulate", "simulation", "initial", {"type": "random", "amplitude": "nan"}),
-        ("simulate", "simulation", "initial", {"type": "random", "amplitude": float("nan")}),
-        ("simulate", "simulation", "initial", {"type": "random", "decay": "3"}),
-        ("simulate", "simulation", "initial", {"type": "random", "decay": float("-inf")}),
-        ("simulate", "simulation", "initial", {"type": "random", "seed": 7.9}),
-        ("simulate", "simulation", "initial", {"type": "random", "seed": True}),
-        ("simulate", "simulation", "seed", 2.5),
-        ("simulate", "simulation", "seed", "3"),
-        ("simulate", "simulation", "sobolev_orders", ["nan"]),
-        ("simulate", "simulation", "sobolev_orders", "1"),
+        pytest.param("simulate", "simulation", "t_end", "inf", id="simulate-simulation-t_end-inf0"),
+        pytest.param("simulate", "simulation", "t_end", float("inf"), id="simulate-simulation-t_end-inf1"),
+        pytest.param("simulate", "simulation", "t_end", True, id="simulate-simulation-t_end-True"),
+        pytest.param("simulate", "simulation", "t_end", "0.05", id="simulate-simulation-t_end-0.05"),
+        pytest.param("simulate", "simulation", "dt", "0.005", id="simulate-simulation-dt-0.005"),
+        pytest.param("simulate", "simulation", "dt", float("nan"), id="simulate-simulation-dt-nan"),
+        pytest.param("simulate", "simulation", "dt", True, id="simulate-simulation-dt-True"),
+        pytest.param("validate", "resonance", "tolerance", float("inf"), id="validate-resonance-tolerance-inf"),
+        pytest.param("validate", "resonance", "tolerance", True, id="validate-resonance-tolerance-True"),
+        pytest.param("simulate", "simulation", "initial", {"type": "random", "amplitude": "nan"},
+                     id="simulate-simulation-initial-value37"),
+        pytest.param("simulate", "simulation", "initial", {"type": "random", "amplitude": float("nan")},
+                     id="simulate-simulation-initial-value38"),
+        pytest.param("simulate", "simulation", "initial", {"type": "random", "decay": "3"},
+                     id="simulate-simulation-initial-value39"),
+        pytest.param("simulate", "simulation", "initial", {"type": "random", "decay": float("-inf")},
+                     id="simulate-simulation-initial-value40"),
+        pytest.param("simulate", "simulation", "initial", {"type": "random", "seed": 7.9},
+                     id="simulate-simulation-initial-value41"),
+        pytest.param("simulate", "simulation", "initial", {"type": "random", "seed": True},
+                     id="simulate-simulation-initial-value42"),
+        pytest.param("simulate", "simulation", "seed", 2.5, id="simulate-simulation-seed-2.5"),
+        pytest.param("simulate", "simulation", "seed", "3", id="simulate-simulation-seed-3"),
+        pytest.param("simulate", "simulation", "sobolev_orders", ["nan"],
+                     id="simulate-simulation-sobolev_orders-value45"),
+        pytest.param("simulate", "simulation", "sobolev_orders", "1", id="simulate-simulation-sobolev_orders-1"),
         # a modes entry holds JSON integers and finite JSON numbers
-        ("simulate", "simulation", "initial", one_mode(mode=[1.7, 0], coeff_re=[1, 0, 0, 0])),
-        ("simulate", "simulation", "initial", one_mode(mode=[1, 0], coeff_re=["nan", 0, 0, 0])),
-        ("simulate", "simulation", "initial", one_mode(mode=[1, 0], coeff_re=[1, 0, 0, 0], coeff_im=[float("nan")] * 4)),
+        pytest.param("simulate", "simulation", "initial", one_mode(mode=[1.7, 0], coeff_re=[1, 0, 0, 0]),
+                     id="simulate-simulation-initial-value47"),
+        pytest.param("simulate", "simulation", "initial", one_mode(mode=[1, 0], coeff_re=["nan", 0, 0, 0]),
+                     id="simulate-simulation-initial-value48"),
+        pytest.param("simulate", "simulation", "initial",
+                     one_mode(mode=[1, 0], coeff_re=[1, 0, 0, 0], coeff_im=[float("nan")] * 4),
+                     id="simulate-simulation-initial-value49"),
         # the tolerance is positive, the output directory a JSON string and each alpha a finite JSON number
-        ("validate", "resonance", "tolerance", 0),
-        ("validate", "resonance", "tolerance", -1),
-        ("validate", "outputs", "directory", 5),
-        ("validate", "outputs", "directory", ["out"]),
-        ("dissipativity", "dissipativity", "alpha_grid", ["0.5", True]),
-        ("dissipativity", "dissipativity", "alpha_grid", [0.5, True]),
-        ("dissipativity", "dissipativity", "alpha_grid", [[0.5]]),
-        ("dissipativity", "dissipativity", "alpha_grid", [float("nan")]),
-        ("dissipativity", "dissipativity", "alpha_grid", 2.5),
+        pytest.param("validate", "resonance", "tolerance", 0, id="validate-resonance-tolerance-0"),
+        pytest.param("validate", "resonance", "tolerance", -1, id="validate-resonance-tolerance--1"),
+        pytest.param("validate", "outputs", "directory", 5, id="validate-outputs-directory-5"),
+        pytest.param("validate", "outputs", "directory", ["out"], id="validate-outputs-directory-value53"),
+        pytest.param("dissipativity", "dissipativity", "alpha_grid", ["0.5", True],
+                     id="dissipativity-dissipativity-alpha_grid-value54"),
+        pytest.param("dissipativity", "dissipativity", "alpha_grid", [0.5, True],
+                     id="dissipativity-dissipativity-alpha_grid-value55"),
+        pytest.param("dissipativity", "dissipativity", "alpha_grid", [[0.5]],
+                     id="dissipativity-dissipativity-alpha_grid-value56"),
+        pytest.param("dissipativity", "dissipativity", "alpha_grid", [float("nan")],
+                     id="dissipativity-dissipativity-alpha_grid-value57"),
+        pytest.param("dissipativity", "dissipativity", "alpha_grid", 2.5,
+                     id="dissipativity-dissipativity-alpha_grid-2.5"),
         # the empty directory would be the working directory
-        ("validate", "outputs", "directory", ""),
+        pytest.param("validate", "outputs", "directory", "", id="validate-outputs-directory-"),
         # the zero mode is its own mirror: an imaginary part there is refused, not dropped
-        ("simulate", "simulation", "initial", one_mode(mode=[0, 0], coeff_re=[1, 0, 0, 0], coeff_im=[0.5, 0, 0, 0])),
-        ("validate", None, "lattice_k", 0),
-        ("simulate", "simulation", "dt", 0),
-        ("simulate", "simulation", "initial", {"type": "sine"}),
+        pytest.param("simulate", "simulation", "initial",
+                     one_mode(mode=[0, 0], coeff_re=[1, 0, 0, 0], coeff_im=[0.5, 0, 0, 0]),
+                     id="simulate-simulation-initial-value60"),
+        pytest.param("validate", None, "lattice_k", 0, id="validate-None-lattice_k-0"),
+        pytest.param("simulate", "simulation", "dt", 0, id="simulate-simulation-dt-0"),
+        pytest.param("simulate", "simulation", "initial", {"type": "sine"}, id="simulate-simulation-initial-value63"),
         # the system is a preset name or an inline spec mapping, and the exact rule needs a preset
-        ("validate", None, "system", 5),
-        ("validate", None, "system", {"dim": 1, "ncomp": 1}),
-        ("validate", None, "system", wk.spec_to_dict(wk.SystemSpec(1, 1, [0.0], [[[1.0]]], [[[[0.1]]]],
-                                                                    [[[[0.0]]]], [[1.0]]))),
+        pytest.param("validate", None, "system", 5, id="validate-None-system-5"),
+        pytest.param("validate", None, "system", {"dim": 1, "ncomp": 1}, id="validate-None-system-value65"),
+        pytest.param("validate", None, "system",
+                     wk.spec_to_dict(wk.SystemSpec(1, 1, [0.0], [[[1.0]]], [[[[0.1]]]], [[[[0.0]]]], [[1.0]])),
+                     id="validate-None-system-value66"),
         # a random initial's seed is a Philox key, in [0, 2**128)
-        ("simulate", "simulation", "initial", {"type": "random", "seed": -1}),
-        ("simulate", "simulation", "initial", {"type": "random", "seed": 2**128}),
+        pytest.param("simulate", "simulation", "initial", {"type": "random", "seed": -1},
+                     id="simulate-simulation-initial-value67"),
+        pytest.param("simulate", "simulation", "initial", {"type": "random", "seed": 2**128},
+                     id="simulate-simulation-initial-value68"),
         # simulation.seed keys a random initial that names no seed
-        ("simulate", None, None, {"system": "ideal-gas-2d", "lattice_k": 2, "simulation": {
-            "dt": 0.005, "t_end": 0.05, "seed": -1, "initial": {"type": "random"}}}),
+        pytest.param("simulate", None, None, {"system": "ideal-gas-2d", "lattice_k": 2, "simulation": {
+            "dt": 0.005, "t_end": 0.05, "seed": -1, "initial": {"type": "random"}}}, id="simulate-None-None-value69"),
+        # an unknown key is refused, not ignored: a lattice radius the config cannot hold, a misspelled
+        # integrator and a misspelled seed once ran on the defaults
+        pytest.param("simulate", None, "lattice", {"radius": 16}, id="simulate-None-lattice-radius"),
+        pytest.param("simulate", "simulation", "integrater", "if_rk2", id="simulate-simulation-integrater"),
+        pytest.param("simulate", "simulation", "initial", {"type": "random", "sed": 7},
+                     id="simulate-simulation-initial-sed"),
+        # the initial condition is a JSON object, not a value dict() accepts
+        pytest.param("validate", "simulation", "initial", [], id="validate-simulation-initial-list"),
     ],
 )
 def test_bad_config_values_exit_two(tmp_path, capsys, command, section, key, value):
@@ -177,6 +221,48 @@ def test_bad_config_values_exit_two(tmp_path, capsys, command, section, key, val
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ")
     assert "Traceback" not in err
+
+
+GAS_SPEC = wk.spec_to_dict(wk.build_preset("ideal-gas-2d").spec)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        pytest.param(None, "lattice", {"radius": 16}, "unknown key 'lattice' in the config; known keys: "
+                     "dissipativity, lattice_k, outputs, resonance, simulation, system", id="config"),
+        pytest.param("resonance", "tolerence", 1e-9,
+                     "unknown key 'tolerence' in resonance; known keys: exact_rule, tolerance", id="resonance"),
+        pytest.param("simulation", "integrater", "if_rk2", "unknown key 'integrater' in simulation; known keys: "
+                     "diagnostics_every, dt, initial, integrator, seed, sobolev_orders, t_end", id="simulation"),
+        pytest.param("simulation", "initial", {"type": "random", "sed": 7},
+                     "unknown key 'sed' in a random initial; known keys: amplitude, decay, seed, type",
+                     id="random-initial"),
+        pytest.param("simulation", "initial", {"type": "modes", "entry": []},
+                     "unknown key 'entry' in a modes initial; known keys: entries, type", id="modes-initial"),
+        pytest.param("simulation", "initial", {"type": "zero", "seed": 3},
+                     "unknown key 'seed' in a zero initial; known keys: type", id="zero-initial"),
+        pytest.param("simulation", "initial", one_mode(mode=[1, 0], coeff_re=[1, 0, 0, 0], coeff_imag=[0, 0, 0, 0]),
+                     "unknown key 'coeff_imag' in a modes entry; known keys: coeff_im, coeff_re, mode",
+                     id="modes-entry"),
+        pytest.param("dissipativity", "alpha", 8,
+                     "unknown key 'alpha' in dissipativity; known keys: alpha_grid, direction_count",
+                     id="dissipativity"),
+        pytest.param("outputs", "dir", "out", "unknown key 'dir' in outputs; known keys: directory", id="outputs"),
+        pytest.param(None, "system", {**GAS_SPEC, "lables": ["rho", "u", "v", "theta"]},
+                     "unknown key 'lables' in the inline spec; known keys: advection, diffusion, dim, "
+                     "entropy_hessian, labels, ncomp, quadratic, state", id="inline-spec"),
+        pytest.param(None, "system", {**GAS_SPEC, "diffusion": {**GAS_SPEC["diffusion"], "dtype": "float64"}},
+                     "unknown key 'dtype' in system.diffusion; known keys: data, shape", id="inline-spec-tensor"),
+    ],
+)
+def test_unknown_config_keys_exit_two(tmp_path, capsys, section, key, value, message):
+    data = json.loads(write_config(tmp_path / "run.json").read_text())
+    (data if section is None else data[section])[key] = value
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["operators", "simulate", "wcns-report"])

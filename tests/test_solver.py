@@ -207,6 +207,11 @@ def test_blowup_detection(cns_model):
     with pytest.raises(BlowUpError) as exc:
         wk.simulate(ops, huge, t_end=5.0, dt=1e-2, diagnostics_every=100)
     assert exc.value.magnitude > 1e12
+    # past the threshold a stage overflows within the step: its non-finite state passes the reality
+    # gate, and the blow-up check still names the mode
+    vast = wk.random_real_state(lat, 4, seed=2, decay=1.0, amplitude=1e160)
+    with np.errstate(all="ignore"), pytest.raises(BlowUpError, match=r"\|coeff\| = nan"):
+        wk.simulate(ops, vast, t_end=1e-3, dt=1e-3)
 
 
 def test_simulate_rejects_partial_last_step(cns_ops4):
@@ -228,7 +233,7 @@ def test_per_mode_operators_obey_the_mirror_identity(scalar_spec, system, dim, r
     spec = scalar_spec if system == "scalar" else wk.build_preset(f"ideal-gas-{dim}d").spec
     lat = wk.FrequencyLattice(dim, radius)
     ops = wk.build_operators(spec, lat, with_quadratic=False)
-    blocks = {"avg": ops.avg.blocks, "generator": ops.generator}
+    blocks = {"avg": ops.avg.blocks, "generator": ops.generator, "null_projector": ops.spectrum.null_projector}
     for filtered in (False, True):
         blocks[f"propagators {filtered}"] = ops.propagators(0.01, filtered)
     zero = lat.zero_index()
@@ -262,6 +267,31 @@ def test_stepping_refuses_a_state_with_other_components(wave2_spec, stepper):
     w0 = wk.random_real_state(ops.lattice, 3, seed=3)
     with pytest.raises(ValueError, match="a state of 3 components .* does not fit operators of 2 components"):
         STEPPERS[stepper](ops, w0)
+
+
+ENTRIES = {**STEPPERS, "qbar": lambda ops, w: wk.apply_averaged_quadratic(ops.spec, ops.spectrum, ops.table, w, w)}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_entries_refuse_a_state_that_is_not_real(cns_ops4, entry):
+    # a mirror defect of 1e-6 relative to the largest coefficient is no roundoff: every entry
+    # raises, and none answers on another path
+    w0 = wk.random_real_state(cns_ops4.lattice, 4, seed=3)
+    w0.coeffs[cns_ops4.lattice.upper[0], 1] += 1e-6j * np.abs(w0.coeffs).max()
+    with pytest.raises(ValueError, match=r"not real: its relative mirror defect 1\.000e-06 exceeds 1e-12"):
+        ENTRIES[entry](cns_ops4, w0)
+
+
+def test_simulate_projects_a_roundoff_defect_once(cns_ops4):
+    w0 = wk.random_real_state(cns_ops4.lattice, 4, seed=4)
+    noisy = w0.copy()
+    noisy.coeffs[cns_ops4.lattice.zero_index(), 0] = 1e-17j
+    before = noisy.coeffs.copy()
+    snaps, _ = wk.simulate(cns_ops4, noisy, t_end=0.01, dt=0.005, diagnostics_every=1)
+    want, _ = wk.simulate(cns_ops4, wk.enforce_reality(noisy.copy()), t_end=0.01, dt=0.005, diagnostics_every=1)
+    assert all(a.coeffs.tobytes() == b.coeffs.tobytes() for a, b in zip(snaps, want))
+    assert all(is_reality_symmetric(snap) for snap in snaps)
+    assert noisy.coeffs.tobytes() == before.tobytes()
 
 
 def test_unknown_integrator_rejected(cns_ops4):

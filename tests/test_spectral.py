@@ -293,10 +293,14 @@ def test_frequency_spectrum_matches_per_mode_reference(system, request):
 @pytest.mark.parametrize("dim, radius", [(2, 4), (3, 3)])
 def test_null_projector_sums_the_null_branches(dim, radius):
     spectrum = frequency_spectrum(wk.build_preset(f"ideal-gas-{dim}d").spec, FrequencyLattice(dim, radius))
-    p0 = spectrum.null_projector
+    p0, lattice = spectrum.null_projector, spectrum.lattice
     assert not p0.flags.writeable
-    expected = np.einsum("mj,mjpq->mpq", spectrum.null, spectrum.projectors)
+    # summed on the zero mode and the positive half and completed there, so P0(-xi) = P0(xi) bit for bit;
+    # the sum on the negative half differs by roundoff
+    summed = np.einsum("mj,mjpq->mpq", spectrum.null, spectrum.projectors)
+    expected = lattice.complete(summed[lattice.zero_index():])
     assert p0.shape == expected.shape and p0.tobytes() == expected.tobytes()
+    assert np.abs(p0 - summed).max() <= 1e-14
     # the identity at the zero mode, and the d-dimensional null space elsewhere
     assert np.array_equal(p0[spectrum.lattice.zero_index()], np.eye(dim + 2))
     ranks = np.rint(np.trace(p0, axis1=1, axis2=2)).astype(int)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import wndkit as wk
+from wndkit.state import REALITY_TOL, is_reality_symmetric, require_reality
 
 
 def test_state_from_modes_refuses_complex_zero_mode():
@@ -37,3 +38,35 @@ def test_lattices_equal_by_value_share_states(cns_model):
         wk.evolve_state(spectrum, 0.7, v)
     with pytest.raises(ValueError, match="different lattices"):
         wk.wcns_split(cns_model, spectrum, v)
+
+
+@pytest.mark.parametrize("name, radius", [("ideal-gas-1d", 6), ("ideal-gas-2d", 4), ("ideal-gas-3d", 2)])
+def test_split_and_evolution_of_a_real_state_are_bitwise_real(name, radius):
+    # P0 and the group's per-mode operator are completed by the mirror, so no roundoff breaks reality
+    model = wk.build_preset(name)
+    lat = wk.FrequencyLattice(model.spec.dim, radius)
+    spectrum = wk.frequency_spectrum(model.spec, lat)
+    w = wk.random_real_state(lat, model.spec.ncomp, seed=17, decay=2.0)
+    slow, fast = wk.wcns_split(model, spectrum, w)
+    assert is_reality_symmetric(slow) and is_reality_symmetric(fast)
+    for t in (0.37, -2.2, 1e3):
+        assert is_reality_symmetric(wk.evolve_state(spectrum, t, w)), t
+
+
+def test_reality_gate_projects_a_roundoff_defect_on_a_copy():
+    lat = wk.FrequencyLattice(2, 3)
+    w = wk.random_real_state(lat, 4, seed=5)
+    assert require_reality(w) is w
+    zero_mode, corner = w.copy(), w.copy()
+    zero_mode.coeffs[lat.zero_index()] += 1e-17j
+    corner.coeffs[lat.upper[-1]] += 1e-17
+    for noisy in (zero_mode, corner):
+        assert not is_reality_symmetric(noisy)
+        before = noisy.coeffs.copy()
+        got = require_reality(noisy)
+        assert got is not noisy and got.coeffs.tobytes() == wk.enforce_reality(noisy.copy()).coeffs.tobytes()
+        assert is_reality_symmetric(got) and noisy.coeffs.tobytes() == before.tobytes()
+    far = w.copy()
+    far.coeffs[lat.upper[-1]] += 10 * REALITY_TOL * np.abs(w.coeffs).max()
+    with pytest.raises(ValueError, match="mirror defect"):
+        require_reality(far)
