@@ -1,4 +1,4 @@
-"""Run the five CLI commands on six fixed configs and keep everything they print and write.
+"""Run the five CLI commands on seven fixed configs and keep everything they print and write.
 
     PYTHONPATH=src python scripts/cli_outputs.py OUT
 
@@ -20,8 +20,10 @@ with a nonzero zero mode, so that the zero mode's propagator row and
 if_rk2 reach the snapshots, the 3-D gas at R=2 under the exact rule, and
 an inline 1-D spec whose g a(xi) is not symmetric (a = [[0, 1], [2, 0]],
 g = I), which validate, operators, dissipativity and simulate refuse with
-exit 1.  wcns-report exits 2 on every config but the 2-D presets (it needs
-a 2-D preset).
+exit 1, and the 2-D gas at R=3 from a `modes` entry of 2 of its 4
+components, which every command refuses with exit 2 when it reads the
+config.  wcns-report also exits 2 on every other config but the 2-D
+presets (it needs a 2-D preset).
 """
 
 from __future__ import annotations
@@ -83,6 +85,12 @@ CONFIGS = {
         "system": spec_to_dict(SystemSpec(1, 2, [0.0, 0.0], [[[0.0, 1.0], [2.0, 0.0]]], [[[[1.0, 0.0], [0.0, 0.0]]]],
                                           np.zeros((1, 2, 2, 2)), np.eye(2))),
         "lattice_k": 4,
+    },
+    "bad-modes": {
+        "system": "ideal-gas-2d",
+        "lattice_k": 3,
+        "simulation": {**BASE["simulation"],
+                       "initial": {"type": "modes", "entries": [{"mode": [1, 0], "coeff_re": [0.05, 0.02]}]}},
     },
 }
 

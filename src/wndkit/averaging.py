@@ -57,7 +57,7 @@ import scipy.fft
 import scipy.linalg
 
 from .spectral import FrequencyLattice, Spectrum, mode_csv_rows
-from .state import SpectralState, energy_norm, inner_product, require_reality
+from .state import SpectralState, energy_norm, inner_product, require_fit, require_reality
 from .system import SystemSpec, advection_symbol, diffusion_symbol
 
 __all__ = [
@@ -459,12 +459,12 @@ def apply_averaged_quadratic(
     passes the entry gate `state.require_reality`, and the output is
     reality-symmetric bit for bit (see _CompiledQuadratic).  ValueError
     unless `spectrum is table.spectrum`, `spec is spectrum.spec`, the states
-    live on the table's lattice and each is real.
+    fit the table (its lattice, the spec's components) and each is real.
     """
     if spectrum is not table.spectrum or spec is not spectrum.spec:
         raise ValueError("qbar needs the resonance table's own spectrum and that spectrum's spec")
-    if w1.lattice != table.lattice or w2.lattice != table.lattice:
-        raise ValueError("states and resonance table live on different lattices")
+    require_fit(w1, table.lattice, spec.ncomp, "a resonance table")
+    require_fit(w2, table.lattice, spec.ncomp, "a resonance table")
     real = require_reality(w1)
     return table.quadratic.apply(real, real if w2 is w1 else require_reality(w2))
 

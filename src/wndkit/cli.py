@@ -1,10 +1,11 @@
 """Command-line pipeline: validate -> operators -> dissipativity -> simulate.
 
-Configuration is a single JSON document; all numerics are 64-bit floats.
-CSV output uses 17-significant-digit decimals so regression files are
-byte-stable, and random initial data comes from a counter-based generator
-keyed by the recorded seed, so identical config plus seed reproduces output
-byte for byte.
+Configuration is one JSON document, read once into a `Run`, the resolved run: it
+checks every input and builds the lattice and the initial state, so the commands
+only compute.  All numerics are 64-bit floats; CSV output uses 17-significant-digit
+decimals so regression files are byte-stable, and random initial data comes from a
+counter-based generator keyed by the recorded seed, so identical config plus seed
+reproduces output byte for byte.
 
 Exit codes: 0 success, 1 analysis failure (valid input, negative finding),
 2 input error, 3 runtime blow-up.
@@ -91,6 +92,21 @@ def require_coefficient_steps(steps: float, coefficients: int) -> None:
             f"{steps:.3g} steps of {coefficients} coefficients exceed {MAX_COEFFICIENT_STEPS} coefficient-steps")
 
 
+def snapshot_steps(t_end: float, dt: float, every: int) -> int:
+    """The steps of dt to t_end; ConfigError unless whole, and unless the snapshots (every `every`
+    steps and the last) lie 1e-6 apart: each is named by its time to 6 decimals, and closer ones
+    would overwrite each other."""
+    try:
+        steps = whole_steps(t_end, dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    gap = dt * min(every, steps % every or every)
+    if gap < 1e-6:
+        raise ConfigError(f"snapshots {gap:.3g} apart (dt = {dt:g}, diagnostics_every = {every}, {steps} steps) "
+                          f"would share a file name; they must be at least 1e-06 apart")
+    return steps
+
+
 def _count(value, key: str) -> int:
     """A count must be a JSON integer: a bool, a fraction or a string is an input error."""
     if type(value) is not int:
@@ -134,8 +150,35 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"malformed config at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
+def _modes_state(lattice: FrequencyLattice, n: int, items) -> SpectralState:
+    """The real state of a modes initial's entries (a zero initial has none); ConfigError on a bad entry."""
+    if not isinstance(items, list):
+        raise ConfigError(f"modes 'entries' must be a list, got {items!r}")
+    entries = []
+    for item in items:
+        _require_object(item, ("mode", "coeff_re", "coeff_im"), "a modes entry")
+        try:
+            mode = tuple(_count(c, "mode") for c in item["mode"])
+            re = np.array([_number(c, "coeff_re") for c in item["coeff_re"]], dtype=float)
+            im = np.array([_number(c, "coeff_im") for c in item.get("coeff_im", [0.0] * n)], dtype=float)
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"bad modes entry {item!r}: needs 'mode' and 'coeff_re' ({exc!r})") from exc
+        if not lattice.contains(mode):
+            raise ConfigError(f"mode {list(mode)} is outside the {lattice.dim}-D lattice of radius {lattice.radius}")
+        if re.shape != (n,) or im.shape != (n,):
+            raise ConfigError(f"mode {list(mode)}: coeff_re and coeff_im need {n} components each")
+        entries.append((mode, re + 1j * im))
+    try:
+        return state_from_modes(lattice, n, entries)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 class Run:
-    """Resolved configuration: spec (plus gas model when preset-based) and knobs."""
+    """The resolved run: spec (plus gas model when preset-based), lattice, initial state and settings.
+
+    It checks every input (ConfigError) but those that depend on the command or on what it builds:
+    `wcns-report`'s 2-D preset, the automatic dt's steps and a float-rule table's tolerance."""
 
     def __init__(self, config: dict, seed_override: int | None = None):
         _require_object(config, ("system", "lattice_k", *SECTION_KEYS), "the config")
@@ -174,6 +217,7 @@ class Run:
                 f"lattice_k {self.lattice_k} in {self.spec.dim}-D gives {pairs} convolution pairs, "
                 f"more than {MAX_PAIRS}"
             )
+        self.lattice = FrequencyLattice(self.spec.dim, self.lattice_k)  # only now is its size known to be admitted
         res = config.get("resonance", {})
         self.resonance_tol = _number(res.get("tolerance", 1e-9), "tolerance")
         if self.resonance_tol <= 0.0:
@@ -190,7 +234,7 @@ class Run:
         self.t_end = _number(sim.get("t_end", 1.0), "t_end")
         if self.t_end <= 0.0:
             raise ConfigError("t_end must be positive")
-        coefficients = (2 * self.lattice_k + 1) ** self.spec.dim * self.spec.ncomp
+        coefficients = len(self.lattice) * self.spec.ncomp
         # without dt the steps are counted at 1e-3, a lower bound: the automatic step of cmd_simulate
         # is at most 1e-3, and cmd_simulate checks the step it picks before it writes a snapshot
         require_coefficient_steps(self.t_end / (self.dt or 1e-3), coefficients)
@@ -200,6 +244,8 @@ class Run:
         self.diagnostics_every = _count(sim.get("diagnostics_every", 10), "diagnostics_every")
         if self.diagnostics_every < 1:
             raise ConfigError("diagnostics_every must be >= 1")
+        if self.dt is not None:
+            snapshot_steps(self.t_end, self.dt, self.diagnostics_every)
         orders = sim.get("sobolev_orders", [1.0])
         if type(orders) is not list:
             raise ConfigError(f"sobolev_orders must be a JSON list of numbers, got {json.dumps(orders)}")
@@ -210,16 +256,18 @@ class Run:
             raise ConfigError(f"simulation.initial must be a JSON object of type {', '.join(INITIAL_KEYS)}, "
                               f"got {json.dumps(initial)}")
         _require_object(initial, INITIAL_KEYS[kind], f"a {kind} initial")
-        self.initial_cfg = dict(initial)
         seed = _count(sim.get("seed", 0), "seed")  # the random initial's seed when it names none
         if kind == "random":
-            self.initial_cfg["seed"] = _count(self.initial_cfg.get("seed", seed), "seed")
+            seed = _count(initial.get("seed", seed), "seed")
             if seed_override is not None:
-                self.initial_cfg["seed"] = int(seed_override)
-            if not 0 <= self.initial_cfg["seed"] < 2**128:  # the Philox key range
-                raise ConfigError(f"seed must be in [0, 2**128), got {self.initial_cfg['seed']}")
-            for key, default in (("decay", 3.0), ("amplitude", 0.1)):
-                self.initial_cfg[key] = _number(self.initial_cfg.get(key, default), key)
+                seed = int(seed_override)
+            if not 0 <= seed < 2**128:  # the Philox key range
+                raise ConfigError(f"seed must be in [0, 2**128), got {seed}")
+            decay = _number(initial.get("decay", 3.0), "decay")
+            amplitude = _number(initial.get("amplitude", 0.1), "amplitude")
+            self.initial = random_real_state(self.lattice, self.spec.ncomp, seed, decay, amplitude)
+        else:
+            self.initial = _modes_state(self.lattice, self.spec.ncomp, initial.get("entries", []))
         diss = config.get("dissipativity", {})
         # a count of log-spaced alphas in [1e-2, 1e2], or the alphas themselves
         grid = diss.get("alpha_grid", 32)
@@ -237,9 +285,6 @@ class Run:
             raise ConfigError(
                 f"{self.alphas.size} alphas x {self.direction_count} directions exceed {MAX_PENCILS} criterion pencils")
 
-    def lattice(self) -> FrequencyLattice:
-        return FrequencyLattice(self.spec.dim, self.lattice_k)
-
     def operators(self, lattice: FrequencyLattice):
         """The run's operators; a refused table is an input error under the float rule, a fault under the exact one."""
         rule = ns.make_exact_resonance_rule(self.model) if self.use_exact_rule else None
@@ -249,44 +294,6 @@ class Run:
             if rule is not None:
                 raise
             raise ConfigError(str(exc)) from exc
-
-    def initial_state(self, lattice: FrequencyLattice) -> SpectralState:
-        cfg = self.initial_cfg
-        kind = cfg.get("type", "random")
-        if kind == "random":
-            return random_real_state(
-                lattice,
-                self.spec.ncomp,
-                seed=cfg["seed"],
-                decay=cfg["decay"],
-                amplitude=cfg["amplitude"],
-            )
-        if kind == "modes":
-            n = self.spec.ncomp
-            items = cfg.get("entries", [])
-            if not isinstance(items, list):
-                raise ConfigError(f"modes 'entries' must be a list, got {items!r}")
-            entries = []
-            for item in items:
-                _require_object(item, ("mode", "coeff_re", "coeff_im"), "a modes entry")
-                try:
-                    mode = tuple(_count(c, "mode") for c in item["mode"])
-                    re = np.array([_number(c, "coeff_re") for c in item["coeff_re"]], dtype=float)
-                    im = np.array([_number(c, "coeff_im") for c in item.get("coeff_im", [0.0] * n)], dtype=float)
-                except (KeyError, TypeError) as exc:
-                    raise ConfigError(f"bad modes entry {item!r}: needs 'mode' and 'coeff_re' ({exc!r})") from exc
-                if not lattice.contains(mode):
-                    raise ConfigError(
-                        f"mode {list(mode)} is outside the {lattice.dim}-D lattice of radius {lattice.radius}"
-                    )
-                if re.shape != (n,) or im.shape != (n,):
-                    raise ConfigError(f"mode {list(mode)}: coeff_re and coeff_im need {n} components each")
-                entries.append((mode, re + 1j * im))
-            try:
-                return state_from_modes(lattice, n, entries)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        return state_from_modes(lattice, self.spec.ncomp, [])  # the zero initial
 
 
 def cmd_validate(run: Run, outdir: Path) -> int:
@@ -303,8 +310,7 @@ def cmd_validate(run: Run, outdir: Path) -> int:
 
 def cmd_operators(run: Run, outdir: Path) -> int:
     require_entropy_structure(run.spec)
-    lattice = run.lattice()
-    ops = run.operators(lattice)
+    ops = run.operators(run.lattice)
     write_csv(outdir / "averaged_diffusion.csv", diffusion_csv_rows(ops.avg))
     write_csv(outdir / "spectrum.csv", spectrum_csv_rows(ops.spectrum))
     residuals = []
@@ -312,7 +318,7 @@ def cmd_operators(run: Run, outdir: Path) -> int:
         write_csv(outdir / "resonance_table.csv", resonance_csv_rows(ops.table))
         for trial in range(10):
             states = [
-                random_real_state(lattice, run.spec.ncomp, seed=1000 + 3 * trial + j, decay=2.0)
+                random_real_state(run.lattice, run.spec.ncomp, seed=1000 + 3 * trial + j, decay=2.0)
                 for j in range(3)
             ]
             residuals.append([trial, cyclic_residual(run.spec, ops.spectrum, ops.table, *states)])
@@ -335,11 +341,9 @@ def cmd_operators(run: Run, outdir: Path) -> int:
 
 def cmd_dissipativity(run: Run, outdir: Path) -> int:
     require_entropy_structure(run.spec)
-    lattice = run.lattice()
-    ops = build_operators(run.spec, lattice, with_quadratic=False)
-    report = analyze_dissipativity(
-        run.spec, lattice, ops.avg, alphas=run.alphas, extra_directions=run.direction_count
-    )
+    ops = build_operators(run.spec, run.lattice, with_quadratic=False)
+    report = analyze_dissipativity(run.spec, run.lattice, ops.avg, alphas=run.alphas,
+                                   extra_directions=run.direction_count)
     write_keyvalue(outdir / "dissipativity_report.txt", report.as_dict())
     if report.beta_by_alpha:
         write_csv(outdir / "beta_by_alpha.csv", [["alpha", "beta"]] + [list(p) for p in report.beta_by_alpha])
@@ -354,28 +358,22 @@ def cmd_dissipativity(run: Run, outdir: Path) -> int:
 
 
 def cmd_simulate(run: Run, outdir: Path) -> int:
-    if run.dt is not None:
-        try:
-            whole_steps(run.t_end, run.dt)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     require_entropy_structure(run.spec)
-    lattice = run.lattice()
-    ops = run.operators(lattice)
-    initial = run.initial_state(lattice)
+    ops = run.operators(run.lattice)
     dt = run.dt
     if dt is None:
         # keep the nonlinear stage error dominant: resolve the fastest frequency,
         # in the fewest equal steps that end at t_end
         dt_max = min(1e-3, 0.1 / ops.omega_max) if ops.omega_max > 0 else 1e-3
         dt = run.t_end / math.ceil(run.t_end / dt_max)
-        require_coefficient_steps(whole_steps(run.t_end, dt), len(lattice) * run.spec.ncomp)
+        steps = snapshot_steps(run.t_end, dt, run.diagnostics_every)
+        require_coefficient_steps(steps, len(run.lattice) * run.spec.ncomp)
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
     try:
         snapshots, series = simulate(
             ops,
-            initial,
+            run.initial,
             t_end=run.t_end,
             dt=dt,
             method=run.integrator,
@@ -395,7 +393,7 @@ def cmd_simulate(run: Run, outdir: Path) -> int:
         for t, e in zip(series.times, series.energy):
             handle.write(f"{_fmt(t)} {_fmt(e)}\n")
     for snap in snapshots:
-        write_csv(snapdir / f"state_t{snap.time:.6f}.csv", mode_csv_rows(lattice, snap.coeffs))
+        write_csv(snapdir / f"state_t{snap.time:.6f}.csv", mode_csv_rows(run.lattice, snap.coeffs))
     print(f"simulated to t = {series.times[-1]:.6g}; final energy {series.energy[-1]:.6e}; "
           f"max budget residual {np.abs(series.budget_residual).max():.3e}")
     return EXIT_OK
@@ -407,10 +405,7 @@ def cmd_wcns_report(run: Run, outdir: Path) -> int:
     if run.model.dim != 2:
         raise ConfigError(f"wcns-report needs a 2-D gas-dynamics preset, got d = {run.model.dim}")
     require_entropy_structure(run.spec)
-    lattice = run.lattice()
-    if lattice.radius < 5:
-        lattice = FrequencyLattice(run.spec.dim, 5)
-    ops = run.operators(lattice)
+    ops = run.operators(run.lattice if run.lattice_k >= 5 else FrequencyLattice(run.spec.dim, 5))
     report = ns.wcns_coupling_report(run.model, ops.spectrum, ops.table)
     with open(outdir / "wcns_report.json", "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=1)

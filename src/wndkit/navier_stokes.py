@@ -51,7 +51,7 @@ import numpy as np
 from .averaging import apply_averaged_quadratic
 from .solver import whole_steps
 from .spectral import FrequencyLattice, Spectrum
-from .state import SpectralState, state_from_modes
+from .state import SpectralState, require_fit, state_from_modes
 from .system import SystemSpec, change_of_variables
 
 __all__ = [
@@ -374,12 +374,11 @@ def wcns_split(model: CnsModel, spectrum: Spectrum, state: SpectralState) -> tup
     the incompressible part (divergence-free velocity, pressure-neutral
     thermodynamics); the rest lives on the +-c0|k| eigenspaces.  The zero
     mode is incompressible.  ValueError unless the spectrum decomposes
-    `model.spec` and the state lives on its lattice.
+    `model.spec` and the state fits it (its lattice, the spec's components).
     """
     if spectrum.spec is not model.spec:
         raise ValueError("wcns_split needs a spectrum of the model's own spec")
-    if state.lattice != spectrum.lattice:
-        raise ValueError("spectrum and state live on different lattices")
+    require_fit(state, spectrum.lattice, model.spec.ncomp, "a spectrum")
     incompressible = np.matmul(spectrum.null_projector, state.coeffs[:, :, None])[:, :, 0]
     w_in = SpectralState(state.lattice, incompressible, state.time)
     return w_in, SpectralState(state.lattice, state.coeffs - incompressible, state.time)

@@ -42,7 +42,7 @@ from .averaging import (
     build_resonance_table,
 )
 from .spectral import FrequencyLattice, Mode, Spectrum, frequency_spectrum
-from .state import SpectralState, energy_norm, evolve_state, inner_product, require_reality, sobolev_norm
+from .state import SpectralState, energy_norm, evolve_state, inner_product, require_fit, require_reality, sobolev_norm
 from .system import SystemSpec
 
 __all__ = [
@@ -134,9 +134,7 @@ def build_operators(
 
 def _entry(ops: WndOperators, state: SpectralState) -> SpectralState:
     """The state, gated by `require_reality`; ValueError unless it has the operators' lattice and components."""
-    if state.lattice != ops.lattice or state.ncomp != ops.spec.ncomp:
-        raise ValueError(f"a state of {state.ncomp} components on {state.lattice} does not fit "
-                         f"operators of {ops.spec.ncomp} components on {ops.lattice}")
+    require_fit(state, ops.lattice, ops.spec.ncomp, "operators")
     return require_reality(state)
 
 

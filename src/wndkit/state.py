@@ -34,6 +34,7 @@ __all__ = [
     "enforce_reality",
     "is_reality_symmetric",
     "require_reality",
+    "require_fit",
     "inner_product",
     "energy_norm",
     "sobolev_norm",
@@ -117,6 +118,13 @@ def require_reality(state: SpectralState) -> SpectralState:
     return enforce_reality(state.copy())
 
 
+def require_fit(state: SpectralState, lattice: FrequencyLattice, ncomp: int, what: str) -> None:
+    """ValueError, naming `what` the state must fit, unless it has `ncomp` components on `lattice`."""
+    if state.lattice != lattice or state.ncomp != ncomp:
+        raise ValueError(f"a state of {state.ncomp} components on {state.lattice} does not fit "
+                         f"{what} of {ncomp} components on {lattice}")
+
+
 def random_real_state(
     lattice: FrequencyLattice,
     ncomp: int,
@@ -160,9 +168,10 @@ def sobolev_norm(spec: SystemSpec, state: SpectralState, s: float) -> float:
 
 
 def evolve_state(spectrum: Spectrum, t: float, state: SpectralState) -> SpectralState:
-    """Apply the unitary group mode-wise: w(xi) <- sum_j e^{-i omega_j t} p_j w(xi), from the half by the mirror."""
-    if state.lattice != spectrum.lattice:
-        raise ValueError("spectrum and state live on different lattices")
+    """Apply the unitary group mode-wise: w(xi) <- sum_j e^{-i omega_j t} p_j w(xi), from the half by the mirror.
+
+    ValueError unless the state fits the spectrum (its lattice, its spec's components)."""
+    require_fit(state, spectrum.lattice, spectrum.spec.ncomp, "a spectrum")
     zero = spectrum.lattice.zero_index()
     phases = np.exp(-1j * spectrum.frequencies[zero:] * t)
     group = spectrum.lattice.complete(np.einsum("mj,mjpq->mpq", phases, spectrum.projectors[zero:]))

@@ -365,41 +365,101 @@ def modes_config(path: Path, entries: list) -> Path:
     return cfg
 
 
+def input_error(capsys, command: str, cfg: Path) -> str:
+    """The one `input error:` line of a command that exits 2."""
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ")
+    return err
+
+
+@pytest.fixture
+def refused_at_load(monkeypatch, capsys):
+    """Run a command on a config it must refuse as it reads it: exit 2, nothing built or written."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_operators called")
+
+    monkeypatch.setattr(cli, "build_operators", refuse)
+
+    def run(command: str, cfg: Path) -> str:
+        err = input_error(capsys, command, cfg)
+        assert not (cfg.parent / "out").exists()
+        return err
+
+    return run
+
+
+def on_every_command(cases: list, ids: list[str]) -> list:
+    # the simulate cases keep the ids they had when only simulate was run
+    return [pytest.param(command, case, id=i if command == "simulate" else f"{command}-{i}")
+            for command in sorted(cli.COMMANDS) for case, i in zip(cases, ids)]
+
+
 @pytest.mark.parametrize(
-    "entry",
-    [
+    "command, entry",
+    on_every_command([
         {"coeff_re": [1.0, 0.0, 0.0, 0.0]},  # no mode
         {"mode": [1, 0]},  # no coeff_re
         {"mode": [9, 9], "coeff_re": [1.0, 0.0, 0.0, 0.0]},  # outside the radius-2 lattice
         {"mode": [1], "coeff_re": [1.0, 0.0, 0.0, 0.0]},  # 1-D mode on the 2-D lattice
         {"mode": [1, 0], "coeff_re": [1.0, 0.0]},  # 2 components for the 4-component gas
         {"mode": [1, 0], "coeff_re": [1.0, 0.0, 0.0, 0.0], "coeff_im": [1.0]},
-    ],
+    ], [f"entry{i}" for i in range(6)]),
 )
-def test_bad_modes_entry_exits_two(tmp_path, capsys, entry):
-    cfg = modes_config(tmp_path / "run.json", [entry])
-    assert main(["simulate", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ")
+def test_bad_modes_entry_exits_two(tmp_path, refused_at_load, command, entry):
+    refused_at_load(command, modes_config(tmp_path / "run.json", [entry]))
 
 
-@pytest.mark.parametrize("entries", [5, None])
-def test_modes_entries_not_a_list_exits_two(tmp_path, capsys, entries):
-    cfg = modes_config(tmp_path / "run.json", entries)
-    assert main(["simulate", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ")
+@pytest.mark.parametrize("command, entries", on_every_command([5, None], ["5", "None"]))
+def test_modes_entries_not_a_list_exits_two(tmp_path, refused_at_load, command, entries):
+    refused_at_load(command, modes_config(tmp_path / "run.json", entries))
 
 
-def test_simulate_dt_must_divide_t_end(tmp_path, capsys):
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_dt_must_divide_t_end(tmp_path, refused_at_load, command):
     cfg = write_config(tmp_path / "run.json")
     data = json.loads(cfg.read_text())
     data["simulation"]["dt"] = 0.03  # t_end 0.05 is not a whole number of steps
     cfg.write_text(json.dumps(data))
-    assert main(["simulate", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ")
-    assert not (tmp_path / "out" / "diagnostics.csv").exists()
+    assert "is not a whole number of steps" in refused_at_load(command, cfg)
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@pytest.mark.parametrize("t_end, every", [(2e-6, 1), (2.1e-6, 10)], ids=["every-step", "remainder"])
+def test_snapshots_closer_than_their_file_names_exit_two(tmp_path, refused_at_load, t_end, every, command):
+    # snapshot files are named by their time to 6 decimals: 21 snapshots 1e-7 apart once left 3 files, and
+    # 21 steps with a snapshot every 10 end in a last one 1e-7 after the one before it
+    cfg = write_config(tmp_path / "run.json", lattice_k=1)
+    data = json.loads(cfg.read_text())
+    data["simulation"].update(dt=1e-7, t_end=t_end, diagnostics_every=every)
+    cfg.write_text(json.dumps(data))
+    assert "1e-07 apart" in refused_at_load(command, cfg)
+
+
+def test_snapshots_1e6_apart_each_keep_a_file(tmp_path):
+    cfg = write_config(tmp_path / "run.json", lattice_k=1)
+    data = json.loads(cfg.read_text())
+    data["simulation"].update(dt=1e-7, t_end=2e-6, diagnostics_every=10)
+    cfg.write_text(json.dumps(data))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    names = sorted(path.name for path in (tmp_path / "out" / "snapshots").iterdir())
+    assert names == ["state_t0.000000.csv", "state_t0.000001.csv", "state_t0.000002.csv"]
+    assert len((tmp_path / "out" / "diagnostics.csv").read_text().splitlines()) == 1 + 3
+
+
+def test_automatic_step_with_snapshots_closer_than_their_file_names_exits_two(tmp_path, capsys, monkeypatch):
+    # a = 2000 at R=100 makes omega_max 2 x 10^5 and the automatic step at most 5 x 10^-7, which Run cannot
+    # know: 1e-5 / 5e-7 rounds up to 21 steps
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate called")
+
+    monkeypatch.setattr(cli, "simulate", refuse)
+    fast = wk.SystemSpec(1, 1, [0.0], [[[2000.0]]], [[[[1.0]]]], [[[[0.0]]]], [[1.0]])
+    cfg = write_config(tmp_path / "run.json", system=wk.spec_to_dict(fast), lattice_k=100,
+                       resonance={"exact_rule": False}, simulation={"t_end": 1e-5, "diagnostics_every": 1})
+    err = input_error(capsys, "simulate", cfg)
+    assert "snapshots 4.76e-07 apart (dt = 4.7619e-07, diagnostics_every = 1, 21 steps) would share" in err
+    assert not (tmp_path / "out" / "snapshots").exists()
 
 
 def test_simulate_default_dt_ends_at_t_end(tmp_path, capsys):

@@ -30,12 +30,17 @@ def test_cli_outputs_script_keeps_every_command_run(tmp_path):
         (path.parent.parent.name, path.parent.name): int(path.read_text())
         for path in tmp_path.glob("*/*/exit_code")
     }
-    assert len(codes) == 30
-    # wcns-report needs a 2-D preset: on the other configs it is an input error
-    refused = {"gas1d-r6", "inline", "gas3d-r2", "asymmetric"}
-    assert {run for run, code in codes.items() if code == 2} == {(config, "wcns-report") for config in refused}
-    for config in refused:
-        assert (tmp_path / config / "wcns-report" / "stderr").read_text().startswith("input error: ")
+    assert len(codes) == 35
+    # wcns-report needs a 2-D preset: on the other configs it is an input error; and every command
+    # refuses a modes entry of 2 components for the 4-component gas when it reads the config
+    commands = ("validate", "operators", "dissipativity", "simulate", "wcns-report")
+    refused = {(config, "wcns-report") for config in ("gas1d-r6", "inline", "gas3d-r2", "asymmetric")}
+    refused |= {("bad-modes", command) for command in commands}
+    assert {run for run, code in codes.items() if code == 2} == refused
+    for config, command in refused:
+        assert (tmp_path / config / command / "stderr").read_text().startswith("input error: ")
+    assert {(tmp_path / "bad-modes" / command / "stderr").read_text() for command in commands} == {
+        "input error: mode [1, 0]: coeff_re and coeff_im need 4 components each\n"}
     # the spec without entropy structure fails validation, and the commands on the spectrum refuse it
     failed = {(run, command) for (run, command), code in codes.items() if code == 1}
     assert failed == {("asymmetric", c) for c in ("validate", "operators", "dissipativity", "simulate")}

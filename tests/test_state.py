@@ -34,10 +34,28 @@ def test_lattices_equal_by_value_share_states(cns_model):
     v = wk.random_real_state(other, 4, seed=5)
     with pytest.raises(ValueError, match="different lattices"):
         wk.inner_product(cns_model.spec, w, v)
-    with pytest.raises(ValueError, match="different lattices"):
+    with pytest.raises(ValueError, match=r"radius=3\) does not fit a spectrum of 4 components on .*radius=2\)"):
         wk.evolve_state(spectrum, 0.7, v)
-    with pytest.raises(ValueError, match="different lattices"):
+    with pytest.raises(ValueError, match=r"radius=3\) does not fit a spectrum of 4 components on .*radius=2\)"):
         wk.wcns_split(cns_model, spectrum, v)
+
+
+FIT_ENTRIES = {
+    "qbar": lambda model, ops, w, real: wk.apply_averaged_quadratic(ops.spec, ops.spectrum, ops.table, real, w),
+    "cyclic_residual": lambda model, ops, w, real: wk.cyclic_residual(ops.spec, ops.spectrum, ops.table, w, real, real),
+    "wcns_split": lambda model, ops, w, real: wk.wcns_split(model, ops.spectrum, w),
+    "evolve_state": lambda model, ops, w, real: wk.evolve_state(ops.spectrum, 0.7, w),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FIT_ENTRIES))
+def test_entries_refuse_a_state_with_other_components_by_name(cns_model, cns_ops4, entry):
+    # a 5-component state on the 4-component gas's lattice is named at the entry, not left to a numpy shape error
+    real = wk.random_real_state(cns_ops4.lattice, 4, seed=5)
+    w = wk.random_real_state(cns_ops4.lattice, 5, seed=5)
+    with pytest.raises(ValueError, match=r"a state of 5 components on .*radius=4\) does not fit "
+                                         r"(a resonance table|a spectrum) of 4 components on .*radius=4\)"):
+        FIT_ENTRIES[entry](cns_model, cns_ops4, w, real)
 
 
 @pytest.mark.parametrize("name, radius", [("ideal-gas-1d", 6), ("ideal-gas-2d", 4), ("ideal-gas-3d", 2)])
