@@ -1,4 +1,4 @@
-"""Run the five CLI commands on seven fixed configs and keep everything they print and write.
+"""Run the five CLI commands on eight fixed configs and keep everything they print and write.
 
     PYTHONPATH=src python scripts/cli_outputs.py OUT
 
@@ -22,8 +22,10 @@ an inline 1-D spec whose g a(xi) is not symmetric (a = [[0, 1], [2, 0]],
 g = I), which validate, operators, dissipativity and simulate refuse with
 exit 1, and the 2-D gas at R=3 from a `modes` entry of 2 of its 4
 components, which every command refuses with exit 2 when it reads the
-config.  wcns-report also exits 2 on every other config but the 2-D
-presets (it needs a 2-D preset).
+config, and the 2-D gas at R=1 stepped by dt = 1.5e-6 to 3e-5 with a
+snapshot every step, whose 21 snapshot files are named by the times of
+their diagnostics.csv rows, t = i dt.  wcns-report also exits 2 on every
+other config but the 2-D presets (it needs a 2-D preset).
 """
 
 from __future__ import annotations
@@ -91,6 +93,11 @@ CONFIGS = {
         "lattice_k": 3,
         "simulation": {**BASE["simulation"],
                        "initial": {"type": "modes", "entries": [{"mode": [1, 0], "coeff_re": [0.05, 0.02]}]}},
+    },
+    "clock": {
+        "system": "ideal-gas-2d",
+        "lattice_k": 1,
+        "simulation": {**BASE["simulation"], "dt": 1.5e-6, "t_end": 3e-5, "diagnostics_every": 1},
     },
 }
 

@@ -114,7 +114,9 @@ def averaged_diffusion(spectrum: Spectrum) -> AveragedDiffusion:
 
 
 def apply_averaged_diffusion(avg: AveragedDiffusion, state: SpectralState) -> SpectralState:
-    return SpectralState(state.lattice, np.einsum("mpq,mq->mp", avg.blocks, state.coeffs), state.time)
+    """dbar w, mode-wise; ValueError unless the state has the blocks' lattice and components."""
+    require_fit(state, avg.lattice, avg.blocks.shape[1], "an averaged diffusion")
+    return SpectralState(state.lattice, np.einsum("mpq,mq->mp", avg.blocks, state.coeffs))
 
 
 def averaged_diffusion_oracle(
@@ -442,7 +444,7 @@ class _CompiledQuadratic:
             c2 = c1  # qbar(w, w) whatever the arrays: one input to transform, symmetric products
         upper = self._table(c1, c2) + self._null(c1, c2)
         half = np.concatenate([np.zeros((1, self.ncomp), dtype=complex), upper])
-        return SpectralState(w1.lattice, self.lattice.complete(half), w1.time)
+        return SpectralState(w1.lattice, self.lattice.complete(half))
 
 
 def apply_averaged_quadratic(
@@ -475,17 +477,18 @@ def apply_quadratic(spec: SystemSpec, w1: SpectralState, w2: SpectralState) -> S
         out(m) = sum_{k+l=m} (i m . q)(w1(k), w2(l)),
 
     by direct pair summation (no FFT, hence no aliasing ambiguity).  Used as
-    the all-resonant oracle.
+    the all-resonant oracle.  ValueError unless both states have w1's lattice
+    and the spec's components.
     """
     lattice = w1.lattice
-    if w2.lattice != lattice:
-        raise ValueError("states live on different lattices")
+    for w in (w1, w2):
+        require_fit(w, lattice, spec.ncomp, "a spec")
     pk, pl, pm, seg_starts, seg_modes = lattice.convolution_pairs()
     quad = np.einsum("aijk,tj,tk->tai", spec.quadratic, w1.coeffs[pk], w2.coeffs[pl])
     div = 1j * np.einsum("ta,tai->ti", lattice.array[pm].astype(float), quad)
     out = np.zeros(w1.coeffs.shape, dtype=complex)
     out[seg_modes] = np.add.reduceat(div, seg_starts)
-    return SpectralState(lattice, out, w1.time)
+    return SpectralState(lattice, out)
 
 
 def quadratic_time_average_oracle(
@@ -534,7 +537,7 @@ def quadratic_time_average_oracle(
     avg = np.concatenate([avg, avg[-2::-1].conj()])
     out = np.zeros(state.coeffs.shape, dtype=complex)
     out[seg_modes] = np.add.reduceat(np.einsum("tijk,tj,tk->ti", avg, state.coeffs[pk], state.coeffs[pl]), seg_starts)
-    return SpectralState(lattice, out, state.time)
+    return SpectralState(lattice, out)
 
 
 def cyclic_residual(

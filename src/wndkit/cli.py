@@ -51,9 +51,11 @@ MAX_PAIRS = 12_000_000
 MAX_PENCILS = 10_000_000
 # a simulation keeps at most one snapshot of every coefficient (mode x component) per step: 800 MB here.
 # The steps are those of the dt that runs: Run counts an explicit dt, cmd_simulate the automatic one.
-# On a 2-core host a coefficient-step takes 1.4-4.4 us (1-4 min here) from ~100 coefficients up; below
-# that a step's fixed 0.2-0.6 ms dominates, and 3 coefficients admit 1.7 x 10^7 steps (~1 h)
+# With one BLAS thread on a 2-core host, a step takes 0.22-0.25 ms on 3-36 coefficients (the 1-D and 2-D
+# gas at R=1) and 0.74 ms on 1,156 (2-D R=8), 0.64 us a coefficient: so a step is charged at least
+# STEP_COEFFICIENTS, its fixed cost, and the cap is ~30 s of steps at these sizes here
 MAX_COEFFICIENT_STEPS = 50_000_000
+STEP_COEFFICIENTS = 350
 
 
 # the keys each section and each initial type of a config may hold; any other is an input error
@@ -87,9 +89,9 @@ def require_entropy_structure(spec) -> None:
 
 
 def require_coefficient_steps(steps: float, coefficients: int) -> None:
-    if steps * coefficients > MAX_COEFFICIENT_STEPS:
-        raise ConfigError(
-            f"{steps:.3g} steps of {coefficients} coefficients exceed {MAX_COEFFICIENT_STEPS} coefficient-steps")
+    if steps * max(coefficients, STEP_COEFFICIENTS) > MAX_COEFFICIENT_STEPS:
+        raise ConfigError(f"{steps:.3g} steps of {coefficients} coefficients exceed {MAX_COEFFICIENT_STEPS} "
+                          f"coefficient-steps (a step costs at least {STEP_COEFFICIENTS} coefficients)")
 
 
 def snapshot_steps(t_end: float, dt: float, every: int) -> int:
@@ -392,8 +394,8 @@ def cmd_simulate(run: Run, outdir: Path) -> int:
     with open(outdir / "energy.dat", "w", encoding="utf-8") as handle:
         for t, e in zip(series.times, series.energy):
             handle.write(f"{_fmt(t)} {_fmt(e)}\n")
-    for snap in snapshots:
-        write_csv(snapdir / f"state_t{snap.time:.6f}.csv", mode_csv_rows(run.lattice, snap.coeffs))
+    for t, snap in zip(series.times, snapshots):
+        write_csv(snapdir / f"state_t{t:.6f}.csv", mode_csv_rows(run.lattice, snap.coeffs))
     print(f"simulated to t = {series.times[-1]:.6g}; final energy {series.energy[-1]:.6e}; "
           f"max budget residual {np.abs(series.budget_residual).max():.3e}")
     return EXIT_OK

@@ -380,8 +380,8 @@ def wcns_split(model: CnsModel, spectrum: Spectrum, state: SpectralState) -> tup
         raise ValueError("wcns_split needs a spectrum of the model's own spec")
     require_fit(state, spectrum.lattice, model.spec.ncomp, "a spectrum")
     incompressible = np.matmul(spectrum.null_projector, state.coeffs[:, :, None])[:, :, 0]
-    w_in = SpectralState(state.lattice, incompressible, state.time)
-    return w_in, SpectralState(state.lattice, state.coeffs - incompressible, state.time)
+    w_in = SpectralState(state.lattice, incompressible)
+    return w_in, SpectralState(state.lattice, state.coeffs - incompressible)
 
 
 def acoustic_sum_resonant(a, b, c, s1, s2, s3):

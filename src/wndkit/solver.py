@@ -99,9 +99,10 @@ class WndOperators:
     def lattice(self) -> FrequencyLattice:
         return self.spectrum.lattice
 
-    def quadratic_tendency(self, state: SpectralState) -> np.ndarray:
+    def quadratic_tendency(self, coeffs: np.ndarray) -> np.ndarray:
         if self.table is None:
-            return np.zeros_like(state.coeffs)
+            return np.zeros_like(coeffs)
+        state = SpectralState(self.lattice, coeffs)
         return apply_averaged_quadratic(self.spec, self.spectrum, self.table, state, state).coeffs
 
     def propagators(self, dt: float, filtered: bool) -> np.ndarray:
@@ -142,11 +143,7 @@ def rhs(ops: WndOperators, state: SpectralState) -> SpectralState:
     """Tendency -A w - qbar(w, w) + dbar w, mode-wise; ValueError unless the state fits and is real."""
     state = _entry(ops, state)
     lin = np.einsum("mpq,mq->mp", ops.generator, state.coeffs)
-    return SpectralState(state.lattice, lin - ops.quadratic_tendency(state), state.time)
-
-
-def _stage_rhs(ops: WndOperators, coeffs: np.ndarray, template: SpectralState) -> np.ndarray:
-    return -ops.quadratic_tendency(SpectralState(template.lattice, coeffs, template.time))
+    return SpectralState(state.lattice, lin - ops.quadratic_tendency(state.coeffs))
 
 
 def _apply(props: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -169,22 +166,22 @@ def step(
     full = ops.propagators(dt, filtered)
     coeffs = state.coeffs
     if method == "if_rk2":
-        k1 = _stage_rhs(ops, coeffs, state)
+        k1 = -ops.quadratic_tendency(coeffs)
         mid = ops.propagators(0.5 * dt, filtered)
-        k2 = _stage_rhs(ops, _apply(mid, coeffs + 0.5 * dt * k1), state)
+        k2 = -ops.quadratic_tendency(_apply(mid, coeffs + 0.5 * dt * k1))
         new = _apply(full, coeffs) + dt * _apply(mid, k2)
     else:
         half = ops.propagators(0.5 * dt, filtered)
-        k1 = _stage_rhs(ops, coeffs, state)
+        k1 = -ops.quadratic_tendency(coeffs)
         u_half = _apply(half, coeffs)
-        k2 = _stage_rhs(ops, u_half + 0.5 * dt * _apply(half, k1), state)
-        k3 = _stage_rhs(ops, u_half + 0.5 * dt * k2, state)
-        k4 = _stage_rhs(ops, _apply(half, u_half + dt * k3), state)
+        k2 = -ops.quadratic_tendency(u_half + 0.5 * dt * _apply(half, k1))
+        k3 = -ops.quadratic_tendency(u_half + 0.5 * dt * k2)
+        k4 = -ops.quadratic_tendency(_apply(half, u_half + dt * k3))
         new = (
             _apply(full, coeffs)
             + (dt / 6.0) * (_apply(full, k1) + 2.0 * _apply(half, k2 + k3) + k4)
         )
-    return SpectralState(state.lattice, new, state.time + dt)
+    return SpectralState(state.lattice, new)
 
 
 def _check_finite(ops: WndOperators, coeffs: np.ndarray, time: float) -> None:
@@ -198,7 +195,9 @@ def _check_finite(ops: WndOperators, coeffs: np.ndarray, time: float) -> None:
 
 @dataclass(eq=False)
 class DiagnosticsSeries:
-    """Time series of energy, dissipation, Sobolev norms and budget defects."""
+    """Time series of energy, dissipation, Sobolev norms and budget defects.
+
+    `times` is the run's one clock, i dt at the snapshot after i steps."""
 
     times: np.ndarray
     energy: np.ndarray
@@ -241,8 +240,9 @@ def simulate(
     t_end must be a whole number of steps of dt, and the initial state must fit the
     operators and be real (ValueError otherwise): it passes the entry gate once, so every
     snapshot is reality-symmetric.  Snapshots are full states taken every
-    `diagnostics_every` steps (plus the final state).  The budget residual reported
-    at each snapshot is the defect of the energy identity accumulated from t = 0.
+    `diagnostics_every` steps (plus the final state), at the series' times.  The
+    budget residual reported at each snapshot is the defect of the energy identity
+    accumulated from t = 0.
     """
     if t_end <= 0.0 or dt <= 0.0:
         raise ValueError("need t_end > 0 and dt > 0")
@@ -267,12 +267,13 @@ def simulate(
         energy_samples[i] = 0.5 * energy_norm(spec, st) ** 2
         diss_samples[i] = -inner_product(spec, st, apply_averaged_diffusion(ops.avg, st)).real
 
+    times = dt * np.arange(n_steps + 1)  # the run's one clock: the state after i steps is at t = i dt
     snap_indices: list[int] = []
     snapshots: list[SpectralState] = []
     for i in range(n_steps + 1):
         if i:
             state = step(ops, state, dt, method, filtered=filtered)
-            _check_finite(ops, state.coeffs, state.time)
+            _check_finite(ops, state.coeffs, float(times[i]))
         record(i, state)
         if i % diagnostics_every == 0 or i == n_steps:
             snap_indices.append(i)
@@ -280,7 +281,6 @@ def simulate(
             if snapshot_hook is not None:
                 snapshot_hook(snapshots[-1])
 
-    times = dt * np.arange(n_steps + 1)
     dissipated = scipy.integrate.cumulative_simpson(diss_samples, x=times, initial=0.0)
     idx = np.asarray(snap_indices)
     budget = energy_samples[idx] + dissipated[idx] - energy_samples[0]
@@ -312,10 +312,10 @@ def filtered_equivalence_check(
     for integrating-factor schemes; the defect measures roundoff only.
     """
     full_snaps, _ = simulate(ops, initial, t_end, dt, diagnostics_every=diagnostics_every)
-    filt_snaps, _ = simulate(ops, initial, t_end, dt, diagnostics_every=diagnostics_every, filtered=True)
+    filt_snaps, series = simulate(ops, initial, t_end, dt, diagnostics_every=diagnostics_every, filtered=True)
     worst = 0.0
-    for w_snap, y_snap in zip(full_snaps, filt_snaps):
-        unfiltered = evolve_state(ops.spectrum, y_snap.time, y_snap)
+    for t, w_snap, y_snap in zip(series.times, full_snaps, filt_snaps):
+        unfiltered = evolve_state(ops.spectrum, t, y_snap)
         num = energy_norm(ops.spec, _diff_state(w_snap, unfiltered))
         den = max(energy_norm(ops.spec, w_snap), 1e-300)
         worst = max(worst, num / den)
@@ -323,7 +323,7 @@ def filtered_equivalence_check(
 
 
 def _diff_state(a: SpectralState, b: SpectralState) -> SpectralState:
-    return SpectralState(a.lattice, a.coeffs - b.coeffs, a.time)
+    return SpectralState(a.lattice, a.coeffs - b.coeffs)
 
 
 @dataclass(frozen=True)
@@ -396,4 +396,4 @@ def weak_strong_experiment(
 def _grad_weight(state: SpectralState) -> SpectralState:
     """State with coefficients scaled by |xi| (spectral gradient magnitude)."""
     mags = np.sqrt((state.lattice.array.astype(float) ** 2).sum(axis=1))
-    return SpectralState(state.lattice, state.coeffs * mags[:, None], state.time)
+    return SpectralState(state.lattice, state.coeffs * mags[:, None])

@@ -1,6 +1,8 @@
 """Truncated Fourier coefficient fields and the entropy inner product.
 
-A state stores one complex N-vector per lattice mode.  Real physical fields
+A state is a field, (lattice, coeffs): one complex N-vector per lattice mode
+and no time, as the operators acting on it are time-independent; a run's
+times are `simulate`'s DiagnosticsSeries.times.  Real physical fields
 satisfy the reality symmetry  w(-xi) = conj(w(xi)), which every per-mode
 operator keeps bit for bit (each is completed from the positive half by the
 mirror); the solver and `qbar` take them through one gate, `require_reality`.
@@ -10,7 +12,8 @@ The inner product is the Plancherel form weighted by the entropy Hessian g,
     (w1 | w2) = sum_xi  w1(xi)^H g w2(xi),
 
 with the torus volume factor absorbed so that a constant field c has squared
-norm c^T g c.  Sobolev norms weight each mode by (1 + |xi|^2)^s applied to
+norm c^T g c.  It and the norms refuse a state without the spec's components
+(`require_fit`).  Sobolev norms weight each mode by (1 + |xi|^2)^s applied to
 the squared coefficient magnitude, so s = 0 recovers the plain norm.
 """
 
@@ -48,7 +51,6 @@ class SpectralState:
 
     lattice: FrequencyLattice
     coeffs: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.coeffs, dtype=complex)
@@ -64,7 +66,7 @@ class SpectralState:
         return self.coeffs[self.lattice.index(mode)]
 
     def copy(self) -> "SpectralState":
-        return SpectralState(self.lattice, self.coeffs.copy(), self.time)
+        return SpectralState(self.lattice, self.coeffs.copy())
 
 
 def zero_state(lattice: FrequencyLattice, ncomp: int) -> SpectralState:
@@ -147,14 +149,19 @@ def random_real_state(
 
 
 def inner_product(spec: SystemSpec, w1: SpectralState, w2: SpectralState) -> complex:
-    """Entropy-weighted Plancherel pairing; real for reality-symmetric fields."""
+    """Entropy-weighted Plancherel pairing; real for reality-symmetric fields.
+
+    ValueError unless both states share a lattice and have the spec's components."""
     if w1.lattice != w2.lattice:
         raise ValueError("states live on different lattices")
+    for w in (w1, w2):
+        require_fit(w, w1.lattice, spec.ncomp, "a spec")
     return complex(np.einsum("mp,pq,mq->", w1.coeffs.conj(), spec.entropy_hessian, w2.coeffs))
 
 
 def _weighted_sq(spec: SystemSpec, state: SpectralState) -> np.ndarray:
-    """Per-mode squared g-magnitudes |w(xi)|_g^2, shape (nmodes,)."""
+    """Per-mode |w(xi)|_g^2, shape (nmodes,); ValueError unless the state has the spec's components."""
+    require_fit(state, state.lattice, spec.ncomp, "a spec")
     return np.einsum("mp,pq,mq->m", state.coeffs.conj(), spec.entropy_hessian, state.coeffs).real
 
 
@@ -175,4 +182,4 @@ def evolve_state(spectrum: Spectrum, t: float, state: SpectralState) -> Spectral
     zero = spectrum.lattice.zero_index()
     phases = np.exp(-1j * spectrum.frequencies[zero:] * t)
     group = spectrum.lattice.complete(np.einsum("mj,mjpq->mpq", phases, spectrum.projectors[zero:]))
-    return SpectralState(state.lattice, np.einsum("mpq,mq->mp", group, state.coeffs), state.time)
+    return SpectralState(state.lattice, np.einsum("mpq,mq->mp", group, state.coeffs))

@@ -760,7 +760,7 @@ def _sequential_quadratic_average(spec, state, t_span, n_steps):
         fwd = back = np.broadcast_to(np.eye(spec.ncomp, dtype=complex), a.shape)
         for j in range(n_steps + 1):
             weight = 0.5 * dt if j in (0, n_steps) else dt
-            evolved = wk.SpectralState(lattice, np.einsum("mpq,mq->mp", fwd, state.coeffs), state.time)
+            evolved = wk.SpectralState(lattice, np.einsum("mpq,mq->mp", fwd, state.coeffs))
             total += weight * np.einsum("mpq,mq->mp", back, apply_quadratic(spec, evolved, evolved).coeffs)
             fwd, back = fwd @ fwd_step, back_step @ back
     return total / (2.0 * t_span)

@@ -314,12 +314,16 @@ def test_lattice_pair_guard_exits_two_before_building(tmp_path, capsys, monkeypa
         ("simulation", {"t_end": 1e5, "dt": 1e-3, "diagnostics_every": 1}, "coefficient-steps"),
         # without dt the steps are counted at 1e-3, a lower bound: the automatic step never exceeds it
         ("simulation", {"t_end": 1e5, "dt": None, "diagnostics_every": 1}, "coefficient-steps"),
+        # 10^7 steps of a scalar at R=1 are only 3 x 10^7 coefficient-steps, but at a step's fixed ~0.2 ms
+        # they take over half an hour: a step is charged at least cli.STEP_COEFFICIENTS coefficients
+        ("config", {"system": wk.spec_to_dict(wk.SystemSpec(1, 1, [0.0], [[[1.0]]], [[[[0.3]]]], [[[[0.5]]]], [[1.0]])),
+                    "lattice_k": 1, "resonance": {}, "simulation": {"t_end": 1e4, "dt": 1e-3}}, "coefficient-steps"),
     ],
 )
 def test_run_refuses_products_past_their_caps(tmp_path, section, values, message):
     # only Run is built: the refused configs must never run
     config = json.loads(write_config(tmp_path / "run.json", lattice_k=8).read_text())
-    config[section].update(values)
+    (config if section == "config" else config[section]).update(values)
     with pytest.raises(cli.ConfigError, match=message):
         cli.Run(config)
 
@@ -445,6 +449,19 @@ def test_snapshots_1e6_apart_each_keep_a_file(tmp_path):
     names = sorted(path.name for path in (tmp_path / "out" / "snapshots").iterdir())
     assert names == ["state_t0.000000.csv", "state_t0.000001.csv", "state_t0.000002.csv"]
     assert len((tmp_path / "out" / "diagnostics.csv").read_text().splitlines()) == 1 + 3
+
+
+def test_snapshot_files_are_named_by_their_diagnostics_time(tmp_path):
+    # the run keeps one clock, t = i dt: a state's own sum of twenty dt = 1.5e-6 once named 3 of these
+    # 21 files a microsecond off their diagnostics.csv row (state_t0.000016.csv held t = 1.65e-5)
+    cfg = write_config(tmp_path / "run.json", lattice_k=1)
+    data = json.loads(cfg.read_text())
+    data["simulation"].update(dt=1.5e-6, t_end=3e-5, diagnostics_every=1)
+    cfg.write_text(json.dumps(data))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]
+    names = sorted(path.name for path in (tmp_path / "out" / "snapshots").iterdir())
+    assert len(rows) == 21 and names == [f"state_t{float(row.split(',')[0]):.6f}.csv" for row in rows]
 
 
 def test_automatic_step_with_snapshots_closer_than_their_file_names_exits_two(tmp_path, capsys, monkeypatch):

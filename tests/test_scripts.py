@@ -30,7 +30,7 @@ def test_cli_outputs_script_keeps_every_command_run(tmp_path):
         (path.parent.parent.name, path.parent.name): int(path.read_text())
         for path in tmp_path.glob("*/*/exit_code")
     }
-    assert len(codes) == 35
+    assert len(codes) == 40
     # wcns-report needs a 2-D preset: on the other configs it is an input error; and every command
     # refuses a modes entry of 2 components for the 4-component gas when it reads the config
     commands = ("validate", "operators", "dissipativity", "simulate", "wcns-report")
@@ -45,6 +45,7 @@ def test_cli_outputs_script_keeps_every_command_run(tmp_path):
     failed = {(run, command) for (run, command), code in codes.items() if code == 1}
     assert failed == {("asymmetric", c) for c in ("validate", "operators", "dissipativity", "simulate")}
     assert set(codes.values()) == {0, 1, 2}
+    assert all(codes[("clock", command)] == 0 for command in commands)
     assert (tmp_path / "asymmetric" / "simulate" / "stderr").read_text() == (
         "entropy validation failed; refusing to build operators\n")
     assert (tmp_path / "gas3d-r2" / "operators" / "resonance_table.csv").is_file()
@@ -52,6 +53,8 @@ def test_cli_outputs_script_keeps_every_command_run(tmp_path):
     assert any((tmp_path / "gas2d-r4" / "simulate" / "snapshots").iterdir())
     # IF-RK2 from a nonzero zero mode: 50 steps, a snapshot every 5
     assert len(list((tmp_path / "gas2d-r3-rk2" / "simulate" / "snapshots").iterdir())) == 11
+    # dt = 1.5e-6 to 3e-5, a snapshot every step: 21 files, each named by its diagnostics.csv time
+    assert len(list((tmp_path / "clock" / "simulate" / "snapshots").iterdir())) == 21
 
 
 def _run(script, args):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,49 @@ def test_entries_refuse_a_state_with_other_components_by_name(cns_model, cns_ops
     with pytest.raises(ValueError, match=r"a state of 5 components on .*radius=4\) does not fit "
                                          r"(a resonance table|a spectrum) of 4 components on .*radius=4\)"):
         FIT_ENTRIES[entry](cns_model, cns_ops4, w, real)
+
+
+FIT_CHECKS = {
+    "energy_norm": lambda spec, avg, w: wk.energy_norm(spec, w),
+    "sobolev_norm": lambda spec, avg, w: wk.sobolev_norm(spec, w, 1.0),
+    "inner_product": lambda spec, avg, w: wk.inner_product(spec, w, w),
+    "apply_averaged_diffusion": lambda spec, avg, w: wk.apply_averaged_diffusion(avg, w),
+    "apply_quadratic": lambda spec, avg, w: wk.apply_quadratic(spec, w, w),
+}
+
+
+@pytest.mark.parametrize("check", sorted(FIT_CHECKS))
+def test_norms_and_operators_refuse_a_state_with_other_components_by_name(cns_model, check):
+    # on the 2-D gas at R=2 a 5-component state once failed inside einsum with a broadcast error
+    lat = wk.FrequencyLattice(2, 2)
+    avg = wk.averaged_diffusion(wk.frequency_spectrum(cns_model.spec, lat))
+    w = wk.random_real_state(lat, 5, seed=5)
+    with pytest.raises(ValueError, match=r"a state of 5 components on .*radius=2\) does not fit "
+                                         r"(a spec|an averaged diffusion) of 4 components on .*radius=2\)"):
+        FIT_CHECKS[check](cns_model.spec, avg, w)
+
+
+def test_averaged_diffusion_refuses_a_state_on_another_lattice_of_as_many_modes(cns_model):
+    # FrequencyLattice(1, 12) has the 25 modes of the 2-D lattice of radius 2: its state was once
+    # answered with the 2-D blocks, and numbers came back on the 1-D lattice
+    avg = wk.averaged_diffusion(wk.frequency_spectrum(cns_model.spec, wk.FrequencyLattice(2, 2)))
+    w = wk.random_real_state(wk.FrequencyLattice(1, 12), 4, seed=5)
+    with pytest.raises(ValueError, match=r"a state of 4 components on FrequencyLattice\(dim=1, radius=12\) does not "
+                                         r"fit an averaged diffusion of 4 components on FrequencyLattice\(dim=2, radius=2\)"):
+        wk.apply_averaged_diffusion(avg, w)
+
+
+def test_a_state_is_a_field_and_the_operators_return_fields(cns_ops4):
+    # a state carries no clock: the time of a simulate snapshot is its DiagnosticsSeries.times entry
+    assert [f.name for f in dataclasses.fields(wk.SpectralState)] == ["lattice", "coeffs"]
+    w = wk.random_real_state(cns_ops4.lattice, 4, seed=5, decay=2.0, amplitude=0.1)
+    outputs = {
+        "step": wk.step(cns_ops4, w, 1e-3),
+        "evolve_state": wk.evolve_state(cns_ops4.spectrum, 0.7, w),
+        "qbar": wk.apply_averaged_quadratic(cns_ops4.spec, cns_ops4.spectrum, cns_ops4.table, w, w),
+    }
+    for name, out in outputs.items():
+        assert type(out) is wk.SpectralState and set(vars(out)) == {"lattice", "coeffs"}, name
 
 
 @pytest.mark.parametrize("name, radius", [("ideal-gas-1d", 6), ("ideal-gas-2d", 4), ("ideal-gas-3d", 2)])
