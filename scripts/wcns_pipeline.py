@@ -50,7 +50,7 @@ def main() -> None:
               f"{0.5 * wk.energy_norm(model.spec, w_ac)**2:12.6e} {abs(b):10.2e}")
 
     if args.radius >= 5:
-        report = wcns_coupling_report(model, ops.spectrum, ops.table)
+        report = wcns_coupling_report(model, ops.table)
         print("\nresonance counts by branch pattern:")
         for key, count in report["resonance_counts"].items():
             print(f"  {key}: {count}")

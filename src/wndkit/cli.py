@@ -123,6 +123,14 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
+def _seed(value) -> int:
+    """A seed is a JSON integer in the Philox key range [0, 2**128)."""
+    seed = _count(value, "seed")
+    if not 0 <= seed < 2**128:
+        raise ConfigError(f"seed must be in [0, 2**128), got {seed}")
+    return seed
+
+
 def _fmt(value) -> str:
     """17 significant digits for a float (np.float64 is one), str() for anything else."""
     if isinstance(value, float):
@@ -142,6 +150,14 @@ def write_keyvalue(path: Path, mapping: dict) -> None:
             handle.write(f"{key} = {_fmt(value)}\n")
 
 
+def make_directory(path: Path) -> None:
+    """mkdir -p; ConfigError when the path cannot be a directory (a file holds the name, or no permission)."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the directory {path}: {exc.strerror}") from exc
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -153,10 +169,14 @@ def load_config(path: str) -> dict:
 
 
 def _modes_state(lattice: FrequencyLattice, n: int, items) -> SpectralState:
-    """The real state of a modes initial's entries (a zero initial has none); ConfigError on a bad entry."""
+    """The real state of a modes initial's entries (a zero initial has none); ConfigError on a bad entry.
+
+    Each mode is named at most once, its mirror included: the field is real, so w(-k) = conj(w(k)) is
+    set with w(k), and state_from_modes would sum a second value into it."""
     if not isinstance(items, list):
         raise ConfigError(f"modes 'entries' must be a list, got {items!r}")
     entries = []
+    named: dict[tuple, tuple] = {}  # each mode named so far, keyed by the lesser of it and its mirror
     for item in items:
         _require_object(item, ("mode", "coeff_re", "coeff_im"), "a modes entry")
         try:
@@ -169,6 +189,12 @@ def _modes_state(lattice: FrequencyLattice, n: int, items) -> SpectralState:
             raise ConfigError(f"mode {list(mode)} is outside the {lattice.dim}-D lattice of radius {lattice.radius}")
         if re.shape != (n,) or im.shape != (n,):
             raise ConfigError(f"mode {list(mode)}: coeff_re and coeff_im need {n} components each")
+        key = min(mode, tuple(-c for c in mode))
+        if key in named:
+            first = named[key]
+            raise ConfigError(f"mode {list(mode)} is named twice" if first == mode else
+                              f"modes {list(first)} and {list(mode)} are mirrors; name one, the other is its conjugate")
+        named[key] = mode
         entries.append((mode, re + 1j * im))
     try:
         return state_from_modes(lattice, n, entries)
@@ -258,16 +284,16 @@ class Run:
             raise ConfigError(f"simulation.initial must be a JSON object of type {', '.join(INITIAL_KEYS)}, "
                               f"got {json.dumps(initial)}")
         _require_object(initial, INITIAL_KEYS[kind], f"a {kind} initial")
-        seed = _count(sim.get("seed", 0), "seed")  # the random initial's seed when it names none
+        seed = _seed(sim.get("seed", 0))  # the random initial's seed when it names none
         if kind == "random":
-            seed = _count(initial.get("seed", seed), "seed")
+            seed = _seed(initial.get("seed", seed))
             if seed_override is not None:
-                seed = int(seed_override)
-            if not 0 <= seed < 2**128:  # the Philox key range
-                raise ConfigError(f"seed must be in [0, 2**128), got {seed}")
+                seed = _seed(int(seed_override))
             decay = _number(initial.get("decay", 3.0), "decay")
             amplitude = _number(initial.get("amplitude", 0.1), "amplitude")
             self.initial = random_real_state(self.lattice, self.spec.ncomp, seed, decay, amplitude)
+        elif seed_override is not None:
+            raise ConfigError(f"--seed keys a random initial, and this run's initial is of type {kind}")
         else:
             self.initial = _modes_state(self.lattice, self.spec.ncomp, initial.get("entries", []))
         diss = config.get("dissipativity", {})
@@ -360,6 +386,9 @@ def cmd_dissipativity(run: Run, outdir: Path) -> int:
 
 
 def cmd_simulate(run: Run, outdir: Path) -> int:
+    snapdir = outdir / "snapshots"
+    if snapdir.exists() and not snapdir.is_dir():  # refused before anything is built; make_directory reports the rest
+        raise ConfigError(f"cannot make the directory {snapdir}: a file holds its name")
     require_entropy_structure(run.spec)
     ops = run.operators(run.lattice)
     dt = run.dt
@@ -370,8 +399,7 @@ def cmd_simulate(run: Run, outdir: Path) -> int:
         dt = run.t_end / math.ceil(run.t_end / dt_max)
         steps = snapshot_steps(run.t_end, dt, run.diagnostics_every)
         require_coefficient_steps(steps, len(run.lattice) * run.spec.ncomp)
-    snapdir = outdir / "snapshots"
-    snapdir.mkdir(exist_ok=True)
+    make_directory(snapdir)
     try:
         snapshots, series = simulate(
             ops,
@@ -408,7 +436,7 @@ def cmd_wcns_report(run: Run, outdir: Path) -> int:
         raise ConfigError(f"wcns-report needs a 2-D gas-dynamics preset, got d = {run.model.dim}")
     require_entropy_structure(run.spec)
     ops = run.operators(run.lattice if run.lattice_k >= 5 else FrequencyLattice(run.spec.dim, 5))
-    report = ns.wcns_coupling_report(run.model, ops.spectrum, ops.table)
+    report = ns.wcns_coupling_report(run.model, ops.table)
     with open(outdir / "wcns_report.json", "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=1)
     print(f"c0 = {report['sound_speed']:.12g}, nu_bar = {report['acoustic_diffusivity']:.12g}, "
@@ -436,12 +464,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         run = Run(config, seed_override=args.seed)
+        outdir = Path(args.out or run.directory)
+        make_directory(outdir)
     except (TypeError, ValueError) as exc:  # ConfigError, or a value int()/float() cannot read
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    outdir = Path(args.out or run.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
         return COMMANDS[args.command](run, outdir)
     except ConfigError as exc:

@@ -28,8 +28,9 @@ equation of state are closed through the Maxwell relation
 
     eps_r = (p - theta p_t) / rho^2,
 
-leaving (p_rr, p_rt, p_tt, dc_v/dtheta) as the only extra data; when not
-supplied they are finite-differenced from the first partials.
+leaving (p_rr, p_rt, p_tt, dc_v/dtheta) as the only extra data.  An
+equation of state states all four, so the kernel is evaluated exactly,
+never differenced.
 
 The acoustic eigenvectors at mode k,
 
@@ -80,10 +81,11 @@ Scalar = Callable[[float, float], float]
 
 @dataclass(frozen=True)
 class EquationOfState:
-    """p(rho, theta), eps(rho, theta) and the first partials that fix the symbols.
+    """p(rho, theta), eps(rho, theta), the first partials that fix the symbols
+    and the second partials that fix the quadratic kernel.
 
-    Optional second partials sharpen the quadratic kernel; the Maxwell
-    relation supplies every eps derivative from the pressure ones.
+    The Maxwell relation supplies every eps derivative from the pressure
+    ones.  Only `theta_from_energy` is optional: `conserved_flux` alone reads it.
     """
 
     pressure: Scalar
@@ -91,10 +93,10 @@ class EquationOfState:
     pressure_rho: Scalar
     pressure_theta: Scalar
     heat_capacity: Scalar  # d eps / d theta
-    pressure_rho_rho: Scalar | None = None
-    pressure_rho_theta: Scalar | None = None
-    pressure_theta_theta: Scalar | None = None
-    heat_capacity_theta: Scalar | None = None
+    pressure_rho_rho: Scalar
+    pressure_rho_theta: Scalar
+    pressure_theta_theta: Scalar
+    heat_capacity_theta: Scalar
     theta_from_energy: Scalar | None = None  # inverse of eps(rho, .), for conserved-variable work
 
     def validate_at(self, rho: float, theta: float) -> None:
@@ -137,14 +139,6 @@ class TransportCoefficients:
             raise ValueError("transport coefficients must be nonnegative")
         if self.micro_dim < max(2, dim):
             raise ValueError("microscopic dimension must be at least max(2, d)")
-
-
-def _fd(fun: Scalar, rho: float, theta: float, which: str) -> float:
-    h_r = 1e-6 * max(1.0, abs(rho))
-    h_t = 1e-6 * max(1.0, abs(theta))
-    if which == "rho":
-        return (fun(rho + h_r, theta) - fun(rho - h_r, theta)) / (2.0 * h_r)
-    return (fun(rho, theta + h_t) - fun(rho, theta - h_t)) / (2.0 * h_t)
 
 
 def sound_speed(eos: EquationOfState, rho: float, theta: float) -> float:
@@ -202,19 +196,6 @@ class CnsModel:
         return self.dim + 2
 
 
-def _second_derivatives(eos: EquationOfState, rho: float, theta: float) -> tuple[float, ...]:
-    """(p_rr, p_rt, p_tt, dc_v/dtheta): each as given, else differenced from a first partial."""
-    partials = (
-        (eos.pressure_rho_rho, eos.pressure_rho, "rho"),
-        (eos.pressure_rho_theta, eos.pressure_rho, "theta"),
-        (eos.pressure_theta_theta, eos.pressure_theta, "theta"),
-        (eos.heat_capacity_theta, eos.heat_capacity, "theta"),
-    )
-    return tuple(
-        given(rho, theta) if given else _fd(first, rho, theta, wrt) for given, first, wrt in partials
-    )
-
-
 def build_cns_model(
     eos: EquationOfState,
     transport: TransportCoefficients,
@@ -232,10 +213,12 @@ def build_cns_model(
     c_v = eos.heat_capacity(rho, theta)
     eps = eos.energy(rho, theta)
     eps_r = (p - theta * p_t) / rho**2  # Maxwell relation
-    p_rr, p_rt, p_tt, cv_t = _second_derivatives(eos, rho, theta)
+    p_rr = eos.pressure_rho_rho(rho, theta)
+    p_rt = eos.pressure_rho_theta(rho, theta)
+    p_tt = eos.pressure_theta_theta(rho, theta)
     eps_rr = (p_r - theta * p_rt) / rho**2 - 2.0 * (p - theta * p_t) / rho**3
     eps_rt = -theta * p_tt / rho**2
-    eps_tt = cv_t
+    eps_tt = eos.heat_capacity_theta(rho, theta)
 
     r_idx, t_idx = 0, dim + 1
 
@@ -553,11 +536,7 @@ def _thermo_unit(model: CnsModel) -> np.ndarray:
     return vec / math.sqrt(float(vec @ g @ vec))
 
 
-def wcns_coupling_report(
-    model: CnsModel,
-    spectrum: Spectrum,
-    table,
-) -> dict:
+def wcns_coupling_report(model: CnsModel, table) -> dict:
     """Empirical interaction amplitudes of the averaged quadratic operator.
 
     The mode-sum coefficients of the split system are not transcribed from
@@ -566,11 +545,11 @@ def wcns_coupling_report(
     geometries, collinear acoustic-acoustic), each two real fields, at k and
     at l with their mirrors: only the pair (k, l) reaches m = k + l.  Values
     are reported as found, normalized by |m| and the probe geometry, with no
-    asserted reference.
+    asserted reference.  The table's own spectrum labels its rows.
     """
     if model.dim != 2:
         raise ValueError("coupling probes are defined for d = 2")
-    lattice = table.lattice
+    spectrum, lattice = table.spectrum, table.lattice
     spec = model.spec
     g = spec.entropy_hessian
     report: dict = {

@@ -194,8 +194,9 @@ class Spectrum:
     def __getitem__(self, mode: Sequence[int]) -> ModeDecomposition:
         """Views of one mode's rows (KeyError outside the lattice).
 
-        Kept for the benchmark harness only: perfbench/run.py reads its
-        branch counts through it.  Library code reads the stacked arrays.
+        The benchmark harness (perfbench/run.py) reads its branch counts
+        through it, and tests read one mode's rows through it.  Library code
+        reads the stacked arrays.
         """
         i = self.lattice.index(mode)
         k = int(self.nfreq[i])

@@ -369,9 +369,9 @@ def modes_config(path: Path, entries: list) -> Path:
     return cfg
 
 
-def input_error(capsys, command: str, cfg: Path) -> str:
+def input_error(capsys, command: str, cfg: Path, *flags: str) -> str:
     """The one `input error:` line of a command that exits 2."""
-    assert main([command, "--config", str(cfg)]) == 2
+    assert main([command, "--config", str(cfg), *flags]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and err.startswith("input error: ")
     return err
@@ -385,8 +385,8 @@ def refused_at_load(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "build_operators", refuse)
 
-    def run(command: str, cfg: Path) -> str:
-        err = input_error(capsys, command, cfg)
+    def run(command: str, cfg: Path, *flags: str) -> str:
+        err = input_error(capsys, command, cfg, *flags)
         assert not (cfg.parent / "out").exists()
         return err
 
@@ -399,24 +399,82 @@ def on_every_command(cases: list, ids: list[str]) -> list:
             for command in sorted(cli.COMMANDS) for case, i in zip(cases, ids)]
 
 
+def mode_entry(mode, re, im=None) -> dict:
+    return {"mode": mode, "coeff_re": re} if im is None else {"mode": mode, "coeff_re": re, "coeff_im": im}
+
+
+ONE = [1.0, 0.0, 0.0, 0.0]
+
+
 @pytest.mark.parametrize(
-    "command, entry",
+    "command, case",
     on_every_command([
-        {"coeff_re": [1.0, 0.0, 0.0, 0.0]},  # no mode
-        {"mode": [1, 0]},  # no coeff_re
-        {"mode": [9, 9], "coeff_re": [1.0, 0.0, 0.0, 0.0]},  # outside the radius-2 lattice
-        {"mode": [1], "coeff_re": [1.0, 0.0, 0.0, 0.0]},  # 1-D mode on the 2-D lattice
-        {"mode": [1, 0], "coeff_re": [1.0, 0.0]},  # 2 components for the 4-component gas
-        {"mode": [1, 0], "coeff_re": [1.0, 0.0, 0.0, 0.0], "coeff_im": [1.0]},
-    ], [f"entry{i}" for i in range(6)]),
+        ([{"coeff_re": ONE}], "needs 'mode' and 'coeff_re'"),  # no mode
+        ([{"mode": [1, 0]}], "needs 'mode' and 'coeff_re'"),  # no coeff_re
+        ([mode_entry([9, 9], ONE)], "mode [9, 9] is outside the 2-D lattice of radius 2"),
+        ([mode_entry([1], ONE)], "mode [1] is outside the 2-D lattice"),  # 1-D mode on the 2-D lattice
+        ([mode_entry([1, 0], [1.0, 0.0])], "coeff_re and coeff_im need 4 components each"),  # 2 of the gas's 4
+        ([mode_entry([1, 0], ONE, [1.0])], "coeff_re and coeff_im need 4 components each"),
+        # a real field sets w(-k) with w(k): a mode named twice, or with its mirror, was summed silently
+        ([mode_entry([1, 0], [0.01, 0, 0, 0]), mode_entry([1, 0], [0.02, 0, 0, 0]), mode_entry([-1, 0], [0.0] * 4, [0.05, 0, 0, 0])],
+         "mode [1, 0] is named twice"),
+        ([mode_entry([1, 0], [0.01, 0, 0, 0]), mode_entry([-1, 0], [0.0] * 4, [0.05, 0, 0, 0])],
+         "modes [1, 0] and [-1, 0] are mirrors"),
+        ([mode_entry([0, 0], ONE), mode_entry([0, 0], ONE)], "mode [0, 0] is named twice"),  # its own mirror
+    ], [f"entry{i}" for i in range(9)]),
 )
-def test_bad_modes_entry_exits_two(tmp_path, refused_at_load, command, entry):
-    refused_at_load(command, modes_config(tmp_path / "run.json", [entry]))
+def test_bad_modes_entry_exits_two(tmp_path, refused_at_load, command, case):
+    entries, message = case
+    assert message in refused_at_load(command, modes_config(tmp_path / "run.json", entries))
 
 
 @pytest.mark.parametrize("command, entries", on_every_command([5, None], ["5", "None"]))
 def test_modes_entries_not_a_list_exits_two(tmp_path, refused_at_load, command, entries):
     refused_at_load(command, modes_config(tmp_path / "run.json", entries))
+
+
+@pytest.mark.parametrize("command, kind, seed", [("validate", "modes", "-1"), ("simulate", "zero", "5")])
+def test_seed_flag_without_a_random_initial_exits_two(tmp_path, refused_at_load, command, kind, seed):
+    # --seed keys only a random initial; on any other it was neither checked nor used
+    cfg = modes_config(tmp_path / "run.json", [mode_entry([1, 0], ONE)])
+    if kind == "zero":
+        data = json.loads(cfg.read_text())
+        data["simulation"]["initial"] = {"type": "zero"}
+        cfg.write_text(json.dumps(data))
+    err = refused_at_load(command, cfg, "--seed", seed)
+    assert err == f"input error: --seed keys a random initial, and this run's initial is of type {kind}\n"
+
+
+@pytest.mark.parametrize("kind", ["modes", "zero"])
+def test_simulation_seed_outside_the_key_range_exits_two_whatever_the_initial(tmp_path, refused_at_load, kind):
+    cfg = modes_config(tmp_path / "run.json", [mode_entry([1, 0], ONE)])
+    data = json.loads(cfg.read_text())
+    data["simulation"]["seed"] = -1
+    if kind == "zero":
+        data["simulation"]["initial"] = {"type": "zero"}
+    cfg.write_text(json.dumps(data))
+    assert refused_at_load("validate", cfg) == "input error: seed must be in [0, 2**128), got -1\n"
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_output_directory_that_is_a_file_exits_two(tmp_path, refused_at_load, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    err = refused_at_load(command, write_config(tmp_path / "run.json"), "--out", str(taken))
+    assert err == f"input error: cannot make the directory {taken}: File exists\n"
+
+
+def test_snapshot_directory_that_is_a_file_exits_two_before_building(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_operators called")
+
+    monkeypatch.setattr(cli, "build_operators", refuse)
+    cfg = write_config(tmp_path / "run.json")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "snapshots").write_text("")
+    err = input_error(capsys, "simulate", cfg)
+    assert err == f"input error: cannot make the directory {tmp_path / 'out' / 'snapshots'}: a file holds its name\n"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["snapshots"]
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))

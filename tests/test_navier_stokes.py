@@ -33,6 +33,10 @@ def test_sound_speed_decoupled_pressure():
         pressure_rho=lambda r, t: 2.0,
         pressure_theta=lambda r, t: 0.0,
         heat_capacity=lambda r, t: 1.0,
+        pressure_rho_rho=lambda r, t: 0.0,
+        pressure_rho_theta=lambda r, t: 0.0,
+        pressure_theta_theta=lambda r, t: 0.0,
+        heat_capacity_theta=lambda r, t: 0.0,
         theta_from_energy=lambda r, e: e,
     )
     assert wk.sound_speed(eos, 1.0, 1.0) ** 2 == pytest.approx(2.0)
@@ -425,7 +429,7 @@ def test_primitive_conserved_covariance(cns_model):
 def test_wcns_coupling_report(cns_model):
     lat = wk.FrequencyLattice(2, 5)
     ops = wk.build_operators(cns_model.spec, lat, exact_rule=wk.make_exact_resonance_rule(cns_model))
-    report = wcns_coupling_report(cns_model, ops.spectrum, ops.table)
+    report = wcns_coupling_report(cns_model, ops.table)
     assert report["sound_speed"] == pytest.approx(cns_model.sound)
     assert report["acoustic_diffusivity"] == pytest.approx(0.8)
     assert "acoustic_acoustic" in report["couplings"]
@@ -452,24 +456,22 @@ def test_wcns_coupling_report(cns_model):
 def test_wcns_coupling_report_keeps_probes_that_fit(cns_model, radius, probes):
     lat = wk.FrequencyLattice(2, radius)
     ops = wk.build_operators(cns_model.spec, lat, exact_rule=wk.make_exact_resonance_rule(cns_model))
-    report = wcns_coupling_report(cns_model, ops.spectrum, ops.table)
+    report = wcns_coupling_report(cns_model, ops.table)
     assert list(report["couplings"]) == probes
     assert report["n_triples"] == len(ops.table)
     assert sum(report["resonance_counts"].values()) == len(ops.table)
 
 
-def test_finite_difference_second_partials_match_analytic_kernel(cns_model):
-    # the ideal gas without its optional second partials: all four are differenced
-    eos = dataclasses.replace(
-        ideal_gas(3),
-        pressure_rho_rho=None,
-        pressure_rho_theta=None,
-        pressure_theta_theta=None,
-        heat_capacity_theta=None,
-    )
-    fd = wk.build_cns_model(eos, cns_model.transport, cns_model.rho, cns_model.theta, cns_model.dim)
-    ref = cns_model.spec.quadratic
-    assert np.abs(fd.spec.quadratic - ref).max() <= 1e-9 * np.abs(ref).max()
+def test_equation_of_state_without_a_second_partial_is_refused_at_construction():
+    # the quadratic kernel reads all four second partials; none is differenced from a first one
+    stated = {f.name: getattr(ideal_gas(3), f.name) for f in dataclasses.fields(wk.EquationOfState)}
+    for name in ("pressure_rho_rho", "pressure_rho_theta", "pressure_theta_theta", "heat_capacity_theta"):
+        partial = {key: value for key, value in stated.items() if key != name}
+        with pytest.raises(TypeError, match=name):
+            wk.EquationOfState(**partial)
+    assert [f.name for f in dataclasses.fields(wk.EquationOfState) if f.default is not dataclasses.MISSING] == [
+        "theta_from_energy"
+    ]
 
 
 def test_heat_capacity_pressure_ideal():

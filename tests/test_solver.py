@@ -121,6 +121,18 @@ def test_simulate_deterministic(cns_ops4):
         assert np.array_equal(sa.coeffs, sb.coeffs)
 
 
+def test_snapshot_hook_sees_each_returned_snapshot_once_in_order(cns_ops4):
+    # a benchmark times its steps from this hook: one call per snapshot, the final state included
+    w0 = wk.random_real_state(cns_ops4.lattice, 4, seed=23, decay=3.0, amplitude=0.2)
+    seen = []
+    snaps, series = wk.simulate(cns_ops4, w0, t_end=0.05, dt=5e-3, diagnostics_every=3,
+                                snapshot_hook=lambda st: seen.append((st, st.coeffs.copy())))
+    assert len(seen) == len(snaps) == len(series.times) == 5  # steps 0, 3, 6, 9 and the last, 10
+    for (hooked, coeffs), snap in zip(seen, snaps):
+        assert hooked is snap
+        assert np.array_equal(coeffs, snap.coeffs)
+
+
 def test_linear_galerkin_restriction_consistency(cns_model):
     # the linear flow is block-diagonal per mode, so truncating after the
     # solve equals solving the truncation; the quadratic flow couples modes
