@@ -337,13 +337,21 @@ class _CompiledQuadratic:
     coordinate triples (o at m, p at k, q at l), one interaction
     coefficient c each, a few scalars per row instead of a dense N x N^2
     kernel.  Coefficients with |c| <= DROP_TOL * max|c| are structural
-    zeros and are dropped; the kept terms are sorted by output coordinate.
-    A call projects each input to coordinates once per mode, then does one
-    gather, multiply and reduceat over the terms and maps back with the basis.
+    zeros and are dropped.  The table holds both orderings of every pair,
+    so the kept terms (k p, l q) and (l q, k p) at one output coordinate
+    are folded into one unordered pair, their coefficients summed, sorted
+    by output coordinate.  A call projects each input to coordinates once
+    per mode, then does one gather, multiply and reduceat over the terms
+    and maps back with the basis.
 
-    Plain attributes report what was compiled: `terms` (kept coefficients),
+    Both parts take products over unordered pairs (i, j): x[i] x[j] for
+    qbar(w, w), and for distinct inputs the symmetrized (x1[i] x2[j] +
+    x2[i] x1[j]) / 2 on the same arrays (see _pairs), so qbar(w1, w2) and
+    qbar(w2, w1) are the same bits.
+
+    Plain attributes report what was compiled: `terms` (folded coefficients),
     `coefficient_bytes` (coefficient, index and segment arrays), `dropped`
-    (structural zeros) and `drop_margin` (the largest dropped and the
+    (ordered coefficients that are structural zeros) and `drop_margin` (the largest dropped and the
     smallest kept |c|, both relative to max|c|).
     """
 
@@ -375,9 +383,7 @@ class _CompiledQuadratic:
         p0 = spectrum.null_projector[self.upper]
         self.read = (1j * lattice.array[self.upper, None, :, None] * p0[:, :, None, :]).reshape(len(self.upper), n, -1)
         quadratic = spec.quadratic.reshape(dim * n, n, n)
-        self.flux_matrix = quadratic.reshape(dim * n, n * n)
-        # qbar(w, w): the n(n+1)/2 products f_i f_j with i <= j, against the
-        # (i, j) and (j, i) columns folded into one
+        # the n(n+1)/2 products f_i f_j with i <= j, against the (i, j) and (j, i) columns folded into one
         self.pair_i, self.pair_j = np.triu_indices(n)
         off = self.pair_i != self.pair_j
         self.folded_flux_matrix = quadratic[:, self.pair_i, self.pair_j] + off * quadratic[:, self.pair_j, self.pair_i]
@@ -400,11 +406,17 @@ class _CompiledQuadratic:
         keep = rel > DROP_TOL
         self.dropped = int(np.count_nonzero(~keep))
         self.drop_margin = (float(rel[~keep].max(initial=0.0)), float(rel[keep].min(initial=np.inf)))
-        out = (m - (zero_idx + 1)) * n + o  # output coordinate in the positive half
+        # fold the kept terms (k p, l q) and (l q, k p) at one output coordinate into one unordered
+        # pair: qbar(w, w) multiplies both by the same product.  The keys sort by output coordinate
+        size = len(lattice) * n
+        first, second = k * n + p, l * n + q
+        key = ((m - (zero_idx + 1)) * n + o) * size * size + np.minimum(first, second) * size + np.maximum(first, second)
         kept = np.flatnonzero(keep)
-        kept = kept[np.argsort(out[kept], kind="stable")]
-        out = out[kept]
-        self.coef, self.idx1, self.idx2 = coef[kept], (k * n + p)[kept], (l * n + q)[kept]
+        kept = kept[np.argsort(key[kept], kind="stable")]
+        first = np.flatnonzero(np.diff(key[kept], prepend=-1))
+        self.coef = np.add.reduceat(coef[kept], first)
+        out, pair = np.divmod(key[kept[first]], size * size)
+        self.idx1, self.idx2 = np.divmod(pair, size)
         self.seg_starts = np.flatnonzero(np.diff(out, prepend=-1))
         self.seg_pos = out[self.seg_starts]
         self.terms = len(self.coef)
@@ -416,7 +428,7 @@ class _CompiledQuadratic:
         a1 = np.matmul(self.cobasis, c1[:, :, None]).ravel()
         a2 = a1 if c2 is c1 else np.matmul(self.cobasis, c2[:, :, None]).ravel()
         coords = np.zeros(len(self.upper) * n, dtype=complex)
-        coords[self.seg_pos] = np.add.reduceat(a1[self.idx1] * a2[self.idx2] * self.coef, self.seg_starts)
+        coords[self.seg_pos] = np.add.reduceat(_pairs(a1, a2, self.idx1, self.idx2) * self.coef, self.seg_starts)
         return np.matmul(self.upper_basis, coords.reshape(-1, n, 1))[:, :, 0]
 
     def _null(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -428,12 +440,10 @@ class _CompiledQuadratic:
         spectra = np.zeros((len(inputs), n, *self.spectrum_shape), dtype=complex)
         spectra[(slice(None), slice(None), *self.null_index)] = projected.transpose(0, 2, 1)
         fields = scipy.fft.irfftn(spectra, s=self.grid_shape, axes=self.null_axes, norm="forward", overwrite_x=True)
-        fields = fields.reshape(len(inputs), n, -1)
-        if c2 is c1:
-            pair, matrix = fields[0][self.pair_i] * fields[0][self.pair_j], self.folded_flux_matrix
-        else:
-            pair, matrix = (fields[0][:, None] * fields[1][None, :]).reshape(n * n, -1), self.flux_matrix
-        flux = scipy.fft.rfftn((matrix @ pair).reshape(-1, *self.grid_shape), axes=self.null_axes, norm="forward")
+        f1, *f2 = fields.reshape(len(inputs), n, -1)
+        pair = _pairs(f1, f2[0] if f2 else f1, self.pair_i, self.pair_j)
+        flux = scipy.fft.rfftn((self.folded_flux_matrix @ pair).reshape(-1, *self.grid_shape), axes=self.null_axes,
+                               norm="forward")
         gathered = flux[(slice(None), *self.out_index)]
         return np.matmul(self.read, gathered.T[:, :, None])[:, :, 0]
 
@@ -445,6 +455,14 @@ class _CompiledQuadratic:
         upper = self._table(c1, c2) + self._null(c1, c2)
         half = np.concatenate([np.zeros((1, self.ncomp), dtype=complex), upper])
         return SpectralState(w1.lattice, self.lattice.complete(half))
+
+
+def _pairs(x1: np.ndarray, x2: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """x1[i] x2[j] of one input (x2 is x1); of two, the symmetrized (x1[i] x2[j] + x2[i] x1[j]) / 2,
+    the same bits whichever input comes first."""
+    if x2 is x1:
+        return x1[i] * x1[j]
+    return 0.5 * (x1[i] * x2[j] + x2[i] * x1[j])
 
 
 def apply_averaged_quadratic(
