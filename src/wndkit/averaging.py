@@ -88,6 +88,10 @@ RESONANCE_CHUNK_CELLS = 65536
 # by structure and are dropped at compile time
 DROP_TOL = 1e-12
 
+# eigenvalues of qbar's null-range Gram sum_m P0(m) with lambda <= NULL_RANK_TOL * max(lambda)
+# are roundoff: the null range is spanned by the eigenvectors of the others
+NULL_RANK_TOL = 1e-9
+
 
 @dataclass(eq=False)
 class AveragedDiffusion:
@@ -319,80 +323,117 @@ class _CompiledQuadratic:
     `lattice.complete` adds a zero row for the zero mode (the divergence
     factor i*m vanishes there) and the mirrored negative half.
 
-    Null triples, whose three branches all have zero frequency, are resonant
-    for every pair of modes, so together they are the truncated convolution
-    P0 Q(P0 w1, P0 w2), with P0(xi) the sum of the null projectors at xi
-    (the whole identity at the zero mode).  That part is computed
+    One set of arrays serves qbar(w, w) and qbar(w1, w2).  Both parts take
+    products over unordered pairs (i, j): x[i] x[j] for qbar(w, w), and for
+    distinct inputs the symmetrized (x1[i] x2[j] + x2[i] x1[j]) / 2 (see
+    _pairs), so qbar(w1, w2) and qbar(w2, w1) are the same bits.  A call
+    maps each input once, by the per-mode input map `inputs` (M, n + r, n):
+    the cobasis rows B^T g, giving the branch coordinates a of the table
+    part, stacked on the null-range rows E^T g P0 below.  It maps back once,
+    by the output map `outputs` (U, n, n + d r) = [basis | read] on the U
+    modes of the positive half.
+
+    The table part: the rows that are not null triples, with m in the
+    positive half, are applied in branch coordinates (see the module
+    docstring).  Each row expands to its coordinate triples (o at m, p at k,
+    q at l), one interaction coefficient c each, a few scalars per row
+    instead of a dense N x N^2 kernel.  Coefficients with |c| <= DROP_TOL *
+    max|c| are structural zeros and are dropped.  The table holds both
+    orderings of every pair, so the kept terms (k p, l q) and (l q, k p) at
+    one output coordinate are folded into one unordered pair with their
+    coefficients summed, sorted by output coordinate: one gather, multiply
+    and reduceat per call.
+
+    The null part: null triples, whose three branches all have zero
+    frequency, are resonant for every pair of modes, so together they are
+    the truncated convolution P0 Q(P0 w1, P0 w2), with P0(xi) the sum of the
+    null projectors at xi (the whole identity at the zero mode).  Off the
+    zero mode every P0(m) maps into one null range of rank r (3 of 4 in the
+    2-D gas, 4 of 5 in 3-D, 1 of 3 in 1-D, 0 in a system whose only null
+    branch is the zero mode's), spanned by the g-orthonormal columns of E
+    (n, r), read off the n x n Gram sum_m P0(m) of the positive half by one
+    symmetric eigensolve (of g^{1/2} sum_m P0(m) g^{-1/2}, as the spectrum
+    symmetrizes); its eigenvalues up to NULL_RANK_TOL times the largest are
+    roundoff.  So P0(m) w(m) = E alpha(m) with alpha = E^T g P0
+    w, and as P0(m) = P0(m) E E^T g the output needs only E^T g of the
+    flux.  The pairs with both k and l off the zero mode are computed
     pseudo-spectrally on a zero-padded grid of at least 3R+1 points per
     axis, on which no product of two retained modes aliases onto a retained
-    mode.  P0 w is a real field, so one real inverse and one real forward
-    transform serve (scipy.fft.irfftn / rfftn, halving the first axis: the
-    modes with m_1 >= 0, the whole positive half), and the field products
-    and the flux matmul are real.  qbar(w, w) transforms its one input and
-    forms the n(n+1)/2 products f_i f_j with i <= j, against the flux
-    matrix with its (i, j) and (j, i) columns folded.
-
-    The other rows with m in the positive half are applied in branch
-    coordinates (see the module docstring): each row expands to its
-    coordinate triples (o at m, p at k, q at l), one interaction
-    coefficient c each, a few scalars per row instead of a dense N x N^2
-    kernel.  Coefficients with |c| <= DROP_TOL * max|c| are structural
-    zeros and are dropped.  The table holds both orderings of every pair,
-    so the kept terms (k p, l q) and (l q, k p) at one output coordinate
-    are folded into one unordered pair, their coefficients summed, sorted
-    by output coordinate.  A call projects each input to coordinates once
-    per mode, then does one gather, multiply and reduceat over the terms
-    and maps back with the basis.
-
-    Both parts take products over unordered pairs (i, j): x[i] x[j] for
-    qbar(w, w), and for distinct inputs the symmetrized (x1[i] x2[j] +
-    x2[i] x1[j]) / 2 on the same arrays (see _pairs), so qbar(w1, w2) and
-    qbar(w2, w1) are the same bits.
+    mode: one real inverse transform of the r fields alpha per distinct
+    input (scipy.fft.irfftn, halving the first axis: the modes with m_1 >=
+    0, the whole positive half), the r(r+1)/2 field products against the
+    folded flux kernel E^T g q_a(E_s, E_t), and one real forward transform
+    of the d r flux fields (scipy.fft.rfftn).  The pairs (m, 0) and (0, m)
+    are pointwise linear in alpha(m): the zero-mode kernel E^T g q_a(E_s,
+    w(0)) adds them to the same d r flux coordinates, which `read` = m_a
+    P0(m) E maps back (with the factor i).  When r = 0 the null part is
+    zero and no transform runs.  Scatter and gather use flat indices.
 
     Plain attributes report what was compiled: `terms` (folded coefficients),
     `coefficient_bytes` (coefficient, index and segment arrays), `dropped`
-    (ordered coefficients that are structural zeros) and `drop_margin` (the largest dropped and the
-    smallest kept |c|, both relative to max|c|).
+    (ordered coefficients that are structural zeros), `drop_margin` (the
+    largest dropped and the smallest kept |c|, both relative to max|c|),
+    `null_rank` (r) and `null_margin` (the largest roundoff and the smallest
+    kept Gram eigenvalue, both relative to the largest).
     """
 
     def __init__(self, table: ResonanceTable) -> None:
         spectrum, spec, lattice = table.spectrum, table.spectrum.spec, table.lattice
-        n = spec.ncomp
-        self.lattice = lattice
-        self.ncomp = n
-        zero_idx = lattice.zero_index()
-        self.upper = lattice.upper
+        n, dim, g = spec.ncomp, lattice.dim, spec.entropy_hessian
+        zero_idx, upper = lattice.zero_index(), lattice.upper
+        self.lattice, self.ncomp, self.zero_idx = lattice, n, zero_idx
+        basis, branch, p0 = spectrum.basis, spectrum.branch, spectrum.null_projector
 
+        # the null range: g-orthonormal E (n, r) from the Gram of the positive half's P0, symmetrized
+        # as the spectrum is (g^{1/2} P0 g^{-1/2} is an orthogonal projector)
+        root, inv_root = spec.metric_sqrt()
+        gram = root @ p0[upper].sum(axis=0) @ inv_root
+        evals, evecs = np.linalg.eigh(0.5 * (gram + gram.T))
+        rel = evals / max(evals.max(initial=0.0), np.finfo(float).tiny)
+        in_range = rel > NULL_RANK_TOL
+        e = inv_root @ evecs[:, in_range]
+        r = self.null_rank = e.shape[1]
+        self.null_margin = (float(np.abs(rel[~in_range]).max(initial=0.0)), float(rel[in_range].min(initial=np.inf)))
+        eg = e.T @ g
+        null_rows = eg @ p0  # (M, r, n); the zero mode enters by the linear term alone
+        null_rows[zero_idx] = 0.0
+        self.inputs = np.ascontiguousarray(np.concatenate([basis.transpose(0, 2, 1) @ g, null_rows], axis=1))
+        width = n + r
+        read = lattice.array[upper, None, :, None] * (p0[upper] @ e)[:, :, None, :]  # (U, n, d, r)
+        self.outputs = np.ascontiguousarray(np.concatenate([basis[upper], read.reshape(len(upper), n, dim * r)], axis=2))
+
+        # the null part's kernels, each row (a, rho) the flux coordinate E^T g q_a: the folded
+        # (d r, r(r+1)/2) flux kernel of the field products f_s f_t, s <= t, and the (d r r, n)
+        # zero-mode kernel that gives the (d r, r) map alpha(m) -> E^T g q_a(E alpha(m), w(0))
+        self.pair_i, self.pair_j = np.triu_indices(r)
+        kernel = np.einsum("ri,aijk,js,kt->arst", eg, spec.quadratic, e, e)
+        off = self.pair_i != self.pair_j
+        folded = kernel[..., self.pair_i, self.pair_j] + off * kernel[..., self.pair_j, self.pair_i]
+        self.flux_kernel = folded.reshape(dim * r, len(off))
+        self.zero_kernel = np.einsum("ri,aijk,js->arsk", eg, spec.quadratic, e).reshape(dim * r * r, n)
+        # the padded grid, its transform axes (scipy halves the last) and the half-spectrum grid;
+        # the flat scatter from the inputs' null-range coordinates (modes with m_1 >= 0) into the
+        # half-spectrum fields, and the flat gather of the flux at the positive half
+        size = scipy.fft.next_fast_len(3 * lattice.radius + 1, real=True)
+        self.grid_shape = (size,) * dim
+        self.null_axes = (*range(1 - dim, 0), -dim)
+        self.spectrum_shape = (size // 2 + 1, *self.grid_shape[1:])
+        self.spectrum_size = int(np.prod(self.spectrum_shape))
+        position = np.ravel_multi_index(tuple((lattice.array % size).T), self.spectrum_shape, mode="wrap")
+        half_grid = np.flatnonzero(lattice.array[:, 0] >= 0)
+        rho = np.arange(r)[:, None]
+        self.scatter_from = (half_grid * width + n + rho).ravel()
+        self.scatter_to = (rho * self.spectrum_size + position[half_grid]).ravel()
+        self.gather_at = position[upper]
+        self.upper_null = (upper[:, None] * width + n + np.arange(r)).ravel()
+
+        # the table part: every coordinate triple (o at m, p at k, q at l) of every
+        # non-null row with m in the positive half; coordinates lie in the row's branches
         null = spectrum.null
         entries = table.entries
         null_triple = (
             null[entries[:, 0], entries[:, 1]] & null[entries[:, 2], entries[:, 3]] & null[entries[:, 4], entries[:, 5]]
         )
-        # the null part: the input modes of the half-spectrum grid, their P0 and grid positions, the
-        # axes (scipy halves the last), and the output positions and (n, d n) maps P0(m) (i m . F(m))
-        # that read the transformed flux F on the positive half
-        dim, size = lattice.dim, scipy.fft.next_fast_len(3 * lattice.radius + 1, real=True)
-        self.grid_shape = (size,) * dim
-        self.null_modes = np.flatnonzero(lattice.array[:, 0] >= 0)
-        self.null_p0 = spectrum.null_projector[self.null_modes]
-        index = (lattice.array % size).T
-        self.null_index = tuple(index[:, self.null_modes])
-        self.null_axes = (*range(1 - dim, 0), -dim)
-        self.spectrum_shape = (size // 2 + 1, *self.grid_shape[1:])
-        self.out_index = tuple(index[:, self.upper])
-        p0 = spectrum.null_projector[self.upper]
-        self.read = (1j * lattice.array[self.upper, None, :, None] * p0[:, :, None, :]).reshape(len(self.upper), n, -1)
-        quadratic = spec.quadratic.reshape(dim * n, n, n)
-        # the n(n+1)/2 products f_i f_j with i <= j, against the (i, j) and (j, i) columns folded into one
-        self.pair_i, self.pair_j = np.triu_indices(n)
-        off = self.pair_i != self.pair_j
-        self.folded_flux_matrix = quadratic[:, self.pair_i, self.pair_j] + off * quadratic[:, self.pair_j, self.pair_i]
-
-        # every coordinate triple (o at m, p at k, q at l) of every non-null
-        # row with m in the positive half: coordinates lie in the row's branches
-        basis, branch = spectrum.basis, spectrum.branch
-        self.cobasis = np.ascontiguousarray(basis.transpose(0, 2, 1) @ spec.entropy_hessian)
-        self.upper_basis = basis[self.upper]
         k, j1, l, j2, m, j3 = entries[~null_triple & (entries[:, 4] > zero_idx)].T
         o, p, q = (c.ravel() for c in np.indices((n, n, n)))
         row, coord = np.nonzero(
@@ -400,61 +441,78 @@ class _CompiledQuadratic:
         )
         k, l, m, o, p, q = k[row], l[row], m[row], o[coord], p[coord], q[coord]
         flux = np.einsum("aijk,tj,tk->tai", spec.quadratic, basis[k, :, p], basis[l, :, q])
-        coef = 1j * np.einsum("ta,ti,tai->t", lattice.array[m].astype(float), self.cobasis[m, o], flux)
+        coef = 1j * np.einsum("ta,ti,tai->t", lattice.array[m].astype(float), self.inputs[m, o], flux)
         magnitude = np.abs(coef)
         rel = magnitude / max(magnitude.max(initial=0.0), np.finfo(float).tiny)
         keep = rel > DROP_TOL
         self.dropped = int(np.count_nonzero(~keep))
         self.drop_margin = (float(rel[~keep].max(initial=0.0)), float(rel[keep].min(initial=np.inf)))
-        # fold the kept terms (k p, l q) and (l q, k p) at one output coordinate into one unordered
-        # pair: qbar(w, w) multiplies both by the same product.  The keys sort by output coordinate
-        size = len(lattice) * n
-        first, second = k * n + p, l * n + q
-        key = ((m - (zero_idx + 1)) * n + o) * size * size + np.minimum(first, second) * size + np.maximum(first, second)
+        # fold the kept terms (k p, l q) and (l q, k p) at one output coordinate into one unordered pair
+        # of flat input coordinates; the keys sort by output coordinate
+        span = len(lattice) * width
+        first, second = k * width + p, l * width + q
+        key = ((m - (zero_idx + 1)) * n + o) * span * span + np.minimum(first, second) * span + np.maximum(first, second)
         kept = np.flatnonzero(keep)
         kept = kept[np.argsort(key[kept], kind="stable")]
         first = np.flatnonzero(np.diff(key[kept], prepend=-1))
         self.coef = np.add.reduceat(coef[kept], first)
-        out, pair = np.divmod(key[kept[first]], size * size)
-        self.idx1, self.idx2 = np.divmod(pair, size)
+        out, pair = np.divmod(key[kept[first]], span * span)
+        self.idx1, self.idx2 = np.divmod(pair, span)
         self.seg_starts = np.flatnonzero(np.diff(out, prepend=-1))
         self.seg_pos = out[self.seg_starts]
         self.terms = len(self.coef)
         self.coefficient_bytes = sum(a.nbytes for a in (self.coef, self.idx1, self.idx2, self.seg_starts, self.seg_pos))
 
-    def _table(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        """The table part of qbar(c1, c2) on the positive half, in the order of self.upper."""
-        n = self.ncomp
-        a1 = np.matmul(self.cobasis, c1[:, :, None]).ravel()
-        a2 = a1 if c2 is c1 else np.matmul(self.cobasis, c2[:, :, None]).ravel()
-        coords = np.zeros(len(self.upper) * n, dtype=complex)
-        coords[self.seg_pos] = np.add.reduceat(_pairs(a1, a2, self.idx1, self.idx2) * self.coef, self.seg_starts)
-        return np.matmul(self.upper_basis, coords.reshape(-1, n, 1))[:, :, 0]
+    def _coordinates(self, c: np.ndarray) -> np.ndarray:
+        """The input map of every mode's coefficients, flat (M (n + r),): a real matmul on the complex pairs."""
+        pairs = np.ascontiguousarray(c).view(float).reshape(len(c), self.ncomp, 2)
+        return np.matmul(self.inputs, pairs).view(complex).ravel()
 
-    def _null(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        """The null part P0 (i m . q)(P0 c1, P0 c2) on the positive half, summed over
-        k + l = m by one padded real inverse and one real forward transform."""
-        n = self.ncomp
-        inputs = np.stack([c1] if c2 is c1 else [c1, c2])[:, self.null_modes]  # the same input is transformed once
-        projected = np.matmul(self.null_p0, inputs[..., None])[..., 0]
-        spectra = np.zeros((len(inputs), n, *self.spectrum_shape), dtype=complex)
-        spectra[(slice(None), slice(None), *self.null_index)] = projected.transpose(0, 2, 1)
+    def _table(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """The table part's branch coordinates on the positive half, (U, n)."""
+        coords = np.zeros(self.outputs.shape[0] * self.ncomp, dtype=complex)
+        coords[self.seg_pos] = np.add.reduceat(_pairs(x1, x2, self.idx1, self.idx2) * self.coef, self.seg_starts)
+        return coords.reshape(-1, self.ncomp)
+
+    def _null(self, x1: np.ndarray, x2: np.ndarray, zero1: np.ndarray, zero2: np.ndarray) -> np.ndarray:
+        """The null part's flux coordinates E^T g (i m . F)(m) on the positive half, (U, d r), from one padded
+        real inverse transform per distinct input and one real forward transform."""
+        r = self.null_rank
+        inputs = x1[None] if x2 is x1 else np.stack([x1, x2])  # the same input is transformed once
+        spectra = np.zeros((len(inputs), r * self.spectrum_size), dtype=complex)
+        spectra[:, self.scatter_to] = inputs[:, self.scatter_from]
+        spectra = spectra.reshape(len(inputs), r, *self.spectrum_shape)
         fields = scipy.fft.irfftn(spectra, s=self.grid_shape, axes=self.null_axes, norm="forward", overwrite_x=True)
-        f1, *f2 = fields.reshape(len(inputs), n, -1)
-        pair = _pairs(f1, f2[0] if f2 else f1, self.pair_i, self.pair_j)
-        flux = scipy.fft.rfftn((self.folded_flux_matrix @ pair).reshape(-1, *self.grid_shape), axes=self.null_axes,
+        f1 = fields[0].reshape(r, -1)
+        products = _pairs(f1, f1 if x2 is x1 else fields[1].reshape(r, -1), self.pair_i, self.pair_j)
+        flux = scipy.fft.rfftn((self.flux_kernel @ products).reshape(-1, *self.grid_shape), axes=self.null_axes,
                                norm="forward")
-        gathered = flux[(slice(None), *self.out_index)]
-        return np.matmul(self.read, gathered.T[:, :, None])[:, :, 0]
+        flux = flux.reshape(len(flux), -1)[:, self.gather_at].T
+        # the pairs (m, 0) and (0, m), linear in alpha(m); for one input the two terms are one
+        linear = x1[self.upper_null].reshape(-1, r) @ (self.zero_kernel @ zero2).reshape(-1, r).T
+        if x2 is x1:
+            linear += linear
+        else:
+            linear += x2[self.upper_null].reshape(-1, r) @ (self.zero_kernel @ zero1).reshape(-1, r).T
+        flux += linear
+        flux *= 1j
+        return flux
 
     def apply(self, w1: SpectralState, w2: SpectralState) -> SpectralState:
         """qbar(w1, w2) of reality-symmetric inputs: one table pass and the null part, completed."""
         c1, c2 = w1.coeffs, w2.coeffs
         if c2 is not c1 and np.array_equal(c1, c2):
             c2 = c1  # qbar(w, w) whatever the arrays: one input to transform, symmetric products
-        upper = self._table(c1, c2) + self._null(c1, c2)
-        half = np.concatenate([np.zeros((1, self.ncomp), dtype=complex), upper])
-        return SpectralState(w1.lattice, self.lattice.complete(half))
+        x1 = self._coordinates(c1)
+        x2 = x1 if c2 is c1 else self._coordinates(c2)
+        n = self.ncomp
+        stacked = np.empty(self.outputs.shape[::2], dtype=complex)
+        stacked[:, :n] = self._table(x1, x2)
+        if self.null_rank:
+            stacked[:, n:] = self._null(x1, x2, c1[self.zero_idx], c2[self.zero_idx])
+        half = np.zeros((len(stacked) + 1, n, 2))  # the zero mode's row stays zero
+        np.matmul(self.outputs, stacked.view(float).reshape(len(stacked), -1, 2), out=half[1:])
+        return SpectralState(w1.lattice, self.lattice.complete(half.view(complex)[:, :, 0]))
 
 
 def _pairs(x1: np.ndarray, x2: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:

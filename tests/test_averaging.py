@@ -329,6 +329,25 @@ def test_qbar_folds_both_orderings_of_a_pair(system, terms, request):
     assert ab.coeffs.tobytes() == ba.coeffs.tobytes()
 
 
+@pytest.mark.parametrize(
+    "system, rank",
+    [("ideal-gas-2d", 3), ("ideal-gas-3d", 4), ("ideal-gas-1d", 1), ("coupled-wave", 0), ("scalar", 0)],
+)
+def test_qbar_null_part_runs_on_the_null_range(system, rank, request, monkeypatch):
+    """Off the zero mode every P0(m) maps into one range of rank r: velocity and
+    temperature in the gas, nothing where the zero mode holds the only null
+    branch.  A call transforms r fields in and d r out, and none when r = 0."""
+    spec, ops, _ = _system(system, request)
+    quad = ops.table.quadratic
+    assert quad.null_rank == rank
+    largest, smallest = quad.null_margin
+    assert largest <= 1e-14 and (rank == 0 or smallest >= 1e-3)
+    w = wk.random_real_state(ops.lattice, spec.ncomp, seed=43, decay=2.0)
+    transforms = _count_transforms(monkeypatch)
+    apply_averaged_quadratic(spec, ops.spectrum, ops.table, w, w)
+    assert transforms == ([("irfftn", (1, rank)), ("rfftn", (spec.dim * rank,))] if rank else [])
+
+
 def test_qbar_alias_free_on_corner_modes(cns_ops4, cns_model):
     """Products of the corner modes (+-R, +-R) land at +-2R, outside the
     lattice; on a grid with fewer than 3R+1 points they would wrap onto
@@ -389,13 +408,14 @@ def test_qbar_rejects_table_not_closed_under_negation(cns_model):
 
 
 def _count_transforms(monkeypatch):
-    """Patch scipy.fft's padded transforms to record (name, stack size) per call."""
+    """Patch scipy.fft's padded transforms to record (name, stack shape) per call: the
+    shape of the axes not transformed, (inputs, r) for the inverse and (d r,) forward."""
     import scipy.fft
 
     calls = []
     for name in ("ifftn", "fftn", "irfftn", "rfftn"):
         def counted(x, *args, _name=name, _transform=getattr(scipy.fft, name), **kwargs):
-            calls.append((_name, x.shape[0]))
+            calls.append((_name, x.shape[: x.ndim - len(kwargs["axes"])]))
             return _transform(x, *args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, name, counted)
@@ -458,9 +478,10 @@ def test_table_compiles_qbar_once_on_first_use(cns_model, monkeypatch):
 
 
 def test_qbar_pass_count(cns_ops4, cns_model, monkeypatch):
-    """One table pass, one padded real inverse and one real forward transform
-    per call, for a split state and a roundoff mirror defect as for a real
-    state; a complex input is refused before any pass or transform."""
+    """One table pass, one padded real inverse transform of the r = 3 null-range
+    fields per distinct input and one real forward transform of the d r = 6
+    flux fields per call, for a split state and a roundoff mirror defect as for
+    a real state; a complex input is refused before any pass or transform."""
     spec = cns_model.spec
     lat = cns_ops4.lattice
     real = wk.random_real_state(lat, 4, seed=88, decay=2.0)
@@ -484,7 +505,7 @@ def test_qbar_pass_count(cns_ops4, cns_model, monkeypatch):
         transforms.clear()
         apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, a, b)
         assert len(passes) == 1, name
-        assert [t for t, _ in transforms] == ["irfftn", "rfftn"], name
+        assert transforms == [("irfftn", (1 if a is b else 2, 3)), ("rfftn", (6,))], name
     passes.clear()
     transforms.clear()
     with pytest.raises(ValueError, match="mirror defect"):
@@ -493,9 +514,10 @@ def test_qbar_pass_count(cns_ops4, cns_model, monkeypatch):
 
 
 def test_qbar_of_one_state_transforms_it_once(cns_ops4, cns_model, monkeypatch):
-    """qbar(w, w) transforms a stack of one input and gives qbar(w, w.copy())
-    bit for bit; distinct inputs are transformed as a stack of two.  Every
-    real input takes the real transforms, and a complex one is refused."""
+    """qbar(w, w) transforms a stack of one input's r = 3 null-range fields and
+    gives qbar(w, w.copy()) bit for bit; distinct inputs are transformed as a
+    stack of two.  Every real input takes the real transforms, and a complex
+    one is refused."""
     spec = cns_model.spec
     lat = cns_ops4.lattice
 
@@ -514,7 +536,7 @@ def test_qbar_of_one_state_transforms_it_once(cns_ops4, cns_model, monkeypatch):
         other = apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, w, w.copy())
         assert same.coeffs.tobytes() == other.coeffs.tobytes(), name
         apply_averaged_quadratic(spec, cns_ops4.spectrum, cns_ops4.table, w, others[name])
-        assert [size for t, size in transforms if t == "irfftn"] == [1, 1, 2], name
+        assert [size for t, size in transforms if t == "irfftn"] == [(1, 3), (1, 3), (2, 3)], name
         assert [t for t, _ in transforms] == ["irfftn", "rfftn"] * 3, name
     complex_ = others["zero mode"].copy()
     complex_.coeffs = complex_.coeffs * (1.0 + 0.5j)
