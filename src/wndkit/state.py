@@ -148,25 +148,29 @@ def random_real_state(
     return state
 
 
+def _weighted(spec: SystemSpec, state: SpectralState) -> np.ndarray:
+    """g w(xi) at every mode, (nmodes, ncomp), by one matmul; ValueError unless the state has the spec's components."""
+    require_fit(state, state.lattice, spec.ncomp, "a spec")
+    return state.coeffs @ spec.entropy_hessian.T
+
+
 def inner_product(spec: SystemSpec, w1: SpectralState, w2: SpectralState) -> complex:
     """Entropy-weighted Plancherel pairing; real for reality-symmetric fields.
 
     ValueError unless both states share a lattice and have the spec's components."""
     if w1.lattice != w2.lattice:
         raise ValueError("states live on different lattices")
-    for w in (w1, w2):
-        require_fit(w, w1.lattice, spec.ncomp, "a spec")
-    return complex(np.einsum("mp,pq,mq->", w1.coeffs.conj(), spec.entropy_hessian, w2.coeffs))
+    require_fit(w1, w1.lattice, spec.ncomp, "a spec")
+    return complex(np.vdot(w1.coeffs, _weighted(spec, w2)))
 
 
 def _weighted_sq(spec: SystemSpec, state: SpectralState) -> np.ndarray:
     """Per-mode |w(xi)|_g^2, shape (nmodes,); ValueError unless the state has the spec's components."""
-    require_fit(state, state.lattice, spec.ncomp, "a spec")
-    return np.einsum("mp,pq,mq->m", state.coeffs.conj(), spec.entropy_hessian, state.coeffs).real
+    return np.einsum("mp,mp->m", state.coeffs.conj(), _weighted(spec, state)).real
 
 
 def energy_norm(spec: SystemSpec, state: SpectralState) -> float:
-    return float(np.sqrt(max(_weighted_sq(spec, state).sum(), 0.0)))
+    return float(np.sqrt(max(inner_product(spec, state, state).real, 0.0)))
 
 
 def sobolev_norm(spec: SystemSpec, state: SpectralState, s: float) -> float:
