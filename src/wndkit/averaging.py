@@ -419,13 +419,15 @@ class _CompiledQuadratic:
         self.null_axes = (*range(1 - dim, 0), -dim)
         self.spectrum_shape = (size // 2 + 1, *self.grid_shape[1:])
         self.spectrum_size = int(np.prod(self.spectrum_shape))
-        position = np.ravel_multi_index(tuple((lattice.array % size).T), self.spectrum_shape, mode="wrap")
         half_grid = np.flatnonzero(lattice.array[:, 0] >= 0)
+        scatter_at, self.gather_at = (
+            np.ravel_multi_index(tuple((lattice.array[modes] % size).T), self.spectrum_shape) for modes in (half_grid, upper)
+        )
         rho = np.arange(r)[:, None]
         self.scatter_from = (half_grid * width + n + rho).ravel()
-        self.scatter_to = (rho * self.spectrum_size + position[half_grid]).ravel()
-        self.gather_at = position[upper]
-        self.upper_null = (upper[:, None] * width + n + np.arange(r)).ravel()
+        self.scatter_to = (rho * self.spectrum_size + scatter_at).ravel()
+        # the null-range coordinates alpha(m) of the positive half, which the zero-mode kernel reads
+        self.upper_null = (upper[:, None] * width + n + rho.T).ravel()
 
         # the table part: every coordinate triple (o at m, p at k, q at l) of every
         # non-null row with m in the positive half; coordinates lie in the row's branches
@@ -454,9 +456,9 @@ class _CompiledQuadratic:
         key = ((m - (zero_idx + 1)) * n + o) * span * span + np.minimum(first, second) * span + np.maximum(first, second)
         kept = np.flatnonzero(keep)
         kept = kept[np.argsort(key[kept], kind="stable")]
-        first = np.flatnonzero(np.diff(key[kept], prepend=-1))
-        self.coef = np.add.reduceat(coef[kept], first)
-        out, pair = np.divmod(key[kept[first]], span * span)
+        starts = np.flatnonzero(np.diff(key[kept], prepend=-1))
+        self.coef = np.add.reduceat(coef[kept], starts)
+        out, pair = np.divmod(key[kept[starts]], span * span)
         self.idx1, self.idx2 = np.divmod(pair, span)
         self.seg_starts = np.flatnonzero(np.diff(out, prepend=-1))
         self.seg_pos = out[self.seg_starts]
