@@ -100,11 +100,12 @@ class EquationOfState:
     theta_from_energy: Scalar | None = None  # inverse of eps(rho, .), for conserved-variable work
 
     def validate_at(self, rho: float, theta: float) -> None:
-        if rho <= 0.0 or theta <= 0.0:
+        """ValueError unless rho, theta, d eps/d theta and dp/drho are positive (a NaN is not)."""
+        if not (rho > 0.0 and theta > 0.0):
             raise ValueError("reference state must have rho > 0 and theta > 0")
-        if self.heat_capacity(rho, theta) <= 0.0:
+        if not self.heat_capacity(rho, theta) > 0.0:
             raise ValueError("equation of state violates d eps/d theta > 0")
-        if self.pressure_rho(rho, theta) <= 0.0:
+        if not self.pressure_rho(rho, theta) > 0.0:
             raise ValueError("equation of state violates dp/drho > 0")
 
 
@@ -148,8 +149,8 @@ def sound_speed(eos: EquationOfState, rho: float, theta: float) -> float:
     p_t = eos.pressure_theta(rho, theta)
     c_v = eos.heat_capacity(rho, theta)
     c_sq = p_r + theta * p_t**2 / (rho**2 * c_v)
-    if c_sq <= 0.0:
-        raise ValueError("equation of state yields a nonpositive squared sound speed")
+    if not c_sq > 0.0:
+        raise ValueError(f"equation of state yields a squared sound speed c0^2 = {c_sq!r} that is not positive")
     return math.sqrt(c_sq)
 
 
@@ -418,7 +419,12 @@ def make_exact_resonance_rule(model: CnsModel):
     def rule(k, w1, l, w2, m, w3) -> np.ndarray:
         a, b, c = map(_squared_norms, (k, l, m))
         s1, s2, s3 = map(branch_sign, (w1, w2, w3))
-        hit = (s1 == 0) & (s2 == 0) & (s3 == 0)
+        # the all-null cells from each side's (P, B) null mask, gathered to the (P, B^3) cells: a broadcast
+        # over the inner (B, B) axes would run numpy's loops B elements at a time
+        width = s1.shape[1]
+        i1, i2, i3 = np.indices((width,) * 3).reshape(3, -1)
+        z1, z2, z3 = ((s == 0).reshape(len(s), width) for s in (s1, s2, s3))
+        hit = (z1[:, i1] & z2[:, i2] & z3[:, i3]).reshape(len(s1), width, width, width)
         gap = c - a - b
         pairs = np.flatnonzero((a == b) | (a == c) | (b == c) | (gap * gap == 4 * a * b))
         hit[pairs] = acoustic_sum_resonant(a[pairs], b[pairs], c[pairs], s1[pairs], s2[pairs], s3[pairs])

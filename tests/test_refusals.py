@@ -6,6 +6,7 @@ lattices.
 """
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -15,7 +16,7 @@ from numpy.linalg import LinAlgError
 import wndkit as wk
 from wndkit.directions import unit_directions
 from wndkit.dissipativity import _lowest_eigenvalues
-from wndkit.navier_stokes import conserved_flux, wcns_coupling_report
+from wndkit.navier_stokes import conserved_flux, sound_speed, wcns_coupling_report
 from wndkit.system import SpecShapeError
 
 SCALAR = wk.SystemSpec(1, 1, [0.0], [[[1.0]]], [[[[0.3]]]], [[[[0.5]]]], [[1.0]])
@@ -61,6 +62,16 @@ CASES = [
      ValueError, "equation of state violates d eps/d theta > 0"),
     ("eos-pressure-rho", lambda: dataclasses.replace(GAS, pressure_rho=lambda r, t: -1.0).validate_at(1.0, 1.0),
      ValueError, "equation of state violates dp/drho > 0"),
+    ("eos-reference-nan", lambda: GAS.validate_at(math.nan, 1.0),
+     ValueError, "reference state must have rho > 0 and theta > 0"),
+    ("eos-heat-capacity-nan",
+     lambda: dataclasses.replace(GAS, heat_capacity=lambda r, t: math.nan).validate_at(1.0, 1.0),
+     ValueError, "equation of state violates d eps/d theta > 0"),
+    ("eos-pressure-rho-nan",
+     lambda: dataclasses.replace(GAS, pressure_rho=lambda r, t: math.nan).validate_at(1.0, 1.0),
+     ValueError, "equation of state violates dp/drho > 0"),
+    ("sound-speed-nan", lambda: sound_speed(dataclasses.replace(GAS, pressure_theta=lambda r, t: math.nan), 1.0, 1.0),
+     ValueError, "equation of state yields a squared sound speed c0^2 = nan that is not positive"),
     ("cns-spec-variables", lambda: wk.build_cns_spec(GAS, TRANSPORT, 1.0, 1.0, 2, variables="entropy"),
      ValueError, "variables must be 'primitive' or 'conserved'"),
     ("conserved-flux-inverse", lambda: conserved_flux(dataclasses.replace(GAS, theta_from_energy=None),
