@@ -310,3 +310,31 @@ def test_unknown_integrator_rejected(cns_ops4):
     w0 = wk.zero_state(cns_ops4.lattice, 4)
     with pytest.raises(ValueError):
         wk.step(cns_ops4, w0, 0.1, method="euler")
+
+
+@pytest.fixture(scope="module")
+def gas3d_ops2():
+    model = wk.build_preset("ideal-gas-3d")
+    return wk.build_operators(model.spec, wk.FrequencyLattice(3, 2), exact_rule=wk.make_exact_resonance_rule(model))
+
+
+@pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "filtered"])
+@pytest.mark.parametrize("method", ["if_rk2", "if_rk4"])
+@pytest.mark.parametrize("ops_fixture", ["cns_ops4", "gas3d_ops2"])
+def test_no_step_stage_is_projected(ops_fixture, method, filtered, request, monkeypatch):
+    """Every stage input reaches qbar's entry gate bitwise real, so the gate never
+    projects a copy: `enforce_reality` runs zero times inside simulate, also with a
+    nonzero zero mode."""
+    from wndkit import state as state_module
+
+    ops = request.getfixturevalue(ops_fixture)
+    lat, n = ops.lattice, ops.spec.ncomp
+    w0 = wk.random_real_state(lat, n, seed=61, decay=3.0, amplitude=0.2)
+    w0.coeffs[lat.zero_index()] = np.linspace(0.1, -0.05, n)
+    projected = []
+    enforce = state_module.enforce_reality
+    monkeypatch.setattr(state_module, "enforce_reality", lambda s: projected.append(s) or enforce(s))
+    snaps, _ = wk.simulate(ops, w0, t_end=4e-3, dt=1e-3, method=method, diagnostics_every=2, filtered=filtered)
+    assert projected == []
+    assert all(is_reality_symmetric(s) for s in snaps)
+    assert np.array_equal(snaps[-1].coeffs[lat.zero_index()], w0.coeffs[lat.zero_index()])
