@@ -354,9 +354,9 @@ class _CompiledQuadratic:
     (n, r), read off the n x n Gram sum_m P0(m) of the positive half by one
     symmetric eigensolve (of g^{1/2} sum_m P0(m) g^{-1/2}, as the spectrum
     symmetrizes); its eigenvalues up to NULL_RANK_TOL times the largest are
-    roundoff.  So P0(m) w(m) = E alpha(m) with alpha = E^T g P0
-    w, and as P0(m) = P0(m) E E^T g the output needs only E^T g of the
-    flux.  The pairs with both k and l off the zero mode are computed
+    roundoff.  So P0(m) w(m) = E alpha(m) with alpha = E^T g P0 w, and as
+    P0(m) = P0(m) E E^T g the output needs only E^T g of the flux.  The
+    pairs with both k and l off the zero mode are computed
     pseudo-spectrally on a zero-padded grid of at least 3R+1 points per
     axis, on which no product of two retained modes aliases onto a retained
     mode: one real inverse transform of the r fields alpha per distinct
@@ -397,10 +397,10 @@ class _CompiledQuadratic:
         eg = e.T @ g
         null_rows = eg @ p0  # (M, r, n); the zero mode enters by the linear term alone
         null_rows[zero_idx] = 0.0
-        self.inputs = np.ascontiguousarray(np.concatenate([basis.transpose(0, 2, 1) @ g, null_rows], axis=1))
+        self.inputs = np.concatenate([basis.transpose(0, 2, 1) @ g, null_rows], axis=1)
         width = n + r
         read = lattice.array[upper, None, :, None] * (p0[upper] @ e)[:, :, None, :]  # (U, n, d, r)
-        self.outputs = np.ascontiguousarray(np.concatenate([basis[upper], read.reshape(len(upper), n, dim * r)], axis=2))
+        self.outputs = np.concatenate([basis[upper], read.reshape(len(upper), n, dim * r)], axis=2)
 
         # the null part's kernels, each row (a, rho) the flux coordinate E^T g q_a: the folded
         # (d r, r(r+1)/2) flux kernel of the field products f_s f_t, s <= t, and the (d r r, n)
@@ -508,12 +508,12 @@ class _CompiledQuadratic:
         x1 = self._coordinates(c1)
         x2 = x1 if c2 is c1 else self._coordinates(c2)
         n = self.ncomp
-        stacked = np.empty(self.outputs.shape[::2], dtype=complex)
+        stacked = np.empty((len(self.outputs), self.outputs.shape[2]), dtype=complex)
         stacked[:, :n] = self._table(x1, x2)
         if self.null_rank:
             stacked[:, n:] = self._null(x1, x2, c1[self.zero_idx], c2[self.zero_idx])
         half = np.zeros((len(stacked) + 1, n, 2))  # the zero mode's row stays zero
-        np.matmul(self.outputs, stacked.view(float).reshape(len(stacked), -1, 2), out=half[1:])
+        np.matmul(self.outputs, stacked.view(float).reshape(*stacked.shape, 2), out=half[1:])
         return SpectralState(w1.lattice, self.lattice.complete(half.view(complex)[:, :, 0]))
 
 
