@@ -319,9 +319,10 @@ class _CompiledQuadratic:
     Its inputs are real fields (`apply_averaged_quadratic` gates them), so
     qbar(w1, w2)(-m) = conj(qbar(w1, w2)(m)): the symbols are real and the
     table is closed under negation (the build checks it).  Only the positive
-    half is computed, in one table pass and one null part, and
-    `lattice.complete` adds a zero row for the zero mode (the divergence
-    factor i*m vanishes there) and the mirrored negative half.
+    half is computed, in one table pass and one null part: `half` returns it
+    below a zero row for the zero mode (the divergence factor i*m vanishes
+    there), which is how the solver's steps read qbar, and `apply` adds the
+    mirrored negative half by `lattice.complete`.
 
     One set of arrays serves qbar(w, w) and qbar(w1, w2).  Both parts take
     products over unordered pairs (i, j): x[i] x[j] for qbar(w, w), and for
@@ -366,8 +367,10 @@ class _CompiledQuadratic:
     of the d r flux fields (scipy.fft.rfftn).  The pairs (m, 0) and (0, m)
     are pointwise linear in alpha(m): the zero-mode kernel E^T g q_a(E_s,
     w(0)) adds them to the same d r flux coordinates, which `read` = m_a
-    P0(m) E maps back (with the factor i).  When r = 0 the null part is
-    zero and no transform runs.  Scatter and gather use flat indices.
+    P0(m) E maps back (with the factor i); when both inputs' zero-mode
+    coefficients are exactly zero, as in every zero-mean field, the term is
+    zero and is skipped.  When r = 0 the null part is zero and no transform
+    runs.  Scatter and gather use flat indices.
 
     Plain attributes report what was compiled: `terms` (folded coefficients),
     `coefficient_bytes` (coefficient, index and segment arrays), `dropped`
@@ -490,19 +493,22 @@ class _CompiledQuadratic:
         flux = scipy.fft.rfftn((self.flux_kernel @ products).reshape(-1, *self.grid_shape), axes=self.null_axes,
                                norm="forward")
         flux = flux.reshape(len(flux), -1)[:, self.gather_at].T
-        # the pairs (m, 0) and (0, m), linear in alpha(m); for one input the two terms are one
-        linear = x1[self.upper_null].reshape(-1, r) @ (self.zero_kernel @ zero2).reshape(-1, r).T
-        if x2 is x1:
-            linear += linear
-        else:
-            linear += x2[self.upper_null].reshape(-1, r) @ (self.zero_kernel @ zero1).reshape(-1, r).T
-        flux += linear
+        # the pairs (m, 0) and (0, m), linear in alpha(m) and zero when both zero modes are; for one
+        # input the two terms are one
+        if zero1.any() or zero2.any():
+            linear = x1[self.upper_null].reshape(-1, r) @ (self.zero_kernel @ zero2).reshape(-1, r).T
+            if x2 is x1:
+                linear += linear
+            else:
+                linear += x2[self.upper_null].reshape(-1, r) @ (self.zero_kernel @ zero1).reshape(-1, r).T
+            flux += linear
         flux *= 1j
         return flux
 
-    def apply(self, w1: SpectralState, w2: SpectralState) -> SpectralState:
-        """qbar(w1, w2) of reality-symmetric inputs: one table pass and the null part, completed."""
-        c1, c2 = w1.coeffs, w2.coeffs
+    def half(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        """qbar of two real fields, given by their coefficients on every mode, on the zero mode and
+        the positive half, (U + 1, n): one table pass and the null part, with a zero row for the
+        zero mode.  Ungated: `apply` and the solver's steps pass it real fields."""
         if c2 is not c1 and np.array_equal(c1, c2):
             c2 = c1  # qbar(w, w) whatever the arrays: one input to transform, symmetric products
         x1 = self._coordinates(c1)
@@ -512,9 +518,13 @@ class _CompiledQuadratic:
         stacked[:, :n] = self._table(x1, x2)
         if self.null_rank:
             stacked[:, n:] = self._null(x1, x2, c1[self.zero_idx], c2[self.zero_idx])
-        half = np.zeros((len(stacked) + 1, n, 2))  # the zero mode's row stays zero
-        np.matmul(self.outputs, stacked.view(float).reshape(*stacked.shape, 2), out=half[1:])
-        return SpectralState(w1.lattice, self.lattice.complete(half.view(complex)[:, :, 0]))
+        out = np.zeros((len(stacked) + 1, n, 2))  # the zero mode's row stays zero
+        np.matmul(self.outputs, stacked.view(float).reshape(*stacked.shape, 2), out=out[1:])
+        return out.view(complex)[:, :, 0]
+
+    def apply(self, w1: SpectralState, w2: SpectralState) -> SpectralState:
+        """qbar(w1, w2) of reality-symmetric inputs on every mode: `half`, completed by the mirror."""
+        return SpectralState(w1.lattice, self.lattice.complete(self.half(w1.coeffs, w2.coeffs)))
 
 
 def _pairs(x1: np.ndarray, x2: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
