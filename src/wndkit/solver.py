@@ -11,6 +11,26 @@ of the exact per-mode linear propagator, computed once per step size as a
 matrix exponential and cached.  The linear dynamics is therefore exact and
 unconditionally stable; only the quadratic term carries time-stepping error.
 
+A step advances the half: the coefficients of the zero mode and the positive
+half, a (U + 1, n) array.  Every per-mode operator obeys X(-xi) =
+conj(X(xi)) and so does every real field, so the rest adds nothing.  The
+propagators are kept on the half, and qbar returns the half
+(`_CompiledQuadratic.half`) of its input completed by the mirror.  The only
+propagator applied is the half-step one, H = e^{dt/2 G}: the full-step one
+is H H, so by linearity the classical scheme (T = -qbar(., .))
+
+    k1 = T(u), k2 = T(H u + dt/2 H k1), k3 = T(H u + dt/2 k2),
+    k4 = T(H (H u + dt k3)),
+    u' = H H u + dt/6 (H H k1 + 2 H (k2 + k3) + k4)
+
+is  u' = H (H u + dt/6 H k1 + dt/3 (k2 + k3)) + dt/6 k4:  four applies (H u,
+H k1, H (H u + dt k3) and the last).  The midpoint scheme
+u' = H (H u + dt k2), with k2 = T(H (u + dt/2 k1)), takes three.  `step`
+gates its state, takes the half, advances it and completes it; `simulate`
+gates the initial state once, advances the half from step to step and
+completes a state only for a snapshot, so every snapshot is
+reality-symmetric by construction.
+
 Diagnostics accumulate the energy balance
 
     1/2 |w(t)|^2 - int_0^t (w | dbar w) dt'  =  1/2 |w(0)|^2
@@ -36,13 +56,12 @@ import scipy.linalg
 from .averaging import (
     AveragedDiffusion,
     ResonanceTable,
-    apply_averaged_diffusion,
     apply_averaged_quadratic,
     averaged_diffusion,
     build_resonance_table,
 )
 from .spectral import FrequencyLattice, Mode, Spectrum, frequency_spectrum
-from .state import SpectralState, energy_norm, evolve_state, inner_product, require_fit, require_reality, sobolev_norm
+from .state import SpectralState, energy_norm, evolve_state, require_fit, require_reality, sobolev_norm
 from .system import SystemSpec
 
 __all__ = [
@@ -106,15 +125,16 @@ class WndOperators:
         return apply_averaged_quadratic(self.spec, self.spectrum, self.table, state, state).coeffs
 
     def propagators(self, dt: float, filtered: bool) -> np.ndarray:
-        """Cached per-mode matrix exponentials of dt * generator.
+        """Cached per-mode matrix exponentials of dt * generator (of dt * dbar alone when
+        `filtered`) on the zero mode and the positive half, (U + 1, n, n): the blocks a step applies.
 
-        Only the zero mode and the positive half are exponentiated; the
-        lattice completes the rest, keeping stepping reality-exact.
+        The blocks at -xi are their conjugates; `lattice.complete` adds them where a full
+        lattice is wanted.
         """
         key = (float(dt), filtered)
         if key not in self._propagators:
             gen = self.avg.blocks if filtered else self.generator
-            self._propagators[key] = self.lattice.complete(scipy.linalg.expm(dt * gen[self.lattice.zero_index():]))
+            self._propagators[key] = scipy.linalg.expm(dt * gen[self.lattice.zero_index():])
         return self._propagators[key]
 
 
@@ -150,6 +170,13 @@ def _apply(props: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("mpq,mq->mp", props, coeffs)
 
 
+def _check_step(dt: float, method: str) -> None:
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if method not in INTEGRATORS:
+        raise ValueError(f"unknown integrator {method!r}; expected one of {INTEGRATORS}")
+
+
 def step(
     ops: WndOperators,
     state: SpectralState,
@@ -159,38 +186,48 @@ def step(
 ) -> SpectralState:
     """Advance one step; exact on the linear part for any dt.  ValueError unless the state fits and is real."""
     state = _entry(ops, state)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if method not in INTEGRATORS:
-        raise ValueError(f"unknown integrator {method!r}; expected one of {INTEGRATORS}")
-    full = ops.propagators(dt, filtered)
-    coeffs = state.coeffs
+    _check_step(dt, method)
+    half = _advance(ops, state.coeffs[ops.lattice.zero_index():], dt, method, filtered)
+    return SpectralState(state.lattice, ops.lattice.complete(half))
+
+
+def _tendency(ops: WndOperators, half: np.ndarray) -> np.ndarray:
+    """-qbar(w, w) on the half, for the real field w whose half is `half`."""
+    if ops.table is None:
+        return np.zeros_like(half)
+    coeffs = ops.lattice.complete(half)
+    return -ops.table.quadratic.half(coeffs, coeffs)
+
+
+def _advance(ops: WndOperators, half: np.ndarray, dt: float, method: str, filtered: bool) -> np.ndarray:
+    """One IF-RK step of the half (U + 1, n), by the half-step propagator alone (module docstring)."""
+    prop = ops.propagators(0.5 * dt, filtered)
+    k1 = _tendency(ops, half)
     if method == "if_rk2":
-        k1 = -ops.quadratic_tendency(coeffs)
-        mid = ops.propagators(0.5 * dt, filtered)
-        k2 = -ops.quadratic_tendency(_apply(mid, coeffs + 0.5 * dt * k1))
-        new = _apply(full, coeffs) + dt * _apply(mid, k2)
-    else:
-        half = ops.propagators(0.5 * dt, filtered)
-        k1 = -ops.quadratic_tendency(coeffs)
-        u_half = _apply(half, coeffs)
-        k2 = -ops.quadratic_tendency(u_half + 0.5 * dt * _apply(half, k1))
-        k3 = -ops.quadratic_tendency(u_half + 0.5 * dt * k2)
-        k4 = -ops.quadratic_tendency(_apply(half, u_half + dt * k3))
-        new = (
-            _apply(full, coeffs)
-            + (dt / 6.0) * (_apply(full, k1) + 2.0 * _apply(half, k2 + k3) + k4)
-        )
-    return SpectralState(state.lattice, new)
+        k2 = _tendency(ops, _apply(prop, half + 0.5 * dt * k1))
+        return _apply(prop, _apply(prop, half) + dt * k2)
+    u_half = _apply(prop, half)
+    prop_k1 = _apply(prop, k1)
+    k2 = _tendency(ops, u_half + 0.5 * dt * prop_k1)
+    k3 = _tendency(ops, u_half + 0.5 * dt * k2)
+    k4 = _tendency(ops, _apply(prop, u_half + dt * k3))
+    return _apply(prop, u_half + (dt / 6.0) * prop_k1 + (dt / 3.0) * (k2 + k3)) + (dt / 6.0) * k4
 
 
-def _check_finite(ops: WndOperators, coeffs: np.ndarray, time: float) -> None:
-    mags = np.abs(coeffs)
-    worst = int(np.argmax(mags))
-    peak = float(mags.flat[worst])
-    if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
-        mode_idx, comp = divmod(worst, coeffs.shape[1])
-        raise BlowUpError(ops.lattice.modes[mode_idx], time, peak)
+def _check_finite(ops: WndOperators, half: np.ndarray, time: float) -> None:
+    """BlowUpError unless every coefficient of the half is finite and at most BLOWUP_THRESHOLD.
+
+    It names the mode the full lattice names: the first in lattice order to hold the first NaN
+    or else the largest magnitude.  |w(-xi)| = |w(xi)|, so that is the mirror of the last half
+    row to hold it (the zero mode when only its row does).
+    """
+    mags = np.abs(half)
+    peak = float(mags.max())
+    if np.isfinite(peak) and peak <= BLOWUP_THRESHOLD:
+        return
+    worst = np.isnan(mags) if np.isnan(peak) else mags == peak
+    last = int(np.flatnonzero(worst.any(axis=1))[-1])
+    raise BlowUpError(ops.lattice.modes[ops.lattice.zero_index() - last], time, peak)
 
 
 @dataclass(eq=False)
@@ -238,16 +275,19 @@ def simulate(
     """Fixed-step integration with energy accounting.
 
     t_end must be a whole number of steps of dt, and the initial state must fit the
-    operators and be real (ValueError otherwise): it passes the entry gate once, so every
-    snapshot is reality-symmetric.  Snapshots are full states taken every
-    `diagnostics_every` steps (plus the final state), at the series' times.  The
-    budget residual reported at each snapshot is the defect of the energy identity
-    accumulated from t = 0.
+    operators and be real (ValueError otherwise): it passes the entry gate once, and the
+    steps advance its half (module docstring).  Snapshots are full states taken every
+    `diagnostics_every` steps (plus the final state), at the series' times: the gated
+    initial state, copied bit for bit, and then the half completed by the mirror, so every
+    snapshot is reality-symmetric.  Energy and dissipation are sampled after every step from
+    the half, the zero mode weighted once and every other mode twice.  The budget residual
+    reported at each snapshot is the defect of the energy identity accumulated from t = 0.
     """
     if t_end <= 0.0 or dt <= 0.0:
         raise ValueError("need t_end > 0 and dt > 0")
     if diagnostics_every < 1:
         raise ValueError("diagnostics_every must be >= 1")
+    _check_step(dt, method)
     state = _entry(ops, initial)
     if ops.omega_max * dt > 0.5:
         warnings.warn(
@@ -258,26 +298,33 @@ def simulate(
         )
     n_steps = whole_steps(t_end, dt)
 
-    spec = ops.spec
+    spec, lattice = ops.spec, ops.lattice
+    zero = lattice.zero_index()
 
     diss_samples = np.empty(n_steps + 1)
     energy_samples = np.empty(n_steps + 1)
+    weights = np.full((len(lattice) - zero, 1), 2.0)  # a mode of the positive half stands for its mirror too
+    weights[0] = 1.0
+    diffusion = ops.avg.blocks[zero:]
 
-    def record(i: int, st: SpectralState) -> None:
-        energy_samples[i] = 0.5 * energy_norm(spec, st) ** 2
-        diss_samples[i] = -inner_product(spec, st, apply_averaged_diffusion(ops.avg, st)).real
+    def record(i: int, half: np.ndarray) -> None:
+        # (w | w) and (w | dbar w) share one matmul: w^H g is conj(w @ g), row by row
+        weighted = weights * (half @ spec.entropy_hessian)
+        energy_samples[i] = 0.5 * np.vdot(weighted, half).real
+        diss_samples[i] = -np.vdot(weighted, _apply(diffusion, half)).real
 
     times = dt * np.arange(n_steps + 1)  # the run's one clock: the state after i steps is at t = i dt
     snap_indices: list[int] = []
     snapshots: list[SpectralState] = []
+    half = state.coeffs[zero:]
     for i in range(n_steps + 1):
         if i:
-            state = step(ops, state, dt, method, filtered=filtered)
-            _check_finite(ops, state.coeffs, float(times[i]))
-        record(i, state)
+            half = _advance(ops, half, dt, method, filtered)
+            _check_finite(ops, half, float(times[i]))
+        record(i, half)
         if i % diagnostics_every == 0 or i == n_steps:
             snap_indices.append(i)
-            snapshots.append(state.copy())
+            snapshots.append(SpectralState(lattice, lattice.complete(half)) if i else state.copy())
             if snapshot_hook is not None:
                 snapshot_hook(snapshots[-1])
 

@@ -110,7 +110,7 @@ def require_reality(state: SpectralState) -> SpectralState:
     """The state if reality-symmetric bit for bit; `enforce_reality` of a copy if its mirror
     defect max|w - mirror(w)| is at most REALITY_TOL * max|w|; ValueError otherwise.
 
-    A NaN defect, from a stage that overflowed, is not refused: `simulate`'s blow-up check names it.
+    A NaN defect, from a field that overflowed, is not refused.
     """
     if is_reality_symmetric(state):
         return state

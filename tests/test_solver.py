@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import wndkit as wk
-from wndkit.solver import BlowUpError
+from wndkit.solver import BLOWUP_THRESHOLD, BlowUpError
 from wndkit.state import is_reality_symmetric
 
 from conftest import state_diff_norm
@@ -56,13 +57,17 @@ def test_skew_pairing_vanishes(cns_ops4, cns_model):
 
 
 def test_step_pure_linear_is_exact(cns_model):
+    # a linear step is the half-step propagator applied twice, on the zero mode and the positive
+    # half, completed by the mirror, bit for bit; and that is e^{dt G} at every mode to roundoff
     lat = wk.FrequencyLattice(2, 2)
     ops = wk.build_operators(cns_model.spec, lat, with_quadratic=False)
     w = wk.random_real_state(lat, 4, seed=3, decay=1.0)
     stepped = wk.step(ops, w, 0.37)
-    props = ops.propagators(0.37, filtered=False)
-    expect = np.einsum("mpq,mq->mp", props, w.coeffs)
-    assert np.abs(stepped.coeffs - expect).max() == 0.0
+    props = ops.propagators(0.185, filtered=False)
+    half = np.einsum("mpq,mq->mp", props, np.einsum("mpq,mq->mp", props, w.coeffs[lat.zero_index():]))
+    assert np.abs(stepped.coeffs - lat.complete(half)).max() == 0.0
+    exact = np.einsum("mpq,mq->mp", scipy.linalg.expm(0.37 * ops.generator), w.coeffs)
+    assert np.abs(stepped.coeffs - exact).max() <= 1e-14 * np.abs(exact).max()
 
 
 def test_step_scalar_heat_amplitude():
@@ -218,12 +223,62 @@ def test_blowup_detection(cns_model):
     huge = wk.random_real_state(lat, 4, seed=2, decay=1.0, amplitude=5e3)
     with pytest.raises(BlowUpError) as exc:
         wk.simulate(ops, huge, t_end=5.0, dt=1e-2, diagnostics_every=100)
+    # the first mode in lattice order to reach the largest magnitude: (2, -3) holds it as well
+    assert (exc.value.mode, exc.value.time) == ((-2, 3), 0.01)
     assert exc.value.magnitude > 1e12
-    # past the threshold a stage overflows within the step: its non-finite state passes the reality
-    # gate, and the blow-up check still names the mode
+    # past the threshold a stage overflows within the step, and the blow-up check still names
+    # the mode of the first NaN
     vast = wk.random_real_state(lat, 4, seed=2, decay=1.0, amplitude=1e160)
-    with np.errstate(all="ignore"), pytest.raises(BlowUpError, match=r"\|coeff\| = nan"):
+    with np.errstate(all="ignore"), pytest.raises(BlowUpError, match=r"\|coeff\| = nan") as exc:
         wk.simulate(ops, vast, t_end=1e-3, dt=1e-3)
+    assert (exc.value.mode, exc.value.time) == ((-3, -3), 0.001)
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 3), (2, 2)])
+def test_blowup_names_the_mode_the_full_lattice_names(dim, radius):
+    # oracle: the first NaN, or else the first largest magnitude, of the completed field in
+    # lattice order; ties and NaNs are planted in the positive half, in its mirror's place
+    # and at the zero mode
+    from wndkit.solver import _check_finite
+
+    lat = wk.FrequencyLattice(dim, radius)
+    ops = wk.build_operators(wk.build_preset(f"ideal-gas-{dim}d").spec, lat, with_quadratic=False)
+    zero, n = lat.zero_index(), ops.spec.ncomp
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        shape = (len(lat) - zero, n)
+        half = rng.choice([0.0, 1.0, 2e12, 3e12], size=shape) * rng.choice([1.0, -1.0, 1j, -1j], size=shape)
+        half[0] = half[0].real
+        if trial % 3 == 0:
+            half[rng.integers(0, len(half), size=2), rng.integers(0, n, size=2)] = np.nan
+        full = lat.complete(half)
+        mags = np.abs(full)
+        worst = int(np.argmax(mags))
+        peak = mags.flat[worst]
+        if np.isfinite(peak) and peak <= BLOWUP_THRESHOLD:
+            _check_finite(ops, half, 0.5)
+            continue
+        with pytest.raises(BlowUpError) as exc:
+            _check_finite(ops, half, 0.5)
+        assert exc.value.mode == lat.modes[worst // n]
+        assert exc.value.magnitude == peak or np.isnan(peak) and np.isnan(exc.value.magnitude)
+
+
+def test_simulate_keeps_the_initial_snapshot_bit_for_bit(cns_model):
+    # the t = 0 snapshot is the gated initial state itself, copied: the mirror would turn the
+    # real coefficients' +0 imaginary parts at -xi into -0
+    lat = wk.FrequencyLattice(2, 3)
+    ops = wk.build_operators(cns_model.spec, lat, exact_rule=wk.make_exact_resonance_rule(cns_model))
+    w0 = wk.state_from_modes(lat, 4, [((0, 0), [0.02, -0.01, 0.03, 0.015]),
+                                      ((1, 2), [0.05 - 0.03j, 0.02 + 0.04j, -0.04 + 0.01j, 0.01 - 0.02j]),
+                                      ((2, -1), [-0.04, 0.03, 0.02, 0.05])])
+    before = w0.coeffs.tobytes()
+    for method in ("if_rk2", "if_rk4"):
+        snaps, _ = wk.simulate(ops, w0, t_end=0.01, dt=1e-3, method=method, diagnostics_every=5)
+        assert snaps[0] is not w0 and snaps[0].coeffs is not w0.coeffs
+        assert snaps[0].coeffs.tobytes() == before
+        assert np.signbit(lat.mirror(w0.coeffs).imag).sum() > np.signbit(w0.coeffs.imag).sum()
+    assert w0.coeffs.tobytes() == before
 
 
 def test_simulate_rejects_partial_last_step(cns_ops4):
@@ -246,9 +301,16 @@ def test_per_mode_operators_obey_the_mirror_identity(scalar_spec, system, dim, r
     lat = wk.FrequencyLattice(dim, radius)
     ops = wk.build_operators(spec, lat, with_quadratic=False)
     blocks = {"avg": ops.avg.blocks, "generator": ops.generator, "null_projector": ops.spectrum.null_projector}
-    for filtered in (False, True):
-        blocks[f"propagators {filtered}"] = ops.propagators(0.01, filtered)
     zero = lat.zero_index()
+    for filtered in (False, True):
+        # the propagators are kept on the zero mode and the positive half; completed, they are
+        # e^{0.01 G} at every mode, -xi included, to roundoff
+        half = ops.propagators(0.01, filtered)
+        assert half.shape == (len(lat) - zero, spec.ncomp, spec.ncomp)
+        full = lat.complete(half)
+        exact = scipy.linalg.expm(0.01 * (ops.avg.blocks if filtered else ops.generator))
+        assert np.abs(full - exact).max() <= 1e-14 * np.abs(exact).max()
+        blocks[f"propagators {filtered}"] = full
     for name, x in blocks.items():
         # X(-xi) = conj(X(xi)) exactly (== treats the two zeros alike), and the
         # lattice completes X from its zero mode and positive half
@@ -338,3 +400,56 @@ def test_no_step_stage_is_projected(ops_fixture, method, filtered, request, monk
     assert projected == []
     assert all(is_reality_symmetric(s) for s in snaps)
     assert np.array_equal(snaps[-1].coeffs[lat.zero_index()], w0.coeffs[lat.zero_index()])
+
+
+def _reference_step(ops, coeffs, dt, method, filtered):
+    """The six-apply IF-RK4 and the IF-RK2 on the full lattice, with scipy's e^{dt G} at every mode
+    and the public qbar: no code of the half path."""
+    gen = ops.avg.blocks if filtered else ops.generator
+    full, half = scipy.linalg.expm(dt * gen), scipy.linalg.expm(0.5 * dt * gen)
+
+    def apply(props, c):
+        return np.einsum("mpq,mq->mp", props, c)
+
+    def tendency(c):
+        state = wk.SpectralState(ops.lattice, c)
+        return -wk.apply_averaged_quadratic(ops.spec, ops.spectrum, ops.table, state, state).coeffs
+
+    k1 = tendency(coeffs)
+    if method == "if_rk2":
+        k2 = tendency(apply(half, coeffs + 0.5 * dt * k1))
+        return apply(full, coeffs) + dt * apply(half, k2)
+    u_half = apply(half, coeffs)
+    k2 = tendency(u_half + 0.5 * dt * apply(half, k1))
+    k3 = tendency(u_half + 0.5 * dt * k2)
+    k4 = tendency(apply(half, u_half + dt * k3))
+    return apply(full, coeffs) + (dt / 6.0) * (apply(full, k1) + 2.0 * apply(half, k2 + k3) + k4)
+
+
+@pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "filtered"])
+@pytest.mark.parametrize("method", ["if_rk2", "if_rk4"])
+@pytest.mark.parametrize("ops_fixture", ["cns_ops4", "gas3d_ops2"])
+def test_simulate_matches_a_full_lattice_reference(ops_fixture, method, filtered, request):
+    ops = request.getfixturevalue(ops_fixture)
+    lat, spec = ops.lattice, ops.spec
+    w0 = wk.random_real_state(lat, spec.ncomp, seed=62, decay=3.0, amplitude=0.3)
+    w0.coeffs[lat.zero_index()] = np.linspace(0.1, -0.05, spec.ncomp)
+    dt, every = 2e-3, 3
+    snaps, series = wk.simulate(ops, w0, t_end=20 * dt, dt=dt, method=method, diagnostics_every=every,
+                                filtered=filtered)
+    coeffs, worst = w0.coeffs, 0.0
+    for i in range(21):
+        if i:
+            coeffs = _reference_step(ops, coeffs, dt, method, filtered)
+        if i % every == 0 or i == 20:
+            snap = snaps.pop(0)
+            ref = wk.SpectralState(lat, coeffs)
+            worst = max(worst, state_diff_norm(spec, snap, ref) / wk.energy_norm(spec, ref))
+            # the half's samples against the full-lattice pairings of the snapshot
+            energy = 0.5 * wk.energy_norm(spec, snap) ** 2
+            dissipation = -wk.inner_product(spec, snap, wk.apply_averaged_diffusion(ops.avg, snap)).real
+            j = len(series.times) - len(snaps) - 1
+            assert abs(series.energy[j] - energy) <= 1e-14 * energy
+            assert abs(series.dissipation[j] - dissipation) <= 1e-14 * dissipation
+    assert snaps == []
+    assert worst <= 1e-13
