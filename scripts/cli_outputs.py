@@ -13,6 +13,18 @@ PYTHONPATH and compare the two directories:
     PYTHONPATH=src python scripts/cli_outputs.py after
     diff -r before after
 
+When they differ, the compare mode says by how much:
+
+    PYTHONPATH=src python scripts/cli_outputs.py --compare before after
+
+It lists the files found on one side only and, for each file whose bytes
+moved, the numbers that changed, the largest relative change |a - b| /
+max(|a|, |b|) with its two values, the largest change |a - b| relative to
+the file's largest finite |a| (which reads roundoff zeros at their scale),
+the zeros whose sign flipped (+0 to -0 and back) and the lines that changed
+otherwise (text, or a number written another way); it exits 1 if anything
+moved.
+
 The configs are the 2-D gas at R=4 under the exact resonance rule, the 1-D
 gas at R=6, the 2-D gas written out as an inline spec at R=3 under the
 float rule, the 2-D gas at R=3 stepped by IF-RK2 from a `modes` initial
@@ -34,6 +46,8 @@ import argparse
 import contextlib
 import io
 import json
+import math
+import re
 import warnings
 from pathlib import Path
 
@@ -116,10 +130,78 @@ def run_command(command: str, config: Path, outdir: Path) -> None:
     (outdir / "exit_code").write_text(f"{code}\n", encoding="utf-8")
 
 
-def main() -> None:
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
+
+
+def compare_file(before: str, after: str) -> dict:
+    """How the text `after` moved from `before`: the numbers that changed, the largest relative
+    change and its values, the largest change relative to the largest finite |number| of
+    `before`, the zeros whose sign flipped, and the lines that changed otherwise."""
+    report = {"changed": 0, "largest": (0.0, "", ""), "of_scale": 0.0, "to_minus_zero": 0, "to_plus_zero": 0,
+              "other_lines": 0}
+    scale = max((abs(v) for v in map(float, NUMBER.findall(before)) if math.isfinite(v)), default=0.0)
+    lines_a, lines_b = before.splitlines(), after.splitlines()
+    report["other_lines"] += abs(len(lines_a) - len(lines_b))
+    for line_a, line_b in zip(lines_a, lines_b):
+        if line_a == line_b:
+            continue
+        words_a, words_b = NUMBER.findall(line_a), NUMBER.findall(line_b)
+        if NUMBER.split(line_a) != NUMBER.split(line_b) or len(words_a) != len(words_b):
+            report["other_lines"] += 1
+            continue
+        other = False
+        for word_a, word_b in zip(words_a, words_b):
+            if word_a == word_b:
+                continue
+            a, b = float(word_a), float(word_b)
+            if a == b == 0.0 and math.copysign(1.0, a) != math.copysign(1.0, b):
+                report["to_minus_zero" if math.copysign(1.0, b) < 0 else "to_plus_zero"] += 1
+            elif a == b or (math.isnan(a) and math.isnan(b)):
+                other = True  # the same number, written another way
+            else:
+                report["changed"] += 1
+                rel = abs(a - b) / max(abs(a), abs(b)) if math.isfinite(a) and math.isfinite(b) else math.inf
+                if not rel <= report["largest"][0]:
+                    report["largest"] = (rel, word_a, word_b)
+                report["of_scale"] = max(report["of_scale"], abs(a - b) / scale if scale else math.inf)
+        report["other_lines"] += other
+    return report
+
+
+def compare(before: Path, after: Path) -> int:
+    """Print how every file under `after` moved from its namesake under `before`; 1 if any did."""
+    files_a = {p.relative_to(before) for p in before.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(after) for p in after.rglob("*") if p.is_file()}
+    for side, only in ((before, files_a - files_b), (after, files_b - files_a)):
+        for path in sorted(only):
+            print(f"only in {side}: {path}")
+    moved = 0
+    for path in sorted(files_a & files_b):
+        bytes_a, bytes_b = (before / path).read_bytes(), (after / path).read_bytes()
+        if bytes_a == bytes_b:
+            continue
+        moved += 1
+        r = compare_file(bytes_a.decode("utf-8", "replace"), bytes_b.decode("utf-8", "replace"))
+        rel, word_a, word_b = r["largest"]
+        largest = (f"largest relative change {rel:.3g} ({word_a} -> {word_b}), {r['of_scale']:.3g} of the largest |value|"
+                   if r["changed"] else "no number changed")
+        print(f"{path}: {r['changed']} numbers changed, {largest}; zero signs +0 -> -0 {r['to_minus_zero']}, "
+              f"-0 -> +0 {r['to_plus_zero']}; other changed lines {r['other_lines']}")
+    same = len(files_a & files_b) - moved
+    print(f"{moved} files moved, {same} identical, {len(files_a ^ files_b)} on one side only")
+    return int(bool(moved or files_a ^ files_b))
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", type=Path, help="directory that receives OUT/<config>/<command>/")
+    parser.add_argument("out", type=Path, nargs="?", help="directory that receives OUT/<config>/<command>/")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two output directories instead of writing one")
     args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        parser.error("give OUT, or --compare BEFORE AFTER")
     for name, overrides in CONFIGS.items():
         confdir = args.out / name
         confdir.mkdir(parents=True, exist_ok=True)
@@ -128,7 +210,8 @@ def main() -> None:
         for command in COMMANDS:
             run_command(command, config, confdir / command)
     print(f"wrote {len(CONFIGS) * len(COMMANDS)} command runs under {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

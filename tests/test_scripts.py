@@ -57,6 +57,25 @@ def test_cli_outputs_script_keeps_every_command_run(tmp_path):
     assert len(list((tmp_path / "clock" / "simulate" / "snapshots").iterdir())) == 21
 
 
+def test_cli_outputs_compare_reports_how_files_moved(tmp_path):
+    before, after = tmp_path / "before", tmp_path / "after"
+    for root, text in ((before, "t,e\n0,0.5\n1,0\n2,1e-20\n"), (after, "t,e\n0,0.5000000001\n1,-0\n2,-1e-20\n")):
+        (root / "cfg").mkdir(parents=True)
+        (root / "cfg" / "diagnostics.csv").write_text(text)
+        (root / "cfg" / "stdout").write_text("done\n")
+    (after / "cfg" / "extra").write_text("x\n")
+    proc = _run("cli_outputs.py", ["--compare", str(before), str(after)])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"only in {after}: cfg/extra",
+        "cfg/diagnostics.csv: 2 numbers changed, largest relative change 2 (1e-20 -> -1e-20), 5e-11 of the largest "
+        "|value|; zero signs +0 -> -0 1, -0 -> +0 0; other changed lines 0",
+        "1 files moved, 1 identical, 1 on one side only",
+    ]
+    same = _run("cli_outputs.py", ["--compare", str(before), str(before)])
+    assert same.returncode == 0 and same.stdout == "0 files moved, 2 identical, 0 on one side only\n"
+
+
 def _run(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
