@@ -321,8 +321,8 @@ class _CompiledQuadratic:
     table is closed under negation (the build checks it).  Only the positive
     half is computed, in one table pass and one null part: `half` returns it
     below a zero row for the zero mode (the divergence factor i*m vanishes
-    there), which is how the solver's steps read qbar, and `apply` adds the
-    mirrored negative half by `lattice.complete`.
+    there), which is how the solver's steps read qbar, and
+    `apply_averaged_quadratic` completes it by the mirror.
 
     One set of arrays serves qbar(w, w) and qbar(w1, w2).  Both parts take
     products over unordered pairs (i, j): x[i] x[j] for qbar(w, w), and for
@@ -384,7 +384,7 @@ class _CompiledQuadratic:
         spectrum, spec, lattice = table.spectrum, table.spectrum.spec, table.lattice
         n, dim, g = spec.ncomp, lattice.dim, spec.entropy_hessian
         zero_idx, upper = lattice.zero_index(), lattice.upper
-        self.lattice, self.ncomp, self.zero_idx = lattice, n, zero_idx
+        self.ncomp, self.zero_idx = n, zero_idx
         basis, branch, p0 = spectrum.basis, spectrum.branch, spectrum.null_projector
 
         # the null range: g-orthonormal E (n, r) from the Gram of the positive half's P0, symmetrized
@@ -508,7 +508,7 @@ class _CompiledQuadratic:
     def half(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
         """qbar of two real fields, given by their coefficients on every mode, on the zero mode and
         the positive half, (U + 1, n): one table pass and the null part, with a zero row for the
-        zero mode.  Ungated: `apply` and the solver's steps pass it real fields."""
+        zero mode.  Ungated: `apply_averaged_quadratic` and the solver's steps pass it real fields."""
         if c2 is not c1 and np.array_equal(c1, c2):
             c2 = c1  # qbar(w, w) whatever the arrays: one input to transform, symmetric products
         x1 = self._coordinates(c1)
@@ -521,10 +521,6 @@ class _CompiledQuadratic:
         out = np.zeros((len(stacked) + 1, n, 2))  # the zero mode's row stays zero
         np.matmul(self.outputs, stacked.view(float).reshape(*stacked.shape, 2), out=out[1:])
         return out.view(complex)[:, :, 0]
-
-    def apply(self, w1: SpectralState, w2: SpectralState) -> SpectralState:
-        """qbar(w1, w2) of reality-symmetric inputs on every mode: `half`, completed by the mirror."""
-        return SpectralState(w1.lattice, self.lattice.complete(self.half(w1.coeffs, w2.coeffs)))
 
 
 def _pairs(x1: np.ndarray, x2: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -546,17 +542,18 @@ def apply_averaged_quadratic(
 
     Symmetric in its arguments (the kernel is symmetric and the table stores
     both orderings of every pair).  Takes real fields: each distinct input
-    passes the entry gate `state.require_reality`, and the output is
-    reality-symmetric bit for bit (see _CompiledQuadratic).  ValueError
-    unless `spectrum is table.spectrum`, `spec is spectrum.spec`, the states
-    fit the table (its lattice, the spec's components) and each is real.
+    passes the entry gate `state.require_reality`, and the compiled half
+    (see _CompiledQuadratic) is completed by the mirror, reality-symmetric
+    bit for bit.  ValueError unless `spectrum is table.spectrum`, `spec is
+    spectrum.spec`, the states fit the table and each is real.
     """
     if spectrum is not table.spectrum or spec is not spectrum.spec:
         raise ValueError("qbar needs the resonance table's own spectrum and that spectrum's spec")
     require_fit(w1, table.lattice, spec.ncomp, "a resonance table")
     require_fit(w2, table.lattice, spec.ncomp, "a resonance table")
-    real = require_reality(w1)
-    return table.quadratic.apply(real, real if w2 is w1 else require_reality(w2))
+    c1 = require_reality(w1).coeffs
+    c2 = c1 if w2 is w1 else require_reality(w2).coeffs
+    return SpectralState(w1.lattice, table.lattice.complete(table.quadratic.half(c1, c2)))
 
 
 def apply_quadratic(spec: SystemSpec, w1: SpectralState, w2: SpectralState) -> SpectralState:

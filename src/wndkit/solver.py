@@ -118,12 +118,6 @@ class WndOperators:
     def lattice(self) -> FrequencyLattice:
         return self.spectrum.lattice
 
-    def quadratic_tendency(self, coeffs: np.ndarray) -> np.ndarray:
-        if self.table is None:
-            return np.zeros_like(coeffs)
-        state = SpectralState(self.lattice, coeffs)
-        return apply_averaged_quadratic(self.spec, self.spectrum, self.table, state, state).coeffs
-
     def propagators(self, dt: float, filtered: bool) -> np.ndarray:
         """Cached per-mode matrix exponentials of dt * generator (of dt * dbar alone when
         `filtered`) on the zero mode and the positive half, (U + 1, n, n): the blocks a step applies.
@@ -162,8 +156,10 @@ def _entry(ops: WndOperators, state: SpectralState) -> SpectralState:
 def rhs(ops: WndOperators, state: SpectralState) -> SpectralState:
     """Tendency -A w - qbar(w, w) + dbar w, mode-wise; ValueError unless the state fits and is real."""
     state = _entry(ops, state)
-    lin = np.einsum("mpq,mq->mp", ops.generator, state.coeffs)
-    return SpectralState(state.lattice, lin - ops.quadratic_tendency(state.coeffs))
+    tendency = _apply(ops.generator, state.coeffs)
+    if ops.table is not None:
+        tendency -= apply_averaged_quadratic(ops.spec, ops.spectrum, ops.table, state, state).coeffs
+    return SpectralState(state.lattice, tendency)
 
 
 def _apply(props: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

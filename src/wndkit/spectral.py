@@ -217,7 +217,7 @@ def symmetric_advection_eigh(spec: SystemSpec, xi: np.ndarray) -> tuple[np.ndarr
 
 
 def _decompose_modes(spec: SystemSpec, modes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Spectrum arrays (frequencies, projectors, nfreq, null, basis, branch, null_projector) at each row of `modes` (K, d).
+    """Spectrum arrays (frequencies, projectors, nfreq, null, basis, branch) at each row of `modes` (K, d).
 
     Eigenpairs from symmetric_advection_eigh.  A new branch starts
     wherever consecutive eigenvalues differ by more than CLUSTER_TOL *
@@ -249,15 +249,17 @@ def _decompose_modes(spec: SystemSpec, modes: np.ndarray) -> tuple[np.ndarray, .
     basis[zero] = inv_root
     scale = np.maximum(np.abs(frequencies).max(axis=1, keepdims=True), 1.0)
     null = (np.arange(width) < nfreq[:, None]) & (np.abs(frequencies) <= CLUSTER_TOL * scale)
-    null_projector = (projectors * null[:, :, None, None]).sum(axis=1)
-    return frequencies, projectors, nfreq, null, basis, branch, null_projector
+    return frequencies, projectors, nfreq, null, basis, branch
 
 
 def frequency_spectrum(spec: SystemSpec, lattice: FrequencyLattice) -> Spectrum:
     """Decomposition at every lattice mode: one batched eigensolve, in lattice order."""
-    *arrays, null_projector = _decompose_modes(spec, lattice.array)
-    # P0(-xi) = P0(xi) bit for bit (real symbols), so the split of a real state is real
-    arrays.append(lattice.complete(null_projector[lattice.zero_index():]))
+    arrays = _decompose_modes(spec, lattice.array)
+    # P0 summed on the zero mode and the positive half and completed: P0(-xi) = P0(xi) bit for
+    # bit (real symbols), so the split of a real state is real
+    zero = lattice.zero_index()
+    projectors, null = arrays[1][zero:], arrays[3][zero:]
+    arrays += (lattice.complete((projectors * null[:, :, None, None]).sum(axis=1)),)
     for arr in arrays:
         arr.setflags(write=False)
     return Spectrum(spec, lattice, *arrays)

@@ -46,6 +46,22 @@ def test_rhs_pairing_equals_dissipation(cns_ops4, cns_model):
     assert abs(lhs - rhs_val) <= 1e-10 * max(abs(rhs_val), 1.0)
 
 
+@pytest.mark.parametrize(
+    "system, dim, radius", [("ideal-gas-2d", 2, 4), ("ideal-gas-3d", 3, 2), ("scalar", 1, 6)]
+)
+def test_rhs_without_a_table_is_the_generator(scalar_spec, system, dim, radius):
+    # operators built without qbar: the tendency is the generator applied to the state, bit for bit,
+    # with a nonzero zero mode
+    spec = scalar_spec if system == "scalar" else wk.build_preset(system).spec
+    lat = wk.FrequencyLattice(dim, radius)
+    ops = wk.build_operators(spec, lat, with_quadratic=False)
+    assert ops.table is None
+    w = wk.random_real_state(lat, spec.ncomp, seed=19, decay=2.0)
+    w.coeffs[lat.zero_index()] = np.linspace(0.1, -0.05, spec.ncomp)
+    want = np.einsum("mpq,mq->mp", ops.generator, w.coeffs)
+    assert wk.rhs(ops, w).coeffs.tobytes() == want.tobytes()
+
+
 def test_skew_pairing_vanishes(cns_ops4, cns_model):
     w = wk.random_real_state(cns_ops4.lattice, 4, seed=18, decay=2.0)
     spectrum = cns_ops4.spectrum
