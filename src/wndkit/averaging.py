@@ -84,6 +84,10 @@ ExactRule = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
 # (bounds its transient memory; a larger k-block is one call)
 RESONANCE_CHUNK_CELLS = 65536
 
+# the float rule's default: it accepts a frequency triple whose defect |omega1 + omega2 - omega3| is at most
+# FLOAT_RULE_TOL times the largest frequency magnitude on the lattice
+FLOAT_RULE_TOL = 1e-9
+
 # branch-coordinate coefficients of qbar with |c| <= DROP_TOL * max|c| vanish
 # by structure and are dropped at compile time
 DROP_TOL = 1e-12
@@ -207,7 +211,7 @@ class ResonanceTable:
 
 def build_resonance_table(
     spectrum: Spectrum,
-    tol: float = 1e-9,
+    tol: float = FLOAT_RULE_TOL,
     exact_rule: ExactRule | None = None,
 ) -> ResonanceTable:
     """Enumerate all resonant triples with k, l and k+l inside the spectrum's lattice.

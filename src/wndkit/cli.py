@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import navier_stokes as ns
-from .averaging import cyclic_residual, diffusion_csv_rows, resonance_csv_rows
+from .averaging import FLOAT_RULE_TOL, cyclic_residual, diffusion_csv_rows, resonance_csv_rows
 from .dissipativity import analyze_dissipativity, default_alpha_grid
 from .solver import INTEGRATORS, BlowUpError, build_operators, simulate, whole_steps
 from .spectral import FrequencyLattice, convolution_pair_count, mode_csv_rows, spectrum_csv_rows
@@ -247,7 +247,7 @@ class Run:
             )
         self.lattice = FrequencyLattice(self.spec.dim, self.lattice_k)  # only now is its size known to be admitted
         res = config.get("resonance", {})
-        self.resonance_tol = _number(res.get("tolerance", 1e-9), "tolerance")
+        self.resonance_tol = _number(res.get("tolerance", FLOAT_RULE_TOL), "tolerance")
         if self.resonance_tol <= 0.0:
             raise ConfigError("tolerance must be positive")
         self.use_exact_rule = res.get("exact_rule", self.model is not None)
@@ -255,6 +255,9 @@ class Run:
             raise ConfigError(f"exact_rule must be a JSON boolean, got {json.dumps(self.use_exact_rule)}")
         if self.use_exact_rule and self.model is None:
             raise ConfigError("exact_rule requires a gas-dynamics preset system")
+        if self.use_exact_rule and "tolerance" in res:
+            raise ConfigError("resonance.tolerance sets the float rule, and this run uses the exact rule; "
+                              "drop the key or set exact_rule to false")
         sim = config.get("simulation", {})
         self.dt = None if sim.get("dt") is None else _number(sim["dt"], "dt")
         if self.dt is not None and self.dt <= 0.0:

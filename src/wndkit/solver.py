@@ -54,6 +54,7 @@ import scipy.integrate
 import scipy.linalg
 
 from .averaging import (
+    FLOAT_RULE_TOL,
     AveragedDiffusion,
     ResonanceTable,
     apply_averaged_quadratic,
@@ -135,7 +136,7 @@ class WndOperators:
 def build_operators(
     spec: SystemSpec,
     lattice: FrequencyLattice,
-    resonance_tol: float = 1e-9,
+    resonance_tol: float = FLOAT_RULE_TOL,
     exact_rule=None,
     with_quadratic: bool = True,
 ) -> WndOperators:
@@ -250,9 +251,10 @@ class DiagnosticsSeries:
 
 
 def whole_steps(t_end: float, dt: float) -> int:
-    """The number of steps of dt that reach t_end; ValueError unless whole."""
+    """The number of steps of dt that reach t_end; ValueError unless it is whole, to 1e-9 of max(t_end, dt),
+    and at least one."""
     n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(t_end, dt):
         raise ValueError(f"t_end = {t_end:g} is not a whole number of steps of dt = {dt:g}")
     return n_steps
 

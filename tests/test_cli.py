@@ -445,6 +445,18 @@ def test_seed_flag_without_a_random_initial_exits_two(tmp_path, refused_at_load,
     assert err == f"input error: --seed keys a random initial, and this run's initial is of type {kind}\n"
 
 
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@pytest.mark.parametrize("resonance", [{"tolerance": 1e-30}, {"exact_rule": True, "tolerance": 1e-9}],
+                         ids=["preset-default", "explicit"])
+def test_tolerance_under_the_exact_rule_exits_two(tmp_path, refused_at_load, command, resonance):
+    # the exact rule reads no tolerance; the key was accepted and ignored, where the float rule refuses 1e-30
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"system": "ideal-gas-2d", "lattice_k": 2, "resonance": resonance,
+                               "outputs": {"directory": str(tmp_path / "out")}}))
+    assert refused_at_load(command, cfg) == ("input error: resonance.tolerance sets the float rule, and this run "
+                                             "uses the exact rule; drop the key or set exact_rule to false\n")
+
+
 @pytest.mark.parametrize("kind", ["modes", "zero"])
 def test_simulation_seed_outside_the_key_range_exits_two_whatever_the_initial(tmp_path, refused_at_load, kind):
     cfg = modes_config(tmp_path / "run.json", [mode_entry([1, 0], ONE)])
@@ -484,6 +496,17 @@ def test_dt_must_divide_t_end(tmp_path, refused_at_load, command):
     data["simulation"]["dt"] = 0.03  # t_end 0.05 is not a whole number of steps
     cfg.write_text(json.dumps(data))
     assert "is not a whole number of steps" in refused_at_load(command, cfg)
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_a_run_of_no_whole_step_exits_two(tmp_path, refused_at_load, command):
+    # 5e-10 of a 1e-3 step once rounded to 0 steps within an absolute slack of 1e-9: simulate exited 0
+    # and printed "simulated to t = 0"
+    cfg = write_config(tmp_path / "run.json")
+    data = json.loads(cfg.read_text())
+    data["simulation"].update(dt=0.001, t_end=5e-10, diagnostics_every=1)
+    cfg.write_text(json.dumps(data))
+    assert "t_end = 5e-10 is not a whole number of steps of dt = 0.001" in refused_at_load(command, cfg)
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))

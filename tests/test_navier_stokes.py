@@ -377,6 +377,15 @@ def test_incompressible_reference_matches_loop_reference(preset, radius):
             assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), name
 
 
+@pytest.mark.parametrize("t_end, dt", [(1.5e-12, 1e-12), (2.5e-9, 1e-9), (5e-10, 1e-3)])
+def test_incompressible_reference_rejects_short_partial_runs(cns_model, t_end, dt):
+    # t_end below 1 once had an absolute slack of 1e-9, which let these through as 2, 2 and 0 steps
+    lat = wk.FrequencyLattice(2, 2)
+    zeros = np.zeros(len(lat), dtype=complex)
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        simulate_incompressible_reference(cns_model, lat, np.zeros((len(lat), 2)), zeros, t_end, dt)
+
+
 @pytest.mark.parametrize("t_end, dt", [(0.0225, 1e-3), (0.0, 1e-3), (0.02, 0.0), (0.02, -1e-3)])
 def test_incompressible_reference_rejects_partial_steps(cns_model, t_end, dt):
     # simulate would take ceil(t_end / dt) steps here, the reference round()
