@@ -449,7 +449,7 @@ def test_seed_flag_without_a_random_initial_exits_two(tmp_path, refused_at_load,
 @pytest.mark.parametrize("resonance", [{"tolerance": 1e-30}, {"exact_rule": True, "tolerance": 1e-9}],
                          ids=["preset-default", "explicit"])
 def test_tolerance_under_the_exact_rule_exits_two(tmp_path, refused_at_load, command, resonance):
-    # the exact rule reads no tolerance; the key was accepted and ignored, where the float rule refuses 1e-30
+    # the exact rule reads no tolerance, so the key would be ignored; the float rule refuses 1e-30
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"system": "ideal-gas-2d", "lattice_k": 2, "resonance": resonance,
                                "outputs": {"directory": str(tmp_path / "out")}}))
@@ -500,8 +500,7 @@ def test_dt_must_divide_t_end(tmp_path, refused_at_load, command):
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_a_run_of_no_whole_step_exits_two(tmp_path, refused_at_load, command):
-    # 5e-10 of a 1e-3 step once rounded to 0 steps within an absolute slack of 1e-9: simulate exited 0
-    # and printed "simulated to t = 0"
+    # 5e-10 is 0 steps of 1e-3 within an absolute slack of 1e-9: simulate would exit 0 at t = 0
     cfg = write_config(tmp_path / "run.json")
     data = json.loads(cfg.read_text())
     data["simulation"].update(dt=0.001, t_end=5e-10, diagnostics_every=1)

@@ -379,7 +379,7 @@ def test_incompressible_reference_matches_loop_reference(preset, radius):
 
 @pytest.mark.parametrize("t_end, dt", [(1.5e-12, 1e-12), (2.5e-9, 1e-9), (5e-10, 1e-3)])
 def test_incompressible_reference_rejects_short_partial_runs(cns_model, t_end, dt):
-    # t_end below 1 once had an absolute slack of 1e-9, which let these through as 2, 2 and 0 steps
+    # an absolute slack of 1e-9 below t_end = 1 would take these as 2, 2 and 0 steps
     lat = wk.FrequencyLattice(2, 2)
     zeros = np.zeros(len(lat), dtype=complex)
     with pytest.raises(ValueError, match="not a whole number of steps"):

@@ -305,7 +305,7 @@ def test_simulate_rejects_partial_last_step(cns_ops4):
 
 @pytest.mark.parametrize("t_end, dt", [(1.5e-12, 1e-12), (2.5e-9, 1e-9), (5e-10, 1e-3)])
 def test_simulate_rejects_short_partial_runs(cns_ops4, t_end, dt):
-    # t_end below 1 once had an absolute slack of 1e-9, which let these through as 2, 2 and 0 steps
+    # an absolute slack of 1e-9 below t_end = 1 would take these as 2, 2 and 0 steps
     w0 = wk.zero_state(cns_ops4.lattice, 4)
     with pytest.raises(ValueError, match="not a whole number of steps"):
         wk.simulate(cns_ops4, w0, t_end=t_end, dt=dt)
