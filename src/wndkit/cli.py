@@ -43,7 +43,7 @@ EXIT_BLOWUP = 3
 MAX_DIRECTIONS = 100_000
 MAX_ALPHAS = 10_000
 # the (k, l) pairs of the lattice size the resonance-table candidates, the oracles and the incompressible reference.
-# At the edge, 2-D R=32 and 3-D R=8, the exact-rule table builds in 5.3-7.8 and 6.4-9.6 s on a busy 2-core host
+# At the edge, 2-D R=32 and 3-D R=8, the exact-rule table builds in 5.3-7.8 and 6.4-9.6 s on a shared 2-core host
 # (one BLAS thread), and peak RSS reaches 1,430 and 1,533 MB, of which the build adds 1.34 and 1.44 GB: nearly all
 # of it is the stored rows (10.3 and 11.0 million, 98% and 93% null)
 MAX_PAIRS = 12_000_000
@@ -52,7 +52,7 @@ MAX_PAIRS = 12_000_000
 MAX_PENCILS = 10_000_000
 # a simulation keeps at most one snapshot of every coefficient (mode x component) per step: 800 MB here.
 # The steps are those of the dt that runs: Run counts an explicit dt, cmd_simulate the automatic one.
-# With one BLAS thread on a busy 2-core host, a step takes 0.26-0.32 ms on 9-36 coefficients (the 1-D and
+# With one BLAS thread on a shared 2-core host, a step takes 0.26-0.32 ms on 9-36 coefficients (the 1-D and
 # 2-D gas at R=1) and 0.60-0.69 ms on 1,156 (2-D R=8), 0.54 us a coefficient: so a step is charged at least
 # STEP_COEFFICIENTS, its fixed cost, and the cap is 27-46 s of steps at these sizes here
 MAX_COEFFICIENT_STEPS = 50_000_000
