@@ -601,8 +601,8 @@ def quadratic_time_average_oracle(
     quadratic form on the same state.
 
     Memory goes with the pairs, not the nodes: a few (pairs / 2, N, N, N)
-    complex arrays.  On the gas the process peaked at 95 MB at 2-D R=4,
-    128 MB at 3-D R=2 and 394 MB at 3-D R=3.
+    complex arrays.  On the gas the process peaked at 78 MB at 2-D R=4,
+    111 MB at 3-D R=2 and 376 MB at 3-D R=3, the import included.
     """
     if t_span <= 0.0 or n_steps < 100:
         raise ValueError("need t_span > 0 and n_steps >= 100")

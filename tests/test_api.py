@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +20,16 @@ def test_star_import_resolves_every_public_name(name):
     exec(f"from wndkit.{name} import *", namespace)
     for entry in getattr(module, "__all__", ()):
         assert entry in namespace, entry
+
+
+def test_import_loads_no_scipy_that_does_not_run():
+    # the energy-budget quadratures are numpy (solver._cumulative_simpson), so nothing loads
+    # scipy.integrate and what it brings in
+    unused = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.spatial")
+    code = f"import sys, wndkit, wndkit.cli; print([m for m in {unused!r} if m in sys.modules])"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts at small sizes."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +75,17 @@ def test_cli_outputs_compare_reports_how_files_moved(tmp_path):
     ]
     same = _run("cli_outputs.py", ["--compare", str(before), str(before)])
     assert same.returncode == 0 and same.stdout == "0 files moved, 2 identical, 0 on one side only\n"
+
+
+def test_weak_strong_demo_prints_the_fit_half_and_the_holdout():
+    # 150 steps of 2e-3, a snapshot every 50: t = 0 and 0.1 of 0.3 are the fit half
+    proc = _run("weak_strong_demo.py", ["--radius", "2", "--t-end", "0.3"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert re.fullmatch(r"fitted constant    : \S+ on 2 of 4 snapshots", lines[1])
+    assert lines[3] == "envelope holds     : True"
+    assert re.fullmatch(r"held-out excess    : \d\.\d{3}e[+-]\d\d", lines[4])
+    assert len(lines) == 5 + 2 + 4  # five fields, a blank line and the column titles, four snapshot rows
 
 
 def _run(script, args):

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import wndkit as wk
-from wndkit.solver import BLOWUP_THRESHOLD, BlowUpError
+from wndkit.solver import BLOWUP_THRESHOLD, BlowUpError, _cumulative_simpson, _cumulative_trapezoid
 from wndkit.state import is_reality_symmetric
 
 from conftest import state_diff_norm
@@ -197,6 +197,32 @@ def test_weak_strong_identical_and_linear_contraction(cns_model, cns_ops4):
     b = wk.random_real_state(lat, 4, seed=2, decay=2.0)
     rep = wk.weak_strong_experiment(lin_ops, a, b, t_end=1.0, dt=0.01, s=2.0)
     assert np.all(np.diff(rep.differences) <= 1e-12)  # linear dissipative flow contracts
+
+
+@pytest.mark.parametrize("t_end, dt, fit", [(4e-12, 1e-12, 3), (1.0, 1e-3, 501)])
+def test_weak_strong_fit_half_is_relative_to_t_end(cns_model, t_end, dt, fit):
+    lat = wk.FrequencyLattice(2, 1)
+    ops = wk.build_operators(cns_model.spec, lat, with_quadratic=False)
+    a = wk.random_real_state(lat, 4, seed=1, decay=2.0)
+    b = wk.random_real_state(lat, 4, seed=2, decay=2.0)
+    rep = wk.weak_strong_experiment(ops, a, b, t_end=t_end, dt=dt, s=2.0, diagnostics_every=1)
+    assert len(rep.times) == round(t_end / dt) + 1
+    assert rep.fit_snapshots == fit and rep.times[fit - 1] <= 0.5 * t_end < rep.times[fit]
+    assert rep.envelope_ok and rep.holdout_excess == rep.max_envelope_excess == 0.0  # the flow contracts
+
+
+def test_weak_strong_holdout_reads_the_snapshots_after_the_fit_half():
+    # anti-diffusion grows the one mode of u2 while u1 = 0 keeps the envelope at |u2(0)|: the
+    # excess is largest at the last snapshot, and it exceeds every excess of the fit half
+    spec = wk.SystemSpec(1, 1, [0.0], [[[1.0]]], [[[[-0.3]]]], [[[[0.0]]]], [[1.0]])
+    lat = wk.FrequencyLattice(1, 2)
+    ops = wk.build_operators(spec, lat)
+    u2 = wk.state_from_modes(lat, 1, [((1,), np.array([1e-3 + 0j]))])
+    rep = wk.weak_strong_experiment(ops, wk.zero_state(lat, 1), u2, t_end=1.0, dt=0.01, s=2.0)
+    assert rep.fit_snapshots == 6 and len(rep.times) == 11
+    over = rep.differences - rep.envelope - 1e-9 * rep.initial_difference
+    assert 0.0 < over[5] < over[-1] == rep.holdout_excess == rep.max_envelope_excess
+    assert not rep.envelope_ok
 
 
 def test_sobolev_norms(cns_model, cns_ops4):
@@ -396,6 +422,34 @@ def test_unknown_integrator_rejected(cns_ops4):
     w0 = wk.zero_state(cns_ops4.lattice, 4)
     with pytest.raises(ValueError):
         wk.step(cns_ops4, w0, 0.1, method="euler")
+
+
+def _quadrature_cases(case):
+    rng = np.random.default_rng(28)
+    if case == "uniform":
+        for n in [*range(2, 41), 1000, 1001]:
+            for dt in (1e-3, 2e-3, 0.37):
+                yield dt * np.arange(n), rng.standard_normal(n) * 10.0 ** rng.integers(-20, 6)
+    elif case == "short-last-interval":  # snapshot times, as weak_strong_experiment reads them
+        for n in (3, 4, 5, 26, 27):
+            yield 1e-3 * np.append(np.arange(0, 50 * (n - 1), 50), 50 * (n - 2) + 17), rng.standard_normal(n)
+    elif case == "negative-zeros":
+        for n in (2, 3, 4, 27):
+            yield 1e-3 * np.arange(n), np.full(n, -0.0)
+    else:  # one step: Simpson falls back to the trapezoid
+        yield np.array([0.0, 0.01]), np.array([1.5, -0.25])
+
+
+@pytest.mark.parametrize("case", ["uniform", "short-last-interval", "negative-zeros", "two-samples"])
+def test_quadratures_are_scipys_bytes(case):
+    import scipy.integrate  # the oracle only: wndkit does not import it
+
+    for x, y in _quadrature_cases(case):
+        simpson, trapezoid = _cumulative_simpson(y, x), _cumulative_trapezoid(y, x)
+        assert simpson.tobytes() == scipy.integrate.cumulative_simpson(y, x=x, initial=0.0).tobytes(), len(x)
+        assert trapezoid.tobytes() == scipy.integrate.cumulative_trapezoid(y, x, initial=0.0).tobytes(), len(x)
+        if case == "negative-zeros":  # 0.0 is added to Simpson's partial sums, and only prepended to the trapezoid's
+            assert not np.signbit(simpson).any() and np.signbit(trapezoid[1:]).all()
 
 
 @pytest.fixture(scope="module")
