@@ -36,8 +36,9 @@ w2), computed whole as one pseudo-spectral product on a padded grid.
 
 Resonance detection is the main correctness hazard: by default frequency
 sums are matched with a relative tolerance, and callers with arithmetic
-structure (the gas-dynamics instantiation) supply an exact predicate
-instead.  Output modes falling outside the truncation are dropped, i.e. the
+structure (the gas-dynamics instantiation) supply an exact predicate on the
+spectrum's branch labels instead.  Neither decides the null triples: the
+table build accepts every one of them itself.  Output modes falling outside the truncation are dropped, i.e. the
 sum is composed with the Galerkin projection onto the retained modes.
 
 Brute-force time-average oracles for both operators are provided; they sum
@@ -75,9 +76,10 @@ __all__ = [
     "diffusion_csv_rows",
 ]
 
-# (k, omega1, l, omega2, m, omega3) on a chunk's grid of P pairs (k, l) by B^3 branch triples:
-# (P, 1, 1, 1, d) int modes and (P, B, 1, 1), (P, 1, B, 1), (P, 1, 1, B) frequencies -> (P, B, B, B) bools.
-# Called once per chunk of whole k-blocks; its arguments are read-only broadcast views.
+# (k, s1, l, s2, m, s3) on a chunk's grid of P pairs (k, l) by B^3 branch triples: (P, 1, 1, 1, d) int
+# modes and (P, B, 1, 1), (P, 1, B, 1), (P, 1, 1, B) int8 branch labels (Spectrum.labels) -> (P, B, B, B)
+# bools.  Called once per chunk of whole k-blocks; its arguments are read-only broadcast views.  The build
+# accepts the all-null cells itself, so a rule decides only the others.
 ExactRule = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 # grid cells ((k, l) pairs x branch triples) per resonance-rule call in the table build
@@ -183,10 +185,10 @@ class ResonanceTable:
     an exact rule).  Symmetric: the (l, k) mirror of every entry is
     present.  The float rule accepts |defect| <= tolerance * scale;
     `closest_rejected` is the smallest |defect| it rejected (inf if none,
-    nan under an exact rule).  qbar assumes the table holds every null
-    triple and is closed under negation; only `build_resonance_table`
-    checks both, so tables must come from it.  `quadratic` is qbar
-    compiled for the table, on first use.
+    nan under an exact rule).  The table holds every null triple by
+    construction; qbar also assumes it is closed under negation, which only
+    `build_resonance_table` checks, so tables must come from it.
+    `quadratic` is qbar compiled for the table, on first use.
     """
 
     spectrum: Spectrum
@@ -220,33 +222,34 @@ def build_resonance_table(
     RESONANCE_CHUNK_CELLS grid cells per chunk (one k-block if a single block
     is larger).  A chunk's P pairs (k, l), k ascending and then l, times the
     B^3 branch triples (j1, j2, j3) form one (P, B, B, B) grid in table
-    order, decided in one array call.  Generic detection accepts
-    |omega1 + omega2 - omega3| <= tol * scale on that grid, with scale the
-    largest frequency magnitude on the lattice; floating-point
+    order, decided in one array call.  The build accepts the null triples
+    (cells whose three branches are all null) itself.  Generic detection
+    accepts |omega1 + omega2 - omega3| <= tol * scale on the grid, with
+    scale the largest frequency magnitude on the lattice (ValueError, naming
+    the first k, if it rejects a null triple); floating-point
     near-resonances are the dominant hazard, so callers should pass an
-    exact_rule (an array predicate, see ExactRule; ValueError unless it
-    returns the (P, B, B, B) booleans) whenever the spectrum has arithmetic
-    structure.
+    exact_rule (an array predicate on the branch labels, see ExactRule;
+    ValueError unless it returns the (P, B, B, B) booleans) whenever the
+    spectrum has arithmetic structure.
 
     The rule's arguments are read-only broadcast views: k, l and m of shape
-    (P, 1, 1, 1, d) and the frequencies of shape (P, B, 1, 1), (P, 1, B, 1)
+    (P, 1, 1, 1, d) and the labels of shape (P, B, 1, 1), (P, 1, B, 1)
     and (P, 1, 1, B).  Cells of padded branches (j >= nfreq) are not
     candidates, whatever the verdict.  Only the accepted cells are decoded,
     into three flat indices (mode * B + branch) into the stacked
     frequencies, which give their defects by flat gathers and, at the end,
     the (k, j1, l, j2, m, j3) rows by divmod.
-    ValueError unless the table holds qbar's two invariants: each k-block
-    accepts all n0(k) sum_l n0(l) n0(k + l) null triples (n0 counts the null
-    branches at a mode; the error names the first such k), and every row
-    has its mirror.
+    ValueError unless every row has its mirror, which qbar needs.
     """
     lattice, freqs, nfreq = spectrum.lattice, spectrum.frequencies, spectrum.nfreq
     scale = max(float(np.abs(freqs).max()), 1.0)
     arr, zero, radius = lattice.array, lattice.zero_index(), lattice.radius
     flat, width = freqs.ravel(), freqs.shape[1]
-    null, n0 = spectrum.null.ravel(), spectrum.null.sum(axis=1)
     # padded branches (j >= nfreq) are not candidates
     real = np.arange(width) < nfreq[:, None]
+    # a chunk's all-null cells gather each side's (P, B) null mask to the (P, B^3) cells: a broadcast
+    # over the inner (B, B) axes would run numpy's loops B elements at a time
+    i1, i2, i3 = np.indices((width,) * 3).reshape(3, -1)
     # the l with k + l on the lattice form a box of prod_a (2R + 1 - |k_a|) modes;
     # ends[i] counts the grid cells of the k-blocks before mode i
     ends = np.concatenate([[0], np.cumsum(np.prod(2 * radius + 1 - np.abs(arr), axis=1) * width**3)])
@@ -261,34 +264,35 @@ def build_resonance_table(
         kp, lis = np.nonzero(inside)
         kis = kp + start
         mis = lis + (kis - zero)  # index(k + l) = index(k) + index(l) - index(0)
-        w1, w2, w3 = (freqs.take(i, axis=0) for i in (kis, lis, mis))
-        w1, w2, w3 = w1[:, :, None, None], w2[:, None, :, None], w3[:, None, None, :]
+        grid = (len(kis), width, width, width)
+        z1, z2, z3 = (spectrum.null.take(i, axis=0) for i in (kis, lis, mis))
+        all_null = (z1[:, i1] & z2[:, i2] & z3[:, i3]).reshape(grid)
         if exact_rule is None:
-            defect = (w1 + w2) - w3
+            w1, w2, w3 = (freqs.take(i, axis=0) for i in (kis, lis, mis))
+            defect = (w1[:, :, None, None] + w2[:, None, :, None]) - w3[:, None, None, :]
             hit = np.abs(defect) <= tol * scale
             r1, r2, r3 = (real.take(i, axis=0) for i in (kis, lis, mis))
             valid = r1[:, :, None, None] & r2[:, None, :, None] & r3[:, None, None, :]
             closest = min(closest, np.abs(defect[valid & ~hit]).min(initial=np.inf))
+            refused = all_null & ~hit
+            if refused.any():
+                name = tuple(arr[kis[np.flatnonzero(refused.any(axis=(1, 2, 3)))[0]]].tolist())
+                raise ValueError(f"tolerance {tol:g} rejects null triples at k = {name}, whose defects exceed "
+                                 f"{tol * scale:.3e}; every null triple is resonant")
         else:
             k, l, m = (arr.take(i, axis=0)[:, None, None, None] for i in (kis, lis, mis))
-            args = (k, w1, l, w2, m, w3)
+            s1, s2, s3 = (spectrum.labels.take(i, axis=0) for i in (kis, lis, mis))
+            args = (k, s1[:, :, None, None], l, s2[:, None, :, None], m, s3[:, None, None, :])
             for a in args:
                 a.flags.writeable = False
             hit = np.asarray(exact_rule(*args))
-            grid = (len(kis), width, width, width)
             if hit.dtype != bool or hit.shape != grid:
                 raise ValueError(f"exact_rule returned {hit.dtype} {hit.shape}, expected {grid} booleans")
+            hit = hit | all_null
         # the accepted cells as flat (mode, branch) indices, less the padded ones
         p, b1, b2, b3 = np.unravel_index(np.flatnonzero(hit), hit.shape)
         block = np.stack([kis[p] * width + b1, lis[p] * width + b2, mis[p] * width + b3])
         block = block[:, real.ravel().take(block).all(axis=0)]
-        found = np.bincount(block[0, null.take(block).all(axis=0)] // width - start, minlength=stop - start)
-        expected = n0[start:stop] * np.add.reduceat(n0[lis] * n0[mis], np.searchsorted(kp, np.arange(stop - start)))
-        short = np.flatnonzero(found != expected)
-        if len(short):
-            i = short[0]
-            missing = f"{expected[i] - found[i]} of the {expected[i]} null triples at k = {tuple(arr[start + i].tolist())}"
-            raise ValueError(f"resonance rule rejects {missing}; every null triple is resonant")
         accepted.append(block)
         defects.append((flat.take(block[0]) + flat.take(block[1])) - flat.take(block[2]))
         start = stop

@@ -398,35 +398,23 @@ def make_exact_resonance_rule(model: CnsModel):
     """Array rule for `build_resonance_table`: the integer acoustic identity.
 
     Takes one chunk's grid (see ExactRule): (P, 1, 1, 1, d) integer modes k,
-    l, m and the broadcast frequency views, labels each frequency with its
-    branch sign and returns the (P, B, B, B) booleans of
-    `acoustic_sum_resonant` on the squared mode norms a, b, c.  Most pairs
-    need only the sign test, by a lemma: if a, b, c are pairwise distinct
-    and (c - a - b)^2 != 4ab (k and l not collinear, since c - a - b = 2 k.l),
-    the identity holds exactly on the all-null triple s1 = s2 = s3 = 0.  So
-    the identity itself runs only on equal-norm or collinear pairs.
-    Reads its arguments only, so a broadcast view serves as well as an array.
-    This is the one place that classifies raw gas frequencies; the table
-    build checks its null verdicts against `spectrum.null`.
+    l, m and the spectrum's branch labels s1, s2, s3 (0 on a null branch,
+    else the sign of the frequency), and returns the (P, B, B, B) booleans
+    of `acoustic_sum_resonant` on the squared mode norms a, b, c.  The build
+    accepts the all-null cells itself, and by a lemma most pairs have no
+    other: if a, b, c are pairwise distinct and (c - a - b)^2 != 4ab (k and
+    l not collinear, since c - a - b = 2 k.l), the identity holds only on
+    the all-null triple s1 = s2 = s3 = 0.  So the identity runs only on
+    equal-norm or collinear pairs.  Reads its arguments only, so a broadcast
+    view serves as well as an array, and reads no frequency and not
+    `model`, which the signature keeps for its callers.
     """
 
-    half = 0.5 * model.sound
-
-    def branch_sign(omega) -> np.ndarray:
-        """Branch label of gas frequencies as int8: 0 where |omega| < c0/2, sign(omega) elsewhere."""
-        return np.subtract(omega >= half, omega <= -half, dtype=np.int8)
-
-    def rule(k, w1, l, w2, m, w3) -> np.ndarray:
+    def rule(k, s1, l, s2, m, s3) -> np.ndarray:
         a, b, c = map(_squared_norms, (k, l, m))
-        s1, s2, s3 = map(branch_sign, (w1, w2, w3))
-        # the all-null cells from each side's (P, B) null mask, gathered to the (P, B^3) cells: a broadcast
-        # over the inner (B, B) axes would run numpy's loops B elements at a time
-        width = s1.shape[1]
-        i1, i2, i3 = np.indices((width,) * 3).reshape(3, -1)
-        z1, z2, z3 = ((s == 0).reshape(len(s), width) for s in (s1, s2, s3))
-        hit = (z1[:, i1] & z2[:, i2] & z3[:, i3]).reshape(len(s1), width, width, width)
         gap = c - a - b
         pairs = np.flatnonzero((a == b) | (a == c) | (b == c) | (gap * gap == 4 * a * b))
+        hit = np.zeros(np.broadcast_shapes(s1.shape, s2.shape, s3.shape), dtype=bool)
         hit[pairs] = acoustic_sum_resonant(a[pairs], b[pairs], c[pairs], s1[pairs], s2[pairs], s3[pairs])
         return hit
 
@@ -594,9 +582,9 @@ def wcns_coupling_report(model: CnsModel, table) -> dict:
             "normalized": (amp / (1j * norm_m)).real,
         }
 
-    rows = (table.entries[:, 0::2], table.entries[:, 1::2])  # (T, 3) modes and branches of k, l, m
-    labels = np.where(spectrum.null[rows], 0, np.sign(spectrum.frequencies[rows])).astype(int)
-    patterns, counts = np.unique(labels, axis=0, return_counts=True)
+    # the (T, 3) branch labels of k, l and m
+    patterns, counts = np.unique(spectrum.labels[table.entries[:, 0::2], table.entries[:, 1::2]], axis=0,
+                                 return_counts=True)
     symbol = {-1: "-", 0: "0", 1: "+"}
     report["resonance_counts"] = dict(
         sorted(("".join(symbol[s] for s in row), int(n)) for row, n in zip(patterns.tolist(), counts))

@@ -172,10 +172,12 @@ class Spectrum:
     a padded branch has frequency 0 and a zero projector, so any sum over
     all B branches equals the sum over the real ones.  `null` marks the
     branches whose frequency is zero within the clustering tolerance
-    (padded branches are not branches), and `null_projector` (M, N, N) is
-    their summed projector P0 at each mode, completed from the zero mode
-    and the positive half (P0(-xi) = P0(xi) bit for bit): the slow/fast
-    split of a state is P0 w and w - P0 w.  `basis` (M, N, N) and `branch`
+    (padded branches are not branches), `labels` (M, B) int8 the sign of
+    each other branch's frequency (0 on null and padded branches: the
+    labels an exact resonance rule reads), and `null_projector` (M, N, N)
+    the null branches' summed projector P0 at each mode, completed from
+    the zero mode and the positive half (P0(-xi) = P0(xi) bit for bit):
+    the slow/fast split of a state is P0 w and w - P0 w.  `basis` (M, N, N) and `branch`
     (M, N) stack the per-mode eigenvector bases and the branch of each
     column: the branch ranks at a mode sum to N, so one basis spans them
     all.  `spec` is the system decomposed.
@@ -187,6 +189,7 @@ class Spectrum:
     projectors: np.ndarray  # (M, B, N, N) float
     nfreq: np.ndarray  # (M,) int
     null: np.ndarray  # (M, B) bool
+    labels: np.ndarray  # (M, B) int8
     basis: np.ndarray  # (M, N, N) float
     branch: np.ndarray  # (M, N) int
     null_projector: np.ndarray  # (M, N, N) float
@@ -217,7 +220,7 @@ def symmetric_advection_eigh(spec: SystemSpec, xi: np.ndarray) -> tuple[np.ndarr
 
 
 def _decompose_modes(spec: SystemSpec, modes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Spectrum arrays (frequencies, projectors, nfreq, null, basis, branch) at each row of `modes` (K, d).
+    """Spectrum arrays (frequencies, projectors, nfreq, null, labels, basis, branch) at each row of `modes` (K, d).
 
     Eigenpairs from symmetric_advection_eigh.  A new branch starts
     wherever consecutive eigenvalues differ by more than CLUSTER_TOL *
@@ -249,7 +252,8 @@ def _decompose_modes(spec: SystemSpec, modes: np.ndarray) -> tuple[np.ndarray, .
     basis[zero] = inv_root
     scale = np.maximum(np.abs(frequencies).max(axis=1, keepdims=True), 1.0)
     null = (np.arange(width) < nfreq[:, None]) & (np.abs(frequencies) <= CLUSTER_TOL * scale)
-    return frequencies, projectors, nfreq, null, basis, branch
+    labels = np.where(null, 0, np.sign(frequencies)).astype(np.int8)  # a padded frequency is 0
+    return frequencies, projectors, nfreq, null, labels, basis, branch
 
 
 def frequency_spectrum(spec: SystemSpec, lattice: FrequencyLattice) -> Spectrum:

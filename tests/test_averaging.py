@@ -1,5 +1,4 @@
 import dataclasses
-import re
 
 import numpy as np
 import pytest
@@ -368,20 +367,27 @@ def test_qbar_alias_free_on_corner_modes(cns_ops4, cns_model):
         assert is_reality_symmetric(got)
 
 
-def test_qbar_rejects_table_missing_a_null_triple(cns_model):
-    # qbar adds every null triple by one convolution, so the build refuses a
-    # table that lacks one, naming its k-block
-    rule = wk.make_exact_resonance_rule(cns_model)
-    null = 0.5 * cns_model.sound
-
-    def leaky(k, w1, l, w2, m, w3):
-        pair = (k == (1, 0)).all(axis=-1) & (l == (0, 1)).all(axis=-1)
-        all_null = np.maximum(np.maximum(np.abs(w1), np.abs(w2)), np.abs(w3)) < null
-        return rule(k, w1, l, w2, m, w3) & ~(pair & all_null)
-
-    lat = wk.FrequencyLattice(2, 2)
-    with pytest.raises(ValueError, match=r"rejects 1 of the \d+ null triples at k = \(1, 0\)"):
-        wk.build_operators(cns_model.spec, lat, exact_rule=leaky)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rule_that_accepts_nothing_keeps_every_null_triple(dim):
+    """The build accepts the null triples itself: under a rule that accepts
+    nothing the table is the full table's null rows, and its qbar is the
+    slow dynamics P0 Q(P0 w, P0 w), a direct pair sum (3-D R=4 is the first
+    odd grid, 15^3)."""
+    model = wk.build_preset(f"ideal-gas-{dim}d")
+    spec, lat = model.spec, wk.FrequencyLattice(dim, 4)
+    spectrum = wk.frequency_spectrum(spec, lat)
+    full = build_resonance_table(spectrum, exact_rule=wk.make_exact_resonance_rule(model))
+    table = build_resonance_table(spectrum, exact_rule=lambda k, s1, l, s2, m, s3: np.zeros(
+        np.broadcast_shapes(s1.shape, s2.shape, s3.shape), dtype=bool))
+    k, j1, l, j2, m, j3 = full.entries.T
+    null = spectrum.null
+    assert np.array_equal(table.entries, full.entries[null[k, j1] & null[l, j2] & null[m, j3]])
+    w = wk.random_real_state(lat, spec.ncomp, seed=61, decay=2.0)
+    w.coeffs[lat.zero_index()] = np.linspace(0.3, -0.2, spec.ncomp)
+    got = apply_averaged_quadratic(spec, spectrum, table, w, w).coeffs
+    slow = wk.SpectralState(lat, np.einsum("mpq,mq->mp", spectrum.null_projector, w.coeffs))
+    want = np.einsum("mpq,mq->mp", spectrum.null_projector, apply_quadratic(spec, slow, slow).coeffs)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_float_rule_below_the_null_defects_raises_at_build(cns_model):
@@ -394,13 +400,12 @@ def test_float_rule_below_the_null_defects_raises_at_build(cns_model):
 
 def test_qbar_rejects_table_not_closed_under_negation(cns_model):
     rule = wk.make_exact_resonance_rule(cns_model)
-    null = 0.5 * cns_model.sound
 
-    def lopsided(k, w1, l, w2, m, w3):
+    def lopsided(k, s1, l, s2, m, s3):
         # drops the (+, + -> +) acoustic triple of (1, 0) + (1, 0) but keeps its mirror
         pair = (k == (1, 0)).all(axis=-1) & (l == (1, 0)).all(axis=-1)
-        all_plus = np.minimum(np.minimum(w1, w2), w3) > null
-        return rule(k, w1, l, w2, m, w3) & ~(pair & all_plus)
+        all_plus = (s1 == 1) & (s2 == 1) & (s3 == 1)
+        return rule(k, s1, l, s2, m, s3) & ~(pair & all_plus)
 
     lat = wk.FrequencyLattice(2, 2)
     with pytest.raises(ValueError, match=r"not closed under negation: 1 rows lack their mirror"):
@@ -616,10 +621,11 @@ def test_resonance_table_matches_per_triple_reference(system, radius, exact, sca
 
 def test_exact_rule_sees_one_read_only_grid_per_chunk(cns_model, monkeypatch):
     """The rule gets one call per chunk of whole k-blocks: (P, 1, 1, 1, d)
-    integer modes and (P, B, 1, 1), (P, 1, B, 1), (P, 1, 1, B) frequencies,
-    all read-only.  Its valid cells (every branch below its mode's nfreq),
-    concatenated in call order, are the per-triple enumeration: every
-    candidate in table order, with its values."""
+    integer modes and (P, B, 1, 1), (P, 1, B, 1), (P, 1, 1, B) int8 branch
+    labels, all read-only.  Its valid cells (every branch below its mode's
+    nfreq), concatenated in call order, are the per-triple enumeration of
+    the spectrum's labels: every candidate in table order, with its
+    values."""
     budget = 5000
     monkeypatch.setattr(averaging, "RESONANCE_CHUNK_CELLS", budget)
     lat = wk.FrequencyLattice(2, 3)
@@ -636,13 +642,13 @@ def test_exact_rule_sees_one_read_only_grid_per_chunk(cns_model, monkeypatch):
     assert len(calls) > 1
     blocks, cells = [], []
     j = np.arange(width)
-    for k, w1, l, w2, m, w3 in calls:
+    for k, s1, l, s2, m, s3 in calls:
         pairs = len(k)
         for x in (k, l, m):
             assert x.shape == (pairs, 1, 1, 1, 2) and np.issubdtype(x.dtype, np.integer)
-        assert [w.shape for w in (w1, w2, w3)] == [(pairs, width, 1, 1), (pairs, 1, width, 1), (pairs, 1, 1, width)]
-        assert all(w.dtype == float for w in (w1, w2, w3))
-        assert not any(x.flags.writeable for x in (k, w1, l, w2, m, w3))
+        assert [s.shape for s in (s1, s2, s3)] == [(pairs, width, 1, 1), (pairs, 1, width, 1), (pairs, 1, 1, width)]
+        assert all(s.dtype == np.int8 for s in (s1, s2, s3))
+        assert not any(x.flags.writeable for x in (k, s1, l, s2, m, s3))
         ki, li, mi = (lat.index_array(x.reshape(pairs, 2)) for x in (k, l, m))
         blocks.append(np.unique(ki))
         assert pairs * width**3 <= budget or len(blocks[-1]) == 1
@@ -651,13 +657,14 @@ def test_exact_rule_sees_one_read_only_grid_per_chunk(cns_model, monkeypatch):
             & (j < nfreq[li, None])[:, None, :, None]
             & (j < nfreq[mi, None])[:, None, None, :]
         )
-        columns = (k[..., 0], k[..., 1], w1, l[..., 0], l[..., 1], w2, m[..., 0], m[..., 1], w3)
+        columns = (k[..., 0], k[..., 1], s1, l[..., 0], l[..., 1], s2, m[..., 0], m[..., 1], s3)
         cells.append(np.stack([c[valid] for c in np.broadcast_arrays(*columns)], axis=1))
     # every k-block lies whole in one call, and the calls follow the lattice order
     assert np.array_equal(np.concatenate(blocks), np.arange(len(lat)))
     seen = []
-    _reference_table(spectrum, lat, lambda *candidate: seen.append(candidate) or True)
-    want = np.array([[*k, w1, *l, w2, *m, w3] for k, w1, l, w2, m, w3 in seen])
+    labelled = dataclasses.replace(spectrum, frequencies=spectrum.labels)
+    _reference_table(labelled, lat, lambda *candidate: seen.append(candidate) or True)
+    want = np.array([[*k, s1, *l, s2, *m, s3] for k, s1, l, s2, m, s3 in seen])
     assert np.array_equal(np.concatenate(cells), want), "candidate stream differs from the per-triple enumeration"
     assert len(table) > 0
 
@@ -696,28 +703,6 @@ def test_resonance_table_is_the_same_whatever_the_chunks(cns_model, monkeypatch,
         assert table.entries.tobytes() == base.entries.tobytes()
         assert table.defects.tobytes() == base.defects.tobytes()
         assert np.array_equal(table.closest_rejected, base.closest_rejected, equal_nan=True)
-
-
-def test_missing_null_triple_inside_a_chunk_names_its_k(cns_model):
-    # a k-block in the middle of the last chunk loses its null triples with l = 0
-    lat = wk.FrequencyLattice(2, 4)
-    spectrum = wk.frequency_spectrum(cns_model.spec, lat)
-    rule = wk.make_exact_resonance_rule(cns_model)
-    calls = []
-    build_resonance_table(spectrum, exact_rule=lambda *args: calls.append(args) or rule(*args))
-    ks = np.unique(lat.index_array(calls[-1][0].reshape(-1, 2)))
-    assert len(calls) > 1 and len(ks) > 2
-    k_mid = lat.array[ks[len(ks) // 2]]
-    null = 0.5 * cns_model.sound
-
-    def leaky(k, w1, l, w2, m, w3):
-        pair = (k == k_mid).all(axis=-1) & (l == 0).all(axis=-1)
-        all_null = np.maximum(np.maximum(np.abs(w1), np.abs(w2)), np.abs(w3)) < null
-        return rule(k, w1, l, w2, m, w3) & ~(pair & all_null)
-
-    name = re.escape(str(tuple(k_mid.tolist())))
-    with pytest.raises(ValueError, match=rf"rejects \d+ of the \d+ null triples at k = {name};"):
-        build_resonance_table(spectrum, exact_rule=leaky)
 
 
 def test_float_rule_resonance_margin(cns_model):

@@ -279,13 +279,21 @@ def test_refused_resonance_table_exits_two_before_writing(tmp_path, capsys, comm
 def test_exact_rule_table_refusal_is_a_fault(tmp_path, monkeypatch):
     # the exact rule has no tolerance in the config, so a refused table is a
     # program fault: it propagates instead of becoming an input error
-    monkeypatch.setattr(
-        cli.ns,
-        "make_exact_resonance_rule",
-        lambda model: lambda k, w1, l, w2, m, w3: np.zeros(np.broadcast_shapes(w1.shape, w2.shape, w3.shape), bool),
-    )
+    make_rule = cli.ns.make_exact_resonance_rule
+
+    def lopsided(model):
+        rule = make_rule(model)
+
+        def decide(k, s1, l, s2, m, s3):
+            # drops the (+, + -> +) triples at k = (1, 0) but keeps their mirrors
+            plus = (k == (1, 0)).all(axis=-1) & (s1 == 1) & (s2 == 1) & (s3 == 1)
+            return rule(k, s1, l, s2, m, s3) & ~plus
+
+        return decide
+
+    monkeypatch.setattr(cli.ns, "make_exact_resonance_rule", lopsided)
     cfg = write_config(tmp_path / "run.json")
-    with pytest.raises(ValueError, match="null triples at k = ") as info:
+    with pytest.raises(ValueError, match="not closed under negation") as info:
         main(["operators", "--config", str(cfg)])
     assert not isinstance(info.value, cli.ConfigError)
 

@@ -231,18 +231,10 @@ def test_exact_rule_rejects_near_misses():
         assert not acoustic_sum_resonant(a, b, c, 1, 1, 1)
 
 
-def _plain_rule(model):
+def _plain_rule(k, s1, l, s2, m, s3):
     """The exact rule without its narrowing: the integer identity on every cell of the grid."""
-    half = 0.5 * model.sound
-
-    def sign(w):
-        return np.where(np.abs(w) < half, 0, np.sign(w)).astype(np.int64)
-
-    def rule(k, w1, l, w2, m, w3):
-        norms = [(x * x).sum(axis=-1) for x in (k, l, m)]
-        return acoustic_sum_resonant(*norms, sign(w1), sign(w2), sign(w3))
-
-    return rule
+    norms = [(x * x).sum(axis=-1) for x in (k, l, m)]
+    return acoustic_sum_resonant(*norms, s1, s2, s3)
 
 
 @pytest.mark.parametrize(
@@ -251,35 +243,35 @@ def _plain_rule(model):
 )
 def test_exact_rule_narrowing_is_complete(dim, radius, whole_table):
     """The exact rule tests the integer identity only on equal-norm or
-    collinear pairs (k, l) and the all-null signs elsewhere.  On every cell
-    it decides as the plain identity does, and the tables built with and
-    without the narrowing are bitwise equal.  From R = 5 in 2-D, and with
-    (2, 2, 1) and (3, 0, 0) in 3-D, modes of equal norm need not be signed
-    permutations of each other ((3, 4) and (5, 0)); such pairs must resonate
-    too."""
+    collinear pairs (k, l); the build accepts the all-null cells itself.  On
+    every cell with a nonzero label it decides as the plain identity does,
+    and the tables built with and without the narrowing are bitwise equal.
+    From R = 5 in 2-D, and with (2, 2, 1) and (3, 0, 0) in 3-D, modes of
+    equal norm need not be signed permutations of each other ((3, 4) and
+    (5, 0)); such pairs must resonate too."""
     model = wk.build_preset(f"ideal-gas-{dim}d")
     lat = wk.FrequencyLattice(dim, radius)
     spectrum = wk.frequency_spectrum(model.spec, lat)
-    rule, plain = wk.make_exact_resonance_rule(model), _plain_rule(model)
+    rule = wk.make_exact_resonance_rule(model)
     unlike_hits = 0  # non-null resonant cells on equal norms that no signed permutation maps onto each other
 
-    def checked(k, w1, l, w2, m, w3):
+    def checked(k, s1, l, s2, m, s3):
         nonlocal unlike_hits
-        got, want = rule(k, w1, l, w2, m, w3), plain(k, w1, l, w2, m, w3)
-        assert got.shape == want.shape and np.array_equal(got, want)
+        got, want = rule(k, s1, l, s2, m, s3), _plain_rule(k, s1, l, s2, m, s3)
+        labelled = (s1 != 0) | (s2 != 0) | (s3 != 0)  # not all-null (nor padded)
+        assert got.shape == want.shape and np.array_equal(got[labelled], want[labelled])
         norms = [(x * x).sum(axis=-1) for x in (k, l, m)]
         shapes = [np.sort(np.abs(x), axis=-1) for x in (k, l, m)]
         unlike = np.zeros(norms[0].shape, dtype=bool)
         for i, j in ((0, 1), (0, 2), (1, 2)):
             unlike |= (norms[i] == norms[j]) & (shapes[i] != shapes[j]).any(axis=-1)
-        null = [np.abs(w) < 0.5 * model.sound for w in (w1, w2, w3)]
-        unlike_hits += int(np.count_nonzero(got & unlike & ~(null[0] & null[1] & null[2])))
+        unlike_hits += int(np.count_nonzero(got & unlike & labelled))
         return got
 
     table = wk.build_resonance_table(spectrum, exact_rule=checked)
     assert (unlike_hits > 0) == (dim > 1)
     if whole_table:
-        reference = wk.build_resonance_table(spectrum, exact_rule=plain)
+        reference = wk.build_resonance_table(spectrum, exact_rule=_plain_rule)
         assert table.entries.tobytes() == reference.entries.tobytes()
         assert table.defects.tobytes() == reference.defects.tobytes()
 

@@ -245,11 +245,17 @@ def _reference_spectrum(spec, lattice):
         projectors[i, : len(freqs)] = projs
     scale = np.maximum(np.abs(frequencies).max(axis=1, keepdims=True), 1.0)
     null = (np.arange(width) < nfreq[:, None]) & (np.abs(frequencies) <= CLUSTER_TOL * scale)
+    # a branch's label: 0 on a null branch, else the sign of its frequency; 0 on a padded one
+    labels = np.zeros((len(decs), width), dtype=np.int8)
+    for i, (freqs, _, _, _) in enumerate(decs):
+        for j, omega in enumerate(freqs):
+            labels[i, j] = 0 if null[i, j] else (1 if omega > 0 else -1)
     return {
         "frequencies": frequencies,
         "projectors": projectors,
         "nfreq": nfreq,
         "null": null,
+        "labels": labels,
         "basis": np.stack([dec[2] for dec in decs]),
         "branch": np.stack([dec[3] for dec in decs]),
     }
@@ -283,6 +289,7 @@ def test_frequency_spectrum_matches_per_mode_reference(system, request):
         got = getattr(spectrum, name)
         assert got.shape == expected.shape and got.dtype == expected.dtype, name
         assert got.tobytes() == expected.tobytes(), name
+        assert not got.flags.writeable, name
     for mode in (lattice.modes[0], lattice.modes[lattice.zero_index()], lattice.modes[-2]):
         dec = spectrum[mode]
         freqs, projs, basis, branch = _reference_decompose(spec, mode)
