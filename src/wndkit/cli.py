@@ -24,7 +24,7 @@ import numpy as np
 from . import navier_stokes as ns
 from .averaging import FLOAT_RULE_TOL, cyclic_residual, diffusion_csv_rows, resonance_csv_rows
 from .dissipativity import analyze_dissipativity, default_alpha_grid
-from .solver import INTEGRATORS, BlowUpError, build_operators, simulate, whole_steps
+from .solver import BLOWUP_THRESHOLD, INTEGRATORS, BlowUpError, build_operators, simulate, whole_steps
 from .spectral import FrequencyLattice, convolution_pair_count, mode_csv_rows, spectrum_csv_rows
 from .state import SpectralState, random_real_state, state_from_modes
 from .system import (
@@ -206,8 +206,9 @@ def _modes_state(lattice: FrequencyLattice, n: int, items) -> SpectralState:
 class Run:
     """The resolved run: spec (plus gas model when preset-based), lattice, initial state and settings.
 
-    It checks every input (ConfigError) but those that depend on the command or on what it builds:
-    `wcns-report`'s 2-D preset, the automatic dt's steps and a float-rule table's tolerance."""
+    It checks every input (ConfigError), the initial state's magnitudes (finite, at most BLOWUP_THRESHOLD)
+    included, but those that depend on the command or on what it builds: `wcns-report`'s 2-D preset, the
+    automatic dt's steps and a float-rule table's tolerance."""
 
     def __init__(self, config: dict, seed_override: int | None = None):
         _require_object(config, ("system", "lattice_k", *SECTION_KEYS), "the config")
@@ -289,17 +290,22 @@ class Run:
                               f"got {json.dumps(initial)}")
         _require_object(initial, INITIAL_KEYS[kind], f"a {kind} initial")
         seed = _seed(sim.get("seed", 0))  # the random initial's seed when it names none
-        if kind == "random":
-            seed = _seed(initial.get("seed", seed))
-            if seed_override is not None:
-                seed = _seed(int(seed_override))
-            decay = _number(initial.get("decay", 3.0), "decay")
-            amplitude = _number(initial.get("amplitude", 0.1), "amplitude")
-            self.initial = random_real_state(self.lattice, self.spec.ncomp, seed, decay, amplitude)
-        elif seed_override is not None:
-            raise ConfigError(f"--seed keys a random initial, and this run's initial is of type {kind}")
-        else:
-            self.initial = _modes_state(self.lattice, self.spec.ncomp, initial.get("entries", []))
+        with np.errstate(all="ignore"):  # an initial that overflows is refused below, with no warning
+            if kind == "random":
+                seed = _seed(initial.get("seed", seed))
+                if seed_override is not None:
+                    seed = _seed(int(seed_override))
+                decay = _number(initial.get("decay", 3.0), "decay")
+                amplitude = _number(initial.get("amplitude", 0.1), "amplitude")
+                self.initial = random_real_state(self.lattice, self.spec.ncomp, seed, decay, amplitude)
+            elif seed_override is not None:
+                raise ConfigError(f"--seed keys a random initial, and this run's initial is of type {kind}")
+            else:
+                self.initial = _modes_state(self.lattice, self.spec.ncomp, initial.get("entries", []))
+            peak = float(np.abs(self.initial.coeffs).max())
+        if not peak <= BLOWUP_THRESHOLD:
+            raise ConfigError(f"the initial state's largest coefficient magnitude is {peak:.3e}; "
+                              f"it must be finite and at most the blow-up threshold {BLOWUP_THRESHOLD:g}")
         diss = config.get("dissipativity", {})
         # a count of log-spaced alphas in [1e-2, 1e2], or the alphas themselves
         grid = diss.get("alpha_grid", 32)

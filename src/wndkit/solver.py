@@ -84,7 +84,7 @@ BLOWUP_THRESHOLD = 1e12  # simulate raises BlowUpError once a coefficient magnit
 
 
 class BlowUpError(RuntimeError):
-    """A coefficient exceeded the blow-up threshold during integration."""
+    """A coefficient exceeded the blow-up threshold (or is not finite) during integration or at t = 0."""
 
     def __init__(self, mode: Mode, time: float, magnitude: float):
         self.mode, self.time, self.magnitude = mode, time, magnitude
@@ -321,6 +321,8 @@ def simulate(
     snapshot is reality-symmetric.  Energy and dissipation are sampled after every step from
     the half, the zero mode weighted once and every other mode twice.  The budget residual
     reported at each snapshot is the defect of the energy identity accumulated from t = 0.
+    BlowUpError once a coefficient is not finite or exceeds BLOWUP_THRESHOLD, from the gated
+    initial state at t = 0 on.
     """
     if t_end <= 0.0 or dt <= 0.0:
         raise ValueError("need t_end > 0 and dt > 0")
@@ -359,7 +361,7 @@ def simulate(
     for i in range(n_steps + 1):
         if i:
             half = _advance(ops, half, dt, method, filtered)
-            _check_finite(ops, half, float(times[i]))
+        _check_finite(ops, half, float(times[i]))  # the gated initial state too, at t = 0
         record(i, half)
         if i % diagnostics_every == 0 or i == n_steps:
             snap_indices.append(i)

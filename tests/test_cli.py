@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -731,6 +732,29 @@ def test_simulate_blowup_exits_three(tmp_path):
     cfg.write_text(json.dumps(data))
     assert main(["simulate", "--config", str(cfg)]) == 3
     assert (tmp_path / "out" / "blowup.txt").exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@pytest.mark.parametrize(
+    "initial",
+    [
+        {"type": "random", "amplitude": 1e308},  # overflows as it is built
+        {"type": "modes", "entries": [{"mode": [1, 0], "coeff_re": [2e12, 0, 0, 0]}]},
+        {"type": "modes", "entries": [{"mode": [1, 0], "coeff_re": [1e308, 0, 0, 0], "coeff_im": [1e308, 0, 0, 0]}]},
+    ],
+    ids=["random-overflow", "modes-past-the-threshold", "modes-infinite-magnitude"],
+)
+def test_initial_state_past_the_blowup_threshold_exits_two(tmp_path, capsys, command, initial):
+    # refused when the config is read, before any file is written and with no RuntimeWarning
+    cfg = write_config(tmp_path / "run.json", lattice_k=2,
+                       simulation={"dt": 0.001, "t_end": 0.002, "diagnostics_every": 1, "initial": initial})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: the initial state's largest coefficient magnitude is ")
+    assert err.endswith("; it must be finite and at most the blow-up threshold 1e+12\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_wcns_report(tmp_path):

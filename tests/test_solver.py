@@ -268,12 +268,27 @@ def test_blowup_detection(cns_model):
     # the first mode in lattice order to reach the largest magnitude: (2, -3) holds it as well
     assert (exc.value.mode, exc.value.time) == ((-2, 3), 0.01)
     assert exc.value.magnitude > 1e12
-    # past the threshold a stage overflows within the step, and the blow-up check still names
-    # the mode of the first NaN
+    # a state that would overflow within the first step is past the threshold already, and is
+    # refused at t = 0, before any step runs
     vast = wk.random_real_state(lat, 4, seed=2, decay=1.0, amplitude=1e160)
-    with np.errstate(all="ignore"), pytest.raises(BlowUpError, match=r"\|coeff\| = nan") as exc:
+    with pytest.raises(BlowUpError) as exc:
         wk.simulate(ops, vast, t_end=1e-3, dt=1e-3)
-    assert (exc.value.mode, exc.value.time) == ((-3, -3), 0.001)
+    assert exc.value.time == 0.0 and exc.value.magnitude == np.abs(vast.coeffs).max()
+
+
+@pytest.mark.parametrize("value", [2e12, np.nan, np.inf], ids=["past-the-threshold", "nan", "inf"])
+def test_simulate_checks_the_initial_state_at_t_zero(cns_model, value):
+    # one coefficient at (1, 2) and its mirror: simulate raises before its first step, naming
+    # the first mode in lattice order that holds it
+    lat = wk.FrequencyLattice(2, 2)
+    ops = wk.build_operators(cns_model.spec, lat, exact_rule=wk.make_exact_resonance_rule(cns_model))
+    w0 = wk.random_real_state(lat, 4, seed=3, amplitude=0.1)
+    w0.coeffs[[lat.index((1, 2)), lat.index((-1, -2))], 2] = value
+    steps = []
+    with pytest.raises(BlowUpError) as exc:
+        wk.simulate(ops, w0, t_end=2e-3, dt=1e-3, snapshot_hook=steps.append)
+    assert (exc.value.mode, exc.value.time) == ((-1, -2), 0.0) and steps == []
+    assert exc.value.magnitude == value or np.isnan(value) and np.isnan(exc.value.magnitude)
 
 
 @pytest.mark.parametrize("dim, radius", [(1, 3), (2, 2)])
