@@ -351,6 +351,9 @@ def cmd_operators(run: Run, outdir: Path) -> int:
     ops = run.operators(run.lattice)
     write_csv(outdir / "averaged_diffusion.csv", diffusion_csv_rows(ops.avg))
     write_csv(outdir / "spectrum.csv", spectrum_csv_rows(ops.spectrum))
+    (largest, smallest), (spread, gap) = ops.spectrum.null_margin, ops.spectrum.cluster_margin
+    print(f"spectrum: largest null |omega| {largest:.3e}, smallest other {smallest:.3e}; largest merged spread "
+          f"{spread:.3e}, smallest kept gap {gap:.3e} (relative to each mode's max(max |omega|, 1))")
     residuals = []
     if ops.table is not None:
         write_csv(outdir / "resonance_table.csv", resonance_csv_rows(ops.table))
@@ -368,6 +371,9 @@ def cmd_operators(run: Run, outdir: Path) -> int:
         print(f"qbar coefficients: {quad.terms} terms, {quad.coefficient_bytes} bytes; "
               f"{quad.dropped} dropped as structural zeros, largest dropped {largest:.3e}, "
               f"smallest kept {smallest:.3e} (relative to max |c|)")
+        largest, smallest = quad.null_margin
+        print(f"qbar null range: rank {quad.null_rank}, largest roundoff eigenvalue {largest:.3e}, "
+              f"smallest kept {smallest:.3e} (relative to the largest)")
         if not ops.table.exact:
             t = ops.table
             print(f"float resonance rule: worst accepted |defect| {np.abs(t.defects).max(initial=0.0):.3e}, "

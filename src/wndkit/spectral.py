@@ -180,7 +180,12 @@ class Spectrum:
     the slow/fast split of a state is P0 w and w - P0 w.  `basis` (M, N, N) and `branch`
     (M, N) stack the per-mode eigenvector bases and the branch of each
     column: the branch ranks at a mode sum to N, so one basis spans them
-    all.  `spec` is the system decomposed.
+    all.  `spec` is the system decomposed.  Two plain attributes report
+    how close the CLUSTER_TOL decisions came, each value relative to its
+    mode's max(max|omega|, 1): `null_margin` (the largest null and the
+    smallest other |omega|) and `cluster_margin` (the largest spread of a
+    merged cluster and the smallest gap kept between branches); a set with
+    no member reads 0.0 as the largest and inf as the smallest.
     """
 
     spec: SystemSpec
@@ -193,6 +198,8 @@ class Spectrum:
     basis: np.ndarray  # (M, N, N) float
     branch: np.ndarray  # (M, N) int
     null_projector: np.ndarray  # (M, N, N) float
+    null_margin: tuple[float, float]
+    cluster_margin: tuple[float, float]
 
     def __getitem__(self, mode: Sequence[int]) -> ModeDecomposition:
         """Views of one mode's rows (KeyError outside the lattice).
@@ -219,8 +226,9 @@ def symmetric_advection_eigh(spec: SystemSpec, xi: np.ndarray) -> tuple[np.ndarr
     return np.linalg.eigh(0.5 * (sym + sym.swapaxes(-1, -2)))
 
 
-def _decompose_modes(spec: SystemSpec, modes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Spectrum arrays (frequencies, projectors, nfreq, null, labels, basis, branch) at each row of `modes` (K, d).
+def _decompose_modes(spec: SystemSpec, modes: np.ndarray) -> tuple[tuple, tuple]:
+    """Spectrum arrays (frequencies, projectors, nfreq, null, labels, basis, branch) at each row of `modes` (K, d),
+    and the margins (null_margin, cluster_margin) of its two decisions (see Spectrum).
 
     Eigenpairs from symmetric_advection_eigh.  A new branch starts
     wherever consecutive eigenvalues differ by more than CLUSTER_TOL *
@@ -245,20 +253,27 @@ def _decompose_modes(spec: SystemSpec, modes: np.ndarray) -> tuple[np.ndarray, .
         frequencies[row, j] = evals[row[:, None], cols].mean(axis=1)
         block = vecs[row[:, None, None], np.arange(n)[:, None], cols[:, None, :]]
         projectors[row, j] = inv_root @ (block @ block.swapaxes(-1, -2)) @ root
+    row, j = np.nonzero(size)
+    spread = (evals[row, first[row, j] + size[row, j] - 1] - evals[row, first[row, j]]) / scale[row, 0]
+    gaps = np.diff(evals, axis=1) / scale
+    cluster_margin = (float(spread.max(initial=0.0)), float(gaps[np.diff(branch, axis=1) > 0].min(initial=np.inf)))
     basis = inv_root @ vecs
     zero = ~modes.any(axis=1)  # the zero mode has one branch: P = I, basis g^{-1/2}
     frequencies[zero] = 0.0
     projectors[zero, 0] = np.eye(n)
     basis[zero] = inv_root
     scale = np.maximum(np.abs(frequencies).max(axis=1, keepdims=True), 1.0)
-    null = (np.arange(width) < nfreq[:, None]) & (np.abs(frequencies) <= CLUSTER_TOL * scale)
+    real = np.arange(width) < nfreq[:, None]
+    null = real & (np.abs(frequencies) <= CLUSTER_TOL * scale)
     labels = np.where(null, 0, np.sign(frequencies)).astype(np.int8)  # a padded frequency is 0
-    return frequencies, projectors, nfreq, null, labels, basis, branch
+    rel = np.abs(frequencies) / scale
+    null_margin = (float(rel[null].max(initial=0.0)), float(rel[real & ~null].min(initial=np.inf)))
+    return (frequencies, projectors, nfreq, null, labels, basis, branch), (null_margin, cluster_margin)
 
 
 def frequency_spectrum(spec: SystemSpec, lattice: FrequencyLattice) -> Spectrum:
     """Decomposition at every lattice mode: one batched eigensolve, in lattice order."""
-    arrays = _decompose_modes(spec, lattice.array)
+    arrays, margins = _decompose_modes(spec, lattice.array)
     # P0 summed on the zero mode and the positive half and completed: P0(-xi) = P0(xi) bit for
     # bit (real symbols), so the split of a real state is real
     zero = lattice.zero_index()
@@ -266,7 +281,7 @@ def frequency_spectrum(spec: SystemSpec, lattice: FrequencyLattice) -> Spectrum:
     arrays += (lattice.complete((projectors * null[:, :, None, None]).sum(axis=1)),)
     for arr in arrays:
         arr.setflags(write=False)
-    return Spectrum(spec, lattice, *arrays)
+    return Spectrum(spec, lattice, *arrays, *margins)
 
 
 def spectrum_csv_rows(spectrum: Spectrum) -> Iterator[list]:

@@ -615,6 +615,21 @@ def test_operators_outputs(tmp_path, capsys):
     assert all(float(line.split(",")[1]) <= 1e-10 for line in residuals)
 
 
+def test_operators_prints_the_decision_margins(tmp_path, capsys):
+    # the spectrum's null and clustering margins, and the compiled null range's rank and margin
+    cfg = write_config(tmp_path / "run.json")
+    assert main(["operators", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    model = wk.build_preset("ideal-gas-2d")
+    ops = wk.build_operators(model.spec, wk.FrequencyLattice(2, 2), exact_rule=wk.make_exact_resonance_rule(model))
+    (null, other), (spread, gap) = ops.spectrum.null_margin, ops.spectrum.cluster_margin
+    assert lines[0] == (f"spectrum: largest null |omega| {null:.3e}, smallest other {other:.3e}; largest merged "
+                        f"spread {spread:.3e}, smallest kept gap {gap:.3e} (relative to each mode's max(max |omega|, 1))")
+    roundoff, kept = ops.table.quadratic.null_margin
+    assert (f"qbar null range: rank 3, largest roundoff eigenvalue {roundoff:.3e}, smallest kept {kept:.3e} "
+            "(relative to the largest)") in lines
+
+
 def test_operators_scalar_advection_diffusion(tmp_path, capsys):
     scalar = wk.SystemSpec(1, 1, [0.0], [[[1.0]]], [[[[0.25]]]], [[[[0.5]]]], [[1.0]])
     cfg = write_config(tmp_path / "run.json", system=wk.spec_to_dict(scalar), lattice_k=8)
@@ -634,7 +649,9 @@ def test_operators_scalar_advection_diffusion(tmp_path, capsys):
 def test_operators_without_a_quadratic_term_builds_no_table(tmp_path, capsys, wave2_spec):
     cfg = write_config(tmp_path / "run.json", system=wk.spec_to_dict(wave2_spec), resonance={"exact_rule": False})
     assert main(["operators", "--config", str(cfg)]) == 0
-    assert capsys.readouterr().out == "quadratic kernel is zero; no resonance table\n"
+    lines = capsys.readouterr().out.splitlines()  # the spectrum's margins, and no table
+    assert len(lines) == 2 and lines[0].startswith("spectrum: largest null |omega| ")
+    assert lines[1] == "quadratic kernel is zero; no resonance table"
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["averaged_diffusion.csv", "spectrum.csv"]
 
 

@@ -297,6 +297,32 @@ def test_frequency_spectrum_matches_per_mode_reference(system, request):
         assert dec.basis.tobytes() == basis.tobytes() and dec.branch.tobytes() == branch.tobytes()
 
 
+@pytest.mark.parametrize("system", ["ideal-gas-2d", "ideal-gas-3d", "ideal-gas-1d", "wave2", "scalar"])
+def test_spectrum_reports_how_close_its_decisions_came(system, request):
+    """null_margin and cluster_margin from the per-mode loop: each mode's eigenvalues clustered
+    one gap at a time, and its branches' frequencies, relative to the mode's scale."""
+    spec, lattice = _spectrum_system(system, request)
+    spectrum = frequency_spectrum(spec, lattice)
+    root, inv_root = spec.metric_sqrt()
+    null, other, spread, gap = [0.0], [np.inf], [0.0], [np.inf]
+    for mode in lattice.modes:
+        if any(mode):
+            sym = root @ wk.advection_symbol(spec, np.asarray(mode, dtype=float)) @ inv_root
+            evals = np.linalg.eigh(0.5 * (sym + sym.T))[0]
+            scale = max(float(np.abs(evals).max()), 1.0)
+            groups = _reference_cluster(evals)
+            spread += [(evals[g[-1]] - evals[g[0]]) / scale for g in groups]
+            gap += [(evals[h[0]] - evals[g[-1]]) / scale for g, h in zip(groups, groups[1:])]
+        freqs = _reference_decompose(spec, mode)[0]
+        scale = max(float(np.abs(freqs).max()), 1.0)
+        for omega in freqs:
+            (null if abs(omega) <= CLUSTER_TOL * scale else other).append(abs(omega) / scale)
+    assert spectrum.null_margin == (max(null), min(other))
+    assert spectrum.cluster_margin == (max(spread), min(gap))
+    if system.startswith("ideal-gas"):  # the gas decides by 16 orders of magnitude either way
+        assert max(null) < 1e-15 and max(spread) < 1e-15 and min(other) > 0.99 and min(gap) > 0.99
+
+
 @pytest.mark.parametrize("dim, radius", [(2, 4), (3, 3)])
 def test_null_projector_sums_the_null_branches(dim, radius):
     spectrum = frequency_spectrum(wk.build_preset(f"ideal-gas-{dim}d").spec, FrequencyLattice(dim, radius))
