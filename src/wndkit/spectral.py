@@ -177,15 +177,15 @@ class Spectrum:
     labels an exact resonance rule reads), and `null_projector` (M, N, N)
     the null branches' summed projector P0 at each mode, completed from
     the zero mode and the positive half (P0(-xi) = P0(xi) bit for bit):
-    the slow/fast split of a state is P0 w and w - P0 w.  `basis` (M, N, N) and `branch`
-    (M, N) stack the per-mode eigenvector bases and the branch of each
-    column: the branch ranks at a mode sum to N, so one basis spans them
-    all.  `spec` is the system decomposed.  Two plain attributes report
-    how close the CLUSTER_TOL decisions came, each value relative to its
-    mode's max(max|omega|, 1): `null_margin` (the largest null and the
-    smallest other |omega|) and `cluster_margin` (the largest spread of a
-    merged cluster and the smallest gap kept between branches); a set with
-    no member reads 0.0 as the largest and inf as the smallest.
+    the slow/fast split of a state is P0 w and w - P0 w.  `basis`
+    (M, N, N) and `branch` (M, N) stack the per-mode eigenvector bases and
+    the branch of each column: the branch ranks at a mode sum to N, so one
+    basis spans them all.  `spec` is the system decomposed.  Two plain
+    attributes report how close the CLUSTER_TOL decisions came, each value
+    relative to its mode's max(max|omega|, 1): `null_margin` (the largest
+    null and the smallest other |omega|) and `cluster_margin` (the largest
+    spread of a merged cluster and the smallest gap kept between branches);
+    a set with no member reads 0.0 as the largest and inf as the smallest.
     """
 
     spec: SystemSpec

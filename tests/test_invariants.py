@@ -23,11 +23,16 @@ CASES = [(2, 8), (2, 9), (3, 3), (3, 4)]
 IDS = ["2d-r8", "2d-r9", "3d-r3", "3d-r4"]
 
 
-@functools.cache
-def _table(dim, radius):
+def _build(dim, radius):
     model = wk.build_preset(f"ideal-gas-{dim}d")
     spectrum = wk.frequency_spectrum(model.spec, wk.FrequencyLattice(dim, radius))
     return build_resonance_table(spectrum, exact_rule=wk.make_exact_resonance_rule(model))
+
+
+@pytest.fixture(scope="module")
+def tables():
+    """The exact-rule table of the gas on (dim, radius), built once for the module's tests."""
+    return functools.cache(_build)
 
 
 def _qbar(table, coeffs):
@@ -47,8 +52,8 @@ def _relative(got, want):
 
 
 @pytest.mark.parametrize("dim, radius", CASES, ids=IDS)
-def test_qbar_commutes_with_the_lattice_symmetries(dim, radius):
-    table = _table(dim, radius)
+def test_qbar_commutes_with_the_lattice_symmetries(tables, dim, radius):
+    table = tables(dim, radius)
     lattice = table.lattice
     w = _state(lattice, seed=71)
     out = _qbar(table, w)
@@ -63,8 +68,8 @@ def test_qbar_commutes_with_the_lattice_symmetries(dim, radius):
 
 
 @pytest.mark.parametrize("dim, radius", CASES, ids=IDS)
-def test_qbar_commutes_with_translation(dim, radius):
-    table = _table(dim, radius)
+def test_qbar_commutes_with_translation(tables, dim, radius):
+    table = tables(dim, radius)
     lattice = table.lattice
     w = _state(lattice, seed=72)
     phase = np.exp(1j * (lattice.array @ np.array([0.37, -1.21, 0.58])[:dim]))[:, None]
@@ -73,8 +78,8 @@ def test_qbar_commutes_with_translation(dim, radius):
 
 @pytest.mark.parametrize("dim, inner, radius", [(2, 4, 8), (2, 4, 9), (3, 2, 3), (3, 2, 4)],
                          ids=["2d-r4-in-r8", "2d-r4-in-r9", "3d-r2-in-r3", "3d-r2-in-r4"])
-def test_qbar_nests(dim, inner, radius):
-    small, large = _table(dim, inner), _table(dim, radius)
+def test_qbar_nests(tables, dim, inner, radius):
+    small, large = tables(dim, inner), tables(dim, radius)
     w = _state(small.lattice, seed=73)
     inside = large.lattice.index_array(small.lattice.array)
     embedded = np.zeros((len(large.lattice), dim + 2), dtype=complex)
