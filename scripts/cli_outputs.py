@@ -18,7 +18,9 @@ When they differ, the compare mode says by how much:
     PYTHONPATH=src python scripts/cli_outputs.py --compare before after
 
 It lists the files found on one side only and, for each file whose bytes
-moved, the numbers that changed, the largest relative change |a - b| /
+moved, the lines inserted and deleted (the lines are aligned first, so an
+inserted line hides no number that moved below it) and, on the lines that
+pair up, the numbers that changed, the largest relative change |a - b| /
 max(|a|, |b|) with its two values, the largest change |a - b| relative to
 the file's largest finite |a| (which reads roundoff zeros at their scale),
 the zeros whose sign flipped (+0 to -0 and back) and the lines that changed
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import io
 import json
 import math
@@ -134,17 +137,26 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)
 
 
 def compare_file(before: str, after: str) -> dict:
-    """How the text `after` moved from `before`: the numbers that changed, the largest relative
-    change and its values, the largest change relative to the largest finite |number| of
-    `before`, the zeros whose sign flipped, and the lines that changed otherwise."""
+    """How the text `after` moved from `before`: the lines inserted and deleted, and on the lines that
+    pair up, the numbers that changed, the largest relative change and its values, the largest change
+    relative to the largest finite |number| of `before`, the zeros whose sign flipped, and the lines
+    that changed otherwise.
+
+    The lines are aligned first (difflib.SequenceMatcher), so an inserted line moves no later line out
+    of its pair.  Within a replaced run the lines pair by position, and the longer side's surplus
+    counts as inserted or deleted."""
     report = {"changed": 0, "largest": (0.0, "", ""), "of_scale": 0.0, "to_minus_zero": 0, "to_plus_zero": 0,
-              "other_lines": 0}
+              "other_lines": 0, "inserted": 0, "deleted": 0}
     scale = max((abs(v) for v in map(float, NUMBER.findall(before)) if math.isfinite(v)), default=0.0)
     lines_a, lines_b = before.splitlines(), after.splitlines()
-    report["other_lines"] += abs(len(lines_a) - len(lines_b))
-    for line_a, line_b in zip(lines_a, lines_b):
-        if line_a == line_b:
+    pairs = []
+    for tag, a0, a1, b0, b1 in difflib.SequenceMatcher(None, lines_a, lines_b, autojunk=False).get_opcodes():
+        if tag == "equal":
             continue
+        report["deleted"] += max(0, (a1 - a0) - (b1 - b0))
+        report["inserted"] += max(0, (b1 - b0) - (a1 - a0))
+        pairs += zip(lines_a[a0:a1], lines_b[b0:b1])
+    for line_a, line_b in pairs:
         words_a, words_b = NUMBER.findall(line_a), NUMBER.findall(line_b)
         if NUMBER.split(line_a) != NUMBER.split(line_b) or len(words_a) != len(words_b):
             report["other_lines"] += 1
@@ -186,7 +198,8 @@ def compare(before: Path, after: Path) -> int:
         largest = (f"largest relative change {rel:.3g} ({word_a} -> {word_b}), {r['of_scale']:.3g} of the largest |value|"
                    if r["changed"] else "no number changed")
         print(f"{path}: {r['changed']} numbers changed, {largest}; zero signs +0 -> -0 {r['to_minus_zero']}, "
-              f"-0 -> +0 {r['to_plus_zero']}; other changed lines {r['other_lines']}")
+              f"-0 -> +0 {r['to_plus_zero']}; other changed lines {r['other_lines']}; lines inserted {r['inserted']}, "
+              f"deleted {r['deleted']}")
     same = len(files_a & files_b) - moved
     print(f"{moved} files moved, {same} identical, {len(files_a ^ files_b)} on one side only")
     return int(bool(moved or files_a ^ files_b))

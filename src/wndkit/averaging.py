@@ -32,14 +32,19 @@ by structure (fast-fast resonances do not force the slow mode); they are
 dropped at compile time against DROP_TOL, with the margin recorded.  The
 null triples (all three frequencies zero) are resonant for every pair of
 modes; together they are the slow, incompressible dynamics P0 Q(P0 w1, P0
-w2), computed whole as one pseudo-spectral product on a padded grid.
+w2), computed whole as one pseudo-spectral product on a padded grid.  So
+the resonance table stores only the other triples, the rows qbar reads,
+and counts the null triples per k-block; the full table, for export, is
+rebuilt from both one k-block at a time.
 
 Resonance detection is the main correctness hazard: by default frequency
 sums are matched with a relative tolerance, and callers with arithmetic
 structure (the gas-dynamics instantiation) supply an exact predicate on the
-spectrum's branch labels instead.  Neither decides the null triples: the
-table build accepts every one of them itself.  Output modes falling outside the truncation are dropped, i.e. the
-sum is composed with the Galerkin projection onto the retained modes.
+spectrum's branch labels instead, which may first narrow the (k, l) pairs
+by a `candidates` predicate on the integer modes.  Neither decides the null
+triples: the table build accepts every one of them itself.  Output modes
+falling outside the truncation are dropped, i.e. the sum is composed with
+the Galerkin projection onto the retained modes.
 
 Brute-force time-average oracles for both operators are provided; they sum
 the trapezoidal nodes of the conjugated symbols by doubling, from
@@ -76,14 +81,17 @@ __all__ = [
     "diffusion_csv_rows",
 ]
 
-# (k, s1, l, s2, m, s3) on a chunk's grid of P pairs (k, l) by B^3 branch triples: (P, 1, 1, 1, d) int
-# modes and (P, B, 1, 1), (P, 1, B, 1), (P, 1, 1, B) int8 branch labels (Spectrum.labels) -> (P, B, B, B)
-# bools.  Called once per chunk of whole k-blocks; its arguments are read-only broadcast views.  The build
-# accepts the all-null cells itself, so a rule decides only the others.
+# (k, s1, l, s2, m, s3) on a grid of P pairs (k, l) by B^3 branch triples: (P, 1, 1, 1, d) int modes and
+# (P, B, 1, 1), (P, 1, B, 1), (P, 1, 1, B) int8 branch labels (Spectrum.labels) -> (P, B, B, B) bools.
+# Called once per grid of whole k-blocks; its arguments are read-only broadcast views.  The build accepts
+# the all-null cells itself, so a rule decides only the others.  A rule may carry a `candidates`
+# attribute, (k, l, m) read-only (P, d) int modes -> (P,) bools: the pairs that can hold a resonance off
+# the all-null cells.  Only those reach the rule; without it, every pair does.
 ExactRule = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-# grid cells ((k, l) pairs x branch triples) per resonance-rule call in the table build
-# (bounds its transient memory; a larger k-block is one call)
+# grid cells ((k, l) pairs x branch triples) per resonance-rule call in the table build (bounds its
+# transient memory; a larger k-block is one call).  The build enumerates at most RESONANCE_CHUNK_CELLS // B
+# pairs at a time, whose pair-level arrays take about as much memory as one grid's
 RESONANCE_CHUNK_CELLS = 65536
 
 # the float rule's default: it accepts a frequency triple whose defect |omega1 + omega2 - omega3| is at most
@@ -179,32 +187,81 @@ class ResonanceTable:
     """Resonant frequency triples (k, j1; l, j2; m=k+l, j3) of one spectrum.
 
     The branches j are the spectrum's, so the table lives on its lattice
-    and serves only its system.  `entries` columns: k index, j1, l index,
-    j2, m index, j3.  `defects` stores the measured frequency mismatch
-    omega1 + omega2 - omega3 (pure eigensolve noise for entries admitted by
-    an exact rule).  Symmetric: the (l, k) mirror of every entry is
-    present.  The float rule accepts |defect| <= tolerance * scale;
-    `closest_rejected` is the smallest |defect| it rejected (inf if none,
-    nan under an exact rule).  The table holds every null triple by
-    construction; qbar also assumes it is closed under negation, which only
+    and serves only its system.  A row's columns: k index, j1, l index,
+    j2, m index, j3; its defect is the measured frequency mismatch omega1 +
+    omega2 - omega3 (pure eigensolve noise for rows admitted by an exact
+    rule).  Rows come in table order: k ascending, then l, then (j1, j2,
+    j3).  Symmetric: the (l, k) mirror of every row is present.
+
+    Only what qbar reads is stored: `rows` (S, 6) and `row_defects` (S,),
+    the accepted triples that are not null triples, in table order, and
+    `null_counts` (M,), the number of null triples (all three branches
+    null) in each k-block, n0(k) sum_l n0(l) n0(k + l) with n0 a mode's
+    null branches.  The null triples are resonant for every pair of modes,
+    so the table holds every one of them by construction, and qbar computes
+    them whole without reading a row (see _CompiledQuadratic).  `blocks`
+    rebuilds the full table one k-block at a time, the null triples merged
+    back in with their defects; `entries`, `defects` and the CSV export
+    read it, and `len` counts it.  The float rule accepts |defect| <=
+    tolerance * scale; `closest_rejected` is the smallest |defect| it
+    rejected (inf if none, nan under an exact rule).  qbar also assumes
+    that the table is closed under negation, which only
     `build_resonance_table` checks, so tables must come from it.
     `quadratic` is qbar compiled for the table, on first use.
     """
 
     spectrum: Spectrum
-    entries: np.ndarray  # (T, 6) int64
-    defects: np.ndarray  # (T,) float
+    rows: np.ndarray  # (S, 6) int64
+    row_defects: np.ndarray  # (S,) float
+    null_counts: np.ndarray  # (M,) int64
     tolerance: float
     scale: float
     closest_rejected: float
     exact: bool
 
     def __len__(self) -> int:
-        return self.entries.shape[0]
+        return len(self.rows) + int(self.null_counts.sum())
 
     @property
     def lattice(self) -> FrequencyLattice:
         return self.spectrum.lattice
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Every row of the table, (T, 6) int64 in table order, rebuilt on each access."""
+        return np.concatenate([entries for entries, _ in self.blocks()])
+
+    @property
+    def defects(self) -> np.ndarray:
+        """Every row's defect, (T,) in table order, rebuilt on each access."""
+        return np.concatenate([defects for _, defects in self.blocks()])
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The full table one k-block at a time, in lattice order: (entries, defects) of the block.
+
+        The block's stored rows are merged with its null triples in table
+        order; a null triple's defect comes from the same flat gathers as
+        the stored defects, so it has the bits a stored one would have.
+        """
+        spectrum, lattice = self.spectrum, self.lattice
+        arr, radius, zero = lattice.array, lattice.radius, lattice.zero_index()
+        null, width = spectrum.null, spectrum.frequencies.shape[1]
+        flat = spectrum.frequencies.ravel()
+        bounds = np.searchsorted(self.rows[:, 0], np.arange(len(lattice) + 1))
+        for ki in range(len(lattice)):
+            lis = np.flatnonzero((np.abs(arr[ki] + arr) <= radius).all(axis=1))
+            mis = lis + (ki - zero)
+            p, j1, j2, j3 = np.nonzero(
+                null[ki][None, :, None, None] & null[lis][:, None, :, None] & null[mis][:, None, None, :]
+            )
+            li, mi = lis[p], mis[p]
+            nulls = np.stack([np.full_like(li, ki), j1, li, j2, mi, j3], axis=1)
+            null_defects = (flat.take(ki * width + j1) + flat.take(li * width + j2)) - flat.take(mi * width + j3)
+            rows = self.rows[bounds[ki] : bounds[ki + 1]]
+            entries = np.concatenate([rows, nulls])
+            # within a k-block the table order is that of (l, j1, j2, j3)
+            order = np.argsort(np.ravel_multi_index(tuple(entries[:, [2, 1, 3, 5]].T), (len(lattice),) + (width,) * 3))
+            yield entries[order], np.concatenate([self.row_defects[bounds[ki] : bounds[ki + 1]], null_defects])[order]
 
     @cached_property
     def quadratic(self) -> _CompiledQuadratic:
@@ -218,45 +275,63 @@ def build_resonance_table(
 ) -> ResonanceTable:
     """Enumerate all resonant triples with k, l and k+l inside the spectrum's lattice.
 
-    Built a chunk of consecutive whole k-blocks at a time, at most
-    RESONANCE_CHUNK_CELLS grid cells per chunk (one k-block if a single block
-    is larger).  A chunk's P pairs (k, l), k ascending and then l, times the
-    B^3 branch triples (j1, j2, j3) form one (P, B, B, B) grid in table
-    order, decided in one array call.  The build accepts the null triples
-    (cells whose three branches are all null) itself.  Generic detection
+    The (k, l) pairs with k + l on the lattice are enumerated once, a chunk
+    of consecutive whole k-blocks at a time (at most RESONANCE_CHUNK_CELLS
+    // B pairs, or one k-block), k ascending and then l.  Each k-block's null
+    triples (cells whose three branches are all null) are counted there
+    from pair-level integer arrays: they are resonant for every pair, and
+    the table holds them by construction without storing them.  An exact
+    rule with a `candidates` attribute proposes the pairs that can hold
+    another resonance; every other rule, and the float rule, gets every
+    pair.  The proposed pairs, times the B^3 branch triples (j1, j2, j3),
+    form (P, B, B, B) grids of consecutive whole k-blocks in table order,
+    at most RESONANCE_CHUNK_CELLS cells each (one k-block if a single
+    block is larger), each decided in one array call.  Generic detection
     accepts |omega1 + omega2 - omega3| <= tol * scale on the grid, with
     scale the largest frequency magnitude on the lattice (ValueError, naming
     the first k, if it rejects a null triple); floating-point
     near-resonances are the dominant hazard, so callers should pass an
     exact_rule (an array predicate on the branch labels, see ExactRule;
-    ValueError unless it returns the (P, B, B, B) booleans) whenever the
-    spectrum has arithmetic structure.
+    ValueError unless it returns the (P, B, B, B) booleans, or its
+    candidates the (P,) booleans) whenever the spectrum has arithmetic
+    structure.
 
     The rule's arguments are read-only broadcast views: k, l and m of shape
     (P, 1, 1, 1, d) and the labels of shape (P, B, 1, 1), (P, 1, B, 1)
     and (P, 1, 1, B).  Cells of padded branches (j >= nfreq) are not
     candidates, whatever the verdict.  Only the accepted cells are decoded,
     into three flat indices (mode * B + branch) into the stacked
-    frequencies, which give their defects by flat gathers and, at the end,
-    the (k, j1, l, j2, m, j3) rows by divmod.
-    ValueError unless every row has its mirror, which qbar needs.
+    frequencies, which drop the null triples, give the defects by flat
+    gathers and, at the end, the (k, j1, l, j2, m, j3) rows by divmod.
+    ValueError unless `spectrum.null` mirrors at -k (so that the null
+    triples are closed under negation) and every stored row has its
+    mirror, which qbar needs.
     """
-    lattice, freqs, nfreq = spectrum.lattice, spectrum.frequencies, spectrum.nfreq
+    lattice, freqs, nfreq, null = spectrum.lattice, spectrum.frequencies, spectrum.nfreq, spectrum.null
     scale = max(float(np.abs(freqs).max()), 1.0)
     arr, zero, radius = lattice.array, lattice.zero_index(), lattice.radius
     flat, width = freqs.ravel(), freqs.shape[1]
+    neg = lattice.negation
     # padded branches (j >= nfreq) are not candidates
     real = np.arange(width) < nfreq[:, None]
-    # a chunk's all-null cells gather each side's (P, B) null mask to the (P, B^3) cells: a broadcast
-    # over the inner (B, B) axes would run numpy's loops B elements at a time
-    i1, i2, i3 = np.indices((width,) * 3).reshape(3, -1)
+    # -omega_j is branch nfreq - 1 - j at -k, so the null triples mirror onto null triples iff null does
+    mirrored = np.take_along_axis(null[neg], np.where(real, nfreq[:, None] - 1 - np.arange(width), 0), axis=1)
+    unmirrored = np.flatnonzero((real & (mirrored != null)).any(axis=1))
+    if unmirrored.size:
+        raise ValueError(f"spectrum.null is not mirrored at -k: k = {tuple(arr[unmirrored[0]].tolist())}")
+    # an accepted cell is stored when its three branches are real and not all null
+    real_flat, null_flat = real.ravel(), null.ravel()
+    n0 = null.sum(axis=1)
+    candidates = getattr(exact_rule, "candidates", None)
+    cells = width**3
     # the l with k + l on the lattice form a box of prod_a (2R + 1 - |k_a|) modes;
-    # ends[i] counts the grid cells of the k-blocks before mode i
-    ends = np.concatenate([[0], np.cumsum(np.prod(2 * radius + 1 - np.abs(arr), axis=1) * width**3)])
-    accepted, defects, closest = [], [], np.inf
+    # ends[i] counts the pairs of the k-blocks before mode i
+    ends = np.concatenate([[0], np.cumsum(np.prod(2 * radius + 1 - np.abs(arr), axis=1))])
+    null_counts = np.zeros(len(lattice), dtype=np.int64)
+    accepted, closest = [], np.inf
     start = 0
     while start < len(lattice):
-        stop = max(start + 1, int(np.searchsorted(ends, ends[start] + RESONANCE_CHUNK_CELLS, side="right")) - 1)
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] + RESONANCE_CHUNK_CELLS // width, side="right")) - 1)
         # the chunk's pairs, k ascending and then l: kp counts from start
         inside = np.ones((stop - start, len(lattice)), dtype=bool)
         for column in range(lattice.dim):
@@ -264,61 +339,100 @@ def build_resonance_table(
         kp, lis = np.nonzero(inside)
         kis = kp + start
         mis = lis + (kis - zero)  # index(k + l) = index(k) + index(l) - index(0)
-        grid = (len(kis), width, width, width)
-        z1, z2, z3 = (spectrum.null.take(i, axis=0) for i in (kis, lis, mis))
-        all_null = (z1[:, i1] & z2[:, i2] & z3[:, i3]).reshape(grid)
-        if exact_rule is None:
-            w1, w2, w3 = (freqs.take(i, axis=0) for i in (kis, lis, mis))
-            defect = (w1[:, :, None, None] + w2[:, None, :, None]) - w3[:, None, None, :]
-            hit = np.abs(defect) <= tol * scale
-            r1, r2, r3 = (real.take(i, axis=0) for i in (kis, lis, mis))
-            valid = r1[:, :, None, None] & r2[:, None, :, None] & r3[:, None, None, :]
-            closest = min(closest, np.abs(defect[valid & ~hit]).min(initial=np.inf))
-            refused = all_null & ~hit
-            if refused.any():
-                name = tuple(arr[kis[np.flatnonzero(refused.any(axis=(1, 2, 3)))[0]]].tolist())
-                raise ValueError(f"tolerance {tol:g} rejects null triples at k = {name}, whose defects exceed "
-                                 f"{tol * scale:.3e}; every null triple is resonant")
-        else:
-            k, l, m = (arr.take(i, axis=0)[:, None, None, None] for i in (kis, lis, mis))
-            s1, s2, s3 = (spectrum.labels.take(i, axis=0) for i in (kis, lis, mis))
-            args = (k, s1[:, :, None, None], l, s2[:, None, :, None], m, s3[:, None, None, :])
-            for a in args:
+        null_counts[start:stop] = np.bincount(kp, n0[kis] * n0[lis] * n0[mis], stop - start)
+        if candidates is not None:
+            modes = tuple(arr.take(i, axis=0) for i in (kis, lis, mis))
+            for a in modes:
                 a.flags.writeable = False
-            hit = np.asarray(exact_rule(*args))
-            if hit.dtype != bool or hit.shape != grid:
-                raise ValueError(f"exact_rule returned {hit.dtype} {hit.shape}, expected {grid} booleans")
-            hit = hit | all_null
-        # the accepted cells as flat (mode, branch) indices, less the padded ones
-        p, b1, b2, b3 = np.unravel_index(np.flatnonzero(hit), hit.shape)
-        block = np.stack([kis[p] * width + b1, lis[p] * width + b2, mis[p] * width + b3])
-        block = block[:, real.ravel().take(block).all(axis=0)]
-        accepted.append(block)
-        defects.append((flat.take(block[0]) + flat.take(block[1])) - flat.take(block[2]))
+            proposed = np.asarray(candidates(*modes))
+            if proposed.dtype != bool or proposed.shape != kis.shape:
+                raise ValueError(f"candidates returned {proposed.dtype} {proposed.shape}, expected {kis.shape} booleans")
+            kis, lis, mis = kis[proposed], lis[proposed], mis[proposed]
+        # the grids: consecutive whole k-blocks of the proposed pairs; bounds[i] counts the grid cells
+        # of the chunk's k-blocks before block i
+        bounds = np.searchsorted(kis, np.arange(start, stop + 1)) * cells
+        first = 0
+        while first < stop - start:
+            last = max(first + 1, int(np.searchsorted(bounds, bounds[first] + RESONANCE_CHUNK_CELLS, side="right")) - 1)
+            pairs = slice(bounds[first] // cells, bounds[last] // cells)
+            first = last
+            if pairs.start == pairs.stop:
+                continue
+            block, near = _decide(spectrum, kis[pairs], lis[pairs], mis[pairs], tol, scale, exact_rule)
+            closest = min(closest, near)
+            accepted.append(block[:, real_flat.take(block).all(axis=0) & ~null_flat.take(block).all(axis=0)])
         start = stop
+    block = np.concatenate(accepted, axis=1) if accepted else np.zeros((3, 0), dtype=np.int64)
+    row_defects = (flat.take(block[0]) + flat.take(block[1])) - flat.take(block[2])
     # (k, j1, l, j2, m, j3) columns from the flat (mode, branch) indices
-    entries = np.stack(np.divmod(np.concatenate(accepted, axis=1).T, width), axis=2).reshape(-1, 6)
+    rows = np.stack(np.divmod(block.T, width), axis=2).reshape(-1, 6)
     # qbar's mirror identity needs every row's mirror (-k, j1'; -l, j2'; -m, j3'), with
     # j' = nfreq - 1 - j the branch of -omega_j; m = k + l, so (k, l, j1, j2, j3) names a row.
-    # The rows come in that order, so their keys ascend without a sort (out of order, the
-    # search would only miss mirrors and refuse the table, never pass a bad one)
-    k, j1, l, j2, m, j3 = entries.T
-    neg = lattice.negation
+    # The null triples mirror by the check above; a stored row's mirror is no null triple, so it
+    # is stored.  The rows come in that order, so their keys ascend without a sort (out of order,
+    # the search would only miss mirrors and refuse the table, never pass a bad one)
+    k, j1, l, j2, m, j3 = rows.T
     shape = (len(lattice), len(lattice), width, width, width)
-    rows = np.ravel_multi_index((k, l, j1, j2, j3), shape)
+    keys = np.ravel_multi_index((k, l, j1, j2, j3), shape)
     mirrors = np.ravel_multi_index((neg[k], neg[l], nfreq[k] - 1 - j1, nfreq[l] - 1 - j2, nfreq[m] - 1 - j3), shape)
-    unmatched = int(np.count_nonzero(rows.take(np.searchsorted(rows, mirrors), mode="clip") != mirrors))
+    unmatched = int(np.count_nonzero(keys.take(np.searchsorted(keys, mirrors), mode="clip") != mirrors))
     if unmatched:
         raise ValueError(f"resonance table is not closed under negation: {unmatched} rows lack their mirror")
     return ResonanceTable(
         spectrum=spectrum,
-        entries=entries,
-        defects=np.concatenate(defects),
+        rows=rows,
+        row_defects=row_defects,
+        null_counts=null_counts,
         tolerance=tol,
         scale=scale,
         closest_rejected=np.nan if exact_rule is not None else float(closest),
         exact=exact_rule is not None,
     )
+
+
+def _decide(
+    spectrum: Spectrum,
+    kis: np.ndarray,
+    lis: np.ndarray,
+    mis: np.ndarray,
+    tol: float,
+    scale: float,
+    exact_rule: ExactRule | None,
+) -> tuple[np.ndarray, float]:
+    """One grid of pairs (kis, lis, mis) by the B^3 branch triples, decided: its accepted cells as (3, A)
+    flat (mode, branch) indices in table order, padded and null ones included, and the float rule's
+    smallest rejected |defect| on the real cells (inf under an exact rule)."""
+    arr, width = spectrum.lattice.array, spectrum.frequencies.shape[1]
+    grid = (len(kis), width, width, width)
+    closest = np.inf
+    if exact_rule is None:
+        freqs, null, real = spectrum.frequencies, spectrum.null, np.arange(width) < spectrum.nfreq[:, None]
+        w1, w2, w3 = (freqs.take(i, axis=0) for i in (kis, lis, mis))
+        defect = (w1[:, :, None, None] + w2[:, None, :, None]) - w3[:, None, None, :]
+        hit = np.abs(defect) <= tol * scale
+        r1, r2, r3 = (real.take(i, axis=0) for i in (kis, lis, mis))
+        valid = r1[:, :, None, None] & r2[:, None, :, None] & r3[:, None, None, :]
+        closest = np.abs(defect[valid & ~hit]).min(initial=np.inf)
+        # the all-null cells gather each side's (P, B) null mask to the (P, B^3) cells: a broadcast
+        # over the inner (B, B) axes would run numpy's loops B elements at a time
+        i1, i2, i3 = np.indices((width,) * 3).reshape(3, -1)
+        z1, z2, z3 = (null.take(i, axis=0) for i in (kis, lis, mis))
+        refused = (z1[:, i1] & z2[:, i2] & z3[:, i3]).reshape(grid) & ~hit
+        if refused.any():
+            name = tuple(arr[kis[np.flatnonzero(refused.any(axis=(1, 2, 3)))[0]]].tolist())
+            raise ValueError(f"tolerance {tol:g} rejects null triples at k = {name}, whose defects exceed "
+                             f"{tol * scale:.3e}; every null triple is resonant")
+    else:
+        k, l, m = (arr.take(i, axis=0)[:, None, None, None] for i in (kis, lis, mis))
+        s1, s2, s3 = (spectrum.labels.take(i, axis=0) for i in (kis, lis, mis))
+        args = (k, s1[:, :, None, None], l, s2[:, None, :, None], m, s3[:, None, None, :])
+        for a in args:
+            a.flags.writeable = False
+        hit = np.asarray(exact_rule(*args))
+        if hit.dtype != bool or hit.shape != grid:
+            raise ValueError(f"exact_rule returned {hit.dtype} {hit.shape}, expected {grid} booleans")
+    p, b1, b2, b3 = np.unravel_index(np.flatnonzero(hit), grid)
+    return np.stack([kis[p] * width + b1, lis[p] * width + b2, mis[p] * width + b3]), float(closest)
 
 
 class _CompiledQuadratic:
@@ -342,8 +456,8 @@ class _CompiledQuadratic:
     by the output map `outputs` (U, n, n + d r) = [basis | read] on the U
     modes of the positive half.
 
-    The table part: the rows that are not null triples, with m in the
-    positive half, are applied in branch coordinates (see the module
+    The table part: the stored rows (the table stores no null triple), with
+    m in the positive half, are applied in branch coordinates (see the module
     docstring).  Each row expands to its coordinate triples (o at m, p at k,
     q at l), one interaction coefficient c each, a few scalars per row
     instead of a dense N x N^2 kernel.  Coefficients with |c| <= DROP_TOL *
@@ -441,13 +555,9 @@ class _CompiledQuadratic:
         self.upper_null = (upper[:, None] * width + n + rho.T).ravel()
 
         # the table part: every coordinate triple (o at m, p at k, q at l) of every
-        # non-null row with m in the positive half; coordinates lie in the row's branches
-        null = spectrum.null
-        entries = table.entries
-        null_triple = (
-            null[entries[:, 0], entries[:, 1]] & null[entries[:, 2], entries[:, 3]] & null[entries[:, 4], entries[:, 5]]
-        )
-        k, j1, l, j2, m, j3 = entries[~null_triple & (entries[:, 4] > zero_idx)].T
+        # stored row with m in the positive half; coordinates lie in the row's branches
+        rows = table.rows
+        k, j1, l, j2, m, j3 = rows[rows[:, 4] > zero_idx].T
         o, p, q = (c.ravel() for c in np.indices((n, n, n)))
         row, coord = np.nonzero(
             (branch[m][:, o] == j3[:, None]) & (branch[k][:, p] == j1[:, None]) & (branch[l][:, q] == j2[:, None])
@@ -665,11 +775,11 @@ def cyclic_residual(
 
 
 def resonance_csv_rows(table: ResonanceTable) -> Iterator[list]:
-    """(k..., j1, l..., j2, j3, frequency defect) rows for export."""
-    arr = table.lattice.array
-    for row, defect in zip(table.entries, table.defects):
-        ki, j1, li, j2, _, j3 = (int(x) for x in row)
-        yield [*arr[ki].tolist(), j1, *arr[li].tolist(), j2, j3, float(defect)]
+    """(k..., j1, l..., j2, j3, frequency defect) rows for export, one k-block of the full table at a time."""
+    modes = table.lattice.modes
+    for entries, defects in table.blocks():
+        for (ki, j1, li, j2, _, j3), defect in zip(entries.tolist(), defects.tolist()):
+            yield [*modes[ki], j1, *modes[li], j2, j3, defect]
 
 
 def diffusion_csv_rows(avg: AveragedDiffusion) -> Iterator[list]:

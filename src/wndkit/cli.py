@@ -43,9 +43,10 @@ EXIT_BLOWUP = 3
 MAX_DIRECTIONS = 100_000
 MAX_ALPHAS = 10_000
 # the (k, l) pairs of the lattice size the resonance-table candidates, the oracles and the incompressible reference.
-# At the edge, 2-D R=32 and 3-D R=8, the exact-rule table builds in 5.3-7.8 and 6.4-9.6 s on a shared 2-core host
-# (one BLAS thread), and peak RSS reaches 1,430 and 1,533 MB, of which the build adds 1.34 and 1.44 GB: nearly all
-# of it is the stored rows (10.3 and 11.0 million, 98% and 93% null)
+# At the edge, 2-D R=32 and 3-D R=8, the exact-rule table builds in 0.95 and 1.75 s on a shared 2-core host (one BLAS
+# thread), storing 0.21 and 0.80 million of its 10.3 and 11.0 million rows (the others are counted null triples), and
+# peak RSS reaches 103 and 195 MB; the qbar compile then takes 0.34 and 2.9 s and sets the peak, 160 and 643 MB.
+# The value was set when the table stored every row and those rows were the peak (1.41 and 1.51 GB), and is kept
 MAX_PAIRS = 12_000_000
 # the criterion search solves one pencil per alpha and direction, 4.0-4.4 us each on a 2-core host
 # (2-D and 3-D gas, 6.4 x 10^5 pencils): 10^7 pencils take ~45 s, and their betas 80 MB
@@ -376,7 +377,8 @@ def cmd_operators(run: Run, outdir: Path) -> int:
               f"smallest kept {smallest:.3e} (relative to the largest)")
         if not ops.table.exact:
             t = ops.table
-            print(f"float resonance rule: worst accepted |defect| {np.abs(t.defects).max(initial=0.0):.3e}, "
+            worst = max(np.abs(defects).max(initial=0.0) for _, defects in t.blocks())
+            print(f"float resonance rule: worst accepted |defect| {worst:.3e}, "
                   f"tolerance {t.tolerance * t.scale:.3e}, closest rejected {t.closest_rejected:.3e}")
     else:
         print("quadratic kernel is zero; no resonance table")

@@ -397,27 +397,30 @@ def _squared_norms(modes: np.ndarray) -> np.ndarray:
 def make_exact_resonance_rule(model: CnsModel):
     """Array rule for `build_resonance_table`: the integer acoustic identity.
 
-    Takes one chunk's grid (see ExactRule): (P, 1, 1, 1, d) integer modes k,
-    l, m and the spectrum's branch labels s1, s2, s3 (0 on a null branch,
-    else the sign of the frequency), and returns the (P, B, B, B) booleans
-    of `acoustic_sum_resonant` on the squared mode norms a, b, c.  The build
+    Takes one grid (see ExactRule): (P, 1, 1, 1, d) integer modes k, l, m
+    and the spectrum's branch labels s1, s2, s3 (0 on a null branch, else
+    the sign of the frequency), and returns the (P, B, B, B) booleans of
+    `acoustic_sum_resonant` on the squared mode norms a, b, c.  The build
     accepts the all-null cells itself, and by a lemma most pairs have no
     other: if a, b, c are pairwise distinct and (c - a - b)^2 != 4ab (k and
     l not collinear, since c - a - b = 2 k.l), the identity holds only on
-    the all-null triple s1 = s2 = s3 = 0.  So the identity runs only on
-    equal-norm or collinear pairs.  Reads its arguments only, so a broadcast
-    view serves as well as an array, and reads no frequency and not
-    `model`, which the signature keeps for its callers.
+    the all-null triple s1 = s2 = s3 = 0.  So the rule's `candidates`, on
+    (P, d) integer modes k, l, m, proposes only the equal-norm or collinear
+    pairs, and the build forms the branch grid of those alone.  Reads its
+    arguments only, so a broadcast view serves as well as an array, and
+    reads no frequency and not `model`, which the signature keeps for its
+    callers.
     """
 
     def rule(k, s1, l, s2, m, s3) -> np.ndarray:
+        return acoustic_sum_resonant(*map(_squared_norms, (k, l, m)), s1, s2, s3)
+
+    def candidates(k, l, m) -> np.ndarray:
         a, b, c = map(_squared_norms, (k, l, m))
         gap = c - a - b
-        pairs = np.flatnonzero((a == b) | (a == c) | (b == c) | (gap * gap == 4 * a * b))
-        hit = np.zeros(np.broadcast_shapes(s1.shape, s2.shape, s3.shape), dtype=bool)
-        hit[pairs] = acoustic_sum_resonant(a[pairs], b[pairs], c[pairs], s1[pairs], s2[pairs], s3[pairs])
-        return hit
+        return (a == b) | (a == c) | (b == c) | (gap * gap == 4 * a * b)
 
+    rule.candidates = candidates
     return rule
 
 
@@ -582,14 +585,15 @@ def wcns_coupling_report(model: CnsModel, table) -> dict:
             "normalized": (amp / (1j * norm_m)).real,
         }
 
-    # the (T, 3) branch labels of k, l and m
-    patterns, counts = np.unique(spectrum.labels[table.entries[:, 0::2], table.entries[:, 1::2]], axis=0,
+    # the (S, 3) branch labels of k, l and m of the stored rows, none of them 000 (a branch that is not
+    # null has a signed frequency); the null triples, which the table counts without storing, read 000
+    patterns, counts = np.unique(spectrum.labels[table.rows[:, 0::2], table.rows[:, 1::2]], axis=0,
                                  return_counts=True)
     symbol = {-1: "-", 0: "0", 1: "+"}
-    report["resonance_counts"] = dict(
-        sorted(("".join(symbol[s] for s in row), int(n)) for row, n in zip(patterns.tolist(), counts))
-    )
-    report["n_triples"] = int(len(table.entries))
+    tally = {"".join(symbol[s] for s in row): int(n) for row, n in zip(patterns.tolist(), counts)}
+    tally["000"] = int(table.null_counts.sum())
+    report["resonance_counts"] = dict(sorted(tally.items()))
+    report["n_triples"] = len(table)
     return report
 
 

@@ -41,6 +41,37 @@ def cns_ops8(cns_model):
     )
 
 
+def entropic_system(seed, dim=2, ncomp=4, kernel=1):
+    """A seeded random entropic system (zero base state).
+
+    g is SPD; each g a_j is symmetric and kills a planted subspace of
+    dimension `kernel`, so every a(xi) has a null branch of at least that
+    rank and qbar's null part runs (r > 0); b(xi, xi) = g^{-1} sum_j xi_j^2
+    C_j C_j^T, so g b is symmetric nonnegative; each g q_a is a fully
+    symmetric 3-tensor, which gives the cyclic identity.  Otherwise generic:
+    no branch is degenerate, and the resonances off the null triples are
+    the structural ones (collinear pairs and the zero mode), as the gas
+    presets never make them.
+    """
+    rng = np.random.default_rng(seed)
+    n = ncomp
+    x = rng.standard_normal((n, n))
+    g = x @ x.T + n * np.eye(n)
+    g_inv = np.linalg.inv(g)
+    rest = np.linalg.qr(rng.standard_normal((n, n)))[0][:, kernel:]  # orthogonal to the planted kernel
+    adv = np.empty((dim, n, n))
+    dif = np.zeros((dim, dim, n, n))
+    for j in range(dim):
+        s = rng.standard_normal((n - kernel, n - kernel))
+        adv[j] = g_inv @ (rest @ (s + s.T) @ rest.T)
+        c = rng.standard_normal((n, n))
+        dif[j, j] = g_inv @ (c @ c.T)
+    t = rng.standard_normal((dim, n, n, n))
+    t = sum(t.transpose(0, *p) for p in ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))) / 6.0
+    quad = np.einsum("ip,apjk->aijk", g_inv, t)
+    return wk.SystemSpec(dim, n, np.zeros(n), adv, dif, quad, g)
+
+
 def state_diff_norm(spec, a, b):
     probe = a.copy()
     probe.coeffs = a.coeffs - b.coeffs

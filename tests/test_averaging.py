@@ -19,7 +19,7 @@ from wndkit.navier_stokes import acoustic_sum_resonant, wcns_split
 from wndkit.spectral import convolution_pair_count
 from wndkit.state import is_reality_symmetric
 
-from conftest import state_diff_norm
+from conftest import entropic_system, state_diff_norm
 
 
 @pytest.fixture(scope="module")
@@ -412,6 +412,58 @@ def test_qbar_rejects_table_not_closed_under_negation(cns_model):
         wk.build_operators(cns_model.spec, lat, exact_rule=lopsided)
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_build_refuses_a_null_mask_that_does_not_mirror(cns_model, exact):
+    """The table stores no null triple and checks negation closure on the stored rows only, so it
+    first checks that spectrum.null mirrors at -k, naming the first k that does not."""
+    lat = wk.FrequencyLattice(2, 2)
+    spectrum = wk.frequency_spectrum(cns_model.spec, lat)
+    null = spectrum.null.copy()
+    k = lat.index((1, 2))
+    null[k, 0] = not null[k, 0]
+    flipped = dataclasses.replace(spectrum, null=null)
+    rule = wk.make_exact_resonance_rule(cns_model) if exact else None
+    with pytest.raises(ValueError, match=r"spectrum.null is not mirrored at -k: k = \(-1, -2\)"):
+        build_resonance_table(flipped, exact_rule=rule)
+
+
+def test_table_stores_only_the_rows_qbar_reads(cns_model):
+    """At 2-D R=8 the build stores 9,888 rows, counts 47,089 null triples
+    without storing them, and gives the exact rule's grids 4,705 of the
+    47,089 pairs; the table has 56,977 rows.  No stored row is a null
+    triple, and `blocks` rebuilds the table k-block by k-block: each
+    block's rows have its k, hold its counted null triples, and less those
+    are the stored rows and defects, in order."""
+    lat = wk.FrequencyLattice(2, 8)
+    spectrum = wk.frequency_spectrum(cns_model.spec, lat)
+    rule = wk.make_exact_resonance_rule(cns_model)
+    given = []
+
+    def counting(k, s1, l, s2, m, s3):
+        given.append(len(k))
+        return rule(k, s1, l, s2, m, s3)
+
+    counting.candidates = rule.candidates
+    table = build_resonance_table(spectrum, exact_rule=counting)
+    assert (len(table.rows), int(table.null_counts.sum()), sum(given), len(table)) == (9888, 47089, 4705, 56977)
+    null = spectrum.null
+
+    def is_null(rows):
+        return null[rows[:, 0], rows[:, 1]] & null[rows[:, 2], rows[:, 3]] & null[rows[:, 4], rows[:, 5]]
+
+    assert not is_null(table.rows).any()
+    blocks = list(table.blocks())
+    assert len(blocks) == len(lat)
+    for ki, (entries, defects) in enumerate(blocks):
+        assert (entries[:, 0] == ki).all() and len(defects) == len(entries)
+        assert np.count_nonzero(is_null(entries)) == table.null_counts[ki]
+    entries = np.concatenate([e for e, _ in blocks])
+    defects = np.concatenate([d for _, d in blocks])
+    assert np.array_equal(entries[~is_null(entries)], table.rows)
+    assert defects[~is_null(entries)].tobytes() == table.row_defects.tobytes()
+    assert entries.tobytes() == table.entries.tobytes() and defects.tobytes() == table.defects.tobytes()
+
+
 def _count_transforms(monkeypatch):
     """Patch scipy.fft's padded transforms to record (name, stack shape) per call: the
     shape of the axes not transformed, (inputs, r) for the inverse and (d r,) forward."""
@@ -619,13 +671,40 @@ def test_resonance_table_matches_per_triple_reference(system, radius, exact, sca
         assert table.closest_rejected == closest
 
 
+@pytest.mark.parametrize(
+    "seed, ncomp, kernel, radius",
+    [(1, 3, 1, 4), (2, 4, 1, 3), (3, 4, 2, 4), (4, 5, 2, 3), (5, 5, 3, 3), (6, 3, 2, 3)],
+)
+def test_generated_systems_match_the_per_triple_and_per_row_references(seed, ncomp, kernel, radius):
+    """Seeded entropic systems at 2-D under the float rule: the table is the per-triple reference's
+    (order, defects bit for bit, closest_rejected exactly), and qbar, whose null part runs on the
+    planted kernel, is the per-row reference's."""
+    spec = entropic_system(seed, ncomp=ncomp, kernel=kernel)
+    assert wk.validate_entropy_structure(spec).passed
+    lat = wk.FrequencyLattice(2, radius)
+    ops = wk.build_operators(spec, lat)
+    spectrum, table = ops.spectrum, ops.table
+    scale = max(float(np.abs(spectrum.frequencies).max()), 1.0)
+
+    def decide(k, w1, l, w2, m, w3):
+        return abs((w1 + w2) - w3) <= 1e-9 * scale
+
+    entries, defects, closest = _reference_table(spectrum, lat, decide)
+    assert len(table.rows) > 0
+    assert np.array_equal(table.entries, entries)
+    assert table.defects.tobytes() == defects.tobytes()
+    assert table.closest_rejected == closest
+    assert table.quadratic.null_rank == kernel and table.quadratic.terms > 0
+    _check_qbar_cases(ops, spec, *_qbar_cases(lat, ncomp, seed))
+
+
 def test_exact_rule_sees_one_read_only_grid_per_chunk(cns_model, monkeypatch):
-    """The rule gets one call per chunk of whole k-blocks: (P, 1, 1, 1, d)
-    integer modes and (P, B, 1, 1), (P, 1, B, 1), (P, 1, 1, B) int8 branch
-    labels, all read-only.  Its valid cells (every branch below its mode's
-    nfreq), concatenated in call order, are the per-triple enumeration of
-    the spectrum's labels: every candidate in table order, with its
-    values."""
+    """A rule without `candidates` gets every pair, one call per grid of
+    whole k-blocks: (P, 1, 1, 1, d) integer modes and (P, B, 1, 1),
+    (P, 1, B, 1), (P, 1, 1, B) int8 branch labels, all read-only.  Its
+    valid cells (every branch below its mode's nfreq), concatenated in
+    call order, are the per-triple enumeration of the spectrum's labels:
+    every candidate in table order, with its values."""
     budget = 5000
     monkeypatch.setattr(averaging, "RESONANCE_CHUNK_CELLS", budget)
     lat = wk.FrequencyLattice(2, 3)
@@ -675,6 +754,12 @@ def test_resonance_table_rejects_a_scalar_rule(cns_model):
     # one boolean per pair and branch triple: a scalar or a grid missing an axis is refused
     for rule in (lambda k, w1, l, w2, m, w3: True, lambda k, w1, l, w2, m, w3: w1 < w2):
         with pytest.raises(ValueError, match=r"expected \(\d+, 3, 3, 3\) booleans"):
+            build_resonance_table(spectrum, exact_rule=rule)
+    # and one boolean per pair from its candidates
+    for candidates in (lambda k, l, m: True, lambda k, l, m: k == l):
+        rule = wk.make_exact_resonance_rule(cns_model)
+        rule.candidates = candidates
+        with pytest.raises(ValueError, match=r"candidates returned .* expected \(\d+,\) booleans"):
             build_resonance_table(spectrum, exact_rule=rule)
 
 

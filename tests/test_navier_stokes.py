@@ -232,7 +232,7 @@ def test_exact_rule_rejects_near_misses():
 
 
 def _plain_rule(k, s1, l, s2, m, s3):
-    """The exact rule without its narrowing: the integer identity on every cell of the grid."""
+    """The exact rule without its candidates: the integer identity on every cell of the grid, of every pair."""
     norms = [(x * x).sum(axis=-1) for x in (k, l, m)]
     return acoustic_sum_resonant(*norms, s1, s2, s3)
 
@@ -242,10 +242,12 @@ def _plain_rule(k, s1, l, s2, m, s3):
     [(1, 12, False), (2, 5, False), (2, 8, False), (3, 4, True), (2, 12, True)],
 )
 def test_exact_rule_narrowing_is_complete(dim, radius, whole_table):
-    """The exact rule tests the integer identity only on equal-norm or
-    collinear pairs (k, l); the build accepts the all-null cells itself.  On
-    every cell with a nonzero label it decides as the plain identity does,
-    and the tables built with and without the narrowing are bitwise equal.
+    """The exact rule's `candidates` proposes only equal-norm or collinear
+    pairs (k, l), and the build forms the branch grid of those alone.  Its
+    proof obligation: every pair on which the plain identity holds on a
+    cell with a nonzero label is proposed, so the table built from every
+    pair under the plain identity is the same, its stored rows, defects and
+    null counts bitwise (and with whole_table, the full rebuilt table).
     From R = 5 in 2-D, and with (2, 2, 1) and (3, 0, 0) in 3-D, modes of
     equal norm need not be signed permutations of each other ((3, 4) and
     (5, 0)); such pairs must resonate too."""
@@ -253,25 +255,32 @@ def test_exact_rule_narrowing_is_complete(dim, radius, whole_table):
     lat = wk.FrequencyLattice(dim, radius)
     spectrum = wk.frequency_spectrum(model.spec, lat)
     rule = wk.make_exact_resonance_rule(model)
+    missed = 0  # pairs with a resonant cell off the all-null ones that candidates does not propose
     unlike_hits = 0  # non-null resonant cells on equal norms that no signed permutation maps onto each other
 
-    def checked(k, s1, l, s2, m, s3):
-        nonlocal unlike_hits
-        got, want = rule(k, s1, l, s2, m, s3), _plain_rule(k, s1, l, s2, m, s3)
+    def plain(k, s1, l, s2, m, s3):
+        nonlocal missed, unlike_hits
+        hit = _plain_rule(k, s1, l, s2, m, s3)
         labelled = (s1 != 0) | (s2 != 0) | (s3 != 0)  # not all-null (nor padded)
-        assert got.shape == want.shape and np.array_equal(got[labelled], want[labelled])
+        resonant = (hit & labelled).any(axis=(1, 2, 3))
+        proposed = rule.candidates(*(x[:, 0, 0, 0] for x in (k, l, m)))
+        missed += int(np.count_nonzero(resonant & ~proposed))
         norms = [(x * x).sum(axis=-1) for x in (k, l, m)]
         shapes = [np.sort(np.abs(x), axis=-1) for x in (k, l, m)]
         unlike = np.zeros(norms[0].shape, dtype=bool)
         for i, j in ((0, 1), (0, 2), (1, 2)):
             unlike |= (norms[i] == norms[j]) & (shapes[i] != shapes[j]).any(axis=-1)
-        unlike_hits += int(np.count_nonzero(got & unlike & labelled))
-        return got
+        unlike_hits += int(np.count_nonzero(hit & unlike & labelled))
+        return hit
 
-    table = wk.build_resonance_table(spectrum, exact_rule=checked)
+    table = wk.build_resonance_table(spectrum, exact_rule=rule)
+    reference = wk.build_resonance_table(spectrum, exact_rule=plain)
+    assert missed == 0
     assert (unlike_hits > 0) == (dim > 1)
+    assert table.rows.tobytes() == reference.rows.tobytes()
+    assert table.row_defects.tobytes() == reference.row_defects.tobytes()
+    assert table.null_counts.tobytes() == reference.null_counts.tobytes()
     if whole_table:
-        reference = wk.build_resonance_table(spectrum, exact_rule=_plain_rule)
         assert table.entries.tobytes() == reference.entries.tobytes()
         assert table.defects.tobytes() == reference.defects.tobytes()
 

@@ -70,11 +70,30 @@ def test_cli_outputs_compare_reports_how_files_moved(tmp_path):
     assert proc.stdout.splitlines() == [
         f"only in {after}: cfg/extra",
         "cfg/diagnostics.csv: 2 numbers changed, largest relative change 2 (1e-20 -> -1e-20), 5e-11 of the largest "
-        "|value|; zero signs +0 -> -0 1, -0 -> +0 0; other changed lines 0",
+        "|value|; zero signs +0 -> -0 1, -0 -> +0 0; other changed lines 0; lines inserted 0, deleted 0",
         "1 files moved, 1 identical, 1 on one side only",
     ]
     same = _run("cli_outputs.py", ["--compare", str(before), str(before)])
     assert same.returncode == 0 and same.stdout == "0 files moved, 2 identical, 0 on one side only\n"
+
+
+def test_cli_outputs_compare_aligns_lines_before_numbers(tmp_path):
+    """A line inserted above a moved number is reported as inserted, and the number still reads as
+    moved; a deleted line reads as deleted."""
+    before, after = tmp_path / "before", tmp_path / "after"
+    for root, text in (
+        (before, "spectrum: 1e-16\nresonance triples: 120\nmax cyclic residual 2.0e-16\ndone\nlast\n"),
+        (after, "spectrum: 1e-16\nmargin: 0.5\nresonance triples: 120\nmax cyclic residual 3.0e-16\ndone\n"),
+    ):
+        (root / "cfg").mkdir(parents=True)
+        (root / "cfg" / "stdout").write_text(text)
+    proc = _run("cli_outputs.py", ["--compare", str(before), str(after)])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "cfg/stdout: 1 numbers changed, largest relative change 0.333 (2.0e-16 -> 3.0e-16), 8.33e-19 of the largest "
+        "|value|; zero signs +0 -> -0 0, -0 -> +0 0; other changed lines 0; lines inserted 1, deleted 1",
+        "1 files moved, 0 identical, 0 on one side only",
+    ]
 
 
 def test_weak_strong_demo_prints_the_fit_half_and_the_holdout():
