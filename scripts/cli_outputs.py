@@ -20,7 +20,11 @@ When they differ, the compare mode says by how much:
 It lists the files found on one side only and, for each file whose bytes
 moved, the lines inserted and deleted (the lines are aligned first, so an
 inserted line hides no number that moved below it) and, on the lines that
-pair up, the numbers that changed, the largest relative change |a - b| /
+pair up, the numbers that changed and how many of them are integers (a
+token with no `.`, `e`, `inf` or `nan` on both sides: ranks, indices and
+counts, which no roundoff may move; a float written as a whole number on
+one side only, like a roundoff zero 0 -> 1e-17, is no integer), the
+largest relative change |a - b| /
 max(|a|, |b|) with its two values, the largest change |a - b| relative to
 the file's largest finite |a| (which reads roundoff zeros at their scale),
 the zeros whose sign flipped (+0 to -0 and back) and the lines that changed
@@ -134,18 +138,20 @@ def run_command(command: str, config: Path, outdir: Path) -> None:
 
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
+INTEGER = re.compile(r"[-+]?\d+")
 
 
 def compare_file(before: str, after: str) -> dict:
     """How the text `after` moved from `before`: the lines inserted and deleted, and on the lines that
-    pair up, the numbers that changed, the largest relative change and its values, the largest change
+    pair up, the numbers that changed and the integers among them (both sides written as integers),
+    the largest relative change and its values, the largest change
     relative to the largest finite |number| of `before`, the zeros whose sign flipped, and the lines
     that changed otherwise.
 
     The lines are aligned first (difflib.SequenceMatcher), so an inserted line moves no later line out
     of its pair.  Within a replaced run the lines pair by position, and the longer side's surplus
     counts as inserted or deleted."""
-    report = {"changed": 0, "largest": (0.0, "", ""), "of_scale": 0.0, "to_minus_zero": 0, "to_plus_zero": 0,
+    report = {"changed": 0, "integers": 0, "largest": (0.0, "", ""), "of_scale": 0.0, "to_minus_zero": 0, "to_plus_zero": 0,
               "other_lines": 0, "inserted": 0, "deleted": 0}
     scale = max((abs(v) for v in map(float, NUMBER.findall(before)) if math.isfinite(v)), default=0.0)
     lines_a, lines_b = before.splitlines(), after.splitlines()
@@ -172,6 +178,7 @@ def compare_file(before: str, after: str) -> dict:
                 other = True  # the same number, written another way
             else:
                 report["changed"] += 1
+                report["integers"] += bool(INTEGER.fullmatch(word_a) and INTEGER.fullmatch(word_b))
                 rel = abs(a - b) / max(abs(a), abs(b)) if math.isfinite(a) and math.isfinite(b) else math.inf
                 if not rel <= report["largest"][0]:
                     report["largest"] = (rel, word_a, word_b)
@@ -197,7 +204,7 @@ def compare(before: Path, after: Path) -> int:
         rel, word_a, word_b = r["largest"]
         largest = (f"largest relative change {rel:.3g} ({word_a} -> {word_b}), {r['of_scale']:.3g} of the largest |value|"
                    if r["changed"] else "no number changed")
-        print(f"{path}: {r['changed']} numbers changed, {largest}; zero signs +0 -> -0 {r['to_minus_zero']}, "
+        print(f"{path}: {r['changed']} numbers changed ({r['integers']} integers), {largest}; zero signs +0 -> -0 {r['to_minus_zero']}, "
               f"-0 -> +0 {r['to_plus_zero']}; other changed lines {r['other_lines']}; lines inserted {r['inserted']}, "
               f"deleted {r['deleted']}")
     same = len(files_a & files_b) - moved

@@ -2,7 +2,7 @@
 
 Long-time averaging of an operator conjugated by the unitary group
 e^{-t A} keeps exactly the interactions whose frequencies cancel.  Per
-mode, with spectral projectors p_j(xi) of the advection symbol:
+mode, with p_j(xi) the spectral projector of branch j of the advection symbol:
 
     averaged diffusion   dbar(xi) = - sum_j p_j(xi) b(xi) p_j(xi)
 
@@ -18,7 +18,7 @@ and the entropy structure gives the quadratic operator the cyclic identity
 
 which is what makes the nonlinearity energy neutral.
 
-The projectors have low rank (1 for an acoustic branch, 2 for a null
+Each projector has low rank (1 for an acoustic branch, 2 for a null
 branch, N only at the zero mode) and the ranks at a mode sum to N, so one
 g-orthonormal eigenvector basis B(xi) per mode carries every branch.  In
 those branch coordinates a = B^T g w each resonant triple is a handful of
@@ -35,7 +35,9 @@ modes; together they are the slow, incompressible dynamics P0 Q(P0 w1, P0
 w2), computed whole as one pseudo-spectral product on a padded grid.  So
 the resonance table stores only the other triples, the rows qbar reads,
 and counts the null triples per k-block; the full table, for export, is
-rebuilt from both one k-block at a time.
+rebuilt from both one k-block at a time.  The build decides half the (k, l)
+pairs and mirrors their rows onto the rest (the spectrum's -xi is the exact
+mirror of xi), so the table is closed under negation by construction.
 
 Resonance detection is the main correctness hazard: by default frequency
 sums are matched with a relative tolerance, and callers with arithmetic
@@ -83,10 +85,11 @@ __all__ = [
 
 # (k, s1, l, s2, m, s3) on a grid of P pairs (k, l) by B^3 branch triples: (P, 1, 1, 1, d) int modes and
 # (P, B, 1, 1), (P, 1, B, 1), (P, 1, 1, B) int8 branch labels (Spectrum.labels) -> (P, B, B, B) bools.
-# Called once per grid of whole k-blocks; its arguments are read-only broadcast views.  The build accepts
-# the all-null cells itself, so a rule decides only the others.  A rule may carry a `candidates`
-# attribute, (k, l, m) read-only (P, d) int modes -> (P,) bools: the pairs that can hold a resonance off
-# the all-null cells.  Only those reach the rule; without it, every pair does.
+# Called once per grid of whole k-blocks; its arguments are read-only broadcast views.  A rule decides
+# one half only, the pairs after (0, 0) in lattice order: the build mirrors its verdicts onto (-k, -l).
+# The build accepts the all-null cells itself, so a rule decides only the others.  A rule may carry a
+# `candidates` attribute, (k, l, m) read-only (P, d) int modes -> (P,) bools: the pairs that can hold a
+# resonance off the all-null cells.  Only those reach the rule; without it, every pair of the half does.
 ExactRule = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 # grid cells ((k, l) pairs x branch triples) per resonance-rule call in the table build (bounds its
@@ -121,12 +124,14 @@ class AveragedDiffusion:
 def averaged_diffusion(spectrum: Spectrum) -> AveragedDiffusion:
     """dbar(xi) = - sum_j p_j(xi) b(xi) p_j(xi) for every mode of the spectrum's lattice."""
     spec, lattice = spectrum.spec, spectrum.lattice
-    # dbar(-xi) = conj(dbar(xi)) exactly for real symbols: the lattice completes the zero
-    # mode and the positive half, so that stepping keeps real states real bit for bit
+    # with p_j = B_j B_j^T g, dbar = -B (same-branch mask o B^T g b B) B^T g on the zero mode and the
+    # positive half, completed: dbar(-xi) = conj(dbar(xi)) bit for bit, so stepping keeps real states real
     zero = lattice.zero_index()
     bsym = diffusion_symbol(spec, lattice.array[zero:].astype(float))
-    proj = spectrum.projectors[zero:]
-    half = (-np.einsum("mjpq,mqr,mjrs->mps", proj, bsym, proj)).astype(complex)
+    basis, branch = spectrum.basis[zero:], spectrum.branch[zero:]
+    cobasis = basis.transpose(0, 2, 1) @ spec.entropy_hessian
+    same = branch[:, :, None] == branch[:, None, :]
+    half = (-(basis @ np.where(same, cobasis @ bsym @ basis, 0.0) @ cobasis)).astype(complex)
     half[0] = 0.0  # the symbol vanishes there; +0.0, as the leading minus would print -0 in the CSV
     return AveragedDiffusion(lattice=lattice, blocks=lattice.complete(half))
 
@@ -191,7 +196,9 @@ class ResonanceTable:
     j2, m index, j3; its defect is the measured frequency mismatch omega1 +
     omega2 - omega3 (pure eigensolve noise for rows admitted by an exact
     rule).  Rows come in table order: k ascending, then l, then (j1, j2,
-    j3).  Symmetric: the (l, k) mirror of every row is present.
+    j3).  Symmetric: the (l, k) mirror of every row is present.  Closed
+    under negation: the mirror (-k, j1'; -l, j2'; -m, j3') of every row is
+    present, with j' = nfreq - 1 - j and its defect the negated one.
 
     Only what qbar reads is stored: `rows` (S, 6) and `row_defects` (S,),
     the accepted triples that are not null triples, in table order, and
@@ -204,10 +211,9 @@ class ResonanceTable:
     back in with their defects; `entries`, `defects` and the CSV export
     read it, and `len` counts it.  The float rule accepts |defect| <=
     tolerance * scale; `closest_rejected` is the smallest |defect| it
-    rejected (inf if none, nan under an exact rule).  qbar also assumes
-    that the table is closed under negation, which only
-    `build_resonance_table` checks, so tables must come from it.
-    `quadratic` is qbar compiled for the table, on first use.
+    rejected (inf if none, nan under an exact rule).  qbar assumes both
+    symmetries, which `build_resonance_table` builds in, so tables must
+    come from it.  `quadratic` is qbar compiled for the table, on first use.
     """
 
     spectrum: Spectrum
@@ -275,25 +281,32 @@ def build_resonance_table(
 ) -> ResonanceTable:
     """Enumerate all resonant triples with k, l and k+l inside the spectrum's lattice.
 
-    The (k, l) pairs with k + l on the lattice are enumerated once, a chunk
-    of consecutive whole k-blocks at a time (at most RESONANCE_CHUNK_CELLS
-    // B pairs, or one k-block), k ascending and then l.  Each k-block's null
+    Only the pairs after (0, 0) in lattice order are decided: k in the
+    positive half, or k = 0 and l in it.  The spectrum's -k is the exact
+    mirror of k, so a decided triple's mirror (-k, j1'; -l, j2'; -m, j3'),
+    j' = nfreq - 1 - j, has exactly the negated defect; negation reverses
+    the table order, so the stored rows are the mirrored half's, reversed,
+    then the half's, and the null counts at -k are those at k.
+
+    The k-blocks from the zero mode on are enumerated once, a chunk of
+    consecutive whole k-blocks at a time (at most RESONANCE_CHUNK_CELLS //
+    B pairs, or one k-block), k ascending and then l.  Each k-block's null
     triples (cells whose three branches are all null) are counted there
     from pair-level integer arrays: they are resonant for every pair, and
     the table holds them by construction without storing them.  An exact
     rule with a `candidates` attribute proposes the pairs that can hold
     another resonance; every other rule, and the float rule, gets every
-    pair.  The proposed pairs, times the B^3 branch triples (j1, j2, j3),
-    form (P, B, B, B) grids of consecutive whole k-blocks in table order,
-    at most RESONANCE_CHUNK_CELLS cells each (one k-block if a single
-    block is larger), each decided in one array call.  Generic detection
-    accepts |omega1 + omega2 - omega3| <= tol * scale on the grid, with
-    scale the largest frequency magnitude on the lattice (ValueError, naming
-    the first k, if it rejects a null triple); floating-point
-    near-resonances are the dominant hazard, so callers should pass an
-    exact_rule (an array predicate on the branch labels, see ExactRule;
-    ValueError unless it returns the (P, B, B, B) booleans, or its
-    candidates the (P,) booleans) whenever the spectrum has arithmetic
+    pair of the half.  The proposed pairs, times the B^3 branch triples
+    (j1, j2, j3), form (P, B, B, B) grids of consecutive whole k-blocks in
+    table order, at most RESONANCE_CHUNK_CELLS cells each (one k-block if a
+    single block is larger), each decided in one array call.  Generic
+    detection accepts |omega1 + omega2 - omega3| <= tol * scale on the
+    grid, with scale the largest frequency magnitude on the lattice
+    (ValueError, naming the first k, if it rejects a null triple);
+    floating-point near-resonances are the dominant hazard, so callers
+    should pass an exact_rule (an array predicate on the branch labels, see
+    ExactRule; ValueError unless it returns the (P, B, B, B) booleans, or
+    its candidates the (P,) booleans) whenever the spectrum has arithmetic
     structure.
 
     The rule's arguments are read-only broadcast views: k, l and m of shape
@@ -303,24 +316,13 @@ def build_resonance_table(
     into three flat indices (mode * B + branch) into the stacked
     frequencies, which drop the null triples, give the defects by flat
     gathers and, at the end, the (k, j1, l, j2, m, j3) rows by divmod.
-    ValueError unless `spectrum.null` mirrors at -k (so that the null
-    triples are closed under negation) and every stored row has its
-    mirror, which qbar needs.
     """
     lattice, freqs, nfreq, null = spectrum.lattice, spectrum.frequencies, spectrum.nfreq, spectrum.null
     scale = max(float(np.abs(freqs).max()), 1.0)
     arr, zero, radius = lattice.array, lattice.zero_index(), lattice.radius
     flat, width = freqs.ravel(), freqs.shape[1]
-    neg = lattice.negation
-    # padded branches (j >= nfreq) are not candidates
-    real = np.arange(width) < nfreq[:, None]
-    # -omega_j is branch nfreq - 1 - j at -k, so the null triples mirror onto null triples iff null does
-    mirrored = np.take_along_axis(null[neg], np.where(real, nfreq[:, None] - 1 - np.arange(width), 0), axis=1)
-    unmirrored = np.flatnonzero((real & (mirrored != null)).any(axis=1))
-    if unmirrored.size:
-        raise ValueError(f"spectrum.null is not mirrored at -k: k = {tuple(arr[unmirrored[0]].tolist())}")
-    # an accepted cell is stored when its three branches are real and not all null
-    real_flat, null_flat = real.ravel(), null.ravel()
+    # an accepted cell is stored when its three branches are real (j < nfreq) and not all null
+    real_flat, null_flat = (np.arange(width) < nfreq[:, None]).ravel(), null.ravel()
     n0 = null.sum(axis=1)
     candidates = getattr(exact_rule, "candidates", None)
     cells = width**3
@@ -329,7 +331,7 @@ def build_resonance_table(
     ends = np.concatenate([[0], np.cumsum(np.prod(2 * radius + 1 - np.abs(arr), axis=1))])
     null_counts = np.zeros(len(lattice), dtype=np.int64)
     accepted, closest = [], np.inf
-    start = 0
+    start = zero
     while start < len(lattice):
         stop = max(start + 1, int(np.searchsorted(ends, ends[start] + RESONANCE_CHUNK_CELLS // width, side="right")) - 1)
         # the chunk's pairs, k ascending and then l: kp counts from start
@@ -340,6 +342,8 @@ def build_resonance_table(
         kis = kp + start
         mis = lis + (kis - zero)  # index(k + l) = index(k) + index(l) - index(0)
         null_counts[start:stop] = np.bincount(kp, n0[kis] * n0[lis] * n0[mis], stop - start)
+        after = (kis > zero) | (lis > zero)  # the pairs after (0, 0) in lattice order
+        kis, lis, mis = kis[after], lis[after], mis[after]
         if candidates is not None:
             modes = tuple(arr.take(i, axis=0) for i in (kis, lis, mis))
             for a in modes:
@@ -362,22 +366,15 @@ def build_resonance_table(
             closest = min(closest, near)
             accepted.append(block[:, real_flat.take(block).all(axis=0) & ~null_flat.take(block).all(axis=0)])
         start = stop
-    block = np.concatenate(accepted, axis=1) if accepted else np.zeros((3, 0), dtype=np.int64)
+    null_counts[:zero] = null_counts[:zero:-1]
+    half = np.concatenate(accepted, axis=1) if accepted else np.zeros((3, 0), dtype=np.int64)
+    # the pairs before (0, 0): the mirror of a triple is (-k, j1'; -l, j2'; -m, j3'), with j' = nfreq - 1 - j
+    # the branch of -omega_j at -k, and negation reverses the table order
+    mode, branch = np.divmod(half[:, ::-1], width)
+    block = np.concatenate([lattice.negation[mode] * width + nfreq[mode] - 1 - branch, half], axis=1)
     row_defects = (flat.take(block[0]) + flat.take(block[1])) - flat.take(block[2])
     # (k, j1, l, j2, m, j3) columns from the flat (mode, branch) indices
     rows = np.stack(np.divmod(block.T, width), axis=2).reshape(-1, 6)
-    # qbar's mirror identity needs every row's mirror (-k, j1'; -l, j2'; -m, j3'), with
-    # j' = nfreq - 1 - j the branch of -omega_j; m = k + l, so (k, l, j1, j2, j3) names a row.
-    # The null triples mirror by the check above; a stored row's mirror is no null triple, so it
-    # is stored.  The rows come in that order, so their keys ascend without a sort (out of order,
-    # the search would only miss mirrors and refuse the table, never pass a bad one)
-    k, j1, l, j2, m, j3 = rows.T
-    shape = (len(lattice), len(lattice), width, width, width)
-    keys = np.ravel_multi_index((k, l, j1, j2, j3), shape)
-    mirrors = np.ravel_multi_index((neg[k], neg[l], nfreq[k] - 1 - j1, nfreq[l] - 1 - j2, nfreq[m] - 1 - j3), shape)
-    unmatched = int(np.count_nonzero(keys.take(np.searchsorted(keys, mirrors), mode="clip") != mirrors))
-    if unmatched:
-        raise ValueError(f"resonance table is not closed under negation: {unmatched} rows lack their mirror")
     return ResonanceTable(
         spectrum=spectrum,
         rows=rows,
@@ -440,7 +437,7 @@ class _CompiledQuadratic:
 
     Its inputs are real fields (`apply_averaged_quadratic` gates them), so
     qbar(w1, w2)(-m) = conj(qbar(w1, w2)(m)): the symbols are real and the
-    table is closed under negation (the build checks it).  Only the positive
+    table is closed under negation (by construction).  Only the positive
     half is computed, in one table pass and one null part: `half` returns it
     below a zero row for the zero mode (the divergence factor i*m vanishes
     there), which is how the solver's steps read qbar, and
@@ -467,32 +464,30 @@ class _CompiledQuadratic:
     coefficients summed, sorted by output coordinate: one gather, multiply
     and reduceat per call.
 
-    The null part: null triples, whose three branches all have zero
-    frequency, are resonant for every pair of modes, so together they are
-    the truncated convolution P0 Q(P0 w1, P0 w2), with P0(xi) the sum of the
-    null projectors at xi (the whole identity at the zero mode).  Off the
-    zero mode every P0(m) maps into one null range of rank r (3 of 4 in the
-    2-D gas, 4 of 5 in 3-D, 1 of 3 in 1-D, 0 in a system whose only null
-    branch is the zero mode's), spanned by the g-orthonormal columns of E
-    (n, r), read off the n x n Gram sum_m P0(m) of the positive half by one
-    symmetric eigensolve (of g^{1/2} sum_m P0(m) g^{-1/2}, as the spectrum
-    symmetrizes); its eigenvalues up to NULL_RANK_TOL times the largest are
-    roundoff.  So P0(m) w(m) = E alpha(m) with alpha = E^T g P0 w, and as
-    P0(m) = P0(m) E E^T g the output needs only E^T g of the flux.  The
-    pairs with both k and l off the zero mode are computed
-    pseudo-spectrally on a zero-padded grid of at least 3R+1 points per
-    axis, on which no product of two retained modes aliases onto a retained
-    mode: one real inverse transform of the r fields alpha per distinct
-    input (scipy.fft.irfftn, halving the first axis: the modes with m_1 >=
-    0, the whole positive half), the r(r+1)/2 field products against the
-    folded flux kernel E^T g q_a(E_s, E_t), and one real forward transform
-    of the d r flux fields (scipy.fft.rfftn).  The pairs (m, 0) and (0, m)
-    are pointwise linear in alpha(m): the zero-mode kernel E^T g q_a(E_s,
-    w(0)) adds them to the same d r flux coordinates, which `read` = m_a
-    P0(m) E maps back (with the factor i); when both inputs' zero-mode
-    coefficients are exactly zero, as in every zero-mean field, the term is
-    zero and is skipped.  When r = 0 the null part is zero and no transform
-    runs.  Scatter and gather use flat indices.
+    The null part: null triples, whose three branches all have zero frequency,
+    are resonant for every pair of modes, so together they are the truncated
+    convolution P0 Q(P0 w1, P0 w2), with P0(xi) the summed projector of the null
+    branches at xi (the whole identity at the zero mode).  Off the zero mode
+    every P0(m) maps into one null range of rank r (3 of 4 in the 2-D gas, 4 of
+    5 in 3-D, 1 of 3 in 1-D, 0 in a system whose only null branch is the zero
+    mode's), spanned by the g-orthonormal columns of E (n, r), read off the n x
+    n Gram sum_m P0(m) of the positive half by one symmetric eigensolve (of
+    g^{1/2} sum_m P0(m) g^{-1/2}, as the spectrum symmetrizes); its eigenvalues
+    up to NULL_RANK_TOL times the largest are roundoff.  So P0(m) w(m) = E
+    alpha(m) with alpha = E^T g P0 w, and as P0(m) = P0(m) E E^T g the output
+    needs only E^T g of the flux.  The pairs with both k and l off the zero mode
+    are computed pseudo-spectrally on a zero-padded grid of at least 3R+1 points
+    per axis, on which no product of two retained modes aliases onto a retained
+    mode: one real inverse transform of the r fields alpha per distinct input
+    (scipy.fft.irfftn, halving the first axis: the modes with m_1 >= 0, the
+    whole positive half), the r(r+1)/2 field products against the folded flux
+    kernel E^T g q_a(E_s, E_t), and one real forward transform of the d r flux
+    fields (scipy.fft.rfftn).  The pairs (m, 0) and (0, m) are pointwise linear
+    in alpha(m): the zero-mode kernel E^T g q_a(E_s, w(0)) adds them to the same
+    d r flux coordinates, which `read` = m_a P0(m) E maps back (with the factor
+    i); when both inputs' zero-mode coefficients are exactly zero, as in every
+    zero-mean field, the term is zero and is skipped.  When r = 0 the null part
+    is zero and no transform runs.  Scatter and gather use flat indices.
 
     Plain attributes report what was compiled: `terms` (folded coefficients),
     `coefficient_bytes` (coefficient, index and segment arrays), `dropped`

@@ -106,7 +106,7 @@ class WndOperators:
     def __post_init__(self) -> None:
         # gen(-xi) = conj(gen(xi)) exactly for real symbols, as for the diffusion blocks
         zero = self.lattice.zero_index()
-        asum = np.einsum("mj,mjpq->mpq", self.spectrum.frequencies[zero:], self.spectrum.projectors[zero:])
+        asum = self.spectrum.branch_sum(self.spectrum.frequencies[zero:])
         self.generator = self.lattice.complete(-1j * asum + self.avg.blocks[zero:])
         self.omega_max = float(np.abs(self.spectrum.frequencies).max())
         self._propagators: dict[tuple[float, bool], np.ndarray] = {}

@@ -3,11 +3,12 @@
 On the 2*pi-periodic torus the skew generator acts mode by mode through the
 real-spectrum pencil i*a(xi).  Because g a(xi) is symmetric, the similar
 matrix  s = g^{1/2} a(xi) g^{-1/2}  is symmetric, so eigenvalues are real
-and the eigenprojectors are orthogonal in the g inner product.  Eigenvalues
+and each eigenprojector is orthogonal in the g inner product.  Eigenvalues
 closer than a clustering tolerance are merged into a single frequency with a
 summed projector: the group average sums over eigenspaces, and letting a
 near-degenerate pair split would silently corrupt every averaged operator
-built on top.
+built on top.  Only the zero mode and the positive half are decomposed: the
+symbol is odd, so each mode -xi is built as the exact mirror of xi.
 """
 
 from __future__ import annotations
@@ -142,19 +143,14 @@ class FrequencyLattice:
 
 @dataclass(eq=False)
 class ModeDecomposition:
-    """Distinct real frequencies and g-orthogonal eigenprojectors at one mode.
+    """Distinct real frequencies and a g-orthonormal eigenvector basis at one mode.
 
-    Invariants (up to roundoff): projectors sum to the identity, are mutually
-    annihilating idempotents, are self-adjoint in the g inner product, and
-    reassemble the advection symbol as sum_j omega_j * p_j.  The columns of
-    `basis` are g-orthonormal eigenvectors (basis^T g basis = I, so the
-    inverse is basis^T g); column c lies in branch `branch[c]`, and p_j is
-    the sum of b_c b_c^T g over the columns of branch j.
+    basis^T g basis = I; column c lies in branch `branch[c]`, and branch j's
+    eigenprojector is p_j = B_j B_j^T g, B_j its columns.
     """
 
     mode: Mode
     frequencies: np.ndarray
-    projectors: np.ndarray
     basis: np.ndarray  # (N, N) float
     branch: np.ndarray  # (N,) int
 
@@ -167,20 +163,19 @@ class ModeDecomposition:
 class Spectrum:
     """Decompositions at every lattice mode, stacked in lattice order.
 
-    Row i of `frequencies` (M, B) and `projectors` (M, B, N, N) holds the
-    nfreq[i] branches of lattice mode i, zero-padded to the widest mode:
-    a padded branch has frequency 0 and a zero projector, so any sum over
-    all B branches equals the sum over the real ones.  `null` marks the
-    branches whose frequency is zero within the clustering tolerance
-    (padded branches are not branches), `labels` (M, B) int8 the sign of
-    each other branch's frequency (0 on null and padded branches: the
-    labels an exact resonance rule reads), and `null_projector` (M, N, N)
-    the null branches' summed projector P0 at each mode, completed from
-    the zero mode and the positive half (P0(-xi) = P0(xi) bit for bit):
-    the slow/fast split of a state is P0 w and w - P0 w.  `basis`
-    (M, N, N) and `branch` (M, N) stack the per-mode eigenvector bases and
-    the branch of each column: the branch ranks at a mode sum to N, so one
-    basis spans them all.  `spec` is the system decomposed.  Two plain
+    Row i of `frequencies` (M, B) holds the nfreq[i] branches of lattice
+    mode i, zero-padded to the widest mode (a padded branch has frequency 0
+    and no column).  `basis` (M, N, N) and `branch` (M, N) stack the per-mode
+    g-orthonormal eigenvector bases and the branch of each column: the
+    branch ranks at a mode sum to N, so one basis spans them all, and branch
+    j's projector is p_j = B_j B_j^T g (see `branch_sum`).  `null` marks the
+    branches whose frequency is zero within the clustering tolerance (padded
+    branches are not branches), `labels` (M, B) int8 the sign of each other
+    branch's frequency (0 on null and padded branches: the labels an exact
+    resonance rule reads), and `null_projector` (M, N, N) the null branches'
+    summed projector P0 at each mode: the slow/fast split of a state is P0 w
+    and w - P0 w.  `spec` is the system decomposed.  Every row at -xi is the
+    exact mirror of the row at xi (see frequency_spectrum).  Two plain
     attributes report how close the CLUSTER_TOL decisions came, each value
     relative to its mode's max(max|omega|, 1): `null_margin` (the largest
     null and the smallest other |omega|) and `cluster_margin` (the largest
@@ -191,32 +186,40 @@ class Spectrum:
     spec: SystemSpec
     lattice: FrequencyLattice
     frequencies: np.ndarray  # (M, B) float
-    projectors: np.ndarray  # (M, B, N, N) float
     nfreq: np.ndarray  # (M,) int
     null: np.ndarray  # (M, B) bool
     labels: np.ndarray  # (M, B) int8
     basis: np.ndarray  # (M, N, N) float
     branch: np.ndarray  # (M, N) int
-    null_projector: np.ndarray  # (M, N, N) float
     null_margin: tuple[float, float]
     cluster_margin: tuple[float, float]
 
     def __getitem__(self, mode: Sequence[int]) -> ModeDecomposition:
-        """Views of one mode's rows (KeyError outside the lattice).
-
-        The benchmark harness (perfbench/run.py) reads its branch counts
-        through it, and tests read one mode's rows through it.  Library code
-        reads the stacked arrays.
-        """
+        """Views of one mode's rows (KeyError outside the lattice), for the benchmark harness and tests."""
         i = self.lattice.index(mode)
-        k = int(self.nfreq[i])
         return ModeDecomposition(
             mode=self.lattice.modes[i],
-            frequencies=self.frequencies[i, :k],
-            projectors=self.projectors[i, :k],
+            frequencies=self.frequencies[i, : int(self.nfreq[i])],
             basis=self.basis[i],
             branch=self.branch[i],
         )
+
+    def branch_sum(self, values: np.ndarray) -> np.ndarray:
+        """sum_j values[:, j] p_j = B diag(values at each column's branch) B^T g, (U + 1, N, N), from values
+        (U + 1, B) on the zero mode and the positive half; values[0, 0] I exactly at the zero mode (p = I)."""
+        zero = self.lattice.zero_index()
+        basis = self.basis[zero:]
+        weights = np.take_along_axis(values, self.branch[zero:], axis=1)
+        out = (basis * weights[:, None, :]) @ (basis.transpose(0, 2, 1) @ self.spec.entropy_hessian)
+        out[0] = values[0, 0] * np.eye(self.spec.ncomp)
+        return out
+
+    @cached_property
+    def null_projector(self) -> np.ndarray:
+        """P0 (M, N, N), read-only: summed on the half and completed, so P0(-xi) = P0(xi) bit for bit."""
+        p0 = self.lattice.complete(self.branch_sum(self.null[self.lattice.zero_index():]))
+        p0.setflags(write=False)
+        return p0
 
 
 def symmetric_advection_eigh(spec: SystemSpec, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,67 +229,65 @@ def symmetric_advection_eigh(spec: SystemSpec, xi: np.ndarray) -> tuple[np.ndarr
     return np.linalg.eigh(0.5 * (sym + sym.swapaxes(-1, -2)))
 
 
-def _decompose_modes(spec: SystemSpec, modes: np.ndarray) -> tuple[tuple, tuple]:
-    """Spectrum arrays (frequencies, projectors, nfreq, null, labels, basis, branch) at each row of `modes` (K, d),
-    and the margins (null_margin, cluster_margin) of its two decisions (see Spectrum).
+def frequency_spectrum(spec: SystemSpec, lattice: FrequencyLattice) -> Spectrum:
+    """Decomposition at every lattice mode: one batched eigensolve of the zero mode and the positive half.
 
-    Eigenpairs from symmetric_advection_eigh.  A new branch starts
-    wherever consecutive eigenvalues differ by more than CLUSTER_TOL *
-    max(max|omega|, 1), and its frequency is the cluster mean.
+    Eigenpairs from symmetric_advection_eigh.  A new branch starts wherever
+    consecutive eigenvalues differ by more than CLUSTER_TOL * max(max|omega|,
+    1), and its frequency is the cluster mean.  a(-xi) = -a(xi), so each mode
+    -xi is built as the exact mirror of xi: its frequencies are those of xi
+    negated over the branches reversed (the padding kept last and +0.0), its
+    basis that of xi with the columns reversed, and branch, null and labels
+    follow (labels negated).  So omega(-xi) = -omega(xi) holds bit for bit.
     """
-    n = spec.ncomp
-    root, inv_root = spec.metric_sqrt()
-    evals, vecs = symmetric_advection_eigh(spec, modes.astype(float))
+    inv_root = spec.metric_sqrt()[1]
+    evals, vecs = symmetric_advection_eigh(spec, lattice.array[lattice.zero_index():].astype(float))
     scale = np.maximum(np.abs(evals).max(axis=1, keepdims=True), 1.0)
     branch = np.cumsum(np.diff(evals, axis=1, prepend=evals[:, :1]) > CLUSTER_TOL * scale, axis=1)
     nfreq = branch[:, -1] + 1
     width = int(nfreq.max())
     size = (branch[:, None, :] == np.arange(width)[:, None]).sum(axis=2)
     first = np.cumsum(size, axis=1) - size  # branches are contiguous runs of columns
-    frequencies = np.zeros((len(modes), width))
-    projectors = np.zeros((len(modes), width, n, n))
-    # one gather per cluster size, so each mean and each block @ block^T
-    # sees exactly the cluster's own columns
+    frequencies = np.zeros((len(evals), width))
+    # one gather per cluster size, so each mean sees exactly the cluster's own columns
     for count in np.unique(size[size > 0]):
         row, j = np.nonzero(size == count)
         cols = first[row, j][:, None] + np.arange(count)
         frequencies[row, j] = evals[row[:, None], cols].mean(axis=1)
-        block = vecs[row[:, None, None], np.arange(n)[:, None], cols[:, None, :]]
-        projectors[row, j] = inv_root @ (block @ block.swapaxes(-1, -2)) @ root
     row, j = np.nonzero(size)
     spread = (evals[row, first[row, j] + size[row, j] - 1] - evals[row, first[row, j]]) / scale[row, 0]
     gaps = np.diff(evals, axis=1) / scale
     cluster_margin = (float(spread.max(initial=0.0)), float(gaps[np.diff(branch, axis=1) > 0].min(initial=np.inf)))
     basis = inv_root @ vecs
-    zero = ~modes.any(axis=1)  # the zero mode has one branch: P = I, basis g^{-1/2}
-    frequencies[zero] = 0.0
-    projectors[zero, 0] = np.eye(n)
-    basis[zero] = inv_root
+    frequencies[0] = 0.0  # the zero mode (row 0) has one branch: P = I, basis g^{-1/2}
+    basis[0] = inv_root
     scale = np.maximum(np.abs(frequencies).max(axis=1, keepdims=True), 1.0)
     real = np.arange(width) < nfreq[:, None]
     null = real & (np.abs(frequencies) <= CLUSTER_TOL * scale)
     labels = np.where(null, 0, np.sign(frequencies)).astype(np.int8)  # a padded frequency is 0
     rel = np.abs(frequencies) / scale
     null_margin = (float(rel[null].max(initial=0.0)), float(rel[real & ~null].min(initial=np.inf)))
-    return (frequencies, projectors, nfreq, null, labels, basis, branch), (null_margin, cluster_margin)
-
-
-def frequency_spectrum(spec: SystemSpec, lattice: FrequencyLattice) -> Spectrum:
-    """Decomposition at every lattice mode: one batched eigensolve, in lattice order."""
-    arrays, margins = _decompose_modes(spec, lattice.array)
-    # P0 summed on the zero mode and the positive half and completed: P0(-xi) = P0(xi) bit for
-    # bit (real symbols), so the split of a real state is real
-    zero = lattice.zero_index()
-    projectors, null = arrays[1][zero:], arrays[3][zero:]
-    arrays += (lattice.complete((projectors * null[:, :, None, None]).sum(axis=1)),)
+    j = np.arange(width)
+    flip = np.where(real, nfreq[:, None] - 1 - j, j)  # branch j at -xi is branch flip[j] at xi
+    mirrored = (
+        0.0 - np.take_along_axis(frequencies, flip, axis=1),  # 0.0 - x: a zero stays +0.0
+        nfreq,
+        np.take_along_axis(null, flip, axis=1),
+        -np.take_along_axis(labels, flip, axis=1),
+        basis[:, :, ::-1],
+        nfreq[:, None] - 1 - branch[:, ::-1],
+    )
+    # lattice order reverses under negation: the mirrors of the positive half, in reverse, come first
+    half = (frequencies, nfreq, null, labels, basis, branch)
+    arrays = [np.concatenate([m[:0:-1], h]) for m, h in zip(mirrored, half)]
     for arr in arrays:
         arr.setflags(write=False)
-    return Spectrum(spec, lattice, *arrays, *margins)
+    return Spectrum(spec, lattice, *arrays, null_margin, cluster_margin)
 
 
 def spectrum_csv_rows(spectrum: Spectrum) -> Iterator[list]:
-    """Diagnostic rows (mode components..., frequency index, omega, projector rank)."""
-    ranks = np.rint(np.trace(spectrum.projectors, axis1=2, axis2=3)).astype(int)
+    """Diagnostic rows (mode components..., frequency index, omega, projector rank): a rank counts its branch's columns."""
+    ranks = (spectrum.branch[:, :, None] == np.arange(spectrum.frequencies.shape[1])).sum(axis=1)
     for i, mode in enumerate(spectrum.lattice):
         for j in range(spectrum.nfreq[i]):
             yield [*mode, j, float(spectrum.frequencies[i, j]), int(ranks[i, j])]

@@ -185,5 +185,5 @@ def evolve_state(spectrum: Spectrum, t: float, state: SpectralState) -> Spectral
     require_fit(state, spectrum.lattice, spectrum.spec.ncomp, "a spectrum")
     zero = spectrum.lattice.zero_index()
     phases = np.exp(-1j * spectrum.frequencies[zero:] * t)
-    group = spectrum.lattice.complete(np.einsum("mj,mjpq->mpq", phases, spectrum.projectors[zero:]))
+    group = spectrum.lattice.complete(spectrum.branch_sum(phases))
     return SpectralState(state.lattice, np.einsum("mpq,mq->mp", group, state.coeffs))

@@ -72,6 +72,20 @@ def entropic_system(seed, dim=2, ncomp=4, kernel=1):
     return wk.SystemSpec(dim, n, np.zeros(n), adv, dif, quad, g)
 
 
+def projectors(spectrum):
+    """Every branch's g-orthogonal eigenprojector p_j = B_j B_j^T g, (M, B, N, N), from the spectrum's
+    basis and the branch of each column: zero on a padded branch."""
+    in_branch = spectrum.branch[:, :, None] == np.arange(spectrum.frequencies.shape[1])  # (M, N, B)
+    cobasis = spectrum.basis.transpose(0, 2, 1) @ spectrum.spec.entropy_hessian
+    return np.einsum("mpc,mcj,mcq->mjpq", spectrum.basis, in_branch, cobasis)
+
+
+def mode_projectors(spectrum, mode):
+    """The projectors of one mode's nfreq branches, (nfreq, N, N)."""
+    i = spectrum.lattice.index(mode)
+    return projectors(spectrum)[i, : spectrum.nfreq[i]]
+
+
 def state_diff_norm(spec, a, b):
     probe = a.copy()
     probe.coeffs = a.coeffs - b.coeffs

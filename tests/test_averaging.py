@@ -19,7 +19,7 @@ from wndkit.navier_stokes import acoustic_sum_resonant, wcns_split
 from wndkit.spectral import convolution_pair_count
 from wndkit.state import is_reality_symmetric
 
-from conftest import entropic_system, state_diff_norm
+from conftest import entropic_system, mode_projectors, projectors, state_diff_norm
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +76,7 @@ def test_averaged_diffusion_invariants(cns_ops4, cns_model):
         scale = max(np.linalg.norm(gd), 1e-30)
         assert np.abs(gd - gd.conj().T).max() <= 1e-11 * scale
         assert np.linalg.eigvalsh(0.5 * (gd + gd.conj().T)).max() <= 1e-11 * scale
-        dec = cns_ops4.spectrum[mode]
-        for pj in dec.projectors:
+        for pj in mode_projectors(cns_ops4.spectrum, mode):
             assert np.abs(avg.blocks[i] @ pj - pj @ avg.blocks[i]).max() <= 1e-10 * scale
         assert np.abs(avg.blocks[lat.negation[i]] - avg.blocks[i].conj()).max() <= 1e-11 * scale
 
@@ -200,7 +199,7 @@ def test_apply_averaged_quadratic_bilinear(cns_ops4, cns_model):
 def _table_reference(spec, spectrum, table, w1, w2):
     """qbar by direct summation over every table row: no FFT, no compiled kernels."""
     arr = table.lattice.array.astype(float)
-    proj = spectrum.projectors
+    proj = projectors(spectrum)
     out = np.zeros((len(table.lattice), spec.ncomp), dtype=complex)
     for ki, j1, li, j2, mi, j3 in table.entries.tolist():
         flux = np.einsum("aijk,j,k->ai", spec.quadratic, proj[ki, j1] @ w1.coeffs[ki], proj[li, j2] @ w2.coeffs[li])
@@ -293,14 +292,22 @@ def test_qbar_matches_table_reference_beyond_the_2d_gas(system, request):
 
 @pytest.mark.parametrize("system", ["ideal-gas-2d", "ideal-gas-1d", "float-rule-2d", "coupled-wave", "scalar"])
 def test_spectrum_basis_rebuilds_projectors(system, request):
-    """basis^T g basis = I, and the columns of branch j give p_j = sum b_c b_c^T g."""
+    """basis^T g basis = I, and the columns of branch j give p_j = sum b_c b_c^T g: projectors that
+    sum to the identity and reassemble the advection symbol as sum_j omega_j p_j."""
     spec, ops, _ = _system(system, request)
     spectrum = ops.spectrum
     cobasis = spectrum.basis.transpose(0, 2, 1) @ spec.entropy_hessian
     assert np.abs(cobasis @ spectrum.basis - np.eye(spec.ncomp)).max() <= 1e-14
-    in_branch = spectrum.branch[:, :, None] == np.arange(spectrum.frequencies.shape[1])
-    rebuilt = np.einsum("mpc,mcj,mcq->mjpq", spectrum.basis, in_branch, cobasis)
-    assert np.abs(rebuilt - spectrum.projectors).max() <= 1e-14
+    rebuilt = projectors(spectrum)
+    assert np.abs(rebuilt.sum(axis=1) - np.eye(spec.ncomp)).max() <= 1e-14
+    symbol = wk.advection_symbol(spec, spectrum.lattice.array.astype(float))
+    assert np.abs(np.einsum("mj,mjpq->mpq", spectrum.frequencies, rebuilt) - symbol).max() <= 1e-14 * max(
+        1.0, np.abs(symbol).max())
+    # the generator's and the group's sum on the half is the same sum of the same projectors
+    half = slice(spectrum.lattice.zero_index(), None)
+    summed = spectrum.branch_sum(spectrum.frequencies[half])
+    assert np.abs(summed - np.einsum("mj,mjpq->mpq", spectrum.frequencies[half], rebuilt[half])).max() <= 1e-14 * max(
+        1.0, np.abs(symbol).max())
 
 
 @pytest.mark.parametrize("ops_fixture", ["cns_ops4", "cns_ops8"])
@@ -398,7 +405,12 @@ def test_float_rule_below_the_null_defects_raises_at_build(cns_model):
         wk.build_operators(cns_model.spec, lat, resonance_tol=1e-30)
 
 
-def test_qbar_rejects_table_not_closed_under_negation(cns_model):
+def test_lopsided_rule_table_stays_closed_under_negation(cns_model):
+    """A rule is decided on the pairs after (0, 0) only, and the build mirrors its verdicts: a rule that
+    drops the (+, + -> +) triple of (1, 0) + (1, 0) and keeps its mirror loses both.  The table is
+    closed under negation, so qbar, computed on the positive half and completed, is the per-row sum
+    over all of its rows.  (The cyclic identity does not survive the drop: it needs the triple's
+    cyclic partners, which no rule that drops one triple keeps consistent.)"""
     rule = wk.make_exact_resonance_rule(cns_model)
 
     def lopsided(k, s1, l, s2, m, s3):
@@ -408,30 +420,24 @@ def test_qbar_rejects_table_not_closed_under_negation(cns_model):
         return rule(k, s1, l, s2, m, s3) & ~(pair & all_plus)
 
     lat = wk.FrequencyLattice(2, 2)
-    with pytest.raises(ValueError, match=r"not closed under negation: 1 rows lack their mirror"):
-        wk.build_operators(cns_model.spec, lat, exact_rule=lopsided)
-
-
-@pytest.mark.parametrize("exact", [True, False])
-def test_build_refuses_a_null_mask_that_does_not_mirror(cns_model, exact):
-    """The table stores no null triple and checks negation closure on the stored rows only, so it
-    first checks that spectrum.null mirrors at -k, naming the first k that does not."""
-    lat = wk.FrequencyLattice(2, 2)
-    spectrum = wk.frequency_spectrum(cns_model.spec, lat)
-    null = spectrum.null.copy()
-    k = lat.index((1, 2))
-    null[k, 0] = not null[k, 0]
-    flipped = dataclasses.replace(spectrum, null=null)
-    rule = wk.make_exact_resonance_rule(cns_model) if exact else None
-    with pytest.raises(ValueError, match=r"spectrum.null is not mirrored at -k: k = \(-1, -2\)"):
-        build_resonance_table(flipped, exact_rule=rule)
+    full = wk.build_operators(cns_model.spec, lat, exact_rule=rule)
+    ops = wk.build_operators(cns_model.spec, lat, exact_rule=lopsided)
+    nfreq = ops.spectrum.nfreq
+    k, km, m, mm = (lat.index(mode) for mode in ((1, 0), (-1, 0), (2, 0), (-2, 0)))
+    plus = (k, nfreq[k] - 1, k, nfreq[k] - 1, m, nfreq[m] - 1)  # the largest frequency is the last branch
+    minus = (km, 0, km, 0, mm, 0)
+    stored = {tuple(row) for row in ops.table.rows.tolist()}
+    assert {plus, minus} <= {tuple(row) for row in full.table.rows.tolist()}
+    assert plus not in stored and minus not in stored
+    assert len(full.table.rows) - len(ops.table.rows) == 2
+    _check_qbar_cases(ops, cns_model.spec, *_qbar_cases(lat, 4, 70))
 
 
 def test_table_stores_only_the_rows_qbar_reads(cns_model):
     """At 2-D R=8 the build stores 9,888 rows, counts 47,089 null triples
-    without storing them, and gives the exact rule's grids 4,705 of the
-    47,089 pairs; the table has 56,977 rows.  No stored row is a null
-    triple, and `blocks` rebuilds the table k-block by k-block: each
+    without storing them, and gives the exact rule's grids 2,352 of the
+    23,544 pairs after (0, 0); the table has 56,977 rows.  No stored row is a
+    null triple, and `blocks` rebuilds the table k-block by k-block: each
     block's rows have its k, hold its counted null triples, and less those
     are the stored rows and defects, in order."""
     lat = wk.FrequencyLattice(2, 8)
@@ -445,7 +451,7 @@ def test_table_stores_only_the_rows_qbar_reads(cns_model):
 
     counting.candidates = rule.candidates
     table = build_resonance_table(spectrum, exact_rule=counting)
-    assert (len(table.rows), int(table.null_counts.sum()), sum(given), len(table)) == (9888, 47089, 4705, 56977)
+    assert (len(table.rows), int(table.null_counts.sum()), sum(given), len(table)) == (9888, 47089, 2352, 56977)
     null = spectrum.null
 
     def is_null(rows):
@@ -699,12 +705,13 @@ def test_generated_systems_match_the_per_triple_and_per_row_references(seed, nco
 
 
 def test_exact_rule_sees_one_read_only_grid_per_chunk(cns_model, monkeypatch):
-    """A rule without `candidates` gets every pair, one call per grid of
-    whole k-blocks: (P, 1, 1, 1, d) integer modes and (P, B, 1, 1),
-    (P, 1, B, 1), (P, 1, 1, B) int8 branch labels, all read-only.  Its
-    valid cells (every branch below its mode's nfreq), concatenated in
-    call order, are the per-triple enumeration of the spectrum's labels:
-    every candidate in table order, with its values."""
+    """A rule without `candidates` gets every pair after (0, 0) in lattice
+    order, one call per grid of whole k-blocks: (P, 1, 1, 1, d) integer
+    modes and (P, B, 1, 1), (P, 1, B, 1), (P, 1, 1, B) int8 branch labels,
+    all read-only.  Its valid cells (every branch below its mode's nfreq),
+    concatenated in call order, are the per-triple enumeration of the
+    spectrum's labels on those pairs: every candidate in table order, with
+    its values."""
     budget = 5000
     monkeypatch.setattr(averaging, "RESONANCE_CHUNK_CELLS", budget)
     lat = wk.FrequencyLattice(2, 3)
@@ -738,12 +745,13 @@ def test_exact_rule_sees_one_read_only_grid_per_chunk(cns_model, monkeypatch):
         )
         columns = (k[..., 0], k[..., 1], s1, l[..., 0], l[..., 1], s2, m[..., 0], m[..., 1], s3)
         cells.append(np.stack([c[valid] for c in np.broadcast_arrays(*columns)], axis=1))
-    # every k-block lies whole in one call, and the calls follow the lattice order
-    assert np.array_equal(np.concatenate(blocks), np.arange(len(lat)))
+    # every k-block from the zero mode on lies whole in one call, and the calls follow the lattice order
+    assert np.array_equal(np.concatenate(blocks), np.arange(lat.zero_index(), len(lat)))
     seen = []
     labelled = dataclasses.replace(spectrum, frequencies=spectrum.labels)
     _reference_table(labelled, lat, lambda *candidate: seen.append(candidate) or True)
-    want = np.array([[*k, s1, *l, s2, *m, s3] for k, s1, l, s2, m, s3 in seen])
+    origin = (0,) * lat.dim
+    want = np.array([[*k, s1, *l, s2, *m, s3] for k, s1, l, s2, m, s3 in seen if (k, l) > (origin, origin)])
     assert np.array_equal(np.concatenate(cells), want), "candidate stream differs from the per-triple enumeration"
     assert len(table) > 0
 
@@ -765,8 +773,9 @@ def test_resonance_table_rejects_a_scalar_rule(cns_model):
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_resonance_table_is_the_same_whatever_the_chunks(cns_model, monkeypatch, exact):
-    """One k-block per call, or a budget that splits the lattice mid-way:
-    entries, defects and closest_rejected are bitwise the default build's."""
+    """One k-block per call, or a budget that splits the decided half of
+    the pairs mid-way: entries, defects and closest_rejected are bitwise
+    the default build's."""
     lat = wk.FrequencyLattice(2, 4)
     spectrum = wk.frequency_spectrum(cns_model.spec, lat)
     rule = wk.make_exact_resonance_rule(cns_model)
@@ -779,8 +788,10 @@ def test_resonance_table_is_the_same_whatever_the_chunks(cns_model, monkeypatch,
         return build_resonance_table(spectrum, exact_rule=lambda *args: calls.append(args) or rule(*args))
 
     base = build()
-    cells = convolution_pair_count(2, 4) * spectrum.frequencies.shape[1] ** 3
-    for budget, chunks in ((1, len(lat)), (cells // 2, 2)):
+    # the k-blocks from the zero mode on: (P - 1) / 2 pairs after (0, 0), (0, 0) and the (0, l) before it
+    half = (convolution_pair_count(2, 4) - 1) // 2 + 1 + lat.zero_index()
+    cells = half * spectrum.frequencies.shape[1] ** 3
+    for budget, chunks in ((1, len(lat) - lat.zero_index()), (cells // 2, 2)):
         monkeypatch.setattr(averaging, "RESONANCE_CHUNK_CELLS", budget)
         table = build()
         if exact:

@@ -278,25 +278,44 @@ def test_refused_resonance_table_exits_two_before_writing(tmp_path, capsys, comm
 
 
 def test_exact_rule_table_refusal_is_a_fault(tmp_path, monkeypatch):
-    # the exact rule has no tolerance in the config, so a refused table is a
-    # program fault: it propagates instead of becoming an input error
+    # the exact rule has no tolerance in the config, so a table the build refuses is a program
+    # fault: here a rule that answers in the wrong dtype, whose error propagates instead of
+    # becoming an input error
     make_rule = cli.ns.make_exact_resonance_rule
 
-    def lopsided(model):
+    def faulty(model):
         rule = make_rule(model)
 
         def decide(k, s1, l, s2, m, s3):
-            # drops the (+, + -> +) triples at k = (1, 0) but keeps their mirrors
-            plus = (k == (1, 0)).all(axis=-1) & (s1 == 1) & (s2 == 1) & (s3 == 1)
-            return rule(k, s1, l, s2, m, s3) & ~plus
+            return rule(k, s1, l, s2, m, s3).astype(np.int8)
 
+        decide.candidates = rule.candidates
         return decide
 
-    monkeypatch.setattr(cli.ns, "make_exact_resonance_rule", lopsided)
+    monkeypatch.setattr(cli.ns, "make_exact_resonance_rule", faulty)
     cfg = write_config(tmp_path / "run.json")
-    with pytest.raises(ValueError, match="not closed under negation") as info:
+    with pytest.raises(ValueError, match=r"exact_rule returned int8 .* booleans") as info:
         main(["operators", "--config", str(cfg)])
     assert not isinstance(info.value, cli.ConfigError)
+
+
+def test_float_tolerance_near_the_gas_defects_builds_a_closed_table(tmp_path, capsys):
+    """A legal float tolerance that the eigensolve noise straddled: at 2-D R=4 a defect within
+    roundoff of 3.6485651666928703e-16 * scale was accepted at k and rejected at -k, and the build
+    refused the table.  The spectrum's -k is now the exact mirror of k, so the table builds, closed
+    under negation, through the library and the CLI alike."""
+    tol = 3.6485651666928703e-16
+    model = wk.build_preset("ideal-gas-2d")
+    ops = wk.build_operators(model.spec, wk.FrequencyLattice(2, 4), resonance_tol=tol)
+    table, nfreq, neg = ops.table, ops.spectrum.nfreq, ops.lattice.negation
+    assert (len(table.rows), len(table)) == (2104, 5825)
+    k, j1, l, j2, m, j3 = table.rows.T
+    mirrors = np.stack([neg[k], nfreq[k] - 1 - j1, neg[l], nfreq[l] - 1 - j2, neg[m], nfreq[m] - 1 - j3], axis=1)
+    assert {tuple(r) for r in mirrors.tolist()} == {tuple(r) for r in table.rows.tolist()}
+    assert np.array_equal(table.null_counts, table.null_counts[::-1])
+    cfg = write_config(tmp_path / "run.json", lattice_k=4, resonance={"exact_rule": False, "tolerance": tol})
+    assert main(["operators", "--config", str(cfg)]) == 0
+    assert "resonance triples: 5825" in capsys.readouterr().out
 
 
 def test_lattice_pair_guard_exits_two_before_building(tmp_path, capsys, monkeypatch):

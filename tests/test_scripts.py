@@ -69,7 +69,7 @@ def test_cli_outputs_compare_reports_how_files_moved(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.splitlines() == [
         f"only in {after}: cfg/extra",
-        "cfg/diagnostics.csv: 2 numbers changed, largest relative change 2 (1e-20 -> -1e-20), 5e-11 of the largest "
+        "cfg/diagnostics.csv: 2 numbers changed (0 integers), largest relative change 2 (1e-20 -> -1e-20), 5e-11 of the largest "
         "|value|; zero signs +0 -> -0 1, -0 -> +0 0; other changed lines 0; lines inserted 0, deleted 0",
         "1 files moved, 1 identical, 1 on one side only",
     ]
@@ -90,8 +90,29 @@ def test_cli_outputs_compare_aligns_lines_before_numbers(tmp_path):
     proc = _run("cli_outputs.py", ["--compare", str(before), str(after)])
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.splitlines() == [
-        "cfg/stdout: 1 numbers changed, largest relative change 0.333 (2.0e-16 -> 3.0e-16), 8.33e-19 of the largest "
+        "cfg/stdout: 1 numbers changed (0 integers), largest relative change 0.333 (2.0e-16 -> 3.0e-16), 8.33e-19 of the largest "
         "|value|; zero signs +0 -> -0 0, -0 -> +0 0; other changed lines 0; lines inserted 1, deleted 1",
+        "1 files moved, 0 identical, 0 on one side only",
+    ]
+
+
+def test_cli_outputs_compare_counts_the_integers_that_moved(tmp_path):
+    """A number written as an integer on both sides (no `.`, `e`, `inf` or `nan`) that changes is
+    counted apart from the others: a rank 2 -> 3 is one, while a float that moved (0.5), a float
+    written as a whole number on one side only (3.0 -> 4) and a roundoff zero (0 -> 1e-17) are not,
+    and an index 7 -> 7.0 or a count 10 -> 1e1 is the same number written another way."""
+    before, after = tmp_path / "before", tmp_path / "after"
+    for root, text in (
+        (before, "k,j,omega,rank\n1,0,0.5,2\n1,7,0,1\ncount 10, total 3.0\n"),
+        (after, "k,j,omega,rank\n1,0,0.5000000001,3\n1,7.0,1e-17,1\ncount 1e1, total 4\n"),
+    ):
+        (root / "cfg").mkdir(parents=True)
+        (root / "cfg" / "spectrum.csv").write_text(text)
+    proc = _run("cli_outputs.py", ["--compare", str(before), str(after)])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "cfg/spectrum.csv: 4 numbers changed (1 integers), largest relative change 1 (0 -> 1e-17), 0.1 of the largest "
+        "|value|; zero signs +0 -> -0 0, -0 -> +0 0; other changed lines 2; lines inserted 0, deleted 0",
         "1 files moved, 0 identical, 0 on one side only",
     ]
 

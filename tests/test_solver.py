@@ -8,7 +8,7 @@ import wndkit as wk
 from wndkit.solver import BLOWUP_THRESHOLD, BlowUpError, _cumulative_simpson, _cumulative_trapezoid
 from wndkit.state import is_reality_symmetric
 
-from conftest import state_diff_norm
+from conftest import projectors, state_diff_norm
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +66,7 @@ def test_skew_pairing_vanishes(cns_ops4, cns_model):
     w = wk.random_real_state(cns_ops4.lattice, 4, seed=18, decay=2.0)
     spectrum = cns_ops4.spectrum
     adv = w.copy()
-    adv.coeffs = -1j * np.einsum("mj,mjpq,mq->mp", spectrum.frequencies, spectrum.projectors, w.coeffs)
+    adv.coeffs = -1j * np.einsum("mj,mjpq,mq->mp", spectrum.frequencies, projectors(spectrum), w.coeffs)
     val = abs(wk.inner_product(cns_model.spec, w, adv))
     scale = wk.energy_norm(cns_model.spec, w) * wk.energy_norm(cns_model.spec, adv)
     assert val <= 1e-11 * max(scale, 1e-30)

@@ -11,6 +11,8 @@ from wndkit.spectral import (
     frequency_spectrum,
 )
 
+from conftest import entropic_system, mode_projectors, projectors
+
 
 def _one_mode_state(lattice, mode, vec):
     state = wk.zero_state(lattice, len(vec))
@@ -109,17 +111,22 @@ def test_lattice_mirror_is_the_conjugated_negation(dim, radius):
 
 
 def test_decompose_zero_mode(cns_model):
-    dec = frequency_spectrum(cns_model.spec, FrequencyLattice(2, 1))[(0, 0)]
+    spectrum = frequency_spectrum(cns_model.spec, FrequencyLattice(2, 1))
+    dec = spectrum[(0, 0)]
     assert dec.nfreq == 1
     assert dec.frequencies[0] == 0.0
-    assert np.array_equal(dec.projectors[0], np.eye(4))
+    assert np.array_equal(dec.basis, cns_model.spec.metric_sqrt()[1]) and not dec.branch.any()
+    # one branch of every column, whose projector B B^T g = I; P0 there is the identity exactly
+    assert np.abs(mode_projectors(spectrum, (0, 0))[0] - np.eye(4)).max() <= 1e-15
+    assert np.array_equal(spectrum.null_projector[spectrum.lattice.zero_index()], np.eye(4))
 
 
 def test_decompose_wave_pair(wave2_spec):
-    dec = frequency_spectrum(wave2_spec, FrequencyLattice(1, 1))[(1,)]
+    spectrum = frequency_spectrum(wave2_spec, FrequencyLattice(1, 1))
+    dec = spectrum[(1,)]
     assert np.allclose(sorted(dec.frequencies), [-1.0, 1.0])
-    minus = dec.projectors[np.argmin(dec.frequencies)]
-    plus = dec.projectors[np.argmax(dec.frequencies)]
+    minus = mode_projectors(spectrum, (1,))[np.argmin(dec.frequencies)]
+    plus = mode_projectors(spectrum, (1,))[np.argmax(dec.frequencies)]
     assert np.allclose(plus, 0.5 * np.array([[1, 1], [1, 1]]), atol=1e-12)
     assert np.allclose(minus, 0.5 * np.array([[1, -1], [-1, 1]]), atol=1e-12)
 
@@ -132,7 +139,7 @@ def test_decompose_cns_three_branches(cns_model):
         assert dec.nfreq == 3
         norm = np.linalg.norm(mode)
         assert np.allclose(sorted(dec.frequencies), [-c0 * norm, 0.0, c0 * norm], atol=1e-9)
-        null_dim = round(float(np.trace(dec.projectors[1])))
+        null_dim = round(float(np.trace(mode_projectors(spectrum, mode)[1])))
         assert null_dim == 2
 
 
@@ -141,15 +148,15 @@ def test_mode_decomposition_invariants(cns_model):
     g = spec.entropy_hessian
     spectrum = frequency_spectrum(spec, FrequencyLattice(2, 3))
     for mode in [(1, 0), (0, 2), (3, -1), (2, 2)]:
-        dec = spectrum[mode]
-        total = dec.projectors.sum(axis=0)
+        dec, projs = spectrum[mode], mode_projectors(spectrum, mode)
+        total = projs.sum(axis=0)
         assert np.abs(total - np.eye(4)).max() <= 1e-12
-        for j, pj in enumerate(dec.projectors):
+        for j, pj in enumerate(projs):
             assert np.abs(pj.T @ g - g @ pj).max() <= 1e-11
-            for k, pk in enumerate(dec.projectors):
+            for k, pk in enumerate(projs):
                 expect = pj if j == k else np.zeros((4, 4))
                 assert np.abs(pj @ pk - expect).max() <= 1e-11
-        rebuilt = np.einsum("j,jpq->pq", dec.frequencies, dec.projectors)
+        rebuilt = np.einsum("j,jpq->pq", dec.frequencies, projs)
         target = wk.advection_symbol(spec, np.asarray(mode, dtype=float))
         assert np.abs(rebuilt - target).max() <= 1e-11 * max(1.0, np.abs(target).max())
 
@@ -215,49 +222,58 @@ def _reference_cluster(eigenvalues):
 
 def _reference_decompose(spec, mode):
     """The per-mode eigensolve and clustering loop the stacked spectrum replaced:
-    (frequencies, projectors, basis, branch) at one mode."""
+    (frequencies, basis, branch) at one mode."""
     n = spec.ncomp
     root, inv_root = spec.metric_sqrt()
     if not any(mode):
-        return np.zeros(1), np.eye(n)[None, :, :], inv_root, np.zeros(n, dtype=np.int64)
+        return np.zeros(1), inv_root, np.zeros(n, dtype=np.int64)
     sym = root @ wk.advection_symbol(spec, np.asarray(mode, dtype=float)) @ inv_root
     evals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
     groups = _reference_cluster(evals)
     freqs = np.array([evals[g].mean() for g in groups])
-    projs = np.empty((len(groups), n, n))
     branch = np.empty(n, dtype=np.int64)
     for j, g in enumerate(groups):
-        block = vecs[:, g]
-        projs[j] = inv_root @ (block @ block.T) @ root
         branch[g] = j
-    return freqs, projs, inv_root @ vecs, branch
+    return freqs, inv_root @ vecs, branch
+
+
+def _reference_mirror(freqs, basis, branch):
+    """The decomposition at -xi from the one at xi: a(-xi) = -a(xi) has the same eigenvectors, so the
+    frequencies negated in reverse order (a zero stays +0.0), the basis columns in reverse order and
+    each column's branch counted from the other end."""
+    return np.array([0.0 if w == 0.0 else -w for w in freqs[::-1]]), basis[:, ::-1], len(freqs) - 1 - branch[::-1]
+
+
+def _reference_projectors(spec, basis, branch):
+    """p_j = B_j B_j^T g at one mode, (nfreq, N, N), from its basis and the branch of each column."""
+    return np.stack([basis[:, branch == j] @ basis[:, branch == j].T @ spec.entropy_hessian
+                     for j in range(branch.max() + 1)])
 
 
 def _reference_spectrum(spec, lattice):
-    """Every Spectrum array, stacked from _reference_decompose mode by mode."""
-    decs = [_reference_decompose(spec, mode) for mode in lattice]
+    """Every stacked Spectrum array, from _reference_decompose on the zero mode and the positive half,
+    and from _reference_mirror of those on the modes before the zero mode."""
+    decs = [_reference_decompose(spec, mode) for mode in lattice.modes[lattice.zero_index():]]
+    decs = [_reference_mirror(*dec) for dec in decs[:0:-1]] + decs
     nfreq = np.array([len(dec[0]) for dec in decs])
     width = int(nfreq.max())
     frequencies = np.zeros((len(decs), width))
-    projectors = np.zeros((len(decs), width, spec.ncomp, spec.ncomp))
-    for i, (freqs, projs, _, _) in enumerate(decs):
+    for i, (freqs, _, _) in enumerate(decs):
         frequencies[i, : len(freqs)] = freqs
-        projectors[i, : len(freqs)] = projs
     scale = np.maximum(np.abs(frequencies).max(axis=1, keepdims=True), 1.0)
     null = (np.arange(width) < nfreq[:, None]) & (np.abs(frequencies) <= CLUSTER_TOL * scale)
     # a branch's label: 0 on a null branch, else the sign of its frequency; 0 on a padded one
     labels = np.zeros((len(decs), width), dtype=np.int8)
-    for i, (freqs, _, _, _) in enumerate(decs):
+    for i, (freqs, _, _) in enumerate(decs):
         for j, omega in enumerate(freqs):
             labels[i, j] = 0 if null[i, j] else (1 if omega > 0 else -1)
     return {
         "frequencies": frequencies,
-        "projectors": projectors,
         "nfreq": nfreq,
         "null": null,
         "labels": labels,
-        "basis": np.stack([dec[2] for dec in decs]),
-        "branch": np.stack([dec[3] for dec in decs]),
+        "basis": np.stack([dec[1] for dec in decs]),
+        "branch": np.stack([dec[2] for dec in decs]),
     }
 
 
@@ -277,11 +293,15 @@ def _spectrum_system(name, request):
     return spec, FrequencyLattice(2, 4)
 
 
-@pytest.mark.parametrize(
-    "system", ["ideal-gas-2d", "ideal-gas-1d", "wave2", "scalar", "change-of-variables", "ideal-gas-3d"]
-)
+SPECTRUM_SYSTEMS = ["ideal-gas-2d", "ideal-gas-1d", "wave2", "scalar", "change-of-variables", "ideal-gas-3d"]
+
+
+@pytest.mark.parametrize("system", SPECTRUM_SYSTEMS)
 def test_frequency_spectrum_matches_per_mode_reference(system, request):
-    """The batched eigensolve and array clustering give the per-mode loop's arrays bit for bit."""
+    """The batched eigensolve and array clustering give the per-mode loop's arrays bit for bit on the
+    zero mode and the positive half, and the reference's own mirror of them before the zero mode.
+    There an independent eigensolve at -k agrees to roundoff: frequencies within 1e-14 of the mode's
+    max(max|omega|, 1), projectors within 1e-14 of max(max|p_j|, 1)."""
     spec, lattice = _spectrum_system(system, request)
     spectrum = frequency_spectrum(spec, lattice)
     ref = _reference_spectrum(spec, lattice)
@@ -290,11 +310,61 @@ def test_frequency_spectrum_matches_per_mode_reference(system, request):
         assert got.shape == expected.shape and got.dtype == expected.dtype, name
         assert got.tobytes() == expected.tobytes(), name
         assert not got.flags.writeable, name
+    for i, mode in enumerate(lattice.modes[: lattice.zero_index()]):
+        freqs, basis, branch = _reference_decompose(spec, mode)
+        scale = max(float(np.abs(freqs).max()), 1.0)
+        assert len(freqs) == spectrum.nfreq[i]
+        assert np.abs(spectrum.frequencies[i, : len(freqs)] - freqs).max() <= 1e-14 * scale, mode
+        want = _reference_projectors(spec, basis, branch)
+        got = _reference_projectors(spec, spectrum.basis[i], spectrum.branch[i])
+        assert np.abs(got - want).max() <= 1e-14 * max(float(np.abs(want).max()), 1.0), mode
     for mode in (lattice.modes[0], lattice.modes[lattice.zero_index()], lattice.modes[-2]):
-        dec = spectrum[mode]
-        freqs, projs, basis, branch = _reference_decompose(spec, mode)
-        assert dec.frequencies.tobytes() == freqs.tobytes() and dec.projectors.tobytes() == projs.tobytes()
-        assert dec.basis.tobytes() == basis.tobytes() and dec.branch.tobytes() == branch.tobytes()
+        dec, i = spectrum[mode], lattice.index(mode)
+        assert dec.frequencies.tobytes() == ref["frequencies"][i, : ref["nfreq"][i]].tobytes()
+        assert dec.basis.tobytes() == ref["basis"][i].tobytes() and dec.branch.tobytes() == ref["branch"][i].tobytes()
+
+
+def _mirror_rows(spectrum, i):
+    """Every stacked array's row at -xi, built from its row i at xi: the frequencies negated over the
+    branches reversed with the padding kept last and +0.0, the basis columns reversed, the null mask
+    and the labels reversed (the labels negated), each column's branch counted from the other end, and
+    P0 unchanged."""
+    n, width = int(spectrum.nfreq[i]), spectrum.frequencies.shape[1]
+    order = np.r_[np.arange(n - 1, -1, -1), np.arange(n, width)]
+    freqs = spectrum.frequencies[i, order]
+    return {
+        "frequencies": np.where(freqs == 0.0, 0.0, -freqs),
+        "nfreq": spectrum.nfreq[i],
+        "null": spectrum.null[i, order],
+        "labels": -spectrum.labels[i, order],
+        "basis": spectrum.basis[i][:, ::-1],
+        "branch": n - 1 - spectrum.branch[i][::-1],
+        "null_projector": spectrum.null_projector[i],
+    }
+
+
+@pytest.mark.parametrize(
+    "system",
+    SPECTRUM_SYSTEMS + [f"entropic-{dim}d-{seed}-{ncomp}" for dim, seed, ncomp in
+                        ((2, 1, 4), (2, 2, 5), (3, 3, 4), (3, 4, 5))],
+)
+def test_spectrum_is_its_own_mirror(system, request):
+    """At every mode but the zero mode, its own negation, each stacked array's row at -xi is the
+    mirror of its row at xi, bit for bit: the six reference systems, and generated entropic systems
+    of 4 and 5 components in 2-D (R=4) and 3-D (R=2), with kernels of rank 1 and 2."""
+    if system.startswith("entropic"):
+        _, dim, seed, ncomp = system.split("-")
+        spec = entropic_system(int(seed), dim=int(dim[0]), ncomp=int(ncomp), kernel=1 + int(seed) % 2)
+        lattice = FrequencyLattice(spec.dim, 4 if spec.dim == 2 else 2)
+    else:
+        spec, lattice = _spectrum_system(system, request)
+    spectrum = frequency_spectrum(spec, lattice)
+    zero = lattice.zero_index()
+    assert spectrum.frequencies[zero].tobytes() == np.zeros(spectrum.frequencies.shape[1]).tobytes()
+    for i in np.flatnonzero(np.arange(len(lattice)) != zero):
+        for name, want in _mirror_rows(spectrum, i).items():
+            got = np.asarray(getattr(spectrum, name)[lattice.negation[i]])
+            assert got.dtype == np.asarray(want).dtype and got.tobytes() == np.asarray(want).tobytes(), (name, i)
 
 
 @pytest.mark.parametrize("system", ["ideal-gas-2d", "ideal-gas-3d", "ideal-gas-1d", "wave2", "scalar"])
@@ -327,12 +397,10 @@ def test_spectrum_reports_how_close_its_decisions_came(system, request):
 def test_null_projector_sums_the_null_branches(dim, radius):
     spectrum = frequency_spectrum(wk.build_preset(f"ideal-gas-{dim}d").spec, FrequencyLattice(dim, radius))
     p0, lattice = spectrum.null_projector, spectrum.lattice
-    assert not p0.flags.writeable
-    # summed on the zero mode and the positive half and completed there, so P0(-xi) = P0(xi) bit for bit;
-    # the sum on the negative half differs by roundoff
-    summed = np.einsum("mj,mjpq->mpq", spectrum.null, spectrum.projectors)
-    expected = lattice.complete(summed[lattice.zero_index():])
-    assert p0.shape == expected.shape and p0.tobytes() == expected.tobytes()
+    assert not p0.flags.writeable and spectrum.null_projector is p0
+    # summed on the zero mode and the positive half and completed there, so P0(-xi) = P0(xi) bit for bit
+    assert p0.tobytes() == lattice.complete(p0[lattice.zero_index():]).tobytes()
+    summed = np.einsum("mj,mjpq->mpq", spectrum.null, projectors(spectrum))
     assert np.abs(p0 - summed).max() <= 1e-14
     # the identity at the zero mode, and the d-dimensional null space elsewhere
     assert np.array_equal(p0[spectrum.lattice.zero_index()], np.eye(dim + 2))
@@ -342,25 +410,30 @@ def test_null_projector_sums_the_null_branches(dim, radius):
 
 def test_frequency_spectrum_cns_branch_count(cns_model, cns_ops4):
     spectrum = cns_ops4.spectrum
-    assert spectrum.frequencies.shape == (len(cns_ops4.lattice), 3)
-    assert spectrum.projectors.shape == (len(cns_ops4.lattice), 3, 4, 4)
-    for i, mode in enumerate(cns_ops4.lattice):
+    lattice = cns_ops4.lattice
+    assert spectrum.frequencies.shape == (len(lattice), 3)
+    assert spectrum.basis.shape == (len(lattice), 4, 4) and spectrum.branch.shape == (len(lattice), 4)
+    for i, mode in enumerate(lattice):
         dec = spectrum[mode]
         expected = 1 if mode == (0, 0) else 3
         assert dec.nfreq == expected
         assert spectrum.nfreq[i] == expected
-        # stacked rows are the per-mode reference decomposition, bit for bit
-        freqs, projs, _, _ = _reference_decompose(cns_model.spec, mode)
+        # stacked rows are the per-mode reference decomposition on the zero mode and the positive
+        # half, and its mirror before the zero mode, bit for bit
+        if i >= lattice.zero_index():
+            freqs, basis, branch = _reference_decompose(cns_model.spec, mode)
+        else:
+            freqs, basis, branch = _reference_mirror(*_reference_decompose(cns_model.spec, tuple(-c for c in mode)))
         assert spectrum.frequencies[i, :expected].tobytes() == freqs.tobytes()
-        assert spectrum.projectors[i, :expected].tobytes() == projs.tobytes()
-        # padded branches are exactly zero
+        assert spectrum.basis[i].tobytes() == basis.tobytes() and spectrum.branch[i].tobytes() == branch.tobytes()
+        # padded branches are exactly zero, and hold no column
         assert not spectrum.frequencies[i, expected:].any()
-        assert not spectrum.projectors[i, expected:].any()
+        assert (spectrum.branch[i] < expected).all()
         # the per-mode view serves the same arrays
         assert dec.mode == mode
         assert np.shares_memory(dec.frequencies, spectrum.frequencies)
         assert np.array_equal(dec.frequencies, spectrum.frequencies[i, :expected])
-        assert np.array_equal(dec.projectors, spectrum.projectors[i, :expected])
+        assert np.shares_memory(dec.basis, spectrum.basis) and np.shares_memory(dec.branch, spectrum.branch)
     for outside in ((9, 0), (0,)):
         with pytest.raises(KeyError):
             spectrum[outside]
@@ -371,10 +444,11 @@ def test_reality_pairing(cns_model):
     for mode in [(1, 0), (2, -1), (3, 3)]:
         dec_p = spectrum[mode]
         dec_m = spectrum[tuple(-c for c in mode)]
+        proj_p, proj_m = mode_projectors(spectrum, mode), mode_projectors(spectrum, tuple(-c for c in mode))
         assert np.allclose(sorted(dec_m.frequencies), sorted(-dec_p.frequencies), atol=1e-11)
         for j, freq in enumerate(dec_p.frequencies):
             match = np.argmin(np.abs(dec_m.frequencies + freq))
-            assert np.abs(dec_m.projectors[match] - dec_p.projectors[j].conj()).max() <= 1e-11
+            assert np.abs(proj_m[match] - proj_p[j].conj()).max() <= 1e-11
 
 
 def test_conjugation_covariance(cns_model):
@@ -386,13 +460,14 @@ def test_conjugation_covariance(cns_model):
     for mode in [(1, 0), (2, 1)]:
         dec = spectrum[mode]
         dec_p = spectrum_p[mode]
+        proj, proj_p = mode_projectors(spectrum, mode), mode_projectors(spectrum_p, mode)
         assert np.allclose(sorted(dec.frequencies), sorted(dec_p.frequencies), atol=1e-10)
         inv = np.linalg.inv(transform)
         for j, freq in enumerate(dec.frequencies):
             match = np.argmin(np.abs(dec_p.frequencies - freq))
-            conjugated = inv @ dec.projectors[j] @ transform
+            conjugated = inv @ proj[j] @ transform
             scale = max(1.0, np.abs(conjugated).max())
-            assert np.abs(dec_p.projectors[match] - conjugated).max() <= 1e-9 * scale
+            assert np.abs(proj_p[match] - conjugated).max() <= 1e-9 * scale
 
 
 def test_spectrum_csv_rows(cns_ops4):
