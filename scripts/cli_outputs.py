@@ -1,4 +1,4 @@
-"""Run the five CLI commands on eight fixed configs and keep everything they print and write.
+"""Run the five CLI commands on nine fixed configs and keep everything they print and write.
 
     PYTHONPATH=src python scripts/cli_outputs.py OUT
 
@@ -32,18 +32,20 @@ otherwise (text, or a number written another way); it exits 1 if anything
 moved.
 
 The configs are the 2-D gas at R=4 under the exact resonance rule, the 1-D
-gas at R=6, the 2-D gas written out as an inline spec at R=3 under the
-float rule, the 2-D gas at R=3 stepped by IF-RK2 from a `modes` initial
-with a nonzero zero mode, so that the zero mode's propagator row and
-if_rk2 reach the snapshots, the 3-D gas at R=2 under the exact rule, and
-an inline 1-D spec whose g a(xi) is not symmetric (a = [[0, 1], [2, 0]],
-g = I), which validate, operators, dissipativity and simulate refuse with
-exit 1, and the 2-D gas at R=3 from a `modes` entry of 2 of its 4
-components, which every command refuses with exit 2 when it reads the
-config, and the 2-D gas at R=1 stepped by dt = 1.5e-6 to 3e-5 with a
-snapshot every step, whose 21 snapshot files are named by the times of
-their diagnostics.csv rows, t = i dt.  wcns-report also exits 2 on every
-other config but the 2-D presets (it needs a 2-D preset).
+gas at R=6, the 2-D gas at R=6 under the float rule, whose table build
+decides its pairs in four grids of the cell budget, the 2-D gas written
+out as an inline spec at R=3 under the float rule, the 2-D gas at R=3
+stepped by IF-RK2 from a `modes` initial with a nonzero zero mode, so that
+the zero mode's propagator row and if_rk2 reach the snapshots, the 3-D gas
+at R=2 under the exact rule, and an inline 1-D spec whose g a(xi) is not
+symmetric (a = [[0, 1], [2, 0]], g = I), which validate, operators,
+dissipativity and simulate refuse with exit 1, and the 2-D gas at R=3 from
+a `modes` entry of 2 of its 4 components, which every command refuses with
+exit 2 when it reads the config, and the 2-D gas at R=1 stepped by dt =
+1.5e-6 to 3e-5 with a snapshot every step, whose 21 snapshot files are
+named by the times of their diagnostics.csv rows, t = i dt.  wcns-report
+also exits 2 on every other config but the 2-D presets (it needs a 2-D
+preset).
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ BASE = {
 CONFIGS = {
     "gas2d-r4": {"system": "ideal-gas-2d", "lattice_k": 4, "resonance": {"exact_rule": True}},
     "gas1d-r6": {"system": "ideal-gas-1d", "lattice_k": 6},
+    "gas2d-r6-float": {"system": "ideal-gas-2d", "lattice_k": 6, "resonance": {"exact_rule": False}},
     "inline": {
         "system": spec_to_dict(build_preset("ideal-gas-2d").spec),
         "lattice_k": 3,

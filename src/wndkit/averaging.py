@@ -85,16 +85,17 @@ __all__ = [
 
 # (k, s1, l, s2, m, s3) on a grid of P pairs (k, l) by B^3 branch triples: (P, 1, 1, 1, d) int modes and
 # (P, B, 1, 1), (P, 1, B, 1), (P, 1, 1, B) int8 branch labels (Spectrum.labels) -> (P, B, B, B) bools.
-# Called once per grid of whole k-blocks; its arguments are read-only broadcast views.  A rule decides
-# one half only, the pairs after (0, 0) in lattice order: the build mirrors its verdicts onto (-k, -l).
-# The build accepts the all-null cells itself, so a rule decides only the others.  A rule may carry a
-# `candidates` attribute, (k, l, m) read-only (P, d) int modes -> (P,) bools: the pairs that can hold a
-# resonance off the all-null cells.  Only those reach the rule; without it, every pair of the half does.
+# Called once per grid of consecutive pairs; its arguments are read-only broadcast views.  A rule decides
+# one half only, the pairs after (0, 0) in lattice order: the build mirrors its verdicts onto (-k, -l),
+# accepts the all-null cells itself and refuses verdicts that are not closed under the resonance's
+# permutations (k, l -> m) to (l, k -> m) and (m, -l -> k).  A rule may carry a `candidates` attribute,
+# (k, l, m) read-only (P, d) int modes -> (P,) bools: the pairs that can hold a resonance off the all-null
+# cells.  Only those reach the rule; without it, every pair of the half does.
 ExactRule = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-# grid cells ((k, l) pairs x branch triples) per resonance-rule call in the table build (bounds its
-# transient memory; a larger k-block is one call).  The build enumerates at most RESONANCE_CHUNK_CELLS // B
-# pairs at a time, whose pair-level arrays take about as much memory as one grid's
+# grid cells ((k, l) pairs x branch triples) per resonance-rule call in the table build: the most a grid
+# holds (bounds its transient memory).  The build walks at most RESONANCE_CHUNK_CELLS // B pairs at a time,
+# or one k-block, whose pair-level arrays take about as much memory as one grid's
 RESONANCE_CHUNK_CELLS = 65536
 
 # the float rule's default: it accepts a frequency triple whose defect |omega1 + omega2 - omega3| is at most
@@ -200,25 +201,24 @@ class ResonanceTable:
     under negation: the mirror (-k, j1'; -l, j2'; -m, j3') of every row is
     present, with j' = nfreq - 1 - j and its defect the negated one.
 
-    Only what qbar reads is stored: `rows` (S, 6) and `row_defects` (S,),
-    the accepted triples that are not null triples, in table order, and
-    `null_counts` (M,), the number of null triples (all three branches
-    null) in each k-block, n0(k) sum_l n0(l) n0(k + l) with n0 a mode's
-    null branches.  The null triples are resonant for every pair of modes,
-    so the table holds every one of them by construction, and qbar computes
-    them whole without reading a row (see _CompiledQuadratic).  `blocks`
-    rebuilds the full table one k-block at a time, the null triples merged
-    back in with their defects; `entries`, `defects` and the CSV export
-    read it, and `len` counts it.  The float rule accepts |defect| <=
-    tolerance * scale; `closest_rejected` is the smallest |defect| it
-    rejected (inf if none, nan under an exact rule).  qbar assumes both
-    symmetries, which `build_resonance_table` builds in, so tables must
-    come from it.  `quadratic` is qbar compiled for the table, on first use.
+    Only what qbar reads is stored: `rows` (S, 6), the accepted triples
+    that are not null triples, in table order, and `null_counts` (M,), the
+    number of null triples (all three branches null) in each k-block, n0(k)
+    sum_l n0(l) n0(k + l) with n0 a mode's null branches.  The null triples
+    are resonant for every pair of modes, so the table holds every one of
+    them by construction, and qbar computes them whole without reading a
+    row (see _CompiledQuadratic).  `blocks` rebuilds the full table one
+    k-block at a time, the null triples merged back in, with every row's
+    defect; `entries`, `defects` and the CSV export read it, and `len`
+    counts it.  The float rule accepts |defect| <= tolerance * scale;
+    `closest_rejected` is the smallest |defect| it rejected (inf if none,
+    nan under an exact rule).  qbar assumes both symmetries, which
+    `build_resonance_table` builds in, so tables must come from it.
+    `quadratic` is qbar compiled for the table, on first use.
     """
 
     spectrum: Spectrum
     rows: np.ndarray  # (S, 6) int64
-    row_defects: np.ndarray  # (S,) float
     null_counts: np.ndarray  # (M,) int64
     tolerance: float
     scale: float
@@ -245,29 +245,25 @@ class ResonanceTable:
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The full table one k-block at a time, in lattice order: (entries, defects) of the block.
 
-        The block's stored rows are merged with its null triples in table
-        order; a null triple's defect comes from the same flat gathers as
-        the stored defects, so it has the bits a stored one would have.
+        The block's pairs come from the build's walk; its stored rows are
+        merged with its null triples in table order, and every row's defect
+        (omega_j1(k) + omega_j2(l)) - omega_j3(m) is taken by the build's flat
+        gathers: stored rows and null triples share one formula.
         """
         spectrum, lattice = self.spectrum, self.lattice
-        arr, radius, zero = lattice.array, lattice.radius, lattice.zero_index()
-        null, width = spectrum.null, spectrum.frequencies.shape[1]
-        flat = spectrum.frequencies.ravel()
+        null, flat, width = spectrum.null, spectrum.frequencies.ravel(), spectrum.frequencies.shape[1]
         bounds = np.searchsorted(self.rows[:, 0], np.arange(len(lattice) + 1))
-        for ki in range(len(lattice)):
-            lis = np.flatnonzero((np.abs(arr[ki] + arr) <= radius).all(axis=1))
-            mis = lis + (ki - zero)
+        for ki, _, _, lis, mis in _pair_chunks(lattice, 0, 1):  # one k-block per chunk
             p, j1, j2, j3 = np.nonzero(
                 null[ki][None, :, None, None] & null[lis][:, None, :, None] & null[mis][:, None, None, :]
             )
-            li, mi = lis[p], mis[p]
-            nulls = np.stack([np.full_like(li, ki), j1, li, j2, mi, j3], axis=1)
-            null_defects = (flat.take(ki * width + j1) + flat.take(li * width + j2)) - flat.take(mi * width + j3)
-            rows = self.rows[bounds[ki] : bounds[ki + 1]]
-            entries = np.concatenate([rows, nulls])
+            nulls = np.stack([np.full_like(p, ki), j1, lis[p], j2, mis[p], j3], axis=1)
+            entries = np.concatenate([self.rows[bounds[ki] : bounds[ki + 1]], nulls])
             # within a k-block the table order is that of (l, j1, j2, j3)
             order = np.argsort(np.ravel_multi_index(tuple(entries[:, [2, 1, 3, 5]].T), (len(lattice),) + (width,) * 3))
-            yield entries[order], np.concatenate([self.row_defects[bounds[ki] : bounds[ki + 1]], null_defects])[order]
+            entries = entries[order]
+            k, j1, l, j2, m, j3 = entries.T
+            yield entries, (flat.take(k * width + j1) + flat.take(l * width + j2)) - flat.take(m * width + j3)
 
     @cached_property
     def quadratic(self) -> _CompiledQuadratic:
@@ -288,103 +284,106 @@ def build_resonance_table(
     the table order, so the stored rows are the mirrored half's, reversed,
     then the half's, and the null counts at -k are those at k.
 
-    The k-blocks from the zero mode on are enumerated once, a chunk of
-    consecutive whole k-blocks at a time (at most RESONANCE_CHUNK_CELLS //
-    B pairs, or one k-block), k ascending and then l.  Each k-block's null
-    triples (cells whose three branches are all null) are counted there
-    from pair-level integer arrays: they are resonant for every pair, and
-    the table holds them by construction without storing them.  An exact
-    rule with a `candidates` attribute proposes the pairs that can hold
-    another resonance; every other rule, and the float rule, gets every
-    pair of the half.  The proposed pairs, times the B^3 branch triples
-    (j1, j2, j3), form (P, B, B, B) grids of consecutive whole k-blocks in
-    table order, at most RESONANCE_CHUNK_CELLS cells each (one k-block if a
-    single block is larger), each decided in one array call.  Generic
+    The k-blocks from the zero mode on are walked once (see _pair_chunks),
+    k ascending and then l, a chunk of at most RESONANCE_CHUNK_CELLS // B
+    pairs (or one k-block) at a time.  Each k-block's null triples (cells
+    whose three branches are all null) are counted there from pair-level
+    integer arrays: they are resonant for every pair, and the table holds
+    them by construction without storing them.  An exact rule with a
+    `candidates` attribute proposes the pairs that can hold another
+    resonance; every other rule, and the float rule, gets every pair of the
+    half.  The proposed pairs, RESONANCE_CHUNK_CELLS // B^3 at a time (at
+    least one), times the B^3 branch triples (j1, j2, j3), form (P, B, B,
+    B) grids in table order, each decided in one array call.  Generic
     detection accepts |omega1 + omega2 - omega3| <= tol * scale on the
     grid, with scale the largest frequency magnitude on the lattice
     (ValueError, naming the first k, if it rejects a null triple);
     floating-point near-resonances are the dominant hazard, so callers
     should pass an exact_rule (an array predicate on the branch labels, see
-    ExactRule; ValueError unless it returns the (P, B, B, B) booleans, or
-    its candidates the (P,) booleans) whenever the spectrum has arithmetic
-    structure.
+    ExactRule; ValueError unless it returns the (P, B, B, B) booleans, its
+    candidates the (P,) booleans, and verdicts closed under the resonance's
+    permutations: no rounding splits a triple from its partners there, as
+    it can the float rule's) whenever the spectrum has arithmetic structure.
 
-    The rule's arguments are read-only broadcast views: k, l and m of shape
-    (P, 1, 1, 1, d) and the labels of shape (P, B, 1, 1), (P, 1, B, 1)
-    and (P, 1, 1, B).  Cells of padded branches (j >= nfreq) are not
-    candidates, whatever the verdict.  Only the accepted cells are decoded,
-    into three flat indices (mode * B + branch) into the stacked
-    frequencies, which drop the null triples, give the defects by flat
-    gathers and, at the end, the (k, j1, l, j2, m, j3) rows by divmod.
+    Cells of padded branches (j >= nfreq) are not candidates, whatever the
+    verdict.  Only the accepted cells are decoded, into three flat indices
+    (mode * B + branch) into the stacked frequencies, which drop the null
+    triples and, at the end, give the (k, j1, l, j2, m, j3) rows by divmod.
     """
     lattice, freqs, nfreq, null = spectrum.lattice, spectrum.frequencies, spectrum.nfreq, spectrum.null
     scale = max(float(np.abs(freqs).max()), 1.0)
-    arr, zero, radius = lattice.array, lattice.zero_index(), lattice.radius
-    flat, width = freqs.ravel(), freqs.shape[1]
+    zero, width = lattice.zero_index(), freqs.shape[1]
     # an accepted cell is stored when its three branches are real (j < nfreq) and not all null
     real_flat, null_flat = (np.arange(width) < nfreq[:, None]).ravel(), null.ravel()
     n0 = null.sum(axis=1)
     candidates = getattr(exact_rule, "candidates", None)
-    cells = width**3
-    # the l with k + l on the lattice form a box of prod_a (2R + 1 - |k_a|) modes;
-    # ends[i] counts the pairs of the k-blocks before mode i
-    ends = np.concatenate([[0], np.cumsum(np.prod(2 * radius + 1 - np.abs(arr), axis=1))])
+    per_grid = max(RESONANCE_CHUNK_CELLS // width**3, 1)
     null_counts = np.zeros(len(lattice), dtype=np.int64)
     accepted, closest = [], np.inf
-    start = zero
-    while start < len(lattice):
-        stop = max(start + 1, int(np.searchsorted(ends, ends[start] + RESONANCE_CHUNK_CELLS // width, side="right")) - 1)
-        # the chunk's pairs, k ascending and then l: kp counts from start
-        inside = np.ones((stop - start, len(lattice)), dtype=bool)
-        for column in range(lattice.dim):
-            inside &= np.abs(arr[start:stop, column, None] + arr[:, column]) <= radius
-        kp, lis = np.nonzero(inside)
-        kis = kp + start
-        mis = lis + (kis - zero)  # index(k + l) = index(k) + index(l) - index(0)
-        null_counts[start:stop] = np.bincount(kp, n0[kis] * n0[lis] * n0[mis], stop - start)
+    for start, stop, kis, lis, mis in _pair_chunks(lattice, zero, RESONANCE_CHUNK_CELLS // width):
+        null_counts[start:stop] = np.bincount(kis - start, n0[kis] * n0[lis] * n0[mis], stop - start)
         after = (kis > zero) | (lis > zero)  # the pairs after (0, 0) in lattice order
         kis, lis, mis = kis[after], lis[after], mis[after]
         if candidates is not None:
-            modes = tuple(arr.take(i, axis=0) for i in (kis, lis, mis))
+            modes = tuple(lattice.array.take(i, axis=0) for i in (kis, lis, mis))
             for a in modes:
                 a.flags.writeable = False
             proposed = np.asarray(candidates(*modes))
             if proposed.dtype != bool or proposed.shape != kis.shape:
                 raise ValueError(f"candidates returned {proposed.dtype} {proposed.shape}, expected {kis.shape} booleans")
             kis, lis, mis = kis[proposed], lis[proposed], mis[proposed]
-        # the grids: consecutive whole k-blocks of the proposed pairs; bounds[i] counts the grid cells
-        # of the chunk's k-blocks before block i
-        bounds = np.searchsorted(kis, np.arange(start, stop + 1)) * cells
-        first = 0
-        while first < stop - start:
-            last = max(first + 1, int(np.searchsorted(bounds, bounds[first] + RESONANCE_CHUNK_CELLS, side="right")) - 1)
-            pairs = slice(bounds[first] // cells, bounds[last] // cells)
-            first = last
-            if pairs.start == pairs.stop:
-                continue
+        for first in range(0, len(kis), per_grid):
+            pairs = slice(first, first + per_grid)
             block, near = _decide(spectrum, kis[pairs], lis[pairs], mis[pairs], tol, scale, exact_rule)
             closest = min(closest, near)
             accepted.append(block[:, real_flat.take(block).all(axis=0) & ~null_flat.take(block).all(axis=0)])
-        start = stop
     null_counts[:zero] = null_counts[:zero:-1]
     half = np.concatenate(accepted, axis=1) if accepted else np.zeros((3, 0), dtype=np.int64)
     # the pairs before (0, 0): the mirror of a triple is (-k, j1'; -l, j2'; -m, j3'), with j' = nfreq - 1 - j
     # the branch of -omega_j at -k, and negation reverses the table order
     mode, branch = np.divmod(half[:, ::-1], width)
     block = np.concatenate([lattice.negation[mode] * width + nfreq[mode] - 1 - branch, half], axis=1)
-    row_defects = (flat.take(block[0]) + flat.take(block[1])) - flat.take(block[2])
     # (k, j1, l, j2, m, j3) columns from the flat (mode, branch) indices
     rows = np.stack(np.divmod(block.T, width), axis=2).reshape(-1, 6)
+    if exact_rule is not None:
+        # each decided row's (l, k) swap and cyclic partner (m, j3; -l, j2' -> k, j1) must be stored; keys
+        # taken in table order (k, l, j1, j2, j3) are sorted, so each partner is one searchsorted away
+        shape, decided = (len(lattice),) * 2 + (width,) * 3, rows[len(rows) - half.shape[1] :]
+        keys = np.ravel_multi_index(tuple(rows[:, [0, 2, 1, 3, 5]].T), shape)
+        k, j1, l, j2, m, j3 = decided.T
+        for name, partner in (("(l, k) swap", (l, k, j2, j1, j3)),
+                              ("cyclic partner", (m, lattice.negation[l], j3, nfreq[l] - 1 - j2, j1))):
+            partner = np.ravel_multi_index(partner, shape)
+            missing = np.flatnonzero(keys.take(np.searchsorted(keys, partner), mode="clip") != partner)
+            if len(missing):
+                row = tuple(lattice.modes[x] if c % 2 == 0 else int(x) for c, x in enumerate(decided[missing[0]]))
+                raise ValueError(f"exact_rule's verdicts are not closed under the resonance's permutations: the "
+                                 f"row (k, j1, l, j2, m, j3) = {row} lacks its {name}")
     return ResonanceTable(
         spectrum=spectrum,
         rows=rows,
-        row_defects=row_defects,
         null_counts=null_counts,
         tolerance=tol,
         scale=scale,
         closest_rejected=np.nan if exact_rule is not None else float(closest),
         exact=exact_rule is not None,
     )
+
+
+def _pair_chunks(lattice: FrequencyLattice, start: int, pairs: int) -> Iterator[tuple]:
+    """The pairs (k, l; m = k + l) of the k-blocks from mode index `start` on, k ascending and then l, in chunks
+    of whole k-blocks, at most `pairs` pairs or one k-block: (start, stop, kis, lis, mis), k in start..stop - 1."""
+    arr, zero, radius = lattice.array, lattice.zero_index(), lattice.radius
+    # the l with k + l on the lattice form a box of prod_a (2R + 1 - |k_a|) modes; ends[i] counts the pairs before k = i
+    ends = np.concatenate([[0], np.cumsum(np.prod(2 * radius + 1 - np.abs(arr), axis=1))])
+    while start < len(lattice):
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] + pairs, side="right")) - 1)
+        inside = np.ones((stop - start, len(lattice)), dtype=bool)
+        for column in range(lattice.dim):
+            inside &= np.abs(arr[start:stop, column, None] + arr[:, column]) <= radius
+        kp, lis = np.nonzero(inside)
+        yield start, stop, kp + start, lis, lis + (kp + (start - zero))  # index(k + l) = index(k) + index(l) - index(0)
+        start = stop
 
 
 def _decide(

@@ -179,12 +179,11 @@ def step(
     state: SpectralState,
     dt: float,
     method: str = "if_rk4",
-    filtered: bool = False,
 ) -> SpectralState:
     """Advance one step; exact on the linear part for any dt.  ValueError unless the state fits and is real."""
     state = _entry(ops, state)
     _check_step(dt, method)
-    half = _advance(ops, state.coeffs[ops.lattice.zero_index():], dt, method, filtered)
+    half = _advance(ops, state.coeffs[ops.lattice.zero_index():], dt, method, filtered=False)
     return SpectralState(state.lattice, ops.lattice.complete(half))
 
 

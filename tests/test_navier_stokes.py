@@ -246,8 +246,9 @@ def test_exact_rule_narrowing_is_complete(dim, radius, whole_table):
     pairs (k, l), and the build forms the branch grid of those alone.  Its
     proof obligation: every pair on which the plain identity holds on a
     cell with a nonzero label is proposed, so the table built from every
-    pair under the plain identity is the same, its stored rows, defects and
-    null counts bitwise (and with whole_table, the full rebuilt table).
+    pair under the plain identity is the same, its stored rows, null counts
+    and the defects `blocks` gives bitwise (and with whole_table, the full
+    rebuilt table).
     From R = 5 in 2-D, and with (2, 2, 1) and (3, 0, 0) in 3-D, modes of
     equal norm need not be signed permutations of each other ((3, 4) and
     (5, 0)); such pairs must resonate too."""
@@ -278,11 +279,10 @@ def test_exact_rule_narrowing_is_complete(dim, radius, whole_table):
     assert missed == 0
     assert (unlike_hits > 0) == (dim > 1)
     assert table.rows.tobytes() == reference.rows.tobytes()
-    assert table.row_defects.tobytes() == reference.row_defects.tobytes()
     assert table.null_counts.tobytes() == reference.null_counts.tobytes()
+    assert table.defects.tobytes() == reference.defects.tobytes()
     if whole_table:
         assert table.entries.tobytes() == reference.entries.tobytes()
-        assert table.defects.tobytes() == reference.defects.tobytes()
 
 
 def test_one_way_coupling(cns_model, cns_ops4):

@@ -31,7 +31,7 @@ def test_cli_outputs_script_keeps_every_command_run(tmp_path):
         (path.parent.parent.name, path.parent.name): int(path.read_text())
         for path in tmp_path.glob("*/*/exit_code")
     }
-    assert len(codes) == 40
+    assert len(codes) == 45
     # wcns-report needs a 2-D preset: on the other configs it is an input error; and every command
     # refuses a modes entry of 2 components for the 4-component gas when it reads the config
     commands = ("validate", "operators", "dissipativity", "simulate", "wcns-report")
@@ -51,6 +51,7 @@ def test_cli_outputs_script_keeps_every_command_run(tmp_path):
         "entropy validation failed; refusing to build operators\n")
     assert (tmp_path / "gas3d-r2" / "operators" / "resonance_table.csv").is_file()
     assert (tmp_path / "gas2d-r4" / "operators" / "resonance_table.csv").is_file()
+    assert all(codes[("gas2d-r6-float", command)] == 0 for command in commands)
     assert any((tmp_path / "gas2d-r4" / "simulate" / "snapshots").iterdir())
     # IF-RK2 from a nonzero zero mode: 50 steps, a snapshot every 5
     assert len(list((tmp_path / "gas2d-r3-rk2" / "simulate" / "snapshots").iterdir())) == 11
